@@ -106,7 +106,7 @@ def _build_loss(
             leaves[n] = Node(state.params[n])
         return leaves[n]
 
-    feats = Node(bag.features)
+    feats = nm.as_node(bag.features)
     if name == "loss_con_sd":
         z = sb.project(feats, sb.SemanticProjector(leaf("w_sem")))
         u = gc.gcn_forward(
@@ -123,7 +123,7 @@ def _build_loss(
         onehot = gc.one_hot_labels(frozen.approx.labels, bag.n_classes + 1)
         u_p = gc.gcn_forward(
             frozen.instance_graph,
-            Node(onehot),
+            nm.as_node(onehot),
             gc.GcnProjector(leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2")),
         )
         v_p = gc.gcn_forward(

@@ -113,10 +113,9 @@ def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float = 0.9) ->
     m, n_classes = corr_ins.shape
     background = n_classes
     labels = np.full(m, background, dtype=np.int64)
+    col_max = corr_ins.max(axis=0)
     for i in range(m):
-        claims = [
-            k for k in positives if corr_ins[i, k] >= gamma * corr_ins[:, k].max()
-        ]
+        claims = [k for k in positives if corr_ins[i, k] >= gamma * col_max[k]]
         if claims:
             scores = [corr_ins[i, k] for k in claims]
             labels[i] = claims[int(np.argmax(scores))]
@@ -165,13 +164,13 @@ def instance_loss(scores: InstanceScores, labels: ApproxLabels, tags: np.ndarray
             raise ContractError(f"tagged class {k} has no labelled instance")
 
     clamped = nm.clip(scores.image_scores, SCORE_EPS, 1.0 - SCORE_EPS)
-    pos = nm.mul(nm.log(clamped), Node(tags))
-    negv = nm.mul(nm.log(nm.sub(Node(np.ones_like(tags)), clamped)), Node(1.0 - tags))
+    pos = nm.mul(nm.log(clamped), tags)
+    negv = nm.mul(nm.log(nm.sub(np.ones_like(tags), clamped)), 1.0 - tags)
     image_term = nm.neg(nm.total(nm.add(pos, negv)))
 
     m = labels.labels.size
     mask = np.zeros((m, n_classes + 1), dtype=np.float64)
     mask[np.arange(m), labels.labels] = labels.seed_weights
     log_s = nm.log_softmax_rows(scores.s_logits)
-    instance_term = nm.neg(nm.total(nm.mul(log_s, Node(mask))))
+    instance_term = nm.neg(nm.total(nm.mul(log_s, mask)))
     return nm.add(image_term, instance_term)

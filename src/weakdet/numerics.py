@@ -2,8 +2,12 @@
 
 Tensors are plain numpy arrays (row-major, 64-bit). A :class:`Node` wraps one
 array together with its gradient buffer and a backward rule; composing the op
-functions below builds an acyclic computation graph that :func:`backward`
-traverses once in reverse topological order.
+functions below builds an acyclic computation graph. An explicit ``Node(x)``
+is a differentiable leaf; a raw array passed to an op is wrapped by
+:func:`as_node` as a constant, and an op result is differentiable when any of
+its operands is. :func:`backward` visits the differentiable nodes that reach
+the loss once each, in reverse creation order (every node is created after
+its operands), and gives each its ``grad`` buffer only when it reaches it.
 
 Every op validates its result: a NaN or Inf anywhere raises
 :class:`~weakdet.errors.NumericError` instead of propagating. Exponentials
@@ -12,7 +16,8 @@ Every op validates its result: a NaN or Inf anywhere raises
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import itertools
+from typing import Callable
 
 import numpy as np
 
@@ -26,11 +31,14 @@ from .errors import (
 
 EPS_NORM = 1e-12
 
+# Creation stamps: an op's result always gets a larger one than its operands.
+_creation = itertools.count()
+
 
 def as_tensor(data) -> np.ndarray:
     """Coerce to a finite float64 array."""
     arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("tensor contains NaN or Inf")
     return arr
 
@@ -38,19 +46,23 @@ def as_tensor(data) -> np.ndarray:
 class Node:
     """One value in the computation graph.
 
-    ``value`` and ``grad`` always share a shape; ``grad`` starts at zero and
-    is filled by :func:`backward`. Leaf nodes (parameters, constants) have no
-    parents.
+    Leaf nodes (parameters, constants) have no parents. ``requires_grad``
+    is true for an explicit leaf, false for a constant made by
+    :func:`as_node`, and for an op result true when any parent's is.
+    ``grad`` is None until :func:`backward` reaches the node; from then on it
+    has the value's shape and holds d(loss)/d(node). Constants never get one.
     """
 
-    __slots__ = ("value", "grad", "parents", "_backward", "_consumed")
+    __slots__ = ("value", "grad", "parents", "requires_grad", "_backward", "_consumed", "_order")
 
     def __init__(self, value, parents: tuple = (), backward: Callable | None = None):
         self.value = as_tensor(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
         self.parents = parents
+        self.requires_grad = not parents or any(p.requires_grad for p in parents)
         self._backward = backward
         self._consumed = False
+        self._order = next(_creation)
 
     @property
     def shape(self):
@@ -74,52 +86,46 @@ class Node:
 
 
 def as_node(x) -> Node:
-    """Wrap a value as a constant leaf; Nodes pass through."""
-    return x if isinstance(x, Node) else Node(x)
-
-
-def _topo_order(root: Node) -> list[Node]:
-    """Iterative post-order walk; each node appears exactly once."""
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order
+    """Wrap a value as a constant leaf, which gets no gradient; Nodes pass
+    through."""
+    if isinstance(x, Node):
+        return x
+    node = Node(x)
+    node.requires_grad = False
+    return node
 
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) into ``grad`` for every node in the graph.
+    """Accumulate d(loss)/d(node) into ``grad`` for every differentiable node
+    that reaches the loss.
 
-    The root must be scalar. A second call on the same graph raises
-    :class:`UsageError`; rebuild the graph (or reset grads) between passes.
+    Nodes run their backward rules in decreasing creation order, so each
+    node's gradient is complete before it passes it on. The root must be
+    scalar. A second call on the same graph raises :class:`UsageError`;
+    rebuild the graph between passes.
     """
     if loss.value.shape not in ((), (1,), (1, 1)):
         raise UsageError(f"backward root must be scalar, got shape {loss.value.shape}")
     if loss._consumed:
         raise UsageError("backward already ran on this graph; rebuild it first")
-    order = _topo_order(loss)
+    loss._consumed = True
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(order):
+    if not loss.requires_grad:
+        return
+    reached = {loss._order: loss}
+    stack = [loss]
+    while stack:
+        for p in stack.pop().parents:
+            if p.requires_grad and p._order not in reached:
+                reached[p._order] = p
+                stack.append(p)
+                if p.grad is None:
+                    p.grad = np.zeros(p.value.shape)
+    for key in sorted(reached, reverse=True):
+        node = reached[key]
         node._consumed = True
         if node._backward is not None:
             node._backward(node.grad)
-
-
-def zero_grads(nodes: Iterable[Node]) -> None:
-    for n in nodes:
-        n.grad = np.zeros_like(n.value)
-        n._consumed = False
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +144,10 @@ def add(a, b) -> Node:
     out = Node(a.value + b.value, (a, b))
 
     def bw(g):
-        a.grad += g
-        b.grad += g
+        if a.requires_grad:
+            a.grad += g
+        if b.requires_grad:
+            b.grad += g
 
     out._backward = bw
     return out
@@ -151,8 +159,10 @@ def sub(a, b) -> Node:
     out = Node(a.value - b.value, (a, b))
 
     def bw(g):
-        a.grad += g
-        b.grad -= g
+        if a.requires_grad:
+            a.grad += g
+        if b.requires_grad:
+            b.grad -= g
 
     out._backward = bw
     return out
@@ -176,8 +186,10 @@ def mul(a, b) -> Node:
     out = Node(a.value * b.value, (a, b))
 
     def bw(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
+        if a.requires_grad:
+            a.grad += g * b.value
+        if b.requires_grad:
+            b.grad += g * a.value
 
     out._backward = bw
     return out
@@ -192,8 +204,10 @@ def div(a, b) -> Node:
     out = Node(a.value / b.value, (a, b))
 
     def bw(g):
-        a.grad += g / b.value
-        b.grad -= g * a.value / (b.value * b.value)
+        if a.requires_grad:
+            a.grad += g / b.value
+        if b.requires_grad:
+            b.grad -= g * a.value / (b.value * b.value)
 
     out._backward = bw
     return out
@@ -224,8 +238,10 @@ def matmul(a, b) -> Node:
     out = Node(a.value @ b.value, (a, b))
 
     def bw(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        if a.requires_grad:
+            a.grad += g @ b.value.T
+        if b.requires_grad:
+            b.grad += a.value.T @ g
 
     out._backward = bw
     return out
@@ -253,8 +269,10 @@ def hconcat(a, b) -> Node:
     out = Node(np.concatenate([a.value, b.value], axis=1), (a, b))
 
     def bw(g):
-        a.grad += g[:, :na]
-        b.grad += g[:, na:]
+        if a.requires_grad:
+            a.grad += g[:, :na]
+        if b.requires_grad:
+            b.grad += g[:, na:]
 
     out._backward = bw
     return out
@@ -408,8 +426,10 @@ def outer(u, v) -> Node:
     out = Node(np.outer(u.value, v.value), (u, v))
 
     def bw(g):
-        u.grad += g @ v.value
-        v.grad += g.T @ u.value
+        if u.requires_grad:
+            u.grad += g @ v.value
+        if v.requires_grad:
+            v.grad += g.T @ u.value
 
     out._backward = bw
     return out
@@ -576,8 +596,10 @@ def cosine(u, v) -> Node:
 
     def bw(g):
         g = float(g)
-        u.grad += g * (v.value / (nu * nv) - c * u.value / (nu * nu))
-        v.grad += g * (u.value / (nu * nv) - c * v.value / (nv * nv))
+        if u.requires_grad:
+            u.grad += g * (v.value / (nu * nv) - c * u.value / (nu * nu))
+        if v.requires_grad:
+            v.grad += g * (u.value / (nu * nv) - c * v.value / (nv * nv))
 
     out._backward = bw
     return out

@@ -87,11 +87,11 @@ def correlation_matrix(z: Node) -> Node:
         # put the identity entry back. The masks are data-dependent
         # constants, like a ReLU's.
         okf = ok.astype(np.float64)
-        var_safe = nm.add(nm.mul(var, Node(okf)), Node(1.0 - okf))
+        var_safe = nm.add(nm.mul(var, okf), 1.0 - okf)
         denom = nm.outer(nm.sqrt(var_safe), nm.sqrt(var_safe))
         both_ok = np.outer(okf, okf)
-        corr = nm.mul(nm.div(cov, denom), Node(both_ok))
-        corr = nm.add(corr, Node(np.diag(1.0 - okf)))
+        corr = nm.mul(nm.div(cov, denom), both_ok)
+        corr = nm.add(corr, np.diag(1.0 - okf))
     return nm.scale(nm.add(corr, nm.transpose(corr)), 0.5)
 
 
@@ -117,8 +117,8 @@ def semantic_loss(z: Node, pseudo: PseudoLabels, centers: np.ndarray) -> Node:
     if np.any(norms <= nm.EPS_NORM):
         raise DegenerateInputError("semantic_loss: zero-norm center")
     z_unit = nm.normalize_rows(z, strict=True)
-    cos = nm.sum_rows(nm.mul(z_unit, Node(selected / norms[:, None])))
-    return nm.sub(Node(1.0), nm.mean(cos))
+    cos = nm.sum_rows(nm.mul(z_unit, selected / norms[:, None]))
+    return nm.sub(1.0, nm.mean(cos))
 
 
 def update_centers(

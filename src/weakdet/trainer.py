@@ -202,7 +202,8 @@ class FrozenStructures:
     Induced labels, pseudo hard labels, and graph topologies are data-
     dependent but non-differentiable; the gradient checker freezes them so
     finite differences probe the same piecewise-smooth function the
-    analytic gradient describes.
+    analytic gradient describes. Training pins only the instance graph,
+    which depends on nothing but the bag's proposals.
     """
 
     approx: ib.ApproxLabels | None = None
@@ -255,9 +256,9 @@ def forward_losses(
         return leaves[name]
 
     def fixed(name: str) -> Node:
-        return Node(state.params[name])
+        return nm.as_node(state.params[name])
 
-    feats = Node(bag.features)
+    feats = nm.as_node(bag.features)
     parts = {"loss_ins": 0.0, "loss_sem": 0.0, "loss_igcl": 0.0}
     terms: list[Node] = []
 
@@ -284,8 +285,7 @@ def forward_losses(
         corr = sb.correlation_matrix(z)
         if cfg.corr_sem_ema > 0.0:
             corr = nm.add(
-                nm.scale(corr, 1.0 - cfg.corr_sem_ema),
-                Node(cfg.corr_sem_ema * state.corr_buffer),
+                nm.scale(corr, 1.0 - cfg.corr_sem_ema), cfg.corr_sem_ema * state.corr_buffer
             )
         pseudo = sb.pseudo_labels(corr, z)
         if frozen is not None and frozen.pseudo_hard is not None:
@@ -309,7 +309,7 @@ def forward_losses(
             )
             u_p = gc.gcn_forward(
                 igraph,
-                Node(onehot),
+                nm.as_node(onehot),
                 gc.GcnProjector(leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2")),
             )
         if cfg.m2:
@@ -430,6 +430,14 @@ def train(
         )
 
     n = len(bags)
+    # An instance graph depends only on the bag's proposals: build each one
+    # once per call, and only when the contrastive module reads it.
+    frozen: list[FrozenStructures | None] = [None] * n
+    if cfg.m1 and (cfg.m3 or cfg.m4):
+        frozen = [
+            FrozenStructures(instance_graph=gc.build_instance_graph(b.proposals, cfg.graph_iou))
+            for b in bags
+        ]
     phases = _phase_masks(cfg)
     steps_per_epoch = -(-n // cfg.batch_size) * len(phases)
     schedule = resolve_schedule(cfg, cfg.epochs * steps_per_epoch)
@@ -443,10 +451,10 @@ def train(
         last_lr = lr_at(schedule, state.step)
         for phase in phases:
             for start in range(0, n, cfg.batch_size):
-                batch = [bags[i] for i in order[start : start + cfg.batch_size]]
+                batch = order[start : start + cfg.batch_size]
                 acc: dict[str, np.ndarray] = {}
-                for bag in batch:
-                    fwd = forward_losses(bag, state, cfg, include=phase)
+                for i in batch:
+                    fwd = forward_losses(bags[i], state, cfg, frozen[i], include=phase)
                     nm.backward(fwd.loss)
                     for name, node in fwd.leaves.items():
                         if name in acc:

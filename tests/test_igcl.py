@@ -4,6 +4,7 @@ import pytest
 from weakdet import numerics as nm
 from weakdet.datamodel import Box
 from weakdet.errors import ParameterError
+from weakdet.evalmetrics import iou
 from weakdet.igcl import (
     Embeddings,
     GcnProjector,
@@ -87,6 +88,107 @@ def test_semantic_graph_large_k_gives_complete_graph():
     rng = np.random.default_rng(2)
     g = build_semantic_graph(rng.standard_normal((4, 3)), k=10)
     assert np.all(g.a_hat > 0)
+
+
+# ------------------------------------------------- vectorised graph builds
+#
+# The scalar loops below are the reference for the vectorised builders: the
+# same arithmetic in the same order, so a_hat must agree byte for byte.
+
+
+def _normalize_loop(adj):
+    a = adj + np.eye(adj.shape[0])
+    inv_sqrt_deg = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+
+
+def instance_graph_loop(boxes, iou_threshold=0.3):
+    n = len(boxes)
+    adj = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if iou(boxes[i], boxes[j]) > iou_threshold:
+                adj[i, j] = adj[j, i] = 1.0
+    return _normalize_loop(adj)
+
+
+def semantic_graph_loop(z, k=5):
+    z = np.asarray(z, dtype=np.float64)
+    n = z.shape[0]
+    adj = np.zeros((n, n))
+    if n > 1:
+        k_eff = min(k, n - 1)
+        norms = np.linalg.norm(z, axis=1)
+        unit = z / np.where(norms > nm.EPS_NORM, norms, 1.0)[:, None]
+        sim = unit @ unit.T
+        np.fill_diagonal(sim, -np.inf)
+        for i in range(n):
+            nbrs = np.argsort(-sim[i], kind="stable")[:k_eff]
+            adj[i, nbrs] = 1.0
+        adj = np.maximum(adj, adj.T)
+    return _normalize_loop(adj)
+
+
+def _random_boxes(rng, n):
+    boxes = []
+    for _ in range(n):
+        x1, y1 = rng.uniform(0, 60, size=2)
+        boxes.append(Box(x1, y1, x1 + rng.uniform(5, 50), y1 + rng.uniform(5, 50)))
+    return boxes
+
+
+INSTANCE_CASES = {
+    "touching": [Box(0, 0, 10, 10), Box(10, 0, 20, 10), Box(0, 10, 10, 20), Box(10, 10, 20, 20)],
+    "duplicates": [Box(0, 0, 10, 10), Box(0, 0, 10, 10), Box(3, 3, 12, 12), Box(3, 3, 12, 12)],
+    "single": [Box(5, 5, 25, 30)],
+    "at_threshold": [Box(0, 0, 10, 10), Box(0, 0, 10, 3)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSTANCE_CASES))
+def test_instance_graph_matches_scalar_loop_on_edge_cases(case):
+    boxes = INSTANCE_CASES[case]
+    for thr in (0.0, 0.3, 0.5):
+        expected = instance_graph_loop(boxes, thr)
+        assert build_instance_graph(boxes, thr).a_hat.tobytes() == expected.tobytes()
+
+
+def test_instance_graph_pair_at_threshold_stays_unlinked():
+    boxes = INSTANCE_CASES["at_threshold"]
+    assert iou(*boxes) == 0.3  # the strict '>' must not link them
+    assert np.array_equal(build_instance_graph(boxes, 0.3).a_hat, np.eye(2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_instance_graph_matches_scalar_loop_on_random_boxes(seed):
+    rng = np.random.default_rng(seed)
+    boxes = _random_boxes(rng, int(rng.integers(2, 40)))
+    # Thresholds at and just below scalar IoUs catch any rounding difference.
+    exact = [iou(a, b) for a in boxes for b in boxes if a is not b and iou(a, b) > 0][:20]
+    for thr in [0.1, 0.3, 0.5] + exact + [np.nextafter(t, 0.0) for t in exact]:
+        got = build_instance_graph(boxes, thr).a_hat
+        assert got.tobytes() == instance_graph_loop(boxes, thr).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_semantic_graph_matches_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    z = rng.standard_normal((n, 6))
+    z[rng.integers(n)] = 0.0  # a zero row: its similarities are all zero
+    for k in (1, 3, 5):
+        assert build_semantic_graph(z, k).a_hat.tobytes() == semantic_graph_loop(z, k).tobytes()
+
+
+def test_semantic_graph_matches_scalar_loop_on_ties_and_large_k():
+    rng = np.random.default_rng(9)
+    row = rng.standard_normal(4)
+    tied = np.vstack([row, row, row, rng.standard_normal(4), row])  # duplicate rows tie
+    for z in (tied, rng.standard_normal((5, 4)), np.ones((1, 4))):
+        n = z.shape[0]
+        for k in (1, 2, n - 1, n, n + 3):
+            expected = semantic_graph_loop(z, k)
+            assert build_semantic_graph(z, k).a_hat.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- GCN

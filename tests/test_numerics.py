@@ -189,6 +189,40 @@ def test_backward_visits_shared_nodes_once():
     loss = nm.total(nm.add(b, b))
     nm.backward(loss)
     assert np.array_equal(b.grad, np.array([2.0]))
+    # The same through two different ops, one of them mixing in a constant.
+    c = Node(np.array([1.0]))
+    nm.backward(nm.total(nm.add(nm.mul(c, np.ones(1)), nm.scale(c, 1.0))))
+    assert np.array_equal(c.grad, np.array([2.0]))
+
+
+def test_raw_array_operand_is_a_constant():
+    w = Node(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    x = np.array([[0.5, -1.0], [2.0, 0.25]])
+    prod = nm.matmul(x, w)
+    const = prod.parents[0]
+    assert w.requires_grad and not const.requires_grad and prod.requires_grad
+    nm.backward(nm.total(prod))
+    assert const.grad is None
+    assert np.array_equal(w.grad, x.T @ np.ones((2, 2)))
+
+
+def test_ops_on_constants_only_get_no_gradient():
+    w = Node(np.array([1.0, -2.0]))
+    fixed = nm.exp(nm.as_node(np.array([0.5, 0.25])))
+    assert not fixed.requires_grad
+    nm.backward(nm.total(nm.mul(w, fixed)))
+    assert fixed.grad is None and fixed.parents[0].grad is None
+    assert np.array_equal(w.grad, fixed.value)
+
+
+def test_grad_is_allocated_only_when_backward_reaches_the_node():
+    w = Node(np.array([1.0, 2.0]))
+    unused = Node(np.array([3.0]))
+    loss = nm.total(nm.scale(w, 2.0))
+    assert w.grad is None and loss.grad is None
+    nm.backward(loss)
+    assert w.grad.shape == w.value.shape
+    assert unused.grad is None
 
 
 def _composite_loss(arrays):
@@ -232,6 +266,17 @@ def test_node_rejects_nonfinite():
         Node([1.0, np.nan])
     with pytest.raises(NumericError):
         nm.exp(Node([1000.0]))  # overflows to inf
+
+
+def test_overflowing_op_result_raises():
+    big = np.full((2, 2), 1e200)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError):
+            nm.scale(Node([1e308]), 10.0)
+        with pytest.raises(NumericError):
+            nm.matmul(Node(big), Node(big))
+        with pytest.raises(NumericError):
+            nm.matmul(big, Node(big))  # a constant operand does not skip the check
 
 
 def test_log_domain_error():

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from weakdet import igcl
 from weakdet import numerics as nm
 from weakdet.datamodel import Box, SceneConfig, generate_dataset
 from weakdet.errors import CompatibilityError, ConfigError, ParseError
@@ -8,6 +11,7 @@ from weakdet.evalmetrics import iou
 from weakdet.trainer import (
     SUB_METHODS,
     TrainConfig,
+    _phase_masks,
     composite_loss,
     forward_losses,
     infer,
@@ -202,6 +206,93 @@ def test_contrastive_loss_improves_within_fifty_steps():
     state, history = train(bags, cfg)
     assert state.step == 50
     assert history[-1]["loss_igcl"] < history[0]["loss_igcl"]
+
+
+# SHA-256 over sorted parameter names, shapes and float64 bytes after
+# training on 20 default-scene bags for 2 epochs. A speedup must leave every
+# digest unchanged: the golden report holds only mAP and CorLoc, which a
+# last-bit change in the parameters rarely moves. Taken on x86_64 with
+# numpy 2.4 (OpenBLAS); another BLAS may round matrix products differently.
+TRAJECTORY_DIGESTS = {
+    "fused": ({}, "93b80d53730743db88b922f18a2dc3f7b99483b3de24ef99f95c2779f58fea47"),
+    "sequential": (
+        {"phase_mode": "sequential"},
+        "ca93a4d3cb1455bf2e05232056ebf295fb56c6f1f4ede4301e60d8e457677682",
+    ),
+    "batch2": (
+        {"batch_size": 2},
+        "3e383f9e600fe8fcc2d46fe4dce969d7dd5e13ef043d58fdb211491394d7f1f1",
+    ),
+    "method_e": (
+        {"modules": SUB_METHODS["E"]},
+        "2a235773b004d512ac62e77bb5802bd8a53022066d16c76e914c490c48680cf6",
+    ),
+    "method_d": (
+        {"modules": SUB_METHODS["D"]},
+        "83121e2a34afc38bb4f002c1f36ce4870cea67a4197f421df205721be4f01d46",
+    ),
+    "corr_ema": (
+        {"corr_sem_ema": 0.5},
+        "b0fd08d50f9a76007be489c55da5914c47a47c7f189e8c0a5e7c30e34f008cd1",
+    ),
+}
+
+
+def _param_digest(params):
+    h = hashlib.sha256()
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name], dtype="<f8")
+        h.update(name.encode())
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def default_scene_bags():
+    return generate_dataset(SceneConfig(seed=0), 20)[0]
+
+
+@pytest.mark.parametrize("case", sorted(TRAJECTORY_DIGESTS))
+def test_trained_parameters_match_pinned_digests(case, default_scene_bags):
+    overrides, digest = TRAJECTORY_DIGESTS[case]
+    state, _ = train(default_scene_bags, TrainConfig(epochs=2, **overrides))
+    assert _param_digest(state.params) == digest
+
+
+@pytest.mark.parametrize("method", sorted(SUB_METHODS))
+@pytest.mark.parametrize("phase_mode", ("fused", "sequential"))
+def test_every_leaf_gets_a_gradient_of_its_shape(method, phase_mode, rng):
+    # train() copies the gradient of every leaf forward_losses returns.
+    bag = make_bag(rng, m=5, n_classes=3, feature_dim=8)
+    cfg = small_cfg(modules=SUB_METHODS[method], phase_mode=phase_mode)
+    state = init_state(cfg, 3, 8)
+    for phase in _phase_masks(cfg):
+        fwd = forward_losses(bag, state, cfg, include=phase)
+        nm.backward(fwd.loss)
+        assert fwd.leaves
+        for name, node in fwd.leaves.items():
+            assert node.grad is not None and node.grad.shape == state.params[name].shape
+
+
+@pytest.mark.parametrize(
+    "method, per_call", [("F", 1), ("E", 1), ("C", 1), ("D", 0), ("A", 0), ("B", 0)]
+)
+def test_instance_graph_built_once_per_bag_per_call(method, per_call, monkeypatch):
+    bags, _ = tiny_dataset(4)
+    calls = []
+    original = igcl.build_instance_graph
+
+    def counting(boxes, iou_threshold=0.3):
+        calls.append(len(boxes))
+        return original(boxes, iou_threshold)
+
+    monkeypatch.setattr(igcl, "build_instance_graph", counting)
+    cfg = small_cfg(modules=SUB_METHODS[method], epochs=3, phase_mode="sequential")
+    train(bags, cfg)
+    assert len(calls) == per_call * len(bags)
+    train(bags, cfg)
+    assert len(calls) == 2 * per_call * len(bags)
 
 
 def test_sequential_phase_mode_runs_and_differs():
