@@ -13,6 +13,7 @@ survive the synthesis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +35,7 @@ class Box:
     def __post_init__(self):
         for name in ("x1", "y1", "x2", "y2"):
             v = float(getattr(self, name))
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ConfigError("box coordinates must be finite")
             object.__setattr__(self, name, v)
         if not (self.x2 > self.x1 and self.y2 > self.y1):
@@ -68,6 +69,13 @@ class Bag:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
+        # Checked before the cast, which would truncate 0.7 to 0 and read true as 1.
+        raw = self.tags.tolist() if isinstance(self.tags, np.ndarray) else self.tags
+        if not isinstance(raw, (list, tuple)) or not all(
+            isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t in (0, 1)
+            for t in raw
+        ):
+            raise ConfigError(f"bag {self.image_id}: image tags must be a list of 0 and 1")
         self.tags = np.asarray(self.tags, dtype=np.int64)
         if len(self.proposals) == 0:
             raise EmptyBagError(f"bag {self.image_id} has no proposals")
@@ -312,7 +320,7 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
                     canvas=(float(rec["canvas"][0]), float(rec["canvas"][1])),
                     proposals=[Box(*map(float, b)) for b in rec["proposals"]],
                     features=np.asarray(rec["features"], dtype=np.float64),
-                    tags=np.asarray(rec["tags"], dtype=np.int64),
+                    tags=rec["tags"],
                 )
                 objects = [
                     (Box(float(g[0]), float(g[1]), float(g[2]), float(g[3])), int(g[4]))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .datamodel import Box, GroundTruth
 
 COCO_THRESHOLDS = tuple(0.50 + 0.05 * i for i in range(10))
@@ -25,6 +27,26 @@ def iou(a: Box, b: Box) -> float:
     if inter <= 0.0:
         return 0.0
     return inter / (a.area + b.area - inter)
+
+
+def iou_matrix(boxes_a: list[Box], boxes_b: list[Box]) -> np.ndarray:
+    """All pairwise IoUs as a len(boxes_a) x len(boxes_b) array.
+
+    Repeats the operations of :func:`iou` in the same order, including its
+    strict ``inter > 0`` guard, so each entry equals the scalar IoU exactly.
+    """
+    ax1, ay1, ax2, ay2 = _coords(boxes_a)[:, :, None]
+    bx1, by1, bx2, by2 = _coords(boxes_b)
+    ix = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+    iy = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
+    inter = ix * iy
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return np.where(inter > 0.0, inter / union, 0.0)
+
+
+def _coords(boxes: list[Box]) -> np.ndarray:
+    # x1, y1, x2, y2 as the four rows of a 4 x n array.
+    return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4).T
 
 
 @dataclass(frozen=True)
@@ -43,6 +65,89 @@ def _det_sort_key(d: Detection):
     return (-d.score, d.image_id, d.box.x1, d.box.y1, d.box.x2, d.box.y2)
 
 
+def _match_table(
+    dets: list[Detection], gts: list[GroundTruth], class_index: int, thresholds
+) -> tuple[list[list[bool]], int]:
+    """Greedy TP/FP flags of one class at each threshold, plus its GT count.
+
+    The class's detections are sorted once and every image's IoUs come from
+    one :func:`iou_matrix`, shared by all thresholds. Ground-truth entries
+    with the same image id pool their boxes. Within an image, each detection
+    in turn claims the first unmatched box of highest IoU, if that IoU is
+    strictly above the threshold; matching never crosses images.
+    """
+    gt_boxes: dict[str, list[Box]] = {}
+    for gt in gts:
+        gt_boxes.setdefault(gt.image_id, []).extend(b for b, k in gt.objects if k == class_index)
+    n_gt = sum(len(v) for v in gt_boxes.values())
+
+    ordered = sorted((d for d in dets if d.class_index == class_index), key=_det_sort_key)
+    rows_of: dict[str, list[int]] = {}
+    for i, det in enumerate(ordered):
+        rows_of.setdefault(det.image_id, []).append(i)
+
+    table = [[False] * len(ordered) for _ in thresholds]
+    for image_id, rows in rows_of.items():
+        boxes = gt_boxes.get(image_id)
+        if not boxes:
+            continue
+        ious = iou_matrix([ordered[i].box for i in rows], boxes).tolist()
+        for flags, thr in zip(table, thresholds):
+            matched = [False] * len(boxes)
+            for i, row in zip(rows, ious):
+                best, best_j = 0.0, -1
+                for j, v in enumerate(row):
+                    if v > best and not matched[j]:
+                        best, best_j = v, j
+                if best_j >= 0 and best > thr:
+                    matched[best_j] = True
+                    flags[i] = True
+    return table, n_gt
+
+
+def _ap_from_flags(flags: list[bool], n_gt: int) -> float | None:
+    """All-point interpolated AP of TP flags in score order."""
+    if n_gt == 0:
+        return None
+    # Recall rises only at true positives and precision falls at every false
+    # positive, so the monotone envelope and the rectangle sum need the
+    # true-positive points alone.
+    recalls, precisions = [], []
+    tp = 0
+    for n, flag in enumerate(flags, start=1):
+        if flag:
+            tp += 1
+            recalls.append(tp / n_gt)
+            precisions.append(tp / n)
+    for i in range(len(precisions) - 2, -1, -1):
+        precisions[i] = max(precisions[i], precisions[i + 1])
+    ap = prev_r = 0.0
+    for r, p in zip(recalls, precisions):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return ap
+
+
+def _class_aps(
+    dets: list[Detection], gts: list[GroundTruth], n_classes: int, thresholds
+) -> list[list[float | None]]:
+    """AP of every class (rows) at every threshold (columns)."""
+    return [
+        [_ap_from_flags(flags, n_gt) for flags in table]
+        for table, n_gt in (_match_table(dets, gts, k, thresholds) for k in range(n_classes))
+    ]
+
+
+def _mean_defined(aps) -> float | None:
+    defined = [a for a in aps if a is not None]
+    return sum(defined) / len(defined) if defined else None
+
+
+def _coco_map(aps: list[list[float | None]]) -> float:
+    n = len(COCO_THRESHOLDS)
+    return sum(_mean_defined(row[t] for row in aps) or 0.0 for t in range(n)) / n
+
+
 def match_detections(
     dets: list[Detection], gts: list[GroundTruth], class_index: int, thr: float
 ) -> tuple[list[bool], int]:
@@ -50,30 +155,7 @@ def match_detections(
 
     Returns the TP flags in processing order plus the ground-truth count.
     """
-    gt_boxes: dict[str, list[Box]] = {}
-    for gt in gts:
-        gt_boxes.setdefault(gt.image_id, [])
-        for box, k in gt.objects:
-            if k == class_index:
-                gt_boxes[gt.image_id].append(box)
-    n_gt = sum(len(v) for v in gt_boxes.values())
-
-    matched: dict[str, list[bool]] = {i: [False] * len(v) for i, v in gt_boxes.items()}
-    flags: list[bool] = []
-    for det in sorted((d for d in dets if d.class_index == class_index), key=_det_sort_key):
-        candidates = gt_boxes.get(det.image_id, [])
-        best_iou, best_j = 0.0, -1
-        for j, gt_box in enumerate(candidates):
-            if matched[det.image_id][j]:
-                continue
-            v = iou(det.box, gt_box)
-            if v > best_iou:
-                best_iou, best_j = v, j
-        if best_j >= 0 and best_iou > thr:
-            matched[det.image_id][best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+    (flags,), n_gt = _match_table(dets, gts, class_index, (thr,))
     return flags, n_gt
 
 
@@ -81,46 +163,19 @@ def average_precision(
     dets: list[Detection], gts: list[GroundTruth], class_index: int, thr: float = 0.5
 ) -> float | None:
     """All-point interpolated AP for one class; None when the class has no GT."""
-    flags, n_gt = match_detections(dets, gts, class_index, thr)
-    if n_gt == 0:
-        return None
-    if not flags:
-        return 0.0
-    precisions, recalls = [], []
-    tp = fp = 0
-    for flag in flags:
-        if flag:
-            tp += 1
-        else:
-            fp += 1
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / n_gt)
-    # Monotone envelope, then sum rectangles over recall steps.
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
-    ap = 0.0
-    prev_r = 0.0
-    for p, r in zip(precisions, recalls):
-        if r > prev_r:
-            ap += (r - prev_r) * p
-            prev_r = r
-    return ap
+    return _ap_from_flags(*match_detections(dets, gts, class_index, thr))
 
 
 def mean_ap(
     dets: list[Detection], gts: list[GroundTruth], n_classes: int, thr: float = 0.5
 ) -> float:
     """Mean of the defined per-class APs."""
-    aps = [average_precision(dets, gts, k, thr) for k in range(n_classes)]
-    defined = [a for a in aps if a is not None]
-    if not defined:
-        return 0.0
-    return sum(defined) / len(defined)
+    return _mean_defined(row[0] for row in _class_aps(dets, gts, n_classes, (thr,))) or 0.0
 
 
 def coco_map(dets: list[Detection], gts: list[GroundTruth], n_classes: int) -> float:
     """Mean of mAP over IoU thresholds 0.50, 0.55, ..., 0.95."""
-    return sum(mean_ap(dets, gts, n_classes, t) for t in COCO_THRESHOLDS) / len(COCO_THRESHOLDS)
+    return _coco_map(_class_aps(dets, gts, n_classes, COCO_THRESHOLDS))
 
 
 def corloc(dets: list[Detection], gts: list[GroundTruth], n_classes: int) -> float:
@@ -174,14 +229,10 @@ def evaluation_report(
     if split == "train":
         report["corloc"] = corloc(dets, gts, n_classes)
     else:
-        report["map50"] = mean_ap(dets, gts, n_classes, 0.5)
-        report["coco_map"] = coco_map(dets, gts, n_classes)
-        for k in range(n_classes):
-            ap50 = average_precision(dets, gts, k, 0.5)
-            aps = [average_precision(dets, gts, k, t) for t in COCO_THRESHOLDS]
-            defined = [a for a in aps if a is not None]
-            report["per_class"][str(k)] = {
-                "ap50": ap50,
-                "ap_coco": sum(defined) / len(defined) if defined else None,
-            }
+        # One matching per class serves every threshold; column 0 is IoU 0.5.
+        aps = _class_aps(dets, gts, n_classes, COCO_THRESHOLDS)
+        report["map50"] = _mean_defined(row[0] for row in aps) or 0.0
+        report["coco_map"] = _coco_map(aps)
+        for k, row in enumerate(aps):
+            report["per_class"][str(k)] = {"ap50": row[0], "ap_coco": _mean_defined(row)}
     return report

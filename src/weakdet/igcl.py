@@ -19,8 +19,8 @@ import numpy as np
 from . import numerics as nm
 from .datamodel import Box
 from .errors import ParameterError, ShapeError
-# build_instance_graph reproduces iou; perfbench traces the binding here too.
-from .evalmetrics import iou  # noqa: F401
+# iou is unused here; perfbench checks that its tracer rebinds this name too.
+from .evalmetrics import iou, iou_matrix  # noqa: F401
 from .numerics import Node
 
 
@@ -51,16 +51,10 @@ def _normalize(adj: np.ndarray) -> GraphAdjacency:
 def build_instance_graph(boxes: list[Box], iou_threshold: float = 0.3) -> GraphAdjacency:
     """Connect proposals whose boxes overlap with IoU above the threshold.
 
-    All pairwise IoUs come from one broadcast computation that repeats the
-    operations of :func:`~weakdet.evalmetrics.iou` in the same order, so each
-    entry equals the scalar IoU exactly.
+    All pairwise IoUs come from :func:`~weakdet.evalmetrics.iou_matrix`, so
+    each entry equals the scalar IoU exactly.
     """
-    x1, y1, x2, y2 = np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4).T
-    ix = np.maximum(0.0, np.minimum(x2[:, None], x2) - np.maximum(x1[:, None], x1))
-    iy = np.maximum(0.0, np.minimum(y2[:, None], y2) - np.maximum(y1[:, None], y1))
-    inter = ix * iy
-    area = (x2 - x1) * (y2 - y1)
-    overlap = np.where(inter > 0.0, inter / (area[:, None] + area - inter), 0.0)
+    overlap = iou_matrix(boxes, boxes)
     adj = (overlap > iou_threshold).astype(np.float64)
     np.fill_diagonal(adj, 0.0)
     return _normalize(adj)

@@ -331,3 +331,20 @@ def test_grad_check_all_lambdas_zero_trivially_passes(capsys):
     )
     assert code == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [2, 0.7, -1, True])
+def test_train_and_eval_reject_tags_outside_zero_one(trained, tmp_path, bad, capsys):
+    cfg_file, data, ckpt = trained
+    lines = (data / "test.jsonl").read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["tags"][0] = bad
+    path = tmp_path / "bad_tags.jsonl"
+    path.write_text(json.dumps(rec) + "\n" + "\n".join(lines[1:]) + "\n")
+    capsys.readouterr()
+    assert run(["train", "--config", cfg_file, "--data", str(path),
+                "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert run(["eval", "--config", cfg_file, "--checkpoint", str(ckpt),
+                "--data", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "tags" in err

@@ -219,3 +219,40 @@ def test_jsonl_malformed_line_reports_lineno(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_jsonl(path)
     assert exc.value.line == 2
+
+
+BAD_TAGS = [2, 0.7, -1, True]
+
+
+def _write_with_tag(path, bad):
+    """Two bags as JSONL; the second line's first tag is replaced by `bad`."""
+    bags, gts = generate_dataset(small_cfg(), 2)
+    save_jsonl(path, bags, gts)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["tags"][0] = bad
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("bad", BAD_TAGS)
+def test_jsonl_tag_outside_zero_one_reports_lineno(tmp_path, bad):
+    path = tmp_path / "tags.jsonl"
+    _write_with_tag(path, bad)
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(path)
+    assert exc.value.line == 2
+    assert "tags" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", BAD_TAGS + [np.float64(1.0), np.bool_(True)])
+def test_bag_rejects_tags_outside_zero_one(bad):
+    with pytest.raises(ConfigError):
+        Bag("t", (128.0, 128.0), [Box(0, 0, 20, 20)], np.zeros((1, 4)), [bad, 0])
+
+
+def test_bag_accepts_zero_one_tags_as_list_or_array():
+    for tags in ([1, 0], np.array([0, 1]), [np.int64(1), np.int32(0)], []):
+        bag = Bag("t", (128.0, 128.0), [Box(0, 0, 20, 20)], np.zeros((1, 4)), tags)
+        assert bag.tags.dtype == np.int64
+        assert bag.tags.tolist() == [int(t) for t in tags]

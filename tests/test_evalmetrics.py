@@ -1,6 +1,8 @@
 import itertools
+import json
 
 import numpy as np
+import pytest
 
 from weakdet.datamodel import Box, GroundTruth
 from weakdet.evalmetrics import (
@@ -11,6 +13,7 @@ from weakdet.evalmetrics import (
     corloc,
     evaluation_report,
     iou,
+    iou_matrix,
     mean_ap,
 )
 
@@ -40,6 +43,51 @@ def test_iou_bounds():
         x1, y1 = rng.uniform(0, 50, 2)
         b = Box(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30))
         assert 0.0 <= iou(a, b) <= 1.0
+
+
+def _random_boxes(rng, n, grid=None):
+    """n boxes; with `grid`, integer corners in [0, grid] so IoUs tie and touch."""
+    boxes = []
+    while len(boxes) < n:
+        if grid:
+            x1, y1, x2, y2 = (float(v) for v in rng.integers(0, grid + 1, 4))
+        else:
+            x1, y1 = rng.uniform(0, 50, 2)
+            x2, y2 = x1 + rng.uniform(0.5, 30), y1 + rng.uniform(0.5, 30)
+        if x2 > x1 and y2 > y1:
+            boxes.append(Box(x1, y1, x2, y2))
+    return boxes
+
+
+def _assert_matches_scalar(a, b):
+    m = iou_matrix(a, b)
+    assert m.shape == (len(a), len(b)) and m.dtype == np.float64
+    expected = np.array([[iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
+    assert m.tobytes() == expected.tobytes()
+
+
+def test_iou_matrix_bitwise_equals_scalar_on_random_boxes():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        _assert_matches_scalar(_random_boxes(rng, 9), _random_boxes(rng, 6))
+        _assert_matches_scalar(_random_boxes(rng, 12, grid=6), _random_boxes(rng, 5, grid=6))
+
+
+def test_iou_matrix_touching_and_duplicate_boxes():
+    a = [Box(0, 0, 10, 10), Box(10, 0, 20, 10), Box(0, 10, 10, 20), Box(10, 10, 20, 20)]
+    _assert_matches_scalar(a, a)
+    m = iou_matrix(a, a)
+    assert np.array_equal(m, np.eye(4))  # shared edges and corners do not overlap
+    dup = [Box(1.5, 2.5, 7.25, 9.0)] * 3 + [Box(0, 0, 10, 5)]
+    _assert_matches_scalar(dup, dup)
+    assert (iou_matrix(dup, dup)[:3, :3] == 1.0).all()
+
+
+def test_iou_matrix_empty_inputs():
+    boxes = _random_boxes(np.random.default_rng(8), 3)
+    assert iou_matrix([], boxes).shape == (0, 3)
+    assert iou_matrix(boxes, []).shape == (3, 0)
+    assert iou_matrix([], []).shape == (0, 0)
 
 
 # ---------------------------------------------------------------- oracle
@@ -363,3 +411,155 @@ def test_report_schema():
     rep_train = evaluation_report(dets, gts, 2, split="train")
     assert rep_train["map50"] is None
     assert 0.0 <= rep_train["corloc"] <= 1.0
+
+
+# ---------------------------------------------------------------- report oracle
+
+# The scalar matcher and AP loop as they stood before matching moved to one
+# IoU matrix per image and one sort per class; the report must not change
+# by a byte.
+
+
+def scalar_match(dets, gts, class_index, thr):
+    gt_boxes = {}
+    for gt in gts:
+        gt_boxes.setdefault(gt.image_id, [])
+        for box, k in gt.objects:
+            if k == class_index:
+                gt_boxes[gt.image_id].append(box)
+    n_gt = sum(len(v) for v in gt_boxes.values())
+    matched = {i: [False] * len(v) for i, v in gt_boxes.items()}
+    flags = []
+    key = lambda d: (-d.score, d.image_id, d.box.x1, d.box.y1, d.box.x2, d.box.y2)  # noqa: E731
+    for det in sorted((d for d in dets if d.class_index == class_index), key=key):
+        best_iou, best_j = 0.0, -1
+        for j, gt_box in enumerate(gt_boxes.get(det.image_id, [])):
+            if matched[det.image_id][j]:
+                continue
+            v = iou(det.box, gt_box)
+            if v > best_iou:
+                best_iou, best_j = v, j
+        if best_j >= 0 and best_iou > thr:
+            matched[det.image_id][best_j] = True
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags, n_gt
+
+
+def scalar_ap(dets, gts, class_index, thr):
+    flags, n_gt = scalar_match(dets, gts, class_index, thr)
+    if n_gt == 0:
+        return None
+    if not flags:
+        return 0.0
+    precisions, recalls = [], []
+    tp = fp = 0
+    for flag in flags:
+        if flag:
+            tp += 1
+        else:
+            fp += 1
+        precisions.append(tp / (tp + fp))
+        recalls.append(tp / n_gt)
+    for i in range(len(precisions) - 2, -1, -1):
+        precisions[i] = max(precisions[i], precisions[i + 1])
+    ap = 0.0
+    prev_r = 0.0
+    for p, r in zip(precisions, recalls):
+        if r > prev_r:
+            ap += (r - prev_r) * p
+            prev_r = r
+    return ap
+
+
+def scalar_mean_ap(dets, gts, n_classes, thr):
+    defined = [a for a in (scalar_ap(dets, gts, k, thr) for k in range(n_classes)) if a is not None]
+    return sum(defined) / len(defined) if defined else 0.0
+
+
+def scalar_report(dets, gts, n_classes):
+    per_class = {}
+    for k in range(n_classes):
+        aps = [scalar_ap(dets, gts, k, t) for t in COCO_THRESHOLDS]
+        defined = [a for a in aps if a is not None]
+        per_class[str(k)] = {
+            "ap50": scalar_ap(dets, gts, k, 0.5),
+            "ap_coco": sum(defined) / len(defined) if defined else None,
+        }
+    return {
+        "map50": scalar_mean_ap(dets, gts, n_classes, 0.5),
+        "coco_map": sum(scalar_mean_ap(dets, gts, n_classes, t) for t in COCO_THRESHOLDS)
+        / len(COCO_THRESHOLDS),
+        "corloc": None,
+        "per_class": per_class,
+        "config_echo": {
+            "ap_interpolation": "all_point", "iou_criterion": "strictly_greater", "split": "test",
+        },
+    }
+
+
+def _shift(box, dx):
+    return Box(box.x1 + dx, box.y1, box.x2 + dx, box.y2)
+
+
+def report_fixture(rng, n_images=4, n_classes=4):
+    """Integer boxes on a small grid (tied and exactly-threshold IoUs), tied
+    scores, duplicated detections, images and a class without ground truth,
+    detections on an image missing from `gts`, and a repeated image id.
+
+    Each image may also hold a tie trap: ground-truth boxes A and A + 2 in x,
+    a detection at A + 1 that overlaps both equally, and a lower-scored one
+    at A - 1 or A + 3 that is a true positive only if the first claimed the
+    other box, so the tie rule decides the flags.
+    """
+    gts = []
+    dets = []
+    for img in range(n_images):
+        objects = [(b, int(rng.integers(0, n_classes - 1)))
+                   for b in _random_boxes(rng, int(rng.integers(0, 5)), grid=8)]
+        if rng.random() < 0.7:
+            k = int(rng.integers(0, n_classes - 1))
+            a = _random_boxes(rng, 1, grid=8)[0]
+            at = int(rng.integers(0, len(objects) + 1))
+            objects[at:at] = [(a, k), (_shift(a, 2), k)]
+            dets.append(Detection(f"img{img}", _shift(a, 1), k, 1.0))
+            dets.append(Detection(f"img{img}", _shift(a, int(rng.choice([-1, 3]))), k, 0.5))
+        gts.append(GroundTruth(f"img{img}", objects))
+    gts.append(GroundTruth("img0", [(b, 0) for b in _random_boxes(rng, 2, grid=8)]))
+    for _ in range(int(rng.integers(0, 30))):
+        img = f"img{int(rng.integers(0, n_images + 1))}"  # img{n_images} has no GT entry
+        dets.append(Detection(img, _random_boxes(rng, 1, grid=8)[0],
+                              int(rng.integers(0, n_classes)), float(rng.integers(1, 4)) / 4))
+    dets += [dets[int(i)] for i in rng.integers(0, len(dets), 5)] if dets else []
+    return dets, gts
+
+
+def test_report_equals_scalar_oracle_bytes():
+    rng = np.random.default_rng(12)
+    for trial in range(150):
+        dets, gts = report_fixture(rng)
+        expected = scalar_report(dets, gts, 4)
+        assert json.dumps(evaluation_report(dets, gts, 4)) == json.dumps(expected), trial
+        assert mean_ap(dets, gts, 4, 0.7) == scalar_mean_ap(dets, gts, 4, 0.7)
+        assert coco_map(dets, gts, 4) == expected["coco_map"]
+        for k in range(4):
+            assert average_precision(dets, gts, k, 0.6) == scalar_ap(dets, gts, k, 0.6)
+
+
+@pytest.mark.parametrize("thr", [-1.0, 0.0, 0.5])
+def test_match_detections_equals_scalar_oracle(thr):
+    from weakdet.evalmetrics import match_detections
+
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        dets, gts = report_fixture(rng)
+        for k in range(4):
+            assert match_detections(dets, gts, k, thr) == scalar_match(dets, gts, k, thr)
+
+
+def test_report_with_zero_detections_and_no_ground_truth():
+    gts = _one_gt() + [GroundTruth("img1", [])]
+    assert json.dumps(evaluation_report([], gts, 3)) == json.dumps(scalar_report([], gts, 3))
+    assert json.dumps(evaluation_report([], [], 2)) == json.dumps(scalar_report([], [], 2))
+    assert evaluation_report([], [], 0)["coco_map"] == 0.0
