@@ -185,9 +185,18 @@ def corloc(dets: list[Detection], gts: list[GroundTruth], n_classes: int) -> flo
     highest-scoring detection counts as correct when it overlaps some
     ground-truth box of that class with IoU > 0.5.
     """
+    # One pass keeps the first detection in matching order per (image, class);
+    # the score test short-cuts the strict key comparison.
     best: dict[tuple[str, int], Detection] = {}
-    for d in sorted(dets, key=_det_sort_key):
-        best.setdefault((d.image_id, d.class_index), d)
+    for d in dets:
+        key = (d.image_id, d.class_index)
+        top = best.get(key)
+        if (
+            top is None
+            or d.score > top.score
+            or (d.score == top.score and _det_sort_key(d) < _det_sort_key(top))
+        ):
+            best[key] = d
 
     hits = total = 0
     for gt in gts:

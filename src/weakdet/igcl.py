@@ -99,9 +99,8 @@ def gcn_forward(graph: GraphAdjacency, h: Node, proj: GcnProjector) -> Node:
     """Propagate twice, then unit-normalize rows (zero rows stay zero)."""
     if h.value.shape[0] != graph.size:
         raise ShapeError("node features do not match graph size")
-    hidden = nm.relu(nm.matmul(graph.a_hat, nm.matmul(h, proj.w1)))
-    out = nm.matmul(graph.a_hat, nm.matmul(hidden, proj.w2))
-    return nm.normalize_rows(out, strict=False)
+    hidden = nm.relu(nm.propagate(graph.a_hat, h, proj.w1))
+    return nm.normalize_rows(nm.propagate(graph.a_hat, hidden, proj.w2), strict=False)
 
 
 @dataclass
@@ -148,15 +147,10 @@ def info_nce(x_rows: Node, y_rows: Node, tau: float) -> Node:
     """Contrastive loss with matched rows as positives.
 
     -(1/n) sum_i log[ exp(tau x_i.y_i) / sum_j exp(tau x_i.y_j) ], computed
-    through a max-shifted log-sum-exp. Zero when n = 1; ln(n) when every
-    pair has the same similarity.
+    through a max-shifted log-sum-exp as one :func:`~weakdet.numerics.info_nce`
+    node. Zero when n = 1; ln(n) when every pair has the same similarity.
     """
-    if tau <= 0:
-        raise ParameterError(f"info_nce needs tau > 0, got {tau}")
-    if x_rows.value.shape != y_rows.value.shape:
-        raise ShapeError("info_nce operands must share a shape")
-    sim = nm.scale(nm.matmul(x_rows, nm.transpose(y_rows)), tau)
-    return nm.mean(nm.sub(nm.logsumexp_rows(sim), nm.diag_part(sim)))
+    return nm.info_nce(x_rows, y_rows, tau)
 
 
 def igcl_loss(emb: Embeddings, tau: float) -> Node:

@@ -47,8 +47,7 @@ class InstanceScores:
     """Forward outputs of the branch for one bag (graph nodes)."""
 
     corr_ins: Node  # |B| x K, entries in [0, 1]
-    s: Node  # |B| x (K+1), rows sum to 1; column K is background
-    s_logits: Node  # |B| x (K+1), pre-softmax (kept for the stable CE)
+    s_logits: Node  # |B| x (K+1), logits of the distribution; column K is background
     image_scores: Node  # K, per-class sums of corr_ins
 
 
@@ -72,19 +71,14 @@ def baseline_scores(features: Node, head: DetectionHead) -> Node:
 
 
 def instance_probs(features: Node, head: DetectionHead) -> InstanceScores:
-    """Dual-softmax instance probabilities plus the (K+1)-way distribution."""
+    """Dual-softmax instance probabilities plus the (K+1)-way logits."""
     if features.value.shape[0] == 0:
         raise EmptyBagError("instance_probs on an empty bag")
     cls_logits = nm.matmul(features, head.w_cls)
     det_logits = nm.matmul(features, head.w_det)
-    corr = nm.mul(nm.softmax_rows(cls_logits), nm.softmax_cols(det_logits))
+    corr = nm.dual_softmax(cls_logits, det_logits)
     s_logits = nm.hconcat(cls_logits, nm.matmul(features, head.w_bg))
-    return InstanceScores(
-        corr_ins=corr,
-        s=nm.softmax_rows(s_logits),
-        s_logits=s_logits,
-        image_scores=nm.sum_cols(corr),
-    )
+    return InstanceScores(corr_ins=corr, s_logits=s_logits, image_scores=nm.sum_cols(corr))
 
 
 def aggregate_lse(corr_ins: Node, r: float) -> Node:
@@ -106,19 +100,17 @@ def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float = 0.9) ->
     tags = np.asarray(tags)
     if not (0.0 < gamma <= 1.0):
         raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
-    positives = [k for k in range(tags.size) if tags[k] == 1]
-    if not positives:
+    positives = np.flatnonzero(tags == 1)
+    if positives.size == 0:
         raise ContractError("approx_labels needs at least one positive tag")
 
     m, n_classes = corr_ins.shape
     background = n_classes
-    labels = np.full(m, background, dtype=np.int64)
-    col_max = corr_ins.max(axis=0)
-    for i in range(m):
-        claims = [k for k in positives if corr_ins[i, k] >= gamma * col_max[k]]
-        if claims:
-            scores = [corr_ins[i, k] for k in claims]
-            labels[i] = claims[int(np.argmax(scores))]
+    scores = corr_ins[:, positives]
+    claimed = scores >= gamma * corr_ins.max(axis=0)[positives]
+    # First maximum over each row's claims: ties go to the lowest class.
+    best = np.argmax(np.where(claimed, scores, -np.inf), axis=1)
+    labels = np.where(claimed.any(axis=1), positives[best], background)
 
     # Repair: a class whose every claimed instance was taken by a stronger
     # class gets its own top instance back, preferring instances that are
@@ -135,12 +127,9 @@ def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float = 0.9) ->
                 break
         labels[int(order[0] if chosen is None else chosen)] = k
 
-    weights = np.empty(m, dtype=np.float64)
-    for i in range(m):
-        if labels[i] == background:
-            weights[i] = 1.0 - corr_ins[i].max()
-        else:
-            weights[i] = corr_ins[i, labels[i]]
+    is_bg = labels == background
+    fg_score = corr_ins[np.arange(m), np.where(is_bg, 0, labels)]
+    weights = np.where(is_bg, 1.0 - corr_ins.max(axis=1), fg_score)
     return ApproxLabels(labels=labels, seed_weights=np.clip(weights, 0.0, 1.0))
 
 
@@ -156,12 +145,13 @@ def instance_loss(scores: InstanceScores, labels: ApproxLabels, tags: np.ndarray
     n_classes = scores.corr_ins.value.shape[1]
     if tags.size != n_classes:
         raise ContractError("tags length must equal the class count")
-    for k in range(n_classes):
-        if tags[k] == 0 and np.any(labels.labels == k):
-            raise ContractError(f"instance labelled with untagged class {k}")
-    for k in range(n_classes):
-        if tags[k] == 1 and not np.any(labels.labels == k):
-            raise ContractError(f"tagged class {k} has no labelled instance")
+    labelled = (labels.labels[:, None] == np.arange(n_classes)).any(axis=0)
+    untagged = np.flatnonzero((tags == 0) & labelled)
+    if untagged.size:
+        raise ContractError(f"instance labelled with untagged class {untagged[0]}")
+    missing = np.flatnonzero((tags == 1) & ~labelled)
+    if missing.size:
+        raise ContractError(f"tagged class {missing[0]} has no labelled instance")
 
     clamped = nm.clip(scores.image_scores, SCORE_EPS, 1.0 - SCORE_EPS)
     pos = nm.mul(nm.log(clamped), tags)

@@ -12,11 +12,21 @@ its operands), and gives each its ``grad`` buffer only when it reaches it.
 Every op validates its result: a NaN or Inf anywhere raises
 :class:`~weakdet.errors.NumericError` instead of propagating. Exponentials
 (softmax, log-sum-exp, log-softmax) are max-shifted.
+
+The fused ops at the end (:func:`propagate`, :func:`info_nce`,
+:func:`pearson_cols`, :func:`dual_softmax`) each build one node for what
+would otherwise be a chain of the elementary ops. Their forward repeats the
+chain's numpy expressions in the same order and memory layout, and their
+backward repeats its accumulation: every intermediate gradient starts from
++0.0 (hence the ``+ 0.0`` and ``0.0 -``), and an intermediate read by
+several ops of the chain sums their contributions in reverse creation
+order. Values and gradients are therefore bitwise those of the chain.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable
 
 import numpy as np
@@ -35,12 +45,14 @@ EPS_NORM = 1e-12
 _creation = itertools.count()
 
 
-def as_tensor(data) -> np.ndarray:
-    """Coerce to a finite float64 array."""
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise NumericError("tensor contains NaN or Inf")
-    return arr
+def all_finite(arr: np.ndarray) -> bool:
+    """True when no entry of ``arr`` is NaN or Inf.
+
+    A finite sum proves every entry finite, since a NaN or Inf anywhere makes
+    the sum NaN or Inf; only a sum that is not finite (including one that
+    overflowed, which numpy reports as a warning) needs the entrywise test.
+    """
+    return math.isfinite(np.add.reduce(arr, axis=None)) or bool(np.isfinite(arr).all())
 
 
 class Node:
@@ -56,10 +68,18 @@ class Node:
     __slots__ = ("value", "grad", "parents", "requires_grad", "_backward", "_consumed", "_order")
 
     def __init__(self, value, parents: tuple = (), backward: Callable | None = None):
-        self.value = as_tensor(value)
+        value = np.asarray(value, dtype=np.float64)
+        if not all_finite(value):
+            raise NumericError("tensor contains NaN or Inf")
+        self.value = value
         self.grad = None
         self.parents = parents
-        self.requires_grad = not parents or any(p.requires_grad for p in parents)
+        requires_grad = not parents
+        for p in parents:
+            if p.requires_grad:
+                requires_grad = True
+                break
+        self.requires_grad = requires_grad
         self._backward = backward
         self._consumed = False
         self._order = next(_creation)
@@ -631,6 +651,163 @@ def normalize_rows(a, strict: bool = True) -> Node:
         if bad.any():
             contrib[bad] = 0.0
         a.grad += contrib
+
+    out._backward = bw
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fused ops (one node each; see the module docstring for the bitwise rules)
+# ---------------------------------------------------------------------------
+
+
+def propagate(a_hat: np.ndarray, h, w) -> Node:
+    """One graph-convolution step ``a_hat @ (h @ w)`` (Kipf & Welling,
+    arXiv 1609.02907): the chain ``matmul(a_hat, matmul(h, w))`` for a fixed
+    adjacency ``a_hat``, which gets no gradient and no node."""
+    h, w = as_node(h), as_node(w)
+    if a_hat.ndim != 2 or h.value.ndim != 2 or w.value.ndim != 2:
+        raise ShapeError("propagate expects 2-D operands")
+    if h.value.shape[1] != w.value.shape[0] or a_hat.shape[1] != h.value.shape[0]:
+        raise ShapeError(
+            f"propagate: shapes {a_hat.shape}, {h.value.shape}, {w.value.shape} do not chain"
+        )
+    hw = h.value @ w.value
+    if not all_finite(hw):
+        raise NumericError("propagate: h @ w contains NaN or Inf")
+    out = Node(a_hat @ hw, (h, w))
+
+    def bw(g):
+        g_hw = a_hat.T @ g + 0.0
+        if h.requires_grad:
+            h.grad += g_hw @ w.value.T
+        if w.requires_grad:
+            w.grad += h.value.T @ g_hw
+
+    out._backward = bw
+    return out
+
+
+def info_nce(x, y, tau: float) -> Node:
+    """InfoNCE (van den Oord et al., arXiv 1807.03748) with matched rows as
+    positives: ``mean(logsumexp_rows(S) - diag(S))`` for
+    ``S = tau * x @ y.T``, the chain transpose, matmul, scale,
+    logsumexp_rows, diag_part, sub and mean."""
+    x, y = as_node(x), as_node(y)
+    tau = float(tau)
+    if tau <= 0:
+        raise ParameterError(f"info_nce needs tau > 0, got {tau}")
+    if x.value.ndim != 2 or x.value.shape != y.value.shape:
+        raise ShapeError("info_nce operands must be 2-D and share a shape")
+    n = x.value.shape[0]
+    if n == 0:
+        raise ShapeError("info_nce of empty operands")
+    yt = y.value.T.copy()
+    sim = x.value @ yt * tau
+    if not all_finite(sim):
+        raise NumericError("info_nce: similarities contain NaN or Inf")
+    mx = sim.max(axis=1, keepdims=True)
+    e = np.exp(sim - mx)
+    e_sum = e.sum(axis=1, keepdims=True)
+    lse = np.log(e_sum) + mx
+    out = Node(np.sum(lse[:, 0] - np.diagonal(sim).copy()) / n, (x, y))
+    s = e / e_sum  # the row softmax, as _softmax computes it
+    diag = np.arange(n)
+
+    def bw(g):
+        g_lse = g / n + 0.0
+        g_sim = s * g_lse + 0.0
+        g_sim[diag, diag] += 0.0 - g_lse  # diag_part's term (the sum commutes)
+        g_xy = g_sim * tau + 0.0
+        if x.requires_grad:
+            x.grad += g_xy @ yt.T
+        if y.requires_grad:
+            y.grad += (x.value.T @ g_xy + 0.0).T
+
+    out._backward = bw
+    return out
+
+
+def pearson_cols(a, var_eps: float) -> Node:
+    """Symmetric Pearson correlation between the columns of a 2-D node,
+    rows as samples: the chain center_cols, transpose, matmul, scale,
+    diag_part, sqrt, outer, div, then ``0.5 * (c + c.T)``.
+
+    A column whose variance is not above ``var_eps`` divides by 1 instead,
+    its row and column are zeroed and its diagonal entry is 1; those masks
+    are data-dependent constants, like a ReLU's.
+    """
+    a = as_node(a)
+    if a.value.ndim != 2:
+        raise ShapeError("pearson_cols expects a 2-D node")
+    m, d = a.value.shape
+    if m == 0:
+        raise ShapeError("pearson_cols of an empty matrix")
+    inv_m = float(1.0 / m)
+    c = a.value - a.value.mean(axis=0, keepdims=True)
+    ct = c.T.copy()
+    cov = ct @ c * inv_m
+    var = np.diagonal(cov).copy()
+    ok = var > var_eps
+    sd = np.sqrt(np.where(ok, var, 1.0))
+    den = np.outer(sd, sd)
+    if not (all_finite(cov) and all_finite(den)):
+        raise NumericError("pearson_cols: covariance contains NaN or Inf")
+    if np.any(np.abs(den) < EPS_NORM):
+        raise DegenerateInputError("pearson_cols: standard deviation is (near) zero")
+    corr = cov / den
+    both = None
+    if not ok.all():
+        both = np.outer(ok, ok)
+        bad = np.flatnonzero(~ok)
+        corr = np.where(both, corr + 0.0, 0.0)
+        corr[bad, bad] = 1.0
+    out = Node((corr + corr.T) * 0.5, (a,))
+    diag = np.arange(d)
+    two_sd = 2.0 * np.maximum(sd, EPS_NORM)
+
+    def bw(g):
+        g_half = g * 0.5 + 0.0
+        g_corr = g_half + g_half.T
+        if both is not None:
+            g_corr = np.where(both, g_corr, 0.0)
+        g_cov = g_corr / den + 0.0
+        g_den = 0.0 - g_corr * cov / (den * den)
+        g_sd_row = g_den @ sd + 0.0
+        g_sd_col = g_den.T @ sd + 0.0
+        g_var = (g_sd_col / two_sd + 0.0) + g_sd_row / two_sd
+        if both is not None:
+            g_var = np.where(ok, g_var, 0.0)
+        g_cov[diag, diag] += g_var
+        g_gram = g_cov * inv_m + 0.0
+        g_ct = g_gram @ c.T + 0.0
+        g_c = (ct.T @ g_gram + 0.0) + g_ct.T
+        a.grad += g_c - g_c.mean(axis=0, keepdims=True)
+
+    out._backward = bw
+    return out
+
+
+def dual_softmax(cls, det) -> Node:
+    """``softmax_rows(cls) * softmax_cols(det)`` for two same-shape 2-D
+    nodes: each entry is a row-wise class probability times a column-wise
+    instance probability."""
+    cls, det = as_node(cls), as_node(det)
+    if cls.value.ndim != 2 or cls.value.shape != det.value.shape:
+        raise ShapeError("dual_softmax expects two 2-D nodes of one shape")
+    s_rows = _softmax(cls.value, axis=1)
+    s_cols = _softmax(det.value, axis=0)
+    out = Node(s_rows * s_cols, (cls, det))
+
+    def bw(g):
+        if det.requires_grad:
+            g_cols = g * s_rows + 0.0
+            dot = (g_cols * s_cols).sum(axis=0, keepdims=True)
+            det.grad += s_cols * (g_cols - dot)
+        if cls.requires_grad:
+            g_rows = g * s_cols + 0.0
+            dot = (g_rows * s_rows).sum(axis=1, keepdims=True)
+            cls.grad += s_rows * (g_rows - dot)
 
     out._backward = bw
     return out

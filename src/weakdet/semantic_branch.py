@@ -64,35 +64,16 @@ def semantic_covariance(a, b) -> float:
 def correlation_matrix(z: Node) -> Node:
     """Pearson correlation across semantic dimensions, instances as samples.
 
-    Differentiable; exactly symmetric by construction (the result is
-    averaged with its transpose). A dimension with (near-)zero variance
-    contributes an identity row and column instead of NaN.
+    Differentiable, as one :func:`~weakdet.numerics.pearson_cols` node;
+    exactly symmetric by construction (the result is averaged with its
+    transpose). A dimension with (near-)zero variance contributes an
+    identity row and column instead of NaN.
     """
     if z.value.ndim != 2:
         raise ShapeError("correlation_matrix expects |B| x d embeddings")
-    m, d = z.value.shape
-    if m < 2:
+    if z.value.shape[0] < 2:
         raise DegenerateInputError("correlation needs at least two instances")
-
-    centered = nm.center_cols(z)
-    cov = nm.scale(nm.matmul(nm.transpose(centered), centered), 1.0 / m)
-    var = nm.diag_part(cov)
-
-    ok = var.value > VAR_EPS
-    if ok.all():
-        denom = nm.outer(nm.sqrt(var), nm.sqrt(var))
-        corr = nm.div(cov, denom)
-    else:
-        # Degenerate dimensions: divide by 1 there, zero the row/col, then
-        # put the identity entry back. The masks are data-dependent
-        # constants, like a ReLU's.
-        okf = ok.astype(np.float64)
-        var_safe = nm.add(nm.mul(var, okf), 1.0 - okf)
-        denom = nm.outer(nm.sqrt(var_safe), nm.sqrt(var_safe))
-        both_ok = np.outer(okf, okf)
-        corr = nm.mul(nm.div(cov, denom), both_ok)
-        corr = nm.add(corr, np.diag(1.0 - okf))
-    return nm.scale(nm.add(corr, nm.transpose(corr)), 0.5)
+    return nm.pearson_cols(z, VAR_EPS)
 
 
 def pseudo_labels(corr_sem: Node, z: Node) -> PseudoLabels:
@@ -127,12 +108,18 @@ def update_centers(
     """Move each assigned center toward its instance embeddings, in bag order.
 
     c <- c + rate * (z_i - c), one instance at a time; centers that receive
-    no instance are untouched. Returns a new array.
+    no instance are untouched. Returns a new array. The rows are updated as
+    Python floats, which round exactly as float64 arrays do, with the same
+    operations in the same order.
     """
     if not (0.0 <= rate <= 1.0):
         raise ParameterError(f"center rate must be in [0, 1], got {rate}")
     out = np.array(centers, dtype=np.float64, copy=True)
     z = np.asarray(z, dtype=np.float64)
-    for i, k in enumerate(labels):
-        out[k] = out[k] + rate * (z[i] - out[k])
-    return out
+    labels = np.asarray(labels)
+    if out.ndim != 2 or z.shape != (labels.size, out.shape[1]):
+        raise ShapeError("update_centers expects one embedding row per label")
+    rows = out.tolist()
+    for z_i, k in zip(z.tolist(), labels.tolist()):
+        rows[k] = [c + rate * (v - c) for c, v in zip(rows[k], z_i)]
+    return np.array(rows, dtype=np.float64).reshape(out.shape)

@@ -381,7 +381,7 @@ def sgd_step(state: TrainState, grads: dict, cfg: TrainConfig, lr: float) -> Non
     """v <- mu v + g + wd w;  w <- w - lr v. Only touches params in `grads`."""
     for name in sorted(grads):
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not nm.all_finite(g):
             raise NumericError(
                 f"non-finite gradient for {name} at step {state.step}; aborting"
             )
@@ -460,7 +460,7 @@ def train(
                         if name in acc:
                             acc[name] += node.grad
                         else:
-                            acc[name] = node.grad.copy()
+                            acc[name] = node.grad  # the graph is dropped: no copy
                     sums["loss_total"] += float(fwd.loss.value)
                     for key in ("loss_ins", "loss_sem", "loss_igcl"):
                         sums[key] += fwd.parts[key]

@@ -356,6 +356,69 @@ def test_corloc_uses_only_top_scoring_detection():
     assert corloc(dets, gts, 1) == 0.0
 
 
+def sorted_corloc(dets, gts, n_classes):
+    """The former CorLoc: sort every detection, keep the first per key."""
+    best = {}
+    for d in sorted(
+        dets, key=lambda d: (-d.score, d.image_id, d.box.x1, d.box.y1, d.box.x2, d.box.y2)
+    ):
+        best.setdefault((d.image_id, d.class_index), d)
+    hits = total = 0
+    for gt in gts:
+        for k in sorted({k for _, k in gt.objects}):
+            total += 1
+            top = best.get((gt.image_id, k))
+            if top is not None and any(
+                iou(top.box, box) > 0.5 for box, kk in gt.objects if kk == k
+            ):
+                hits += 1
+    return hits / total if total else 0.0
+
+
+def corloc_fixture(rng, n_images=3, n_classes=2):
+    """Integer boxes and scores on a coarse grid: tied scores, identical
+    boxes, repeated detections, and per image a tie trap whose pick decides
+    a hit (same score, the earlier sort key misses)."""
+    gts, dets = [], []
+    for img in range(n_images):
+        image_id = f"img{img}"
+        objects = []
+        for _ in range(int(rng.integers(1, 4))):
+            x1, y1 = (int(v) for v in rng.integers(0, 40, 2))
+            objects.append((Box(x1, y1, x1 + 20, y1 + 20), int(rng.integers(0, n_classes))))
+        gts.append(GroundTruth(image_id, objects))
+        for _ in range(int(rng.integers(0, 8))):
+            base, k = objects[int(rng.integers(0, len(objects)))]
+            dx = int(rng.integers(-12, 13))
+            box = Box(base.x1 + dx, base.y1, base.x2 + dx, base.y2)
+            det = Detection(image_id, box, k, float(rng.integers(0, 4)) / 4.0)
+            dets.extend([det] * int(rng.integers(1, 3)))
+        base, k = objects[0]
+        miss = Box(base.x1 - 15, base.y1, base.x2 - 15, base.y2)
+        trap = [Detection(image_id, base, k, 1.0), Detection(image_id, miss, k, 1.0)]
+        dets.extend(trap[:: 1 if rng.random() < 0.5 else -1])
+    order = rng.permutation(len(dets))
+    return [dets[i] for i in order], gts
+
+
+def test_corloc_equals_sort_oracle_with_ties():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        dets, gts = corloc_fixture(rng)
+        assert corloc(dets, gts, 2) == sorted_corloc(dets, gts, 2)
+        for gt in gts:  # one image at a time, so no two picks can cancel out
+            assert corloc(dets, [gt], 2) == sorted_corloc(dets, [gt], 2)
+    assert corloc([], gts, 2) == sorted_corloc([], gts, 2) == 0.0
+
+
+def test_corloc_tie_goes_to_the_earlier_sort_key():
+    gts = [GroundTruth("img0", [(Box(20, 0, 40, 20), 0)])]
+    hit = Detection("img0", Box(20, 0, 40, 20), 0, 0.5)
+    miss = Detection("img0", Box(5, 0, 25, 20), 0, 0.5)  # smaller x1: first
+    assert corloc([hit, miss], gts, 1) == corloc([miss, hit], gts, 1) == 0.0
+    assert corloc([hit, miss, Detection("img0", hit.box, 0, 0.6)], gts, 1) == 1.0
+
+
 # ---------------------------------------------------------------- COCO
 
 

@@ -68,8 +68,9 @@ def test_instance_probs_contracts():
     assert corr.min() >= 0 and corr.max() <= 1
     colsums = corr.sum(axis=0)
     assert np.all(colsums >= 0) and np.all(colsums <= 1 + 1e-12)
-    assert np.abs(scores.s.value.sum(axis=1) - 1.0).max() < 1e-12
-    assert scores.s.value.shape == (6, 4)  # K+1 columns
+    s = nm.softmax_rows(scores.s_logits).value
+    assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-12
+    assert s.shape == (6, 4)  # K+1 columns
     assert np.allclose(scores.image_scores.value, colsums, atol=1e-15)
 
 
@@ -168,6 +169,26 @@ def test_approx_labels_matches_bruteforce_oracle():
         assert np.allclose(got.seed_weights, np.clip(weights, 0, 1), atol=1e-12)
 
 
+def test_approx_labels_matches_oracle_on_exact_threshold_ties():
+    # Scores on a grid of quarters: with gamma 0.5 or 0.75 many entries sit
+    # exactly at gamma * col_max, and rows tie across classes.
+    rng = np.random.default_rng(12)
+    for gamma in (0.5, 0.75, 0.9, 1.0):
+        for _ in range(150):
+            k = int(rng.integers(1, 5))
+            m = int(rng.integers(k, 8))
+            corr = rng.integers(0, 5, size=(m, k)) / 4.0
+            cols = rng.random(k) < 0.5
+            rows = rng.integers(0, m, size=k)
+            corr[rows[cols], np.flatnonzero(cols)] = gamma * corr.max(axis=0)[cols]
+            tags = (rng.random(k) < 0.6).astype(int)
+            tags[int(rng.integers(0, k))] = 1
+            got = approx_labels(corr, tags, gamma=gamma)
+            labels, weights = oracle_labels(corr, tags, gamma)
+            assert got.labels.tolist() == labels
+            assert got.seed_weights.tobytes() == np.clip(np.array(weights), 0, 1).tobytes()
+
+
 def test_approx_labels_cover_every_positive_class():
     rng = np.random.default_rng(9)
     for _ in range(200):
@@ -198,12 +219,7 @@ def hand_scores(corr, s_logits):
     """InstanceScores straight from given arrays (for loss fixtures)."""
     corr_node = Node(corr)
     logits = Node(s_logits)
-    return InstanceScores(
-        corr_ins=corr_node,
-        s=nm.softmax_rows(logits),
-        s_logits=logits,
-        image_scores=nm.sum_cols(corr_node),
-    )
+    return InstanceScores(corr_ins=corr_node, s_logits=logits, image_scores=nm.sum_cols(corr_node))
 
 
 def test_instance_loss_perfect_prediction_is_zero():
@@ -242,7 +258,7 @@ def test_instance_loss_matches_bruteforce_oracle():
         expected = 0.0
         for k in range(2):
             expected -= tags[k] * np.log(img[k]) + (1 - tags[k]) * np.log(1 - img[k])
-        s = scores.s.value
+        s = nm.softmax_rows(scores.s_logits).value
         for i in range(3):
             expected -= labels.seed_weights[i] * np.log(s[i, labels.labels[i]])
         assert abs(loss - expected) < 1e-10
@@ -254,6 +270,17 @@ def test_instance_loss_rejects_inconsistent_labels():
     bad = ApproxLabels(labels=np.array([1, 2]), seed_weights=np.array([1.0, 1.0]))
     with pytest.raises(ContractError):
         instance_loss(hand_scores(corr, np.zeros((2, 3))), bad, tags)
+
+
+def test_instance_loss_contract_errors_name_the_first_class():
+    corr = np.full((3, 3), 0.2)
+    s_logits = np.zeros((3, 4))
+    untagged = ApproxLabels(labels=np.array([2, 1, 0]), seed_weights=np.ones(3))
+    with pytest.raises(ContractError, match="untagged class 1"):
+        instance_loss(hand_scores(corr, s_logits), untagged, np.array([1, 0, 0]))
+    missing = ApproxLabels(labels=np.array([3, 3, 3]), seed_weights=np.ones(3))
+    with pytest.raises(ContractError, match="tagged class 0 has"):
+        instance_loss(hand_scores(corr, s_logits), missing, np.array([1, 0, 1]))
 
 
 def test_instance_loss_nonnegative():

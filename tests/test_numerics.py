@@ -1,3 +1,6 @@
+import inspect
+import itertools
+
 import numpy as np
 import pytest
 
@@ -338,3 +341,388 @@ def test_outer_backward():
     nm.backward(nm.total(nm.mul(nm.outer(u, v), Node(weights))))
     assert np.allclose(u.grad, weights @ v.value)
     assert np.allclose(v.grad, weights.T @ u.value)
+
+
+# ---------------------------------------------------------------- fused ops
+#
+# Each fused op must equal the chain of elementary ops it replaces byte for
+# byte, in value and in every operand's gradient. The chains live only here,
+# as oracles.
+
+VAR_EPS = 1e-12
+
+
+def chain_propagate(a_hat, h, w):
+    return nm.matmul(a_hat, nm.matmul(h, w))
+
+
+def chain_info_nce(x, y, tau):
+    sim = nm.scale(nm.matmul(x, nm.transpose(y)), tau)
+    return nm.mean(nm.sub(nm.logsumexp_rows(sim), nm.diag_part(sim)))
+
+
+def chain_pearson_cols(z, var_eps):
+    """The 12-node correlation (16 with a degenerate column) that
+    ``pearson_cols`` replaces."""
+    z = nm.as_node(z)
+    m = z.value.shape[0]
+    centered = nm.center_cols(z)
+    cov = nm.scale(nm.matmul(nm.transpose(centered), centered), 1.0 / m)
+    var = nm.diag_part(cov)
+    ok = var.value > var_eps
+    if ok.all():
+        corr = nm.div(cov, nm.outer(nm.sqrt(var), nm.sqrt(var)))
+    else:
+        okf = ok.astype(np.float64)
+        var_safe = nm.add(nm.mul(var, okf), 1.0 - okf)
+        denom = nm.outer(nm.sqrt(var_safe), nm.sqrt(var_safe))
+        corr = nm.mul(nm.div(cov, denom), np.outer(okf, okf))
+        corr = nm.add(corr, np.diag(1.0 - okf))
+    return nm.scale(nm.add(corr, nm.transpose(corr)), 0.5)
+
+
+def chain_dual_softmax(cls, det):
+    return nm.mul(nm.softmax_rows(cls), nm.softmax_cols(det))
+
+
+def _adjacency(rng, m):
+    """A normalized adjacency with self-loops, as the graph builders make."""
+    adj = (rng.random((m, m)) < 0.4).astype(np.float64)
+    adj = np.maximum(adj, adj.T)
+    np.fill_diagonal(adj, 0.0)
+    a = adj + np.eye(m)
+    inv_sqrt_deg = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+
+
+# name: (fused, chain, operands(rng, rows), indices of operands that may be
+# differentiable). propagate's adjacency is always a raw array.
+FUSED = {
+    "propagate": (
+        lambda a, h, w: nm.propagate(a, h, w),
+        chain_propagate,
+        lambda rng, m: [_adjacency(rng, m), rng.standard_normal((m, 5)), rng.standard_normal((5, 3))],
+        (1, 2),
+    ),
+    "info_nce": (
+        lambda x, y: nm.info_nce(x, y, 5.0),
+        lambda x, y: chain_info_nce(x, y, 5.0),
+        lambda rng, m: [rng.standard_normal((m, 4)), rng.standard_normal((m, 4))],
+        (0, 1),
+    ),
+    "pearson_cols": (
+        lambda z: nm.pearson_cols(z, VAR_EPS),
+        lambda z: chain_pearson_cols(z, VAR_EPS),
+        lambda rng, m: [rng.standard_normal((m, 5))],
+        (0,),
+    ),
+    "dual_softmax": (
+        lambda c, d: nm.dual_softmax(c, d),
+        chain_dual_softmax,
+        lambda rng, m: [rng.standard_normal((m, 4)), rng.standard_normal((m, 4))],
+        (0, 1),
+    ),
+}
+
+
+def _probe_weights(shape):
+    """Fixed weights of both signs, so no operand gets a uniform gradient."""
+    n = int(np.prod(shape))
+    return np.cos(1.7 * np.arange(1, n + 1)).reshape(shape)
+
+
+def _probe(out):
+    return nm.total(nm.mul(out, _probe_weights(out.value.shape)))
+
+
+def _run(name, arrays, grad_idx, fused, share=False, same_operand=False):
+    """Value of the op and gradients of its differentiable operands.
+
+    Operands outside ``grad_idx`` stay raw arrays (constants). With
+    ``share``, every leaf also feeds an op created before the op under test
+    and one created after it, so its gradient sums three contributions and
+    their order counts. With ``same_operand``, one leaf is passed for every
+    operand.
+    """
+    fn = FUSED[name][0] if fused else FUSED[name][1]
+    ops = [Node(a.copy()) if i in grad_idx else a.copy() for i, a in enumerate(arrays)]
+    if same_operand:
+        ops = [ops[grad_idx[0]]] * len(ops)
+    leaves = list({id(ops[i]): ops[i] for i in grad_idx}.values())
+    terms = [_probe(nm.scale(leaf, 0.7)) for leaf in leaves] if share else []
+    out = fn(*ops)
+    terms.append(_probe(out))
+    if share:
+        terms += [_probe(nm.mul(leaf, leaf)) for leaf in leaves]
+    loss = terms[0]
+    for t in terms[1:]:
+        loss = nm.add(loss, t)
+    if loss.requires_grad:
+        nm.backward(loss)
+    return out.value, [leaf.grad for leaf in leaves]
+
+
+def _assert_same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def _assert_fused_equals_chain(name, arrays, grad_idx, **kw):
+    value, grads = _run(name, arrays, grad_idx, fused=True, **kw)
+    value_ref, grads_ref = _run(name, arrays, grad_idx, fused=False, **kw)
+    _assert_same_bytes(value, value_ref)
+    assert len(grads) == len(grads_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        _assert_same_bytes(g, g_ref)
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_op_is_bitwise_its_chain(name, seed):
+    rng = np.random.default_rng(500 + seed)
+    arrays = FUSED[name][2](rng, int(rng.integers(2, 9)))
+    grad_idx = FUSED[name][3]
+    _assert_fused_equals_chain(name, arrays, grad_idx)
+    _assert_fused_equals_chain(name, arrays, grad_idx, share=True)
+
+
+# The shapes of a training bag-step (15 to 30 proposals, D = 32, hidden
+# width 32, embeddings 16, K = 6). At some of these widths and row counts
+# BLAS rounds a product with a transposed view differently from one with a
+# contiguous copy, which the small cases above do not reach.
+TRAINING_SHAPES = {
+    "propagate": lambda rng, m: [_adjacency(rng, m), rng.standard_normal((m, 32)),
+                                 rng.standard_normal((32, 16))],
+    "info_nce": lambda rng, m: [rng.standard_normal((m, 16)), rng.standard_normal((m, 16))],
+    "pearson_cols": lambda rng, m: [rng.standard_normal((m, 6))],
+    "dual_softmax": lambda rng, m: [rng.standard_normal((m, 6)), rng.standard_normal((m, 6))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+@pytest.mark.parametrize("m", [9, 12, 17, 22, 30])
+def test_fused_op_is_bitwise_its_chain_at_training_shapes(name, m):
+    arrays = TRAINING_SHAPES[name](np.random.default_rng(550 + m), m)
+    _assert_fused_equals_chain(name, arrays, FUSED[name][3], share=True)
+
+
+@pytest.mark.parametrize("name", ["info_nce", "dual_softmax"])
+def test_fused_op_with_one_leaf_for_both_operands(name):
+    rng = np.random.default_rng(41)
+    arrays = FUSED[name][2](rng, 5)
+    _assert_fused_equals_chain(name, arrays, (0, 1), same_operand=True)
+    _assert_fused_equals_chain(name, arrays, (0, 1), same_operand=True, share=True)
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_with_constant_operands(name):
+    rng = np.random.default_rng(42)
+    arrays = FUSED[name][2](rng, 4)
+    candidates = FUSED[name][3]
+    for r in range(len(candidates)):
+        for grad_idx in itertools.combinations(candidates, r):
+            _assert_fused_equals_chain(name, arrays, grad_idx, share=True)
+    fused = FUSED[name][0](*arrays)
+    assert not fused.requires_grad  # constants only: no gradient to give
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_on_one_row(name):
+    rng = np.random.default_rng(43)
+    arrays = FUSED[name][2](rng, 1)
+    _assert_fused_equals_chain(name, arrays, FUSED[name][3], share=True)
+
+
+def _backward_from(out, upstream):
+    """``nm.backward``'s walk, seeded at ``out`` with any upstream gradient.
+
+    A real pass never hands an op -0.0 (every buffer starts at +0.0), so this
+    is how the ops' own +0.0 rules are exercised.
+    """
+    reached = {}
+    stack = [out]
+    while stack:
+        for p in stack.pop().parents:
+            if p.requires_grad and p._order not in reached:
+                reached[p._order] = p
+                stack.append(p)
+                p.grad = np.zeros(p.value.shape)
+    out._backward(upstream)
+    for key in sorted(reached, reverse=True):
+        if reached[key]._backward is not None:
+            reached[key]._backward(reached[key].grad)
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_with_negative_zero_upstream(name):
+    rng = np.random.default_rng(44)
+    arrays = FUSED[name][2](rng, 5)
+    fused_fn, chain_fn, _, grad_idx = FUSED[name]
+    shape = fused_fn(*arrays).value.shape
+    mixed = rng.standard_normal(shape)
+    mixed[rng.random(shape) < 0.5] = -0.0
+    for upstream in (np.full(shape, -0.0), mixed, np.zeros(shape)):
+        grads = []
+        for fn in (fused_fn, chain_fn):
+            ops = [Node(a.copy()) if i in grad_idx else a.copy() for i, a in enumerate(arrays)]
+            _backward_from(fn(*ops), upstream.copy())
+            grads.append([ops[i].grad for i in grad_idx])
+        for g, g_ref in zip(*grads):
+            _assert_same_bytes(g, g_ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pearson_cols_degenerate_columns(seed):
+    rng = np.random.default_rng(600 + seed)
+    z = rng.standard_normal((6, 5))
+    z[:, 1] = 2.5  # constant column
+    z[:, 3] = 1.0 + 1e-8 * rng.standard_normal(6)  # variance below VAR_EPS
+    _assert_fused_equals_chain("pearson_cols", [z], (0,), share=True)
+    corr = nm.pearson_cols(z, VAR_EPS).value
+    for k in (1, 3):
+        expected = np.zeros(5)
+        expected[k] = 1.0
+        assert np.array_equal(corr[k], expected) and np.array_equal(corr[:, k], expected)
+    flat = np.full((4, 3), 7.0)
+    _assert_fused_equals_chain("pearson_cols", [flat], (0,), share=True)
+    assert np.array_equal(nm.pearson_cols(flat, VAR_EPS).value, np.eye(3))
+
+
+def test_fused_ops_raise_on_overflow():
+    big = np.full((2, 2), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):
+            nm.propagate(np.eye(2), Node(big), Node(big))
+        with pytest.raises(NumericError):
+            nm.info_nce(Node([[1e200, 0.0]]), Node([[1e200, 0.0]]), 1.0)
+        with pytest.raises(NumericError):
+            nm.pearson_cols(Node([[1e200], [-1e200]]), VAR_EPS)
+    # dual_softmax multiplies two factors in [0, 1], so it cannot overflow;
+    # a non-finite operand is rejected before it runs.
+    with pytest.raises(NumericError):
+        nm.dual_softmax(np.array([[np.inf, 0.0]]), Node(np.zeros((1, 2))))
+
+
+def test_fused_op_argument_errors():
+    with pytest.raises(ShapeError):
+        nm.propagate(np.eye(3), Node(np.ones((2, 2))), Node(np.ones((2, 2))))
+    with pytest.raises(ParameterError):
+        nm.info_nce(Node(np.ones((2, 2))), Node(np.ones((2, 2))), 0.0)
+    with pytest.raises(ShapeError):
+        nm.info_nce(Node(np.ones((2, 2))), Node(np.ones((3, 2))), 1.0)
+    with pytest.raises(ShapeError):
+        nm.pearson_cols(Node(np.ones(3)), VAR_EPS)
+    with pytest.raises(ShapeError):
+        nm.dual_softmax(Node(np.ones((2, 3))), Node(np.ones((3, 2))))
+
+
+# ---------------------------------------------------------------- audit
+#
+# Every op runs here against central differences, through
+# loss = sum(op(...) * fixed weights). A case is "<op>" or "<op>/<variant>".
+
+
+def _normal(rng, *shape):
+    return rng.standard_normal(shape)
+
+
+def _positive(rng, *shape):
+    return rng.uniform(0.5, 2.0, size=shape)
+
+
+def _off_kinks(rng, *shape):
+    """Entries at least 0.1 from 0, +-0.1 and +-0.9 (relu and clip kinks)."""
+    return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.2, 0.8, size=shape)
+
+
+FIXED_ADJACENCY = _adjacency(np.random.default_rng(5), 4)
+
+FD_CASES = {
+    "add": (lambda r: [_normal(r, 3, 4), _normal(r, 3, 4)], lambda a, b: nm.add(a, b)),
+    "sub": (lambda r: [_normal(r, 3, 4), _normal(r, 3, 4)], lambda a, b: nm.sub(a, b)),
+    "neg": (lambda r: [_normal(r, 3, 4)], lambda a: nm.neg(a)),
+    "mul": (lambda r: [_normal(r, 3, 4), _normal(r, 3, 4)], lambda a, b: nm.mul(a, b)),
+    "div": (lambda r: [_normal(r, 3, 4), _positive(r, 3, 4)], lambda a, b: nm.div(a, b)),
+    "scale": (lambda r: [_normal(r, 3, 4)], lambda a: nm.scale(a, -1.7)),
+    "matmul": (lambda r: [_normal(r, 3, 4), _normal(r, 4, 2)], lambda a, b: nm.matmul(a, b)),
+    "transpose": (lambda r: [_normal(r, 3, 4)], lambda a: nm.transpose(a)),
+    "hconcat": (lambda r: [_normal(r, 3, 2), _normal(r, 3, 4)], lambda a, b: nm.hconcat(a, b)),
+    "relu": (lambda r: [_off_kinks(r, 3, 4)], lambda a: nm.relu(a)),
+    "log": (lambda r: [_positive(r, 3, 4)], lambda a: nm.log(a)),
+    "exp": (lambda r: [_normal(r, 3, 4)], lambda a: nm.exp(a)),
+    "sqrt": (lambda r: [_positive(r, 3, 4)], lambda a: nm.sqrt(a)),
+    "clip": (lambda r: [_off_kinks(r, 3, 4)], lambda a: nm.clip(a, -0.1, 0.9)),
+    "total": (lambda r: [_normal(r, 3, 4)], lambda a: nm.total(a)),
+    "mean": (lambda r: [_normal(r, 3, 4)], lambda a: nm.mean(a)),
+    "sum_rows": (lambda r: [_normal(r, 3, 4)], lambda a: nm.sum_rows(a)),
+    "sum_cols": (lambda r: [_normal(r, 3, 4)], lambda a: nm.sum_cols(a)),
+    "diag_part": (lambda r: [_normal(r, 4, 4)], lambda a: nm.diag_part(a)),
+    "outer": (lambda r: [_normal(r, 3), _normal(r, 4)], lambda u, v: nm.outer(u, v)),
+    "center_cols": (lambda r: [_normal(r, 4, 3)], lambda a: nm.center_cols(a)),
+    "softmax_rows": (lambda r: [_normal(r, 3, 4)], lambda a: nm.softmax_rows(a)),
+    "softmax_cols": (lambda r: [_normal(r, 3, 4)], lambda a: nm.softmax_cols(a)),
+    "log_softmax_rows": (lambda r: [_normal(r, 3, 4)], lambda a: nm.log_softmax_rows(a)),
+    "logsumexp_rows": (lambda r: [_normal(r, 3, 4)], lambda a: nm.logsumexp_rows(a)),
+    "smooth_max_lse": (lambda r: [_normal(r, 5)], lambda a: nm.smooth_max_lse(a, 2.0)),
+    "lse_columns": (lambda r: [_normal(r, 4, 3)], lambda a: nm.lse_columns(a, 3.0)),
+    "cosine": (lambda r: [_normal(r, 4) + 2.0, _normal(r, 4)], lambda u, v: nm.cosine(u, v)),
+    "normalize_rows": (lambda r: [_normal(r, 3, 4)], lambda a: nm.normalize_rows(a)),
+    "propagate": (
+        lambda r: [_normal(r, 4, 3), _normal(r, 3, 2)],
+        lambda h, w: nm.propagate(FIXED_ADJACENCY, h, w),
+    ),
+    "info_nce": (lambda r: [_normal(r, 4, 3), _normal(r, 4, 3)], lambda x, y: nm.info_nce(x, y, 2.0)),
+    "pearson_cols": (lambda r: [_normal(r, 6, 4)], lambda z: nm.pearson_cols(z, VAR_EPS)),
+    # A column with variance below 1e-6 stays degenerate under a 1e-4 step.
+    "pearson_cols/degenerate": (
+        lambda r: [np.hstack([_normal(r, 6, 3), np.full((6, 1), 0.5)])],
+        lambda z: nm.pearson_cols(z, 1e-6),
+    ),
+    "dual_softmax": (lambda r: [_normal(r, 4, 3), _normal(r, 4, 3)], lambda c, d: nm.dual_softmax(c, d)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_op_matches_finite_differences(case, seed, monkeypatch):
+    op = case.split("/")[0]
+    calls = []
+    original = getattr(nm, op)
+
+    def counted(*args, **kwargs):
+        calls.append(op)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nm, op, counted)
+    make, build = FD_CASES[case]
+    arrays = {str(i): a for i, a in enumerate(make(np.random.default_rng(700 + seed)))}
+
+    def loss_and_leaves():
+        leaves = [Node(arrays[k]) for k in sorted(arrays)]
+        return _probe(build(*leaves)), leaves
+
+    loss, leaves = loss_and_leaves()
+    nm.backward(loss)
+    assert calls, f"case {case!r} never calls nm.{op}"
+    fd = finite_difference(lambda: float(loss_and_leaves()[0].value), arrays)
+    for k, leaf in zip(sorted(arrays), leaves):
+        assert max_rel_err(leaf.grad, fd[k]) < 1e-4, (case, k)
+
+
+def _public_ops():
+    return {
+        name
+        for name, fn in vars(nm).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == nm.__name__
+        and not name.startswith("_")
+        and fn.__annotations__.get("return") in ("Node", Node)
+    } - {"as_node"}  # as_node wraps a value; it builds no op
+
+
+def test_every_op_joins_the_finite_difference_audit():
+    ops = _public_ops()
+    assert {"matmul", "propagate", "info_nce", "pearson_cols", "dual_softmax"} <= ops
+    audited = {case.split("/")[0] for case in FD_CASES}
+    assert ops - audited == set(), "ops without a finite-difference case"

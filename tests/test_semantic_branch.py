@@ -270,6 +270,36 @@ def test_update_centers_contraction():
         assert abs(after - (1 - theta) * before) < 1e-12
 
 
+def loop_update_centers(centers, z, labels, rate):
+    """The former update: one numpy row operation per instance."""
+    out = np.array(centers, dtype=np.float64, copy=True)
+    for i, k in enumerate(labels):
+        out[k] = out[k] + rate * (z[i] - out[k])
+    return out
+
+
+def test_update_centers_equals_loop_oracle_bytes():
+    rng = np.random.default_rng(14)
+    for rate in (0.0, 0.05, 0.37, 1.0):
+        for _ in range(50):
+            k = int(rng.integers(1, 7))
+            m = int(rng.integers(0, 25))
+            centers = rng.standard_normal((k, k))
+            z = rng.standard_normal((m, k))
+            labels = rng.integers(0, k, size=m)
+            if m:
+                labels[: m // 2] = labels[0]  # one class takes half the bag
+            got = update_centers(centers, z, labels, rate)
+            assert got.tobytes() == loop_update_centers(centers, z, labels, rate).tobytes()
+
+
+def test_update_centers_rejects_mismatched_rows():
+    with pytest.raises(ShapeError):
+        update_centers(np.eye(2), np.ones((2, 2)), np.array([0]), 0.5)
+    with pytest.raises(ShapeError):
+        update_centers(np.eye(2), np.ones((1, 3)), np.array([0]), 0.5)
+
+
 def test_update_centers_rate_bounds():
     with pytest.raises(ParameterError):
         update_centers(np.eye(2), np.ones((1, 2)), np.array([0]), 1.5)
