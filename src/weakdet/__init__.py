@@ -34,7 +34,6 @@ from .trainer import (
     SUB_METHODS,
     TrainConfig,
     TrainState,
-    composite_loss,
     infer,
     init_state,
     load_checkpoint,
@@ -56,7 +55,6 @@ __all__ = [
     "backward",
     "class_prototypes",
     "coco_map",
-    "composite_loss",
     "corloc",
     "evaluation_report",
     "filter_proposals",

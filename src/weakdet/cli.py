@@ -323,6 +323,7 @@ def cmd_grad_check(args) -> int:
         label_ratio=values["label_ratio"],
         graph_iou=values["graph_iou"],
         knn_k=values["knn_k"],
+        corr_sem_ema=values["corr_sem_ema"],
     )
     results = run_checks(
         n_seeds=values["gc_seeds"],

@@ -57,6 +57,16 @@ class Box:
         return [self.x1, self.y1, self.x2, self.y2]
 
 
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union of two boxes, in [0, 1]."""
+    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
+    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    inter = ix * iy
+    if inter <= 0.0:
+        return 0.0
+    return inter / (a.area + b.area - inter)
+
+
 @dataclass
 class Bag:
     """One image's proposal set: boxes, feature rows, and image-level tags."""
@@ -195,15 +205,6 @@ def _jitter_box(box: Box, scale: float, cfg: SceneConfig, rng: np.random.Generat
     return Box(x1, y1, x2, y2)
 
 
-def _box_iou(a: Box, b: Box) -> float:
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    if inter == 0.0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
-
-
 # Edge shifts of at most 5% of a side keep IoU above 0.5, so the first
 # proposal of each object is jittered at this capped scale.
 SAFE_JITTER = 0.05
@@ -236,7 +237,7 @@ def generate_dataset(cfg: SceneConfig, n_scenes: int) -> tuple[list[Bag], list[G
             for j in range(cfg.proposals_per_object):
                 if j == 0:
                     prop = _jitter_box(gt_box, min(cfg.jitter, SAFE_JITTER), cfg, rng)
-                    if _box_iou(prop, gt_box) <= 0.5:
+                    if iou(prop, gt_box) <= 0.5:
                         prop = gt_box
                 else:
                     prop = _jitter_box(gt_box, cfg.jitter, cfg, rng)

@@ -14,19 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Box, GroundTruth
+from .datamodel import Box, GroundTruth, iou
 
 COCO_THRESHOLDS = tuple(0.50 + 0.05 * i for i in range(10))
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    if inter <= 0.0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
 
 
 def iou_matrix(boxes_a: list[Box], boxes_b: list[Box]) -> np.ndarray:

@@ -5,7 +5,9 @@ pass, on small random bags. Discrete structure that the losses select from
 data, i.e. induced labels, pseudo hard labels, and graph topology, is
 frozen at the base point: the analytic gradient describes the loss with
 those choices held fixed, so the finite differences must probe the same
-piecewise-smooth function.
+piecewise-smooth function. Every loss is a named term of the training
+forward, :func:`~weakdet.trainer.forward_losses`, so the audit checks the
+graph that training differentiates.
 
 The relative error uses a floored denominator, max(|a|, |fd|, 0.01), so
 near-zero entries are judged by an absolute tolerance of step * floor
@@ -20,13 +22,12 @@ import numpy as np
 
 from . import igcl as gc
 from . import numerics as nm
-from . import semantic_branch as sb
 from .datamodel import Bag, Box
-from .numerics import Node
 from .trainer import FrozenStructures, TrainConfig, TrainState, forward_losses, init_state
 
 REL_FLOOR = 1e-2
 
+# The losses audited under method F (M1, M2, M4), which `weakdet grad-check` runs.
 LOSS_NAMES = ("loss_ins", "loss_sem", "loss_con_sd", "loss_con_ds", "composite")
 
 
@@ -84,95 +85,78 @@ def freeze_structures(bag: Bag, state: TrainState, cfg: TrainConfig) -> FrozenSt
         approx=base.approx,
         pseudo_hard=base.pseudo_hard,
         instance_graph=gc.build_instance_graph(bag.proposals, cfg.graph_iou),
-        semantic_graph=gc.build_semantic_graph(base.z_values, cfg.knn_k),
+        semantic_graph=(
+            None if base.z_values is None else gc.build_semantic_graph(base.z_values, cfg.knn_k)
+        ),
     )
 
 
-def _build_loss(
-    name: str, bag: Bag, state: TrainState, cfg: TrainConfig, frozen: FrozenStructures
-):
-    """Return (loss node, leaves) for one named loss at the current params."""
-    if name == "loss_ins":
-        fwd = forward_losses(bag, state, cfg, frozen, include=frozenset({"M1"}))
-        return fwd.loss, fwd.leaves
-    if name == "loss_sem":
-        fwd = forward_losses(bag, state, cfg, frozen, include=frozenset({"M2"}))
-        return fwd.loss, fwd.leaves
-
-    leaves: dict[str, Node] = {}
-
-    def leaf(n: str) -> Node:
-        if n not in leaves:
-            leaves[n] = Node(state.params[n])
-        return leaves[n]
-
-    feats = nm.as_node(bag.features)
-    if name == "loss_con_sd":
-        z = sb.project(feats, sb.SemanticProjector(leaf("w_sem")))
-        u = gc.gcn_forward(
-            frozen.instance_graph, feats, gc.GcnProjector(leaf("gcn_ins_w1"), leaf("gcn_ins_w2"))
-        )
-        v = gc.gcn_forward(
-            frozen.semantic_graph, z, gc.GcnProjector(leaf("gcn_sem_w1"), leaf("gcn_sem_w2"))
-        )
-        return gc.info_nce(u, v, cfg.tau), leaves
-    if name == "loss_con_ds":
-        z = sb.project(feats, sb.SemanticProjector(leaf("w_sem")))
-        corr = sb.correlation_matrix(z)
-        pseudo = sb.pseudo_labels(corr, z)
-        onehot = gc.one_hot_labels(frozen.approx.labels, bag.n_classes + 1)
-        u_p = gc.gcn_forward(
-            frozen.instance_graph,
-            nm.as_node(onehot),
-            gc.GcnProjector(leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2")),
-        )
-        v_p = gc.gcn_forward(
-            frozen.semantic_graph,
-            pseudo.scores,
-            gc.GcnProjector(leaf("gcn_sem_p_w1"), leaf("gcn_sem_p_w2")),
-        )
-        return gc.info_nce(u_p, v_p, cfg.tau), leaves
-    if name == "composite":
+def analytic_gradients(
+    bag: Bag, state: TrainState, cfg: TrainConfig, frozen: FrozenStructures
+) -> dict[str, dict[str, np.ndarray]]:
+    """Backward of every named term of the forward and of the composite,
+    each on its own graph, by loss and by the parameter groups it reaches."""
+    grads: dict[str, dict[str, np.ndarray]] = {}
+    for loss_name in (*forward_losses(bag, state, cfg, frozen).terms, "composite"):
         fwd = forward_losses(bag, state, cfg, frozen)
-        return fwd.loss, fwd.leaves
-    raise ValueError(f"unknown loss {name!r}")
+        nm.backward(fwd.loss if loss_name == "composite" else fwd.terms[loss_name])
+        grads[loss_name] = {
+            pname: node.grad for pname, node in fwd.leaves.items() if node.grad is not None
+        }
+    return grads
+
+
+def _loss_values(
+    bag: Bag, state: TrainState, cfg: TrainConfig, frozen: FrozenStructures
+) -> dict[str, float]:
+    fwd = forward_losses(bag, state, cfg, frozen)
+    values = {name: float(node.value) for name, node in fwd.terms.items()}
+    values["composite"] = float(fwd.loss.value)
+    return values
 
 
 def check_bag(
     bag: Bag,
     state: TrainState,
     cfg: TrainConfig,
-    losses=LOSS_NAMES,
     step: float = 1e-4,
     tolerance: float = 1e-4,
     corrupt: bool = False,
 ) -> list[GradCheckResult]:
-    """Compare analytic and central-difference gradients on one bag."""
+    """Compare analytic and central-difference gradients on one bag.
+
+    One sweep perturbs each entry of every parameter group that some loss
+    reaches; each perturbed forward yields the values of all the losses.
+    """
     frozen = freeze_structures(bag, state, cfg)
+    analytic = analytic_gradients(bag, state, cfg, frozen)
+    fd = {name: {p: np.zeros_like(state.params[p]) for p in g} for name, g in analytic.items()}
+    for pname in sorted({p for g in analytic.values() for p in g}):
+        target = state.params[pname]
+        it = np.nditer(target, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            orig = target[idx]
+            target[idx] = orig + step
+            hi = _loss_values(bag, state, cfg, frozen)
+            target[idx] = orig - step
+            lo = _loss_values(bag, state, cfg, frozen)
+            target[idx] = orig
+            for loss_name, groups in fd.items():
+                if pname in groups:
+                    groups[pname][idx] = (hi[loss_name] - lo[loss_name]) / (2.0 * step)
+            it.iternext()
+
     results: list[GradCheckResult] = []
-    for loss_name in losses:
-        loss, leaves = _build_loss(loss_name, bag, state, cfg, frozen)
-        nm.backward(loss)
-        for pname in sorted(leaves):
-            analytic = leaves[pname].grad.copy()
+    for loss_name, groups in analytic.items():
+        for pname in sorted(groups):
+            grad = groups[pname].copy()
             if corrupt:
-                flat = analytic.reshape(-1)
+                flat = grad.reshape(-1)
                 flat[0] += 0.1 * (np.abs(flat).max() + 1.0)
-            target = state.params[pname]
-            fd = np.zeros_like(target)
-            it = np.nditer(target, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = target[idx]
-                target[idx] = orig + step
-                hi, _ = _build_loss(loss_name, bag, state, cfg, frozen)
-                target[idx] = orig - step
-                lo, _ = _build_loss(loss_name, bag, state, cfg, frozen)
-                target[idx] = orig
-                fd[idx] = (float(hi.value) - float(lo.value)) / (2.0 * step)
-                it.iternext()
-            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), REL_FLOOR)
-            rel = float((np.abs(analytic - fd) / denom).max())
+            num = fd[loss_name][pname]
+            denom = np.maximum(np.maximum(np.abs(grad), np.abs(num)), REL_FLOOR)
+            rel = float((np.abs(grad - num) / denom).max())
             results.append(GradCheckResult(loss_name, pname, rel, tolerance))
     return results
 

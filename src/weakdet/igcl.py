@@ -90,10 +90,6 @@ class GcnProjector:
     w1: Node
     w2: Node
 
-    @property
-    def in_dim(self) -> int:
-        return self.w1.value.shape[0]
-
 
 def gcn_forward(graph: GraphAdjacency, h: Node, proj: GcnProjector) -> Node:
     """Propagate twice, then unit-normalize rows (zero rows stay zero)."""
@@ -122,27 +118,6 @@ def one_hot_labels(labels: np.ndarray, n_classes_with_bg: int) -> np.ndarray:
     return out
 
 
-def compute_embeddings(
-    features: Node,
-    label_onehot: np.ndarray,
-    z: Node,
-    pseudo_scores: Node,
-    proj_ins: GcnProjector,
-    proj_ins_prime: GcnProjector,
-    proj_sem: GcnProjector,
-    proj_sem_prime: GcnProjector,
-    instance_graph: GraphAdjacency,
-    semantic_graph: GraphAdjacency,
-) -> Embeddings:
-    """Run all four projectors over their graphs for one bag."""
-    return Embeddings(
-        u=gcn_forward(instance_graph, features, proj_ins),
-        u_prime=gcn_forward(instance_graph, nm.as_node(label_onehot), proj_ins_prime),
-        v=gcn_forward(semantic_graph, z, proj_sem),
-        v_prime=gcn_forward(semantic_graph, pseudo_scores, proj_sem_prime),
-    )
-
-
 def info_nce(x_rows: Node, y_rows: Node, tau: float) -> Node:
     """Contrastive loss with matched rows as positives.
 
@@ -153,26 +128,29 @@ def info_nce(x_rows: Node, y_rows: Node, tau: float) -> Node:
     return nm.info_nce(x_rows, y_rows, tau)
 
 
-def igcl_loss(emb: Embeddings, tau: float) -> Node:
-    """Interactive loss: contrast across branches in both directions."""
-    return nm.add(info_nce(emb.u, emb.v, tau), info_nce(emb.u_prime, emb.v_prime, tau))
+def igcl_terms(emb: Embeddings, tau: float) -> dict[str, Node]:
+    """Interactive terms, by name: contrast across branches in both
+    directions, features against embeddings (``loss_con_sd``) and induced
+    labels against refined scores (``loss_con_ds``)."""
+    return {
+        "loss_con_sd": info_nce(emb.u, emb.v, tau),
+        "loss_con_ds": info_nce(emb.u_prime, emb.v_prime, tau),
+    }
 
 
-def independent_gcl_loss(
+def independent_gcl_terms(
     emb: Embeddings, tau: float, instance_side: bool = True, semantic_side: bool = True
-) -> Node:
-    """Non-interactive variant: each branch contrasts only with itself.
+) -> dict[str, Node]:
+    """Non-interactive terms, by name: each branch contrasts only with
+    itself (``loss_con_ins``, ``loss_con_sem``).
 
     Single-branch ablations keep just one of the two terms.
     """
-    terms = []
+    if not (instance_side or semantic_side):
+        raise ParameterError("independent_gcl_terms needs at least one side")
+    terms = {}
     if instance_side:
-        terms.append(info_nce(emb.u, emb.u_prime, tau))
+        terms["loss_con_ins"] = info_nce(emb.u, emb.u_prime, tau)
     if semantic_side:
-        terms.append(info_nce(emb.v, emb.v_prime, tau))
-    if not terms:
-        raise ParameterError("independent_gcl_loss needs at least one side")
-    out = terms[0]
-    for t in terms[1:]:
-        out = nm.add(out, t)
-    return out
+        terms["loss_con_sem"] = info_nce(emb.v, emb.v_prime, tau)
+    return terms

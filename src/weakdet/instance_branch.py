@@ -37,10 +37,6 @@ class DetectionHead:
     w_det: Node  # D x K
     w_bg: Node  # D x 1
 
-    @property
-    def n_classes(self) -> int:
-        return self.w_cls.value.shape[1]
-
 
 @dataclass
 class InstanceScores:
@@ -61,13 +57,6 @@ class ApproxLabels:
 
     labels: np.ndarray
     seed_weights: np.ndarray
-
-
-def baseline_scores(features: Node, head: DetectionHead) -> Node:
-    """Visual-only detector: per-class softmax over instances of f @ w_det."""
-    if features.value.shape[0] == 0:
-        raise EmptyBagError("baseline_scores on an empty bag")
-    return nm.softmax_cols(nm.matmul(features, head.w_det))
 
 
 def instance_probs(features: Node, head: DetectionHead) -> InstanceScores:

@@ -17,10 +17,12 @@ The fused ops at the end (:func:`propagate`, :func:`info_nce`,
 :func:`pearson_cols`, :func:`dual_softmax`) each build one node for what
 would otherwise be a chain of the elementary ops. Their forward repeats the
 chain's numpy expressions in the same order and memory layout, and their
-backward repeats its accumulation: every intermediate gradient starts from
-+0.0 (hence the ``+ 0.0`` and ``0.0 -``), and an intermediate read by
-several ops of the chain sums their contributions in reverse creation
-order. Values and gradients are therefore bitwise those of the chain.
+backward repeats its accumulation: an intermediate read by several ops of
+the chain sums their contributions in reverse creation order. Values and
+gradients are therefore bitwise those of the chain. (An intermediate may
+hold -0.0 where the chain's holds +0.0; no rule divides by a gradient, and a
+``grad`` buffer starts at +0.0 and only accumulates, so it stores the same
+bits.)
 """
 
 from __future__ import annotations
@@ -84,25 +86,8 @@ class Node:
         self._consumed = False
         self._order = next(_creation)
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return f"Node(shape={self.value.shape}, leaf={self._backward is None})"
-
-    # Small conveniences; the module functions are the real API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def as_node(x) -> Node:
@@ -678,7 +663,7 @@ def propagate(a_hat: np.ndarray, h, w) -> Node:
     out = Node(a_hat @ hw, (h, w))
 
     def bw(g):
-        g_hw = a_hat.T @ g + 0.0
+        g_hw = a_hat.T @ g
         if h.requires_grad:
             h.grad += g_hw @ w.value.T
         if w.requires_grad:
@@ -715,14 +700,14 @@ def info_nce(x, y, tau: float) -> Node:
     diag = np.arange(n)
 
     def bw(g):
-        g_lse = g / n + 0.0
-        g_sim = s * g_lse + 0.0
-        g_sim[diag, diag] += 0.0 - g_lse  # diag_part's term (the sum commutes)
-        g_xy = g_sim * tau + 0.0
+        g_lse = g / n
+        g_sim = s * g_lse
+        g_sim[diag, diag] -= g_lse  # diag_part's term (the sum commutes)
+        g_xy = g_sim * tau
         if x.requires_grad:
             x.grad += g_xy @ yt.T
         if y.requires_grad:
-            y.grad += (x.value.T @ g_xy + 0.0).T
+            y.grad += (x.value.T @ g_xy).T
 
     out._backward = bw
     return out
@@ -767,21 +752,21 @@ def pearson_cols(a, var_eps: float) -> Node:
     two_sd = 2.0 * np.maximum(sd, EPS_NORM)
 
     def bw(g):
-        g_half = g * 0.5 + 0.0
+        g_half = g * 0.5
         g_corr = g_half + g_half.T
         if both is not None:
             g_corr = np.where(both, g_corr, 0.0)
-        g_cov = g_corr / den + 0.0
-        g_den = 0.0 - g_corr * cov / (den * den)
-        g_sd_row = g_den @ sd + 0.0
-        g_sd_col = g_den.T @ sd + 0.0
-        g_var = (g_sd_col / two_sd + 0.0) + g_sd_row / two_sd
+        g_cov = g_corr / den
+        g_den = -(g_corr * cov / (den * den))
+        g_sd_row = g_den @ sd
+        g_sd_col = g_den.T @ sd
+        g_var = g_sd_col / two_sd + g_sd_row / two_sd
         if both is not None:
             g_var = np.where(ok, g_var, 0.0)
         g_cov[diag, diag] += g_var
-        g_gram = g_cov * inv_m + 0.0
-        g_ct = g_gram @ c.T + 0.0
-        g_c = (ct.T @ g_gram + 0.0) + g_ct.T
+        g_gram = g_cov * inv_m
+        g_ct = g_gram @ c.T
+        g_c = ct.T @ g_gram + g_ct.T
         a.grad += g_c - g_c.mean(axis=0, keepdims=True)
 
     out._backward = bw
@@ -801,11 +786,11 @@ def dual_softmax(cls, det) -> Node:
 
     def bw(g):
         if det.requires_grad:
-            g_cols = g * s_rows + 0.0
+            g_cols = g * s_rows
             dot = (g_cols * s_cols).sum(axis=0, keepdims=True)
             det.grad += s_cols * (g_cols - dot)
         if cls.requires_grad:
-            g_rows = g * s_cols + 0.0
+            g_rows = g * s_cols
             dot = (g_rows * s_rows).sum(axis=1, keepdims=True)
             cls.grad += s_rows * (g_rows - dot)
 

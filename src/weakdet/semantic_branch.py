@@ -32,10 +32,6 @@ class SemanticProjector:
         if self.w_sem.value.ndim != 2:
             raise ShapeError("w_sem must be 2-D (K x D)")
 
-    @property
-    def n_classes(self) -> int:
-        return self.w_sem.value.shape[0]
-
 
 @dataclass
 class PseudoLabels:
@@ -48,17 +44,6 @@ class PseudoLabels:
 def project(features: Node, proj: SemanticProjector) -> Node:
     """Semantic embeddings Z = features @ w_sem^T, one row per instance."""
     return nm.matmul(features, nm.transpose(proj.w_sem))
-
-
-def semantic_covariance(a, b) -> float:
-    """Population covariance of two equal-length sample vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ShapeError("semantic_covariance expects two equal-length vectors")
-    if a.size < 2:
-        raise DegenerateInputError("covariance needs at least two samples")
-    return float(np.mean((a - a.mean()) * (b - b.mean())))
 
 
 def correlation_matrix(z: Node) -> Node:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -214,15 +216,50 @@ class FrozenStructures:
 
 @dataclass
 class BagForward:
-    """One bag's losses plus what the update step needs afterwards."""
+    """One bag's losses plus what the update step needs afterwards.
+
+    ``terms`` names the loss nodes that ``loss`` is built from: ``loss_ins``
+    and ``loss_sem`` carry their lambda weight, and the contrastive terms
+    (``loss_con_sd`` and ``loss_con_ds`` under M4, ``loss_con_ins`` and
+    ``loss_con_sem`` under M3) are summed and weighted by ``lambda_igcl``.
+    ``parts`` holds the unweighted branch losses as floats.
+    """
 
     loss: Node
+    terms: dict
     leaves: dict
     parts: dict
     approx: ib.ApproxLabels | None
     z_values: np.ndarray | None
     pseudo_hard: np.ndarray | None
     corr_values: np.ndarray | None
+
+
+def _instance_scores(feats: Node, param: Callable[[str], Node]) -> ib.InstanceScores:
+    """The instance branch forward: dual-softmax scores from the detection head."""
+    head = ib.DetectionHead(param("w_cls"), param("w_det"), param("w_bg"))
+    return ib.instance_probs(feats, head)
+
+
+def _semantic_chain(
+    feats: Node, w_sem: Node, state: TrainState, cfg: TrainConfig
+) -> tuple[Node, Node, sb.PseudoLabels]:
+    """The semantic branch forward: embeddings ``z``, their correlation
+    blended with the running buffer, and the refined pseudo-labels.
+
+    A bag with fewer than two proposals has no sample correlation; each
+    class then correlates only with itself (the identity).
+    """
+    z = sb.project(feats, sb.SemanticProjector(w_sem))
+    if z.value.shape[0] >= 2:
+        corr = sb.correlation_matrix(z)
+    else:
+        corr = nm.as_node(np.eye(z.value.shape[1]))
+    if cfg.corr_sem_ema > 0.0:
+        corr = nm.add(
+            nm.scale(corr, 1.0 - cfg.corr_sem_ema), cfg.corr_sem_ema * state.corr_buffer
+        )
+    return z, corr, sb.pseudo_labels(corr, z)
 
 
 def forward_losses(
@@ -260,13 +297,12 @@ def forward_losses(
 
     feats = nm.as_node(bag.features)
     parts = {"loss_ins": 0.0, "loss_sem": 0.0, "loss_igcl": 0.0}
-    terms: list[Node] = []
+    terms: dict[str, Node] = {}
+    weighted: list[Node] = []
 
     scores = approx = None
     if need_ins_branch:
-        pick = leaf if wrap_head else fixed
-        head = ib.DetectionHead(pick("w_cls"), pick("w_det"), pick("w_bg"))
-        scores = ib.instance_probs(feats, head)
+        scores = _instance_scores(feats, leaf if wrap_head else fixed)
         approx = (
             frozen.approx
             if frozen is not None and frozen.approx is not None
@@ -275,25 +311,21 @@ def forward_losses(
     if "M1" in active:
         l_ins = ib.instance_loss(scores, approx, bag.tags)
         parts["loss_ins"] = float(l_ins.value)
-        terms.append(nm.scale(l_ins, cfg.lambda_ins))
+        terms["loss_ins"] = nm.scale(l_ins, cfg.lambda_ins)
+        weighted.append(terms["loss_ins"])
 
     z = pseudo = corr = None
     if need_sem_branch:
-        pick = leaf if wrap_sem else fixed
-        proj = sb.SemanticProjector(pick("w_sem"))
-        z = sb.project(feats, proj)
-        corr = sb.correlation_matrix(z)
-        if cfg.corr_sem_ema > 0.0:
-            corr = nm.add(
-                nm.scale(corr, 1.0 - cfg.corr_sem_ema), cfg.corr_sem_ema * state.corr_buffer
-            )
-        pseudo = sb.pseudo_labels(corr, z)
+        z, corr, pseudo = _semantic_chain(
+            feats, (leaf if wrap_sem else fixed)("w_sem"), state, cfg
+        )
         if frozen is not None and frozen.pseudo_hard is not None:
             pseudo = sb.PseudoLabels(scores=pseudo.scores, labels=frozen.pseudo_hard)
     if "M2" in active:
         l_sem = sb.semantic_loss(z, pseudo, state.centers)
         parts["loss_sem"] = float(l_sem.value)
-        terms.append(nm.scale(l_sem, cfg.lambda_sem))
+        terms["loss_sem"] = nm.scale(l_sem, cfg.lambda_sem)
+        weighted.append(terms["loss_sem"])
 
     if need_gcl:
         u = u_p = v = v_p = None
@@ -328,23 +360,19 @@ def forward_losses(
             )
         emb = gc.Embeddings(u=u, u_prime=u_p, v=v, v_prime=v_p)
         if "M4" in active:
-            l_gcl = gc.igcl_loss(emb, cfg.tau)
+            contrast = gc.igcl_terms(emb, cfg.tau)
         else:
-            l_gcl = gc.independent_gcl_loss(
+            contrast = gc.independent_gcl_terms(
                 emb, cfg.tau, instance_side=cfg.m1, semantic_side=cfg.m2
             )
+        terms.update(contrast)
+        l_gcl = reduce(nm.add, contrast.values())
         parts["loss_igcl"] = float(l_gcl.value)
-        terms.append(nm.scale(l_gcl, cfg.lambda_igcl))
-
-    if terms:
-        loss = terms[0]
-        for t in terms[1:]:
-            loss = nm.add(loss, t)
-    else:
-        loss = Node(0.0)
+        weighted.append(nm.scale(l_gcl, cfg.lambda_igcl))
 
     return BagForward(
-        loss=loss,
+        loss=reduce(nm.add, weighted) if weighted else Node(0.0),
+        terms=terms,
         leaves=leaves,
         parts=parts,
         approx=approx,
@@ -352,11 +380,6 @@ def forward_losses(
         pseudo_hard=None if pseudo is None else pseudo.labels,
         corr_values=None if corr is None else corr.value,
     )
-
-
-def composite_loss(bag: Bag, state: TrainState, cfg: TrainConfig) -> Node:
-    """Weighted sum of the active branch losses for one bag."""
-    return forward_losses(bag, state, cfg).loss
 
 
 # ---------------------------------------------------------------------------
@@ -519,27 +542,17 @@ def infer(bag: Bag, state: TrainState, cfg: TrainConfig) -> list[Detection]:
     then greedy NMS.
     """
     bag = filter_proposals(bag, cfg.min_proposal_side)
-    feats = Node(bag.features)
+    feats = nm.as_node(bag.features)
+
+    def param(name: str) -> Node:
+        return nm.as_node(state.params[name])
+
     score_matrix: np.ndarray | None = None
     if cfg.m1:
-        head = ib.DetectionHead(
-            Node(state.params["w_cls"]),
-            Node(state.params["w_det"]),
-            Node(state.params["w_bg"]),
-        )
-        score_matrix = ib.instance_probs(feats, head).corr_ins.value
+        score_matrix = _instance_scores(feats, param).corr_ins.value
     if cfg.m2:
-        z = sb.project(feats, sb.SemanticProjector(Node(state.params["w_sem"])))
-        if bag.size >= 2:
-            corr = sb.correlation_matrix(z)
-        else:
-            corr = Node(np.eye(state.n_classes))
-        if cfg.corr_sem_ema > 0.0:
-            corr = nm.add(
-                nm.scale(corr, 1.0 - cfg.corr_sem_ema),
-                Node(cfg.corr_sem_ema * state.corr_buffer),
-            )
-        sem_scores = nm.softmax_rows(sb.pseudo_labels(corr, z).scores).value
+        _, _, pseudo = _semantic_chain(feats, param("w_sem"), state, cfg)
+        sem_scores = nm.softmax_rows(pseudo.scores).value
         score_matrix = sem_scores if score_matrix is None else score_matrix * sem_scores
 
     detections: list[Detection] = []

@@ -322,6 +322,22 @@ def test_grad_check_detects_injected_fault(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_grad_check_audits_the_corr_sem_ema_blend(capsys, monkeypatch):
+    from weakdet import cli
+
+    audited = []
+    original = cli.run_checks
+
+    def spy(**kwargs):
+        audited.append(kwargs["cfg"].corr_sem_ema)
+        return original(**kwargs)
+
+    monkeypatch.setattr(cli, "run_checks", spy)
+    assert run(["grad-check", "--gc-seeds", "1", "--corr-sem-ema", "0.5"]) == 0
+    assert audited == [0.5]
+    assert capsys.readouterr().out.count("PASS") == 5
+
+
 def test_grad_check_all_lambdas_zero_trivially_passes(capsys):
     code = run(
         [

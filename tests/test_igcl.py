@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -10,16 +12,22 @@ from weakdet.igcl import (
     GcnProjector,
     build_instance_graph,
     build_semantic_graph,
-    compute_embeddings,
     gcn_forward,
-    igcl_loss,
-    independent_gcl_loss,
+    igcl_terms,
+    independent_gcl_terms,
     info_nce,
     one_hot_labels,
 )
 from weakdet.numerics import Node
+from weakdet.semantic_branch import (
+    SemanticProjector,
+    correlation_matrix,
+    project,
+    pseudo_labels,
+)
+from weakdet.trainer import TrainConfig, forward_losses, init_state
 
-from conftest import finite_difference, max_rel_err
+from conftest import finite_difference, make_bag, max_rel_err
 
 
 # ---------------------------------------------------------------- graphs
@@ -232,6 +240,17 @@ def _projectors(rng, dims, h=4, e=3):
     return [GcnProjector(Node(rng.standard_normal((d, h))), Node(rng.standard_normal((h, e)))) for d in dims]
 
 
+def _embed(feats, label_onehot, z, scores, projs, instance_graph, semantic_graph):
+    """The four projections as the training forward computes them."""
+    p_ins, p_ins2, p_sem, p_sem2 = projs
+    return Embeddings(
+        u=gcn_forward(instance_graph, feats, p_ins),
+        u_prime=gcn_forward(instance_graph, nm.as_node(label_onehot), p_ins2),
+        v=gcn_forward(semantic_graph, z, p_sem),
+        v_prime=gcn_forward(semantic_graph, scores, p_sem2),
+    )
+
+
 def test_compute_embeddings_rows_are_unit():
     rng = np.random.default_rng(4)
     m, d, k = 5, 6, 3
@@ -240,16 +259,12 @@ def test_compute_embeddings_rows_are_unit():
     z = rng.standard_normal((m, k))
     scores = rng.standard_normal((m, k))
     labels = rng.integers(0, k + 1, size=m)
-    p_ins, p_ins2, p_sem, p_sem2 = _projectors(rng, [d, k + 1, k, k])
-    emb = compute_embeddings(
+    emb = _embed(
         Node(feats),
         one_hot_labels(labels, k + 1),
         Node(z),
         Node(scores),
-        p_ins,
-        p_ins2,
-        p_sem,
-        p_sem2,
+        _projectors(rng, [d, k + 1, k, k]),
         build_instance_graph(boxes),
         build_semantic_graph(z),
     )
@@ -259,16 +274,12 @@ def test_compute_embeddings_rows_are_unit():
 
 def test_compute_embeddings_singleton_bag():
     rng = np.random.default_rng(5)
-    p_ins, p_ins2, p_sem, p_sem2 = _projectors(rng, [4, 3, 2, 2])
-    emb = compute_embeddings(
+    emb = _embed(
         Node(rng.standard_normal((1, 4))),
         one_hot_labels(np.array([0]), 3),
         Node(rng.standard_normal((1, 2))),
         Node(rng.standard_normal((1, 2))),
-        p_ins,
-        p_ins2,
-        p_sem,
-        p_sem2,
+        _projectors(rng, [4, 3, 2, 2]),
         build_instance_graph([Box(0, 0, 10, 10)]),
         build_semantic_graph(rng.standard_normal((1, 2))),
     )
@@ -278,22 +289,31 @@ def test_compute_embeddings_singleton_bag():
 
 
 def test_compute_embeddings_equals_gcn_composition():
+    """The training forward contrasts the GCN projections of its inputs."""
     rng = np.random.default_rng(6)
-    m, d, k = 4, 5, 3
-    boxes = [Box(i * 3, 0, i * 3 + 15, 15) for i in range(m)]
-    feats = rng.standard_normal((m, d))
-    z = rng.standard_normal((m, k))
-    scores = rng.standard_normal((m, k))
-    labels = rng.integers(0, k + 1, size=m)
-    p_ins, p_ins2, p_sem, p_sem2 = _projectors(rng, [d, k + 1, k, k])
-    ig = build_instance_graph(boxes)
-    sg = build_semantic_graph(z)
-    emb = compute_embeddings(
-        Node(feats), one_hot_labels(labels, k + 1), Node(z), Node(scores),
-        p_ins, p_ins2, p_sem, p_sem2, ig, sg,
+    bag = make_bag(rng, m=5, n_classes=3, feature_dim=8)
+    cfg = TrainConfig(hidden_dim=4, embed_dim=3)
+    state = init_state(cfg, 3, 8)
+    fwd = forward_losses(bag, state, cfg)
+
+    def proj(tag):
+        p = state.params
+        return GcnProjector(Node(p[f"gcn_{tag}_w1"]), Node(p[f"gcn_{tag}_w2"]))
+
+    feats = Node(bag.features)
+    z = project(feats, SemanticProjector(Node(state.params["w_sem"])))
+    scores = pseudo_labels(correlation_matrix(z), z).scores
+    emb = _embed(
+        feats,
+        one_hot_labels(fwd.approx.labels, 4),
+        z,
+        scores,
+        [proj("ins"), proj("ins_p"), proj("sem"), proj("sem_p")],
+        build_instance_graph(bag.proposals, cfg.graph_iou),
+        build_semantic_graph(z.value, cfg.knn_k),
     )
-    assert np.array_equal(emb.u.value, gcn_forward(ig, Node(feats), p_ins).value)
-    assert np.array_equal(emb.v.value, gcn_forward(sg, Node(z), p_sem).value)
+    assert fwd.terms["loss_con_sd"].value == info_nce(emb.u, emb.v, cfg.tau).value
+    assert fwd.terms["loss_con_ds"].value == info_nce(emb.u_prime, emb.v_prime, cfg.tau).value
 
 
 # ---------------------------------------------------------------- InfoNCE
@@ -359,11 +379,16 @@ def _unit_rows(rng, m, e):
 def test_igcl_loss_is_sum_of_both_directions():
     rng = np.random.default_rng(9)
     emb = Embeddings(*(Node(_unit_rows(rng, 4, 3)) for _ in range(4)))
-    total = float(igcl_loss(emb, 5.0).value)
-    parts = float(info_nce(emb.u, emb.v, 5.0).value) + float(
-        info_nce(emb.u_prime, emb.v_prime, 5.0).value
-    )
-    assert abs(total - parts) < 1e-12
+    terms = igcl_terms(emb, 5.0)
+    assert list(terms) == ["loss_con_sd", "loss_con_ds"]
+    assert terms["loss_con_sd"].value == info_nce(emb.u, emb.v, 5.0).value
+    assert terms["loss_con_ds"].value == info_nce(emb.u_prime, emb.v_prime, 5.0).value
+
+    bag = make_bag(rng, m=5, n_classes=3, feature_dim=8)
+    cfg = TrainConfig(hidden_dim=4, embed_dim=3)
+    fwd = forward_losses(bag, init_state(cfg, 3, 8), cfg)
+    parts = float(fwd.terms["loss_con_sd"].value) + float(fwd.terms["loss_con_ds"].value)
+    assert fwd.parts["loss_igcl"] == parts
 
 
 def test_igcl_aligned_pairs_decreases_with_tau():
@@ -372,7 +397,7 @@ def test_igcl_aligned_pairs_decreases_with_tau():
     emb = Embeddings(Node(u), Node(u), Node(u), Node(u))
     prev = np.inf
     for tau in (1.0, 3.0, 10.0, 30.0):
-        val = float(igcl_loss(emb, tau).value)
+        val = sum(float(t.value) for t in igcl_terms(emb, tau).values())
         assert val < prev
         prev = val
     assert prev < 1e-6  # aligned pairs, large tau: loss approaches zero
@@ -381,22 +406,27 @@ def test_igcl_aligned_pairs_decreases_with_tau():
 def test_igcl_singleton_is_zero():
     rng = np.random.default_rng(11)
     emb = Embeddings(*(Node(_unit_rows(rng, 1, 3)) for _ in range(4)))
-    assert float(igcl_loss(emb, 5.0).value) == 0.0
-    assert float(independent_gcl_loss(emb, 5.0).value) == 0.0
+    for terms in (igcl_terms(emb, 5.0), independent_gcl_terms(emb, 5.0)):
+        assert all(float(t.value) == 0.0 for t in terms.values())
 
 
 def test_independent_gcl_is_sum_of_self_contrasts():
     rng = np.random.default_rng(12)
     emb = Embeddings(*(Node(_unit_rows(rng, 4, 3)) for _ in range(4)))
-    total = float(independent_gcl_loss(emb, 5.0).value)
-    parts = float(info_nce(emb.u, emb.u_prime, 5.0).value) + float(
-        info_nce(emb.v, emb.v_prime, 5.0).value
-    )
-    assert abs(total - parts) < 1e-12
-    single = float(independent_gcl_loss(emb, 5.0, semantic_side=False).value)
-    assert abs(single - float(info_nce(emb.u, emb.u_prime, 5.0).value)) < 1e-12
+    terms = independent_gcl_terms(emb, 5.0)
+    assert list(terms) == ["loss_con_ins", "loss_con_sem"]
+    assert terms["loss_con_ins"].value == info_nce(emb.u, emb.u_prime, 5.0).value
+    assert terms["loss_con_sem"].value == info_nce(emb.v, emb.v_prime, 5.0).value
+    single = independent_gcl_terms(emb, 5.0, semantic_side=False)
+    assert list(single) == ["loss_con_ins"]
     with pytest.raises(ParameterError):
-        independent_gcl_loss(emb, 5.0, instance_side=False, semantic_side=False)
+        independent_gcl_terms(emb, 5.0, instance_side=False, semantic_side=False)
+
+    bag = make_bag(rng, m=5, n_classes=3, feature_dim=8)
+    cfg = TrainConfig(hidden_dim=4, embed_dim=3, modules=frozenset({"M1", "M2", "M3"}))
+    fwd = forward_losses(bag, init_state(cfg, 3, 8), cfg)
+    parts = float(fwd.terms["loss_con_ins"].value) + float(fwd.terms["loss_con_sem"].value)
+    assert fwd.parts["loss_igcl"] == parts
 
 
 def test_losses_invariant_under_bag_permutation():
@@ -406,8 +436,10 @@ def test_losses_invariant_under_bag_permutation():
     perm = rng.permutation(m)
     emb = Embeddings(*(Node(r) for r in rows))
     emb_p = Embeddings(*(Node(r[perm]) for r in rows))
-    for fn in (igcl_loss, independent_gcl_loss):
-        assert abs(float(fn(emb, 5.0).value) - float(fn(emb_p, 5.0).value)) < 1e-10
+    for fn in (igcl_terms, independent_gcl_terms):
+        terms, terms_p = fn(emb, 5.0), fn(emb_p, 5.0)
+        for name in terms:
+            assert abs(float(terms[name].value) - float(terms_p[name].value)) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -437,11 +469,11 @@ def test_igcl_gradients_through_projectors(seed):
             name: GcnProjector(Node(arrays[f"{name[0]}1"]), Node(arrays[f"{name[0]}2"]))
             for name in ("ins", "prime", "sem", "tem")
         }
-        emb = compute_embeddings(
+        emb = _embed(
             Node(feats), onehot, Node(z_vals), Node(scores),
-            projs["ins"], projs["prime"], projs["sem"], projs["tem"], ig, sg,
+            [projs["ins"], projs["prime"], projs["sem"], projs["tem"]], ig, sg,
         )
-        return igcl_loss(emb, 5.0), projs
+        return reduce(nm.add, igcl_terms(emb, 5.0).values()), projs
 
     loss, projs = build()
     nm.backward(loss)

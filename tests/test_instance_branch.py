@@ -9,7 +9,6 @@ from weakdet.instance_branch import (
     InstanceScores,
     aggregate_lse,
     approx_labels,
-    baseline_scores,
     instance_loss,
     instance_probs,
 )
@@ -29,35 +28,10 @@ def make_head(rng, d, k):
 # ---------------------------------------------------------------- scores
 
 
-def test_baseline_singleton_bag_gives_ones():
-    rng = np.random.default_rng(0)
-    head = make_head(rng, 4, 3)
-    out = baseline_scores(Node(rng.standard_normal((1, 4))), head)
-    assert np.allclose(out.value, 1.0, atol=1e-15)
-
-
-def test_baseline_identical_rows_split_evenly():
-    rng = np.random.default_rng(1)
-    head = make_head(rng, 4, 3)
-    row = rng.standard_normal(4)
-    out = baseline_scores(Node(np.vstack([row, row])), head)
-    assert np.allclose(out.value, 0.5, atol=1e-12)
-
-
-def test_baseline_matches_direct_softmax_oracle():
-    rng = np.random.default_rng(2)
-    head = make_head(rng, 6, 4)
-    feats = rng.standard_normal((3, 6))
-    logits = feats @ head.w_det.value
-    expected = np.exp(logits) / np.exp(logits).sum(axis=0, keepdims=True)
-    out = baseline_scores(Node(feats), head)
-    assert np.abs(out.value - expected).max() < 1e-12
-
-
-def test_baseline_empty_bag():
+def test_instance_probs_empty_bag():
     rng = np.random.default_rng(3)
     with pytest.raises(EmptyBagError):
-        baseline_scores(Node(np.zeros((0, 4))), make_head(rng, 4, 2))
+        instance_probs(Node(np.zeros((0, 4))), make_head(rng, 4, 2))
 
 
 def test_instance_probs_contracts():

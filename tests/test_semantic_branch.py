@@ -9,7 +9,6 @@ from weakdet.semantic_branch import (
     correlation_matrix,
     project,
     pseudo_labels,
-    semantic_covariance,
     semantic_loss,
     update_centers,
 )
@@ -38,30 +37,6 @@ def test_project_matches_matmul_oracle():
     feats = rng.standard_normal((2, 3))
     out = project(Node(feats), SemanticProjector(Node(w)))
     assert np.abs(out.value - feats @ w.T).max() < 1e-15
-
-
-# ---------------------------------------------------------------- covariance
-
-
-def test_covariance_constant_is_zero():
-    assert semantic_covariance([2.0, 2.0, 2.0], [2.0, 2.0, 2.0]) == 0.0
-
-
-def test_covariance_self_is_variance():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal(10)
-    v = semantic_covariance(a, a)
-    assert v >= 0
-    assert abs(v - a.var()) < 1e-12
-
-
-def test_covariance_hand_value():
-    assert abs(semantic_covariance([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) - 4.0 / 3.0) < 1e-12
-
-
-def test_covariance_needs_two_samples():
-    with pytest.raises(DegenerateInputError):
-        semantic_covariance([1.0], [1.0])
 
 
 # ---------------------------------------------------------------- correlation

@@ -12,7 +12,6 @@ from weakdet.trainer import (
     SUB_METHODS,
     TrainConfig,
     _phase_masks,
-    composite_loss,
     forward_losses,
     infer,
     init_state,
@@ -99,7 +98,12 @@ def test_composite_equals_sum_of_parts(rng):
         0.7 * fwd.parts["loss_ins"] + 1.3 * fwd.parts["loss_sem"] + 0.5 * fwd.parts["loss_igcl"]
     )
     assert abs(float(fwd.loss.value) - expected) < 1e-12
-    assert abs(float(composite_loss(bag, state, cfg).value) - float(fwd.loss.value)) < 1e-12
+    named = (
+        float(fwd.terms["loss_ins"].value)
+        + float(fwd.terms["loss_sem"].value)
+        + 0.5 * (float(fwd.terms["loss_con_sd"].value) + float(fwd.terms["loss_con_ds"].value))
+    )
+    assert abs(float(fwd.loss.value) - named) < 1e-12
 
 
 def test_masked_modules_get_no_gradient_and_no_update(rng):
@@ -293,6 +297,23 @@ def test_instance_graph_built_once_per_bag_per_call(method, per_call, monkeypatc
     assert len(calls) == per_call * len(bags)
     train(bags, cfg)
     assert len(calls) == 2 * per_call * len(bags)
+
+
+@pytest.mark.parametrize("method", sorted(SUB_METHODS))
+@pytest.mark.parametrize("corr_sem_ema", (0.0, 0.5))
+def test_single_proposal_bag_trains(method, corr_sem_ema, rng):
+    """A bag with one proposal and one tag has no sample correlation; the
+    semantic chain falls back to the identity, as inference does."""
+    lone = make_bag(rng, m=1, n_classes=3, feature_dim=8, n_pos=1, image_id="lone")
+    bags = [lone, make_bag(rng, m=4, n_classes=3, feature_dim=8)]
+    cfg = small_cfg(modules=SUB_METHODS[method], corr_sem_ema=corr_sem_ema)
+    state, history = train(bags, cfg)
+    assert len(history) == cfg.epochs
+    assert all(np.all(np.isfinite(v)) for v in state.params.values())
+    if cfg.m2:
+        fwd = forward_losses(lone, state, cfg)
+        blend = (1.0 - corr_sem_ema) * np.eye(3) + corr_sem_ema * state.corr_buffer
+        assert np.array_equal(fwd.corr_values, np.eye(3) if corr_sem_ema == 0.0 else blend)
 
 
 def test_sequential_phase_mode_runs_and_differs():
