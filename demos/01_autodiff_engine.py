@@ -31,10 +31,10 @@ print("=" * 60)
 print("2. backward pass")
 print("=" * 60)
 
-w = Node(np.array([1.5, -2.0, 0.25]))
-loss = nm.scale(nm.total(nm.mul(w, w)), 0.5)  # 0.5 * ||w||^2
+w = Node(np.array([[1.5, -2.0, 0.25]]))
+loss = nm.scale(nm.matmul_nt(w, w), 0.5)  # 0.5 * w @ w.T = 0.5 * ||w||^2
 nm.backward(loss)
-print("d(0.5 ||w||^2)/dw =", w.grad, " (equals w itself)")
+print("d(0.5 ||w||^2)/dw =", w.grad.ravel(), " (equals w itself)")
 
 print()
 print("=" * 60)
@@ -47,8 +47,8 @@ x_data = rng.standard_normal((3, 4))
 
 def forward(data):
     x = Node(data)
-    y = nm.logsumexp_rows(nm.softmax_rows(x))
-    return nm.mean(y), x
+    # smooth maximum of the column sums of a row-wise softmax
+    return nm.smooth_max_lse(nm.sum_cols(nm.softmax_rows(x)), 2.0), x
 
 
 loss, x = forward(x_data)

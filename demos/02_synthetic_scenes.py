@@ -6,6 +6,9 @@ distractors; features are class prototypes mixed with the prototypes of
 co-present classes plus noise. Image-level tags are all a trainer may see.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from weakdet.datamodel import (
@@ -54,8 +57,10 @@ print(f"   after : {filter_proposals(bag, 16.0).size} proposals "
       f"(generated boxes here are all large enough)")
 print()
 
-save_jsonl("/tmp/weakdet_demo.jsonl", bags, gts)
-loaded, loaded_gts = load_jsonl("/tmp/weakdet_demo.jsonl")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "scenes.jsonl")
+    save_jsonl(path, bags, gts)
+    loaded, loaded_gts = load_jsonl(path)
 same = all(
     a.proposals == b.proposals and np.array_equal(a.features, b.features)
     for a, b in zip(bags, loaded)

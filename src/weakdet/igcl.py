@@ -96,7 +96,7 @@ def gcn_forward(graph: GraphAdjacency, h: Node, proj: GcnProjector) -> Node:
     if h.value.shape[0] != graph.size:
         raise ShapeError("node features do not match graph size")
     hidden = nm.relu(nm.propagate(graph.a_hat, h, proj.w1))
-    return nm.normalize_rows(nm.propagate(graph.a_hat, hidden, proj.w2), strict=False)
+    return nm.propagate_unit(graph.a_hat, hidden, proj.w2)
 
 
 @dataclass

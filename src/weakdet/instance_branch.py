@@ -3,12 +3,14 @@
 Per-instance class probabilities come from the product of two softmaxes
 over the same features (one across classes per instance, one across
 instances per class), so every class column of ``corr_ins`` sums to at most
-one and the summed image scores stay in [0, 1]. A smooth log-sum-exp pool
-gives the per-class image view; thresholding against each positive class's
-top score induces approximate instance labels; the branch loss combines
-per-class binary cross-entropy on image scores with a weighted (K+1)-way
-cross-entropy on per-instance distributions that include an explicit
-background column.
+one and the summed image scores stay in [0, 1]. The per-class image score
+is that column sum (WSDDN sum pooling, arXiv 1511.02853); the smooth
+log-sum-exp pool :func:`aggregate_lse` is not part of training, so the
+``lse_sharpness`` config key currently has no effect. Thresholding against
+each positive class's top score induces approximate instance labels; the
+branch loss combines per-class binary cross-entropy on image scores with a
+weighted (K+1)-way cross-entropy on per-instance distributions that include
+an explicit background column, as one fused node.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def instance_probs(features: Node, head: DetectionHead) -> InstanceScores:
 
 
 def aggregate_lse(corr_ins: Node, r: float) -> Node:
-    """Smooth per-class maximum of the instance scores (image-level view)."""
+    """Smooth per-class maximum of the instance scores; an alternative image
+    view that training does not use."""
     return nm.lse_columns(corr_ins, r)
 
 
@@ -142,14 +145,7 @@ def instance_loss(scores: InstanceScores, labels: ApproxLabels, tags: np.ndarray
     if missing.size:
         raise ContractError(f"tagged class {missing[0]} has no labelled instance")
 
-    clamped = nm.clip(scores.image_scores, SCORE_EPS, 1.0 - SCORE_EPS)
-    pos = nm.mul(nm.log(clamped), tags)
-    negv = nm.mul(nm.log(nm.sub(np.ones_like(tags), clamped)), 1.0 - tags)
-    image_term = nm.neg(nm.total(nm.add(pos, negv)))
-
     m = labels.labels.size
     mask = np.zeros((m, n_classes + 1), dtype=np.float64)
     mask[np.arange(m), labels.labels] = labels.seed_weights
-    log_s = nm.log_softmax_rows(scores.s_logits)
-    instance_term = nm.neg(nm.total(nm.mul(log_s, mask)))
-    return nm.add(image_term, instance_term)
+    return nm.bce_plus_weighted_ce(scores.image_scores, scores.s_logits, tags, mask, SCORE_EPS)

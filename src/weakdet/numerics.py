@@ -7,22 +7,22 @@ is a differentiable leaf; a raw array passed to an op is wrapped by
 :func:`as_node` as a constant, and an op result is differentiable when any of
 its operands is. :func:`backward` visits the differentiable nodes that reach
 the loss once each, in reverse creation order (every node is created after
-its operands), and gives each its ``grad`` buffer only when it reaches it.
+its operands). A node's first gradient contribution becomes its ``grad``
+buffer; later ones add into it (see :func:`_accumulate`).
 
 Every op validates its result: a NaN or Inf anywhere raises
 :class:`~weakdet.errors.NumericError` instead of propagating. Exponentials
 (softmax, log-sum-exp, log-softmax) are max-shifted.
 
-The fused ops at the end (:func:`propagate`, :func:`info_nce`,
-:func:`pearson_cols`, :func:`dual_softmax`) each build one node for what
-would otherwise be a chain of the elementary ops. Their forward repeats the
-chain's numpy expressions in the same order and memory layout, and their
-backward repeats its accumulation: an intermediate read by several ops of
-the chain sums their contributions in reverse creation order. Values and
-gradients are therefore bitwise those of the chain. (An intermediate may
-hold -0.0 where the chain's holds +0.0; no rule divides by a gradient, and a
-``grad`` buffer starts at +0.0 and only accumulates, so it stores the same
-bits.)
+The fused ops at the end each build one node for what would otherwise be a
+chain of elementary ops. Their forward repeats the chain's numpy expressions
+in the same order and memory layout, and their backward repeats its
+accumulation: an intermediate read by several ops of the chain sums their
+contributions in reverse creation order. Values and gradients are therefore
+bitwise those of the chain, except that a zero may carry the other sign.
+The sign of a zero never changes a nonzero result here (no rule divides by a
+gradient), and a leaf's buffer turns -0.0 into +0.0, so a leaf stores the
+same bits either way.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ class Node:
     is true for an explicit leaf, false for a constant made by
     :func:`as_node`, and for an op result true when any parent's is.
     ``grad`` is None until :func:`backward` reaches the node; from then on it
-    has the value's shape and holds d(loss)/d(node). Constants never get one.
+    is a C-contiguous array of the value's shape holding d(loss)/d(node).
+    Constants never get one.
     """
 
     __slots__ = ("value", "grad", "parents", "requires_grad", "_backward", "_consumed", "_order")
@@ -100,6 +101,32 @@ def as_node(x) -> Node:
     return node
 
 
+def _accumulate(node: Node, contrib, fresh: bool = True) -> None:
+    """Add one backward contribution to ``node.grad``.
+
+    The first contribution becomes the buffer. A ``fresh`` one (an array the
+    rule just computed and nobody else holds) is taken over when it is a
+    C-contiguous array of the node's shape; anything else, such as the
+    upstream gradient itself, a view or a broadcast, is copied into a new
+    C-ordered buffer. Either way the buffer equals ``0.0 + contrib``, as a
+    zero-filled one would: a leaf's -0.0 becomes +0.0 (an intermediate may
+    keep it, which only the sign of its zeros can show).
+    """
+    if node.grad is not None:
+        node.grad += contrib
+    elif (
+        fresh
+        and type(contrib) is np.ndarray
+        and contrib.flags.c_contiguous
+        and contrib.shape == node.value.shape
+    ):
+        if node._backward is None:
+            contrib += 0.0
+        node.grad = contrib
+    else:
+        node.grad = np.add(contrib, 0.0, out=np.empty(node.value.shape))
+
+
 def backward(loss: Node) -> None:
     """Accumulate d(loss)/d(node) into ``grad`` for every differentiable node
     that reaches the loss.
@@ -124,8 +151,6 @@ def backward(loss: Node) -> None:
             if p.requires_grad and p._order not in reached:
                 reached[p._order] = p
                 stack.append(p)
-                if p.grad is None:
-                    p.grad = np.zeros(p.value.shape)
     for key in sorted(reached, reverse=True):
         node = reached[key]
         node._consumed = True
@@ -136,6 +161,14 @@ def backward(loss: Node) -> None:
 # ---------------------------------------------------------------------------
 # elementwise and structural ops
 # ---------------------------------------------------------------------------
+#
+# The benchmark's per-layer table (BENCHMARK.json) names each op below, so
+# every one stays here even where only the fused ops' test oracles build it.
+
+
+def _unary(a: Node, value, rule: Callable, fresh: bool = True) -> Node:
+    """A node on one operand whose backward adds ``rule(g)`` into ``a``."""
+    return Node(value, (a,), lambda g: _accumulate(a, rule(g), fresh))
 
 
 def _same_shape(a: Node, b: Node, opname: str) -> None:
@@ -150,9 +183,9 @@ def add(a, b) -> Node:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g, fresh=False)
         if b.requires_grad:
-            b.grad += g
+            _accumulate(b, g, fresh=False)
 
     out._backward = bw
     return out
@@ -165,9 +198,9 @@ def sub(a, b) -> Node:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g, fresh=False)
         if b.requires_grad:
-            b.grad -= g
+            _accumulate(b, -g)
 
     out._backward = bw
     return out
@@ -175,13 +208,7 @@ def sub(a, b) -> Node:
 
 def neg(a) -> Node:
     a = as_node(a)
-    out = Node(-a.value, (a,))
-
-    def bw(g):
-        a.grad -= g
-
-    out._backward = bw
-    return out
+    return _unary(a, -a.value, lambda g: -g)
 
 
 def mul(a, b) -> Node:
@@ -192,9 +219,9 @@ def mul(a, b) -> Node:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g * b.value
+            _accumulate(a, g * b.value)
         if b.requires_grad:
-            b.grad += g * a.value
+            _accumulate(b, g * a.value)
 
     out._backward = bw
     return out
@@ -210,9 +237,9 @@ def div(a, b) -> Node:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g / b.value
+            _accumulate(a, g / b.value)
         if b.requires_grad:
-            b.grad -= g * a.value / (b.value * b.value)
+            _accumulate(b, -(g * a.value / (b.value * b.value)))
 
     out._backward = bw
     return out
@@ -222,13 +249,7 @@ def scale(a, c: float) -> Node:
     """Multiply by a scalar constant."""
     a = as_node(a)
     c = float(c)
-    out = Node(a.value * c, (a,))
-
-    def bw(g):
-        a.grad += g * c
-
-    out._backward = bw
-    return out
+    return _unary(a, a.value * c, lambda g: g * c)
 
 
 def matmul(a, b) -> Node:
@@ -244,25 +265,24 @@ def matmul(a, b) -> Node:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g @ b.value.T
+            _accumulate(a, g @ b.value.T)
         if b.requires_grad:
-            b.grad += a.value.T @ g
+            _accumulate(b, a.value.T @ g)
 
     out._backward = bw
     return out
+
+
+def _matrix(a, opname: str) -> Node:
+    a = as_node(a)
+    if a.value.ndim != 2:
+        raise ShapeError(f"{opname} expects a 2-D node")
+    return a
 
 
 def transpose(a) -> Node:
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("transpose expects a 2-D node")
-    out = Node(a.value.T.copy(), (a,))
-
-    def bw(g):
-        a.grad += g.T
-
-    out._backward = bw
-    return out
+    a = _matrix(a, "transpose")
+    return _unary(a, a.value.T.copy(), lambda g: g.T, fresh=False)
 
 
 def hconcat(a, b) -> Node:
@@ -275,9 +295,9 @@ def hconcat(a, b) -> Node:
 
     def bw(g):
         if a.requires_grad:
-            a.grad += g[:, :na]
+            _accumulate(a, g[:, :na], fresh=False)
         if b.requires_grad:
-            b.grad += g[:, na:]
+            _accumulate(b, g[:, na:], fresh=False)
 
     out._backward = bw
     return out
@@ -286,83 +306,40 @@ def hconcat(a, b) -> Node:
 def relu(a) -> Node:
     a = as_node(a)
     mask = a.value > 0
-    out = Node(np.where(mask, a.value, 0.0), (a,))
-
-    def bw(g):
-        a.grad += g * mask
-
-    out._backward = bw
-    return out
+    return _unary(a, np.where(mask, a.value, 0.0), lambda g: g * mask)
 
 
 def log(a) -> Node:
     a = as_node(a)
     if np.any(a.value <= 0):
         raise NumericError("log: non-positive input")
-    out = Node(np.log(a.value), (a,))
-
-    def bw(g):
-        a.grad += g / a.value
-
-    out._backward = bw
-    return out
-
-
-def exp(a) -> Node:
-    a = as_node(a)
-    with np.errstate(over="ignore"):  # Node() turns the inf into NumericError
-        out = Node(np.exp(a.value), (a,))
-    val = out.value
-
-    def bw(g):
-        a.grad += g * val
-
-    out._backward = bw
-    return out
+    return _unary(a, np.log(a.value), lambda g: g / a.value)
 
 
 def sqrt(a) -> Node:
     a = as_node(a)
     if np.any(a.value < 0):
         raise NumericError("sqrt: negative input")
-    out = Node(np.sqrt(a.value), (a,))
-    val = out.value
-
-    def bw(g):
-        a.grad += g / (2.0 * np.maximum(val, EPS_NORM))
-
-    out._backward = bw
-    return out
+    val = np.sqrt(a.value)
+    return _unary(a, val, lambda g: g / (2.0 * np.maximum(val, EPS_NORM)))
 
 
 def clip(a, lo: float, hi: float) -> Node:
     """Clamp to [lo, hi]; gradient passes only through the interior."""
     a = as_node(a)
     mask = (a.value > lo) & (a.value < hi)
-    out = Node(np.clip(a.value, lo, hi), (a,))
-
-    def bw(g):
-        a.grad += g * mask
-
-    out._backward = bw
-    return out
+    return _unary(a, np.clip(a.value, lo, hi), lambda g: g * mask)
 
 
 # ---------------------------------------------------------------------------
-# reductions
+# reductions (their gradients broadcast, so the first one is copied)
 # ---------------------------------------------------------------------------
 
 
 def total(a) -> Node:
     """Sum of all entries, as a scalar node."""
     a = as_node(a)
-    out = Node(np.sum(a.value), (a,))
-
-    def bw(g):
-        a.grad += g  # broadcasts over the full array
-
-    out._backward = bw
-    return out
+    return _unary(a, np.sum(a.value), lambda g: g, fresh=False)
 
 
 def mean(a) -> Node:
@@ -371,56 +348,34 @@ def mean(a) -> Node:
     n = a.value.size
     if n == 0:
         raise ShapeError("mean of an empty tensor")
-    out = Node(np.sum(a.value) / n, (a,))
-
-    def bw(g):
-        a.grad += g / n
-
-    out._backward = bw
-    return out
+    return _unary(a, np.sum(a.value) / n, lambda g: g / n, fresh=False)
 
 
 def sum_rows(a) -> Node:
     """Row sums of a 2-D node -> 1-D node of length m."""
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("sum_rows expects a 2-D node")
-    out = Node(a.value.sum(axis=1), (a,))
-
-    def bw(g):
-        a.grad += g[:, None]
-
-    out._backward = bw
-    return out
+    a = _matrix(a, "sum_rows")
+    return _unary(a, a.value.sum(axis=1), lambda g: g[:, None], fresh=False)
 
 
 def sum_cols(a) -> Node:
     """Column sums of a 2-D node -> 1-D node of length n."""
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("sum_cols expects a 2-D node")
-    out = Node(a.value.sum(axis=0), (a,))
-
-    def bw(g):
-        a.grad += g[None, :]
-
-    out._backward = bw
-    return out
+    a = _matrix(a, "sum_cols")
+    return _unary(a, a.value.sum(axis=0), lambda g: g[None, :], fresh=False)
 
 
 def diag_part(a) -> Node:
     """Diagonal of a square 2-D node as a 1-D node."""
-    a = as_node(a)
-    if a.value.ndim != 2 or a.value.shape[0] != a.value.shape[1]:
+    a = _matrix(a, "diag_part")
+    if a.value.shape[0] != a.value.shape[1]:
         raise ShapeError("diag_part expects a square 2-D node")
-    out = Node(np.diagonal(a.value).copy(), (a,))
-    n = a.value.shape[0]
+    diag = np.arange(a.value.shape[0])
 
-    def bw(g):
-        a.grad[np.arange(n), np.arange(n)] += g
+    def rule(g):
+        full = np.zeros(a.value.shape)
+        full[diag, diag] = g
+        return full
 
-    out._backward = bw
-    return out
+    return _unary(a, np.diagonal(a.value).copy(), rule)
 
 
 def outer(u, v) -> Node:
@@ -432,9 +387,9 @@ def outer(u, v) -> Node:
 
     def bw(g):
         if u.requires_grad:
-            u.grad += g @ v.value
+            _accumulate(u, g @ v.value)
         if v.requires_grad:
-            v.grad += g.T @ u.value
+            _accumulate(v, g.T @ u.value)
 
     out._backward = bw
     return out
@@ -442,17 +397,9 @@ def outer(u, v) -> Node:
 
 def center_cols(a) -> Node:
     """Subtract each column's mean (over rows)."""
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("center_cols expects a 2-D node")
-    m = a.value.shape[0]
-    out = Node(a.value - a.value.mean(axis=0, keepdims=True), (a,))
-
-    def bw(g):
-        a.grad += g - g.mean(axis=0, keepdims=True)
-
-    out._backward = bw
-    return out
+    a = _matrix(a, "center_cols")
+    centered = a.value - a.value.mean(axis=0, keepdims=True)
+    return _unary(a, centered, lambda g: g - g.mean(axis=0, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -466,70 +413,38 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def _softmax_along(a, axis: int, opname: str) -> Node:
+    a = _matrix(a, opname)
+    s = _softmax(a.value, axis)
+    return _unary(a, s, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True)))
+
+
 def softmax_rows(a) -> Node:
     """Softmax along each row of a 2-D node."""
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("softmax_rows expects a 2-D node")
-    s = _softmax(a.value, axis=1)
-    out = Node(s, (a,))
-
-    def bw(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        a.grad += s * (g - dot)
-
-    out._backward = bw
-    return out
+    return _softmax_along(a, 1, "softmax_rows")
 
 
 def softmax_cols(a) -> Node:
     """Softmax along each column of a 2-D node."""
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("softmax_cols expects a 2-D node")
-    s = _softmax(a.value, axis=0)
-    out = Node(s, (a,))
-
-    def bw(g):
-        dot = (g * s).sum(axis=0, keepdims=True)
-        a.grad += s * (g - dot)
-
-    out._backward = bw
-    return out
+    return _softmax_along(a, 0, "softmax_cols")
 
 
 def log_softmax_rows(a) -> Node:
     """Row-wise log-softmax; stable replacement for log(softmax_rows(x))."""
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("log_softmax_rows expects a 2-D node")
+    a = _matrix(a, "log_softmax_rows")
     shifted = a.value - a.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Node(shifted - lse, (a,))
-    s = np.exp(out.value)
-
-    def bw(g):
-        a.grad += g - s * g.sum(axis=1, keepdims=True)
-
-    out._backward = bw
-    return out
+    log_s = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    s = np.exp(log_s)
+    return _unary(a, log_s, lambda g: g - s * g.sum(axis=1, keepdims=True))
 
 
 def logsumexp_rows(a) -> Node:
     """Row-wise log(sum(exp(.))) of a 2-D node -> 1-D node."""
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("logsumexp_rows expects a 2-D node")
+    a = _matrix(a, "logsumexp_rows")
     mx = a.value.max(axis=1, keepdims=True)
     lse = np.log(np.exp(a.value - mx).sum(axis=1, keepdims=True)) + mx
-    out = Node(lse[:, 0], (a,))
     s = _softmax(a.value, axis=1)
-
-    def bw(g):
-        a.grad += s * g[:, None]
-
-    out._backward = bw
-    return out
+    return _unary(a, lse[:, 0], lambda g: s * g[:, None])
 
 
 def smooth_max_lse(s, r: float) -> Node:
@@ -549,21 +464,13 @@ def smooth_max_lse(s, r: float) -> Node:
         raise ParameterError(f"smooth_max_lse needs r > 0, got {r}")
     mx = s.value.max()
     val = (np.log(np.exp(r * (s.value - mx)).sum() / n)) / r + mx
-    out = Node(val, (s,))
     w = _softmax(r * s.value, axis=0)
-
-    def bw(g):
-        s.grad += g * w
-
-    out._backward = bw
-    return out
+    return _unary(s, val, lambda g: g * w)
 
 
 def lse_columns(a, r: float) -> Node:
     """Apply :func:`smooth_max_lse` to each column of a 2-D node -> 1-D node."""
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("lse_columns expects a 2-D node")
+    a = _matrix(a, "lse_columns")
     m = a.value.shape[0]
     if m == 0:
         raise ShapeError("lse_columns of an empty matrix")
@@ -572,73 +479,39 @@ def lse_columns(a, r: float) -> Node:
         raise ParameterError(f"lse_columns needs r > 0, got {r}")
     mx = a.value.max(axis=0, keepdims=True)
     val = np.log(np.exp(r * (a.value - mx)).sum(axis=0) / m) / r + mx[0]
-    out = Node(val, (a,))
     w = _softmax(r * a.value, axis=0)
-
-    def bw(g):
-        a.grad += w * g[None, :]
-
-    out._backward = bw
-    return out
+    return _unary(a, val, lambda g: w * g[None, :])
 
 
-# ---------------------------------------------------------------------------
-# geometry on vectors and rows
-# ---------------------------------------------------------------------------
+def _unit_rows(x: np.ndarray, strict: bool, opname: str):
+    """The rows of ``x`` scaled to unit L2 norm, and the rule taking their
+    gradient back to ``x``. A (near-)zero row raises
+    :class:`DegenerateInputError` when ``strict``; otherwise it stays a zero
+    row and passes zero gradient."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    bad = norms[:, 0] <= EPS_NORM
+    any_bad = bool(bad.any())
+    if any_bad:
+        if strict:
+            raise DegenerateInputError(f"{opname}: zero-norm row")
+        norms = np.where(norms <= EPS_NORM, 1.0, norms)
+    unit = x / norms
+    if any_bad:
+        unit[bad] = 0.0
 
+    def rule(g):
+        contrib = (g - unit * (g * unit).sum(axis=1, keepdims=True)) / norms
+        if any_bad:
+            contrib[bad] = 0.0
+        return contrib
 
-def cosine(u, v) -> Node:
-    """Cosine similarity of two 1-D nodes, in [-1, 1]."""
-    u, v = as_node(u), as_node(v)
-    if u.value.ndim != 1 or v.value.ndim != 1 or u.value.shape != v.value.shape:
-        raise ShapeError("cosine expects two 1-D nodes of equal length")
-    nu = np.linalg.norm(u.value)
-    nv = np.linalg.norm(v.value)
-    if nu <= EPS_NORM or nv <= EPS_NORM:
-        raise DegenerateInputError("cosine: near-zero norm operand")
-    c = float(u.value @ v.value) / (nu * nv)
-    out = Node(c, (u, v))
-
-    def bw(g):
-        g = float(g)
-        if u.requires_grad:
-            u.grad += g * (v.value / (nu * nv) - c * u.value / (nu * nu))
-        if v.requires_grad:
-            v.grad += g * (u.value / (nu * nv) - c * v.value / (nv * nv))
-
-    out._backward = bw
-    return out
+    return unit, rule
 
 
 def normalize_rows(a, strict: bool = True) -> Node:
-    """Scale each row of a 2-D node to unit L2 norm.
-
-    A (near-)zero row raises :class:`DegenerateInputError` when ``strict``;
-    otherwise it stays a zero row and receives zero gradient.
-    """
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("normalize_rows expects a 2-D node")
-    norms = np.linalg.norm(a.value, axis=1, keepdims=True)
-    bad = norms[:, 0] <= EPS_NORM
-    if bad.any():
-        if strict:
-            raise DegenerateInputError("normalize_rows: zero-norm row")
-        norms = np.where(norms <= EPS_NORM, 1.0, norms)
-    out_val = a.value / norms
-    if bad.any():
-        out_val[bad] = 0.0
-    out = Node(out_val, (a,))
-
-    def bw(g):
-        dot = (g * out_val).sum(axis=1, keepdims=True)
-        contrib = (g - out_val * dot) / norms
-        if bad.any():
-            contrib[bad] = 0.0
-        a.grad += contrib
-
-    out._backward = bw
-    return out
+    """Scale each row of a 2-D node to unit L2 norm (see :func:`_unit_rows`)."""
+    a = _matrix(a, "normalize_rows")
+    return _unary(a, *_unit_rows(a.value, strict, "normalize_rows"))
 
 
 # ---------------------------------------------------------------------------
@@ -646,31 +519,69 @@ def normalize_rows(a, strict: bool = True) -> Node:
 # ---------------------------------------------------------------------------
 
 
+def matmul_nt(a, b) -> Node:
+    """``a @ b.T`` for two 2-D nodes: the chain ``matmul(a, transpose(b))``,
+    whose transpose is a contiguous copy."""
+    a, b = as_node(a), as_node(b)
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise ShapeError("matmul_nt expects 2-D operands")
+    if a.value.shape[1] != b.value.shape[1]:
+        raise ShapeError(
+            f"matmul_nt: column counts {a.value.shape} and {b.value.shape} do not agree"
+        )
+    bt = b.value.T.copy()
+    out = Node(a.value @ bt, (a, b))
+
+    def bw(g):
+        if a.requires_grad:
+            _accumulate(a, g @ bt.T)
+        if b.requires_grad:
+            _accumulate(b, (a.value.T @ g).T, fresh=False)
+
+    out._backward = bw
+    return out
+
+
+def _propagated(a_hat: np.ndarray, h: Node, w: Node, opname: str) -> np.ndarray:
+    """``a_hat @ (h @ w)``, with the operand checks of both GCN ops."""
+    if a_hat.ndim != 2 or h.value.ndim != 2 or w.value.ndim != 2:
+        raise ShapeError(f"{opname} expects 2-D operands")
+    if h.value.shape[1] != w.value.shape[0] or a_hat.shape[1] != h.value.shape[0]:
+        raise ShapeError(
+            f"{opname}: shapes {a_hat.shape}, {h.value.shape}, {w.value.shape} do not chain"
+        )
+    hw = h.value @ w.value
+    if not all_finite(hw):
+        raise NumericError(f"{opname}: h @ w contains NaN or Inf")
+    return a_hat @ hw
+
+
+def _propagate_back(a_hat: np.ndarray, h: Node, w: Node, g: np.ndarray) -> None:
+    g_hw = a_hat.T @ g
+    if h.requires_grad:
+        _accumulate(h, g_hw @ w.value.T)
+    if w.requires_grad:
+        _accumulate(w, h.value.T @ g_hw)
+
+
 def propagate(a_hat: np.ndarray, h, w) -> Node:
     """One graph-convolution step ``a_hat @ (h @ w)`` (Kipf & Welling,
     arXiv 1609.02907): the chain ``matmul(a_hat, matmul(h, w))`` for a fixed
     adjacency ``a_hat``, which gets no gradient and no node."""
     h, w = as_node(h), as_node(w)
-    if a_hat.ndim != 2 or h.value.ndim != 2 or w.value.ndim != 2:
-        raise ShapeError("propagate expects 2-D operands")
-    if h.value.shape[1] != w.value.shape[0] or a_hat.shape[1] != h.value.shape[0]:
-        raise ShapeError(
-            f"propagate: shapes {a_hat.shape}, {h.value.shape}, {w.value.shape} do not chain"
-        )
-    hw = h.value @ w.value
-    if not all_finite(hw):
-        raise NumericError("propagate: h @ w contains NaN or Inf")
-    out = Node(a_hat @ hw, (h, w))
-
-    def bw(g):
-        g_hw = a_hat.T @ g
-        if h.requires_grad:
-            h.grad += g_hw @ w.value.T
-        if w.requires_grad:
-            w.grad += h.value.T @ g_hw
-
-    out._backward = bw
+    out = Node(_propagated(a_hat, h, w, "propagate"), (h, w))
+    out._backward = lambda g: _propagate_back(a_hat, h, w, g)
     return out
+
+
+def propagate_unit(a_hat: np.ndarray, h, w) -> Node:
+    """:func:`propagate`, then each row scaled to unit L2 norm: the chain
+    ``normalize_rows(propagate(a_hat, h, w), strict=False)``. A (near-)zero
+    row stays zero and passes no gradient."""
+    h, w = as_node(h), as_node(w)
+    # A non-finite product leaves a NaN in its unit rows, which Node rejects.
+    unit, rule = _unit_rows(_propagated(a_hat, h, w, "propagate_unit"), False, "propagate_unit")
+    return Node(unit, (h, w), lambda g: _propagate_back(a_hat, h, w, rule(g)))
 
 
 def info_nce(x, y, tau: float) -> Node:
@@ -705,9 +616,9 @@ def info_nce(x, y, tau: float) -> Node:
         g_sim[diag, diag] -= g_lse  # diag_part's term (the sum commutes)
         g_xy = g_sim * tau
         if x.requires_grad:
-            x.grad += g_xy @ yt.T
+            _accumulate(x, g_xy @ yt.T)
         if y.requires_grad:
-            y.grad += (x.value.T @ g_xy).T
+            _accumulate(y, (x.value.T @ g_xy).T, fresh=False)
 
     out._backward = bw
     return out
@@ -722,9 +633,7 @@ def pearson_cols(a, var_eps: float) -> Node:
     its row and column are zeroed and its diagonal entry is 1; those masks
     are data-dependent constants, like a ReLU's.
     """
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError("pearson_cols expects a 2-D node")
+    a = _matrix(a, "pearson_cols")
     m, d = a.value.shape
     if m == 0:
         raise ShapeError("pearson_cols of an empty matrix")
@@ -767,7 +676,7 @@ def pearson_cols(a, var_eps: float) -> Node:
         g_gram = g_cov * inv_m
         g_ct = g_gram @ c.T
         g_c = ct.T @ g_gram + g_ct.T
-        a.grad += g_c - g_c.mean(axis=0, keepdims=True)
+        _accumulate(a, g_c - g_c.mean(axis=0, keepdims=True))
 
     out._backward = bw
     return out
@@ -788,11 +697,71 @@ def dual_softmax(cls, det) -> Node:
         if det.requires_grad:
             g_cols = g * s_rows
             dot = (g_cols * s_cols).sum(axis=0, keepdims=True)
-            det.grad += s_cols * (g_cols - dot)
+            _accumulate(det, s_cols * (g_cols - dot))
         if cls.requires_grad:
             g_rows = g * s_cols
             dot = (g_rows * s_rows).sum(axis=1, keepdims=True)
-            cls.grad += s_rows * (g_rows - dot)
+            _accumulate(cls, s_rows * (g_rows - dot))
 
     out._backward = bw
+    return out
+
+
+def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> Node:
+    """Image-level binary cross-entropy plus weighted instance cross-entropy:
+    ``-sum(tags * log(c) + (1 - tags) * log(1 - c)) - sum(weights *
+    log_softmax_rows(s_logits))`` with ``c`` the image scores clamped to
+    ``[eps, 1 - eps]``. It is the chain clip, log, mul, sub, log, mul, add,
+    total, neg for the first term, log_softmax_rows, mul, total, neg for the
+    second, and a final add; ``tags`` and ``weights`` are constants.
+    """
+    image_scores, s_logits = as_node(image_scores), as_node(s_logits)
+    tags = np.asarray(tags, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if (image_scores.value.shape != tags.shape or tags.ndim != 1
+            or s_logits.value.shape != weights.shape or weights.ndim != 2):
+        raise ShapeError("bce_plus_weighted_ce: scores and tags must be 1-D, logits and "
+                         "weights 2-D, each pair of one shape")
+    eps = float(eps)
+    if not 0.0 < eps < 0.5:
+        raise ParameterError(f"bce_plus_weighted_ce needs 0 < eps < 0.5, got {eps}")
+    x = image_scores.value
+    inside = (x > eps) & (x < 1.0 - eps)
+    clamped = np.clip(x, eps, 1.0 - eps)
+    rest = 1.0 - clamped
+    untagged = 1.0 - tags
+    image_term = -np.sum(np.log(clamped) * tags + np.log(rest) * untagged)
+    shifted = s_logits.value - s_logits.value.max(axis=1, keepdims=True)
+    log_s = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    soft = np.exp(log_s)
+    out = Node(image_term + -np.sum(log_s * weights), (image_scores, s_logits))
+
+    def bw(g):
+        g_total = -g  # both totals' gradient, through neg
+        if s_logits.requires_grad:
+            g_log = g_total * weights
+            _accumulate(s_logits, g_log - soft * g_log.sum(axis=1, keepdims=True))
+        if image_scores.requires_grad:
+            # the chain's (0 - sub's term) + log's term, bit for bit
+            g_clamped = (g_total * tags) / clamped - (g_total * untagged) / rest
+            _accumulate(image_scores, g_clamped * inside)
+
+    out._backward = bw
+    return out
+
+
+def cosine_center_loss(z, targets) -> Node:
+    """Mean cosine misalignment ``1 - mean_i(unit(z_i) . targets_i)`` between
+    the rows of a 2-D node and constant unit rows: the chain
+    normalize_rows (strict), mul, sum_rows, mean and ``sub(1.0, .)``."""
+    z = as_node(z)
+    targets = np.asarray(targets, dtype=np.float64)
+    if z.value.ndim != 2 or z.value.shape != targets.shape:
+        raise ShapeError("cosine_center_loss expects two 2-D arrays of one shape")
+    m = z.value.shape[0]
+    if m == 0:
+        raise ShapeError("cosine_center_loss of an empty matrix")
+    unit, rule = _unit_rows(z.value, True, "cosine_center_loss")
+    out = Node(1.0 - np.sum((unit * targets).sum(axis=1)) / m, (z,))
+    out._backward = lambda g: _accumulate(z, rule(-g / m * targets))
     return out

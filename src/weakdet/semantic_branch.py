@@ -43,7 +43,7 @@ class PseudoLabels:
 
 def project(features: Node, proj: SemanticProjector) -> Node:
     """Semantic embeddings Z = features @ w_sem^T, one row per instance."""
-    return nm.matmul(features, nm.transpose(proj.w_sem))
+    return nm.matmul_nt(features, proj.w_sem)
 
 
 def correlation_matrix(z: Node) -> Node:
@@ -66,7 +66,7 @@ def pseudo_labels(corr_sem: Node, z: Node) -> PseudoLabels:
 
     Ties go to the lowest class index (numpy argmax convention).
     """
-    scores = nm.matmul(z, nm.transpose(corr_sem))
+    scores = nm.matmul_nt(z, corr_sem)
     labels = np.argmax(scores.value, axis=1).astype(np.int64)
     return PseudoLabels(scores=scores, labels=labels)
 
@@ -82,9 +82,7 @@ def semantic_loss(z: Node, pseudo: PseudoLabels, centers: np.ndarray) -> Node:
     norms = np.linalg.norm(selected, axis=1)
     if np.any(norms <= nm.EPS_NORM):
         raise DegenerateInputError("semantic_loss: zero-norm center")
-    z_unit = nm.normalize_rows(z, strict=True)
-    cos = nm.sum_rows(nm.mul(z_unit, selected / norms[:, None]))
-    return nm.sub(1.0, nm.mean(cos))
+    return nm.cosine_center_loss(z, selected / norms[:, None])
 
 
 def update_centers(

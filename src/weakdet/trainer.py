@@ -15,6 +15,7 @@ bit.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from functools import reduce
@@ -58,7 +59,7 @@ class TrainConfig:
     lambda_ins: float = 1.0
     lambda_sem: float = 1.0
     lambda_igcl: float = 1.0
-    lse_sharpness: float = 4.0  # r in the smooth-max pooling
+    lse_sharpness: float = 4.0  # r of the smooth-max pooling; inert (sum pooling)
     label_ratio: float = 0.9  # gamma: top-score ratio for induced labels
     center_rate: float = 0.05  # theta: EMA rate for class centers
     tau: float = 5.0  # contrastive inverse temperature
@@ -491,7 +492,9 @@ def train(
                         state.centers = sb.update_centers(
                             state.centers, fwd.z_values, fwd.pseudo_hard, cfg.center_rate
                         )
-                        if cfg.corr_sem_ema > 0.0 and fwd.corr_values is not None:
+                        # Under two proposals there is no sample correlation
+                        # to fold in, only the identity fallback.
+                        if cfg.corr_sem_ema > 0.0 and bags[i].size >= 2:
                             state.corr_buffer = (
                                 cfg.corr_sem_ema * state.corr_buffer
                                 + (1.0 - cfg.corr_sem_ema) * fwd.corr_values
@@ -603,37 +606,56 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Every read is checked against the bytes left and nothing may follow the
+    JSON tail, so a truncated, padded or garbled file raises
+    :class:`ParseError`.
+    """
     with open(path, "rb") as fh:
-        if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
-            raise ParseError("not a checkpoint file")
-        version, count = struct.unpack("<II", fh.read(8))
+        data = fh.read()
+    if data[: len(CKPT_MAGIC)] != CKPT_MAGIC:
+        raise ParseError("not a checkpoint file")
+    pos = len(CKPT_MAGIC)
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise ParseError(f"checkpoint truncated: {len(data)} bytes, needs {pos + n}")
+        pos += n
+        return data[pos - n : pos]
+
+    try:
+        version, count = struct.unpack("<II", take(8))
         if version != CKPT_VERSION:
             raise ParseError(f"unsupported checkpoint version {version}")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8")
-            tensors[name] = data.reshape(shape).astype(np.float64)
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(blob_len).decode())
-
-    rng = np.random.default_rng()
-    rng.bit_generator.state = meta["rng_state"]
-    params = {k[len("param/") :]: v for k, v in tensors.items() if k.startswith("param/")}
-    velocity = {
-        k[len("velocity/") :]: v for k, v in tensors.items() if k.startswith("velocity/")
-    }
-    return TrainState(
-        params=params,
-        velocity=velocity,
-        centers=tensors["centers"],
-        corr_buffer=tensors["corr_buffer"],
-        step=int(meta["step"]),
-        rng=rng,
-        n_classes=int(meta["n_classes"]),
-        feature_dim=int(meta["feature_dim"]),
-    )
+            (name_len,) = struct.unpack("<I", take(4))
+            name = take(name_len).decode()
+            (ndim,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{ndim}q", take(8 * ndim))
+            if any(d < 0 for d in shape):
+                raise ParseError(f"tensor {name!r} has a negative dimension")
+            raw = take(8 * math.prod(shape))
+            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        (blob_len,) = struct.unpack("<I", take(4))
+        meta = json.loads(take(blob_len).decode())
+        if pos != len(data):
+            raise ParseError(f"{len(data) - pos} trailing bytes after the checkpoint")
+        rng = np.random.default_rng()
+        rng.bit_generator.state = meta["rng_state"]
+        return TrainState(
+            params={k[len("param/") :]: v for k, v in tensors.items() if k.startswith("param/")},
+            velocity={
+                k[len("velocity/") :]: v for k, v in tensors.items() if k.startswith("velocity/")
+            },
+            centers=tensors["centers"],
+            corr_buffer=tensors["corr_buffer"],
+            step=int(meta["step"]),
+            rng=rng,
+            n_classes=int(meta["n_classes"]),
+            feature_dim=int(meta["feature_dim"]),
+        )
+    except (KeyError, TypeError, ValueError) as e:  # includes bad UTF-8 and JSON
+        raise ParseError(f"malformed checkpoint ({type(e).__name__}: {e})") from e

@@ -28,6 +28,17 @@ def finite_difference(loss_fn, arrays, step=1e-4):
     return grads
 
 
+def graph_nodes(root):
+    """Every node of the graph under ``root``, each once."""
+    nodes, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in nodes:
+                nodes[id(p)] = p
+                stack.append(p)
+    return list(nodes.values())
+
+
 def max_rel_err(analytic, fd, floor=1e-2):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
     return float((np.abs(analytic - fd) / denom).max())

@@ -201,6 +201,23 @@ def test_eval_rejects_mismatched_checkpoint(trained, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("damage", ["truncated", "padded"])
+def test_eval_rejects_a_damaged_checkpoint(trained, tmp_path, damage, capsys):
+    cfg_file, data, ckpt = trained
+    blob = ckpt.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[: len(blob) // 2] if damage == "truncated" else blob + b"\0")
+    capsys.readouterr()
+    code = run(
+        [
+            "eval", "--config", cfg_file, "--checkpoint", str(bad),
+            "--data", str(data / "test.jsonl"), "--out", str(tmp_path / "r.json"),
+        ]
+    )
+    assert code == 2
+    assert "checkpoint" in capsys.readouterr().err
+
+
 def test_perfect_oracle_checkpoint_gives_unit_map(tmp_path):
     # noise-free, jitter-free scenes; the prototype-initialized semantic
     # branch scores every true box above every distractor
@@ -336,6 +353,25 @@ def test_grad_check_audits_the_corr_sem_ema_blend(capsys, monkeypatch):
     assert run(["grad-check", "--gc-seeds", "1", "--corr-sem-ema", "0.5"]) == 0
     assert audited == [0.5]
     assert capsys.readouterr().out.count("PASS") == 5
+
+
+def _printed_losses(out):
+    return [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")]
+
+
+def test_grad_check_honours_modules(capsys):
+    assert run(["grad-check", "--gc-seeds", "1", "--modules", "M1"]) == 0
+    out = capsys.readouterr().out
+    assert _printed_losses(out) == ["loss_ins", "composite"]
+    assert "gcn_" not in out and "w_sem" not in out
+    assert run(["grad-check", "--gc-seeds", "1", "--modules", "M1,M2,M3"]) == 0
+    printed = _printed_losses(capsys.readouterr().out)
+    assert {"loss_con_ins", "loss_con_sem"} <= set(printed)
+    assert "loss_con_sd" not in printed and "loss_con_ds" not in printed
+
+
+def test_grad_check_rejects_an_invalid_mask(capsys):
+    assert run(["grad-check", "--gc-seeds", "1", "--modules", "M1,M4"]) == 2
 
 
 def test_grad_check_all_lambdas_zero_trivially_passes(capsys):

@@ -233,6 +233,29 @@ def test_gcn_two_node_fixture_matches_hand_propagation():
     assert np.abs(out - manual).max() < 1e-10
 
 
+def test_gcn_relu_parent_is_its_propagate_pre_activation(monkeypatch, rng):
+    """Each projector's first layer is ``relu(propagate(...))``: the relu
+    node's one parent is that propagate's output, the pre-activation a kink
+    check reads as ``relu_out.parents[0]``."""
+    made = {"propagate": [], "relu": []}
+    for name in made:
+        original = getattr(nm, name)
+
+        def spy(*args, _original=original, _seen=made[name]):
+            out = _original(*args)
+            _seen.append(out)
+            return out
+
+        monkeypatch.setattr(nm, name, spy)
+    bag = make_bag(rng, m=6, n_classes=3, feature_dim=8)
+    cfg = TrainConfig(hidden_dim=8, embed_dim=4)
+    forward_losses(bag, init_state(cfg, 3, 8), cfg)
+    assert len(made["relu"]) == len(made["propagate"]) == 4
+    for relu_out, pre in zip(made["relu"], made["propagate"]):
+        assert relu_out.parents == (pre,)
+        assert np.array_equal(relu_out.value, np.maximum(pre.value, 0.0))
+
+
 # ---------------------------------------------------------------- embeddings
 
 

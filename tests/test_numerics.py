@@ -12,9 +12,11 @@ from weakdet.errors import (
     ShapeError,
     UsageError,
 )
+from weakdet.instance_branch import SCORE_EPS
 from weakdet.numerics import Node
 
-from conftest import finite_difference, max_rel_err
+import extra_ops as xo
+from conftest import finite_difference, graph_nodes, max_rel_err
 
 
 # ---------------------------------------------------------------- matmul
@@ -144,18 +146,18 @@ def test_lse_columns_matches_vector_op():
 
 def test_cosine_identity_and_orthogonal():
     u = Node([1.0, 2.0, -1.0])
-    assert abs(float(nm.cosine(u, Node([1.0, 2.0, -1.0])).value) - 1.0) < 1e-12
-    assert abs(float(nm.cosine(Node([1.0, 0.0]), Node([0.0, 3.0])).value)) < 1e-15
+    assert abs(float(xo.cosine(u, Node([1.0, 2.0, -1.0])).value) - 1.0) < 1e-12
+    assert abs(float(xo.cosine(Node([1.0, 0.0]), Node([0.0, 3.0])).value)) < 1e-15
 
 
 def test_cosine_direct_formula():
-    c = nm.cosine(Node([1.0, 1.0]), Node([1.0, 0.0]))
+    c = xo.cosine(Node([1.0, 1.0]), Node([1.0, 0.0]))
     assert abs(float(c.value) - 1.0 / np.sqrt(2)) < 1e-12
 
 
 def test_cosine_degenerate():
     with pytest.raises(DegenerateInputError):
-        nm.cosine(Node([0.0, 0.0]), Node([1.0, 0.0]))
+        xo.cosine(Node([0.0, 0.0]), Node([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------- backward
@@ -211,7 +213,7 @@ def test_raw_array_operand_is_a_constant():
 
 def test_ops_on_constants_only_get_no_gradient():
     w = Node(np.array([1.0, -2.0]))
-    fixed = nm.exp(nm.as_node(np.array([0.5, 0.25])))
+    fixed = xo.exp(nm.as_node(np.array([0.5, 0.25])))
     assert not fixed.requires_grad
     nm.backward(nm.total(nm.mul(w, fixed)))
     assert fixed.grad is None and fixed.parents[0].grad is None
@@ -235,7 +237,7 @@ def _composite_loss(arrays):
     sm = nm.softmax_rows(prod)
     pooled = nm.lse_columns(nm.mul(sm, nm.softmax_cols(prod)), 3.0)
     joined = nm.hconcat(nm.log_softmax_rows(prod), nm.relu(prod))
-    cos = nm.cosine(v, nm.sum_cols(sm))
+    cos = xo.cosine(v, nm.sum_cols(sm))
     return (
         nm.add(
             nm.add(nm.total(pooled), nm.mean(joined)),
@@ -268,7 +270,7 @@ def test_node_rejects_nonfinite():
     with pytest.raises(NumericError):
         Node([1.0, np.nan])
     with pytest.raises(NumericError):
-        nm.exp(Node([1000.0]))  # overflows to inf
+        xo.exp(Node([1000.0]))  # overflows to inf
 
 
 def test_overflowing_op_result_raises():
@@ -296,9 +298,12 @@ def test_clip_gradient_mask():
 def test_normalize_rows_strict_and_fallback():
     with pytest.raises(DegenerateInputError):
         nm.normalize_rows(Node(np.zeros((2, 3))))
-    out = nm.normalize_rows(Node([[0.0, 0.0], [3.0, 4.0]]), strict=False)
+    x = Node([[0.0, 0.0], [3.0, 4.0]])
+    out = nm.normalize_rows(x, strict=False)
     assert np.array_equal(out.value[0], [0.0, 0.0])
     assert np.allclose(out.value[1], [0.6, 0.8])
+    nm.backward(nm.total(nm.mul(out, np.array([[1.0, -2.0], [0.5, 3.0]]))))
+    assert np.array_equal(x.grad[0], [0.0, 0.0])
 
 
 def test_log_softmax_matches_log_of_softmax():
@@ -323,7 +328,7 @@ def test_elementwise_ops_match_finite_differences(seed):
 
     def build():
         x, y = Node(arrays["x"]), Node(arrays["y"])
-        expr = nm.div(nm.mul(nm.sqrt(x), nm.exp(nm.scale(y, 0.3))), nm.add(x, y))
+        expr = nm.div(nm.mul(nm.sqrt(x), xo.exp(nm.scale(y, 0.3))), nm.add(x, y))
         centered = nm.center_cols(nm.sub(expr, y))
         return nm.mean(nm.mul(centered, centered)), (x, y)
 
@@ -385,6 +390,30 @@ def chain_dual_softmax(cls, det):
     return nm.mul(nm.softmax_rows(cls), nm.softmax_cols(det))
 
 
+def chain_matmul_nt(a, b):
+    return nm.matmul(a, nm.transpose(b))
+
+
+def chain_propagate_unit(a_hat, h, w):
+    return nm.normalize_rows(nm.propagate(a_hat, h, w), strict=False)
+
+
+def chain_bce_plus_weighted_ce(image_scores, s_logits, tags, weights):
+    """The 14-op, 4-constant instance loss that ``bce_plus_weighted_ce``
+    replaces."""
+    clamped = nm.clip(image_scores, SCORE_EPS, 1.0 - SCORE_EPS)
+    pos = nm.mul(nm.log(clamped), tags)
+    negv = nm.mul(nm.log(nm.sub(np.ones_like(tags), clamped)), 1.0 - tags)
+    image_term = nm.neg(nm.total(nm.add(pos, negv)))
+    instance_term = nm.neg(nm.total(nm.mul(nm.log_softmax_rows(s_logits), weights)))
+    return nm.add(image_term, instance_term)
+
+
+def chain_cosine_center_loss(z, targets):
+    cos = nm.sum_rows(nm.mul(nm.normalize_rows(z, strict=True), targets))
+    return nm.sub(1.0, nm.mean(cos))
+
+
 def _adjacency(rng, m):
     """A normalized adjacency with self-loops, as the graph builders make."""
     adj = (rng.random((m, m)) < 0.4).astype(np.float64)
@@ -395,8 +424,26 @@ def _adjacency(rng, m):
     return a * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
 
 
+def _loss_operands(rng, m, k=4):
+    """Image scores (one below eps and one above 1 - eps, so the clamp
+    bites), (K+1)-way logits, tags and a one-entry-per-row weight mask."""
+    scores = rng.uniform(0.0, 1.0, k)
+    scores[0], scores[-1] = 1e-9, 1.0
+    tags = (rng.random(k) < 0.5).astype(np.float64)
+    tags[0] = 1.0
+    weights = np.zeros((m, k + 1))
+    weights[np.arange(m), rng.integers(0, k + 1, m)] = rng.uniform(0.0, 1.0, m)
+    return [scores, rng.standard_normal((m, k + 1)), tags, weights]
+
+
+def _unit_rows(rng, m, d):
+    rows = rng.standard_normal((m, d))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 # name: (fused, chain, operands(rng, rows), indices of operands that may be
-# differentiable). propagate's adjacency is always a raw array.
+# differentiable). Adjacencies, tags, weight masks and center targets are
+# always raw arrays.
 FUSED = {
     "propagate": (
         lambda a, h, w: nm.propagate(a, h, w),
@@ -421,6 +468,30 @@ FUSED = {
         chain_dual_softmax,
         lambda rng, m: [rng.standard_normal((m, 4)), rng.standard_normal((m, 4))],
         (0, 1),
+    ),
+    "matmul_nt": (
+        lambda a, b: nm.matmul_nt(a, b),
+        chain_matmul_nt,
+        lambda rng, m: [rng.standard_normal((m, 4)), rng.standard_normal((3, 4))],
+        (0, 1),
+    ),
+    "propagate_unit": (
+        lambda a, h, w: nm.propagate_unit(a, h, w),
+        chain_propagate_unit,
+        lambda rng, m: [_adjacency(rng, m), rng.standard_normal((m, 5)), rng.standard_normal((5, 3))],
+        (1, 2),
+    ),
+    "bce_plus_weighted_ce": (
+        lambda i, s, t, w: nm.bce_plus_weighted_ce(i, s, t, w, SCORE_EPS),
+        chain_bce_plus_weighted_ce,
+        _loss_operands,
+        (0, 1),
+    ),
+    "cosine_center_loss": (
+        lambda z, c: nm.cosine_center_loss(z, c),
+        chain_cosine_center_loss,
+        lambda rng, m: [rng.standard_normal((m, 4)), _unit_rows(rng, m, 4)],
+        (0,),
     ),
 }
 
@@ -497,6 +568,11 @@ TRAINING_SHAPES = {
     "info_nce": lambda rng, m: [rng.standard_normal((m, 16)), rng.standard_normal((m, 16))],
     "pearson_cols": lambda rng, m: [rng.standard_normal((m, 6))],
     "dual_softmax": lambda rng, m: [rng.standard_normal((m, 6)), rng.standard_normal((m, 6))],
+    "matmul_nt": lambda rng, m: [rng.standard_normal((m, 32)), rng.standard_normal((6, 32))],
+    "propagate_unit": lambda rng, m: [_adjacency(rng, m), rng.standard_normal((m, 32)),
+                                      rng.standard_normal((32, 16))],
+    "bce_plus_weighted_ce": lambda rng, m: _loss_operands(rng, m, 6),
+    "cosine_center_loss": lambda rng, m: [rng.standard_normal((m, 6)), _unit_rows(rng, m, 6)],
 }
 
 
@@ -507,7 +583,7 @@ def test_fused_op_is_bitwise_its_chain_at_training_shapes(name, m):
     _assert_fused_equals_chain(name, arrays, FUSED[name][3], share=True)
 
 
-@pytest.mark.parametrize("name", ["info_nce", "dual_softmax"])
+@pytest.mark.parametrize("name", ["info_nce", "dual_softmax", "matmul_nt"])
 def test_fused_op_with_one_leaf_for_both_operands(name):
     rng = np.random.default_rng(41)
     arrays = FUSED[name][2](rng, 5)
@@ -537,8 +613,8 @@ def test_fused_op_on_one_row(name):
 def _backward_from(out, upstream):
     """``nm.backward``'s walk, seeded at ``out`` with any upstream gradient.
 
-    A real pass never hands an op -0.0 (every buffer starts at +0.0), so this
-    is how the ops' own +0.0 rules are exercised.
+    ``nm.backward`` starts from a scalar 1.0; this is how the ops' rules meet
+    -0.0 from upstream, which an intermediate buffer can hold.
     """
     reached = {}
     stack = [out]
@@ -547,7 +623,6 @@ def _backward_from(out, upstream):
             if p.requires_grad and p._order not in reached:
                 reached[p._order] = p
                 stack.append(p)
-                p.grad = np.zeros(p.value.shape)
     out._backward(upstream)
     for key in sorted(reached, reverse=True):
         if reached[key]._backward is not None:
@@ -589,15 +664,38 @@ def test_pearson_cols_degenerate_columns(seed):
     assert np.array_equal(nm.pearson_cols(flat, VAR_EPS).value, np.eye(3))
 
 
+def test_propagate_unit_keeps_a_zero_row_at_zero():
+    rng = np.random.default_rng(45)
+    a_hat = _adjacency(rng, 5)
+    a_hat[0, :] = a_hat[:, 0] = 0.0
+    a_hat[0, 0] = 1.0  # an isolated node...
+    h = rng.standard_normal((5, 3))
+    h[0] = 0.0  # ...with zero features propagates to a zero row
+    w = rng.standard_normal((3, 2))
+    _assert_fused_equals_chain("propagate_unit", [a_hat, h, w], (1, 2), share=True)
+    out = nm.propagate_unit(a_hat, h, w).value
+    assert np.array_equal(out[0], [0.0, 0.0])
+    assert np.allclose(np.linalg.norm(out[1:], axis=1), 1.0)
+    leaf = Node(h)
+    nm.backward(_probe(nm.propagate_unit(a_hat, leaf, w)))
+    assert np.array_equal(leaf.grad[0], np.zeros(3))  # the zero row passes no gradient
+
+
 def test_fused_ops_raise_on_overflow():
     big = np.full((2, 2), 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
             nm.propagate(np.eye(2), Node(big), Node(big))
         with pytest.raises(NumericError):
+            nm.propagate_unit(np.eye(2), Node(big), Node(big))
+        with pytest.raises(NumericError):
+            nm.propagate_unit(np.full((2, 2), 1e200), Node(np.eye(2)), Node(big))
+        with pytest.raises(NumericError):
             nm.info_nce(Node([[1e200, 0.0]]), Node([[1e200, 0.0]]), 1.0)
         with pytest.raises(NumericError):
             nm.pearson_cols(Node([[1e200], [-1e200]]), VAR_EPS)
+        with pytest.raises(NumericError):
+            nm.matmul_nt(Node(big), Node(big))
     # dual_softmax multiplies two factors in [0, 1], so it cannot overflow;
     # a non-finite operand is rejected before it runs.
     with pytest.raises(NumericError):
@@ -607,6 +705,8 @@ def test_fused_ops_raise_on_overflow():
 def test_fused_op_argument_errors():
     with pytest.raises(ShapeError):
         nm.propagate(np.eye(3), Node(np.ones((2, 2))), Node(np.ones((2, 2))))
+    with pytest.raises(ShapeError):
+        nm.propagate_unit(np.eye(2), Node(np.ones((2, 3))), Node(np.ones((2, 2))))
     with pytest.raises(ParameterError):
         nm.info_nce(Node(np.ones((2, 2))), Node(np.ones((2, 2))), 0.0)
     with pytest.raises(ShapeError):
@@ -615,12 +715,118 @@ def test_fused_op_argument_errors():
         nm.pearson_cols(Node(np.ones(3)), VAR_EPS)
     with pytest.raises(ShapeError):
         nm.dual_softmax(Node(np.ones((2, 3))), Node(np.ones((3, 2))))
+    with pytest.raises(ShapeError):
+        nm.matmul_nt(Node(np.ones((2, 3))), Node(np.ones((3, 2))))
+    scores, logits, tags, weights = _loss_operands(np.random.default_rng(0), 3)
+    with pytest.raises(ShapeError):
+        nm.bce_plus_weighted_ce(scores, logits, tags[:-1], weights, SCORE_EPS)
+    with pytest.raises(ShapeError):
+        nm.bce_plus_weighted_ce(scores, logits, tags, weights[:, :-1], SCORE_EPS)
+    for eps in (0.0, 0.5):
+        with pytest.raises(ParameterError):
+            nm.bce_plus_weighted_ce(scores, logits, tags, weights, eps)
+    with pytest.raises(ShapeError):
+        nm.cosine_center_loss(Node(np.ones((2, 3))), np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        nm.cosine_center_loss(Node(np.ones((0, 3))), np.ones((0, 3)))
+    zero_row = np.array([[1.0, 0.0], [0.0, 0.0]])
+    for fn in (nm.cosine_center_loss, chain_cosine_center_loss):
+        with pytest.raises(DegenerateInputError):
+            fn(Node(zero_row), np.eye(2))
+
+
+# ---------------------------------------------------------------- lazy buffers
+#
+# backward makes a node's first gradient contribution its buffer instead of
+# adding it to zeros. Against the zero-filled engine it replaced, every leaf
+# must hold the same bytes, and no buffer may share memory with another
+# buffer or a value, whether the first contribution is fresh, a broadcast
+# (total, mean, sum_rows, sum_cols), a view (a transpose, hconcat's column
+# slices) or the upstream gradient itself (add).
+
+
+def _zero_filled_backward(loss):
+    """The previous engine: every reached node gets a +0.0 buffer first, so
+    each rule adds into zeros."""
+    reached = {loss._order: loss}
+    stack = [loss]
+    while stack:
+        for p in stack.pop().parents:
+            if p.requires_grad and p._order not in reached:
+                reached[p._order] = p
+                stack.append(p)
+                if p.grad is None:
+                    p.grad = np.zeros(p.value.shape)
+    loss.grad = np.ones_like(loss.value)
+    for key in sorted(reached, reverse=True):
+        if reached[key]._backward is not None:
+            reached[key]._backward(reached[key].grad)
+
+
+_OTHER = np.random.default_rng(47).standard_normal((5, 4))
+
+FIRST_CONTRIBUTIONS = {
+    "total": lambda w: nm.total(w),
+    "total_into_an_op": lambda w: nm.total(nm.relu(w)),
+    "mean": lambda w: nm.mean(nm.scale(w, 2.0)),
+    "sum_rows": lambda w: _probe(nm.sum_rows(w)),
+    "sum_cols": lambda w: _probe(nm.sum_cols(w)),
+    "transpose": lambda w: _probe(nm.transpose(w)),
+    "transpose_into_an_op": lambda w: _probe(nm.transpose(nm.scale(w, -0.5))),
+    "hconcat": lambda w: _probe(nm.hconcat(w, nm.relu(w))),
+    "add_one_leaf_twice": lambda w: _probe(nm.add(w, w)),
+    "add_two_ops": lambda w: _probe(nm.add(nm.relu(w), nm.scale(w, 3.0))),
+    "matmul_nt_right": lambda w: _probe(nm.matmul_nt(_OTHER, w)),
+    "info_nce_right": lambda w: nm.info_nce(_OTHER[:3], w, 2.0),
+    # relu passes -1 * False = -0.0, which the leaf must store as +0.0
+    "negative_zeros": lambda w: nm.total(nm.mul(nm.relu(w), -np.ones(w.value.shape))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_CONTRIBUTIONS))
+def test_lazy_buffers_match_zero_filled_backward(case):
+    value = np.random.default_rng(46).standard_normal((3, 4))
+    build = FIRST_CONTRIBUTIONS[case]
+    ref = Node(value.copy())
+    _zero_filled_backward(build(ref))
+    leaf = Node(value.copy())
+    loss = build(leaf)
+    nm.backward(loss)
+    _assert_same_bytes(leaf.grad, ref.grad)
+    assert not np.signbit(leaf.grad[leaf.grad == 0.0]).any()
+    nodes = [n for n in graph_nodes(loss) if n.grad is not None]
+    for node in nodes:
+        assert type(node.grad) is np.ndarray and node.grad.flags.c_contiguous
+        assert node.grad.shape == node.value.shape
+    for i, a in enumerate(nodes):
+        others = [n.value for n in nodes] + [n.grad for n in nodes[i + 1 :]]
+        assert not any(np.shares_memory(a.grad, o) for o in others), case
+
+
+def test_lazy_buffers_accumulate_across_graphs():
+    """A leaf that already holds a gradient adds the next graph's into it."""
+    value = np.random.default_rng(48).standard_normal((3, 4))
+    grads = []
+    for run in (nm.backward, _zero_filled_backward):
+        leaf = Node(value.copy())
+        run(_probe(nm.transpose(leaf)))
+        run(nm.total(nm.relu(leaf)))
+        grads.append(leaf.grad)
+    _assert_same_bytes(*grads)
 
 
 # ---------------------------------------------------------------- audit
 #
 # Every op runs here against central differences, through
-# loss = sum(op(...) * fixed weights). A case is "<op>" or "<op>/<variant>".
+# loss = sum(op(...) * fixed weights). A case is "<op>" or "<op>/<variant>";
+# the cases of the ops in extra_ops live there.
+
+FIXED_ADJACENCY = _adjacency(np.random.default_rng(5), 4)
+FD_TAGS = np.array([1.0, 0.0, 1.0, 0.0])
+FD_WEIGHTS = np.array(
+    [[0.7, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.4], [0.0, 0.0, 0.9, 0.0, 0.0]]
+)
+FD_TARGETS = _unit_rows(np.random.default_rng(6), 4, 3)
 
 
 def _normal(rng, *shape):
@@ -636,8 +842,6 @@ def _off_kinks(rng, *shape):
     return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.2, 0.8, size=shape)
 
 
-FIXED_ADJACENCY = _adjacency(np.random.default_rng(5), 4)
-
 FD_CASES = {
     "add": (lambda r: [_normal(r, 3, 4), _normal(r, 3, 4)], lambda a, b: nm.add(a, b)),
     "sub": (lambda r: [_normal(r, 3, 4), _normal(r, 3, 4)], lambda a, b: nm.sub(a, b)),
@@ -650,7 +854,6 @@ FD_CASES = {
     "hconcat": (lambda r: [_normal(r, 3, 2), _normal(r, 3, 4)], lambda a, b: nm.hconcat(a, b)),
     "relu": (lambda r: [_off_kinks(r, 3, 4)], lambda a: nm.relu(a)),
     "log": (lambda r: [_positive(r, 3, 4)], lambda a: nm.log(a)),
-    "exp": (lambda r: [_normal(r, 3, 4)], lambda a: nm.exp(a)),
     "sqrt": (lambda r: [_positive(r, 3, 4)], lambda a: nm.sqrt(a)),
     "clip": (lambda r: [_off_kinks(r, 3, 4)], lambda a: nm.clip(a, -0.1, 0.9)),
     "total": (lambda r: [_normal(r, 3, 4)], lambda a: nm.total(a)),
@@ -666,11 +869,15 @@ FD_CASES = {
     "logsumexp_rows": (lambda r: [_normal(r, 3, 4)], lambda a: nm.logsumexp_rows(a)),
     "smooth_max_lse": (lambda r: [_normal(r, 5)], lambda a: nm.smooth_max_lse(a, 2.0)),
     "lse_columns": (lambda r: [_normal(r, 4, 3)], lambda a: nm.lse_columns(a, 3.0)),
-    "cosine": (lambda r: [_normal(r, 4) + 2.0, _normal(r, 4)], lambda u, v: nm.cosine(u, v)),
     "normalize_rows": (lambda r: [_normal(r, 3, 4)], lambda a: nm.normalize_rows(a)),
+    "matmul_nt": (lambda r: [_normal(r, 3, 4), _normal(r, 2, 4)], lambda a, b: nm.matmul_nt(a, b)),
     "propagate": (
         lambda r: [_normal(r, 4, 3), _normal(r, 3, 2)],
         lambda h, w: nm.propagate(FIXED_ADJACENCY, h, w),
+    ),
+    "propagate_unit": (
+        lambda r: [_normal(r, 4, 3), _normal(r, 3, 2)],
+        lambda h, w: nm.propagate_unit(FIXED_ADJACENCY, h, w),
     ),
     "info_nce": (lambda r: [_normal(r, 4, 3), _normal(r, 4, 3)], lambda x, y: nm.info_nce(x, y, 2.0)),
     "pearson_cols": (lambda r: [_normal(r, 6, 4)], lambda z: nm.pearson_cols(z, VAR_EPS)),
@@ -680,7 +887,26 @@ FD_CASES = {
         lambda z: nm.pearson_cols(z, 1e-6),
     ),
     "dual_softmax": (lambda r: [_normal(r, 4, 3), _normal(r, 4, 3)], lambda c, d: nm.dual_softmax(c, d)),
+    "bce_plus_weighted_ce": (
+        lambda r: [r.uniform(0.1, 0.9, 4), _normal(r, 3, 5)],
+        lambda i, s: nm.bce_plus_weighted_ce(i, s, FD_TAGS, FD_WEIGHTS, SCORE_EPS),
+    ),
+    # Scores clamped from either side stay clamped under a 1e-4 step.
+    "bce_plus_weighted_ce/clamped": (
+        lambda r: [np.array([-0.5, r.uniform(0.1, 0.9), 1.5, r.uniform(0.1, 0.9)]), _normal(r, 3, 5)],
+        lambda i, s: nm.bce_plus_weighted_ce(i, s, FD_TAGS, FD_WEIGHTS, SCORE_EPS),
+    ),
+    "cosine_center_loss": (
+        lambda r: [_normal(r, 4, 3)],
+        lambda z: nm.cosine_center_loss(z, FD_TARGETS),
+    ),
+    **xo.FD_CASES,
 }
+
+
+def _home(op):
+    """The module that defines ``op``."""
+    return nm if op in vars(nm) else xo
 
 
 @pytest.mark.parametrize("case", sorted(FD_CASES))
@@ -688,13 +914,13 @@ FD_CASES = {
 def test_op_matches_finite_differences(case, seed, monkeypatch):
     op = case.split("/")[0]
     calls = []
-    original = getattr(nm, op)
+    original = getattr(_home(op), op)
 
     def counted(*args, **kwargs):
         calls.append(op)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(nm, op, counted)
+    monkeypatch.setattr(_home(op), op, counted)
     make, build = FD_CASES[case]
     arrays = {str(i): a for i, a in enumerate(make(np.random.default_rng(700 + seed)))}
 
@@ -704,25 +930,27 @@ def test_op_matches_finite_differences(case, seed, monkeypatch):
 
     loss, leaves = loss_and_leaves()
     nm.backward(loss)
-    assert calls, f"case {case!r} never calls nm.{op}"
+    assert calls, f"case {case!r} never calls {op}"
     fd = finite_difference(lambda: float(loss_and_leaves()[0].value), arrays)
     for k, leaf in zip(sorted(arrays), leaves):
         assert max_rel_err(leaf.grad, fd[k]) < 1e-4, (case, k)
 
 
-def _public_ops():
+def _public_ops(module):
     return {
         name
-        for name, fn in vars(nm).items()
+        for name, fn in vars(module).items()
         if inspect.isfunction(fn)
-        and fn.__module__ == nm.__name__
+        and fn.__module__ == module.__name__
         and not name.startswith("_")
         and fn.__annotations__.get("return") in ("Node", Node)
     } - {"as_node"}  # as_node wraps a value; it builds no op
 
 
 def test_every_op_joins_the_finite_difference_audit():
-    ops = _public_ops()
+    ops = _public_ops(nm) | _public_ops(xo)
     assert {"matmul", "propagate", "info_nce", "pearson_cols", "dual_softmax"} <= ops
+    assert {"matmul_nt", "propagate_unit", "bce_plus_weighted_ce", "cosine_center_loss"} <= ops
+    assert {"exp", "cosine"} == _public_ops(xo)
     audited = {case.split("/")[0] for case in FD_CASES}
     assert ops - audited == set(), "ops without a finite-difference case"

@@ -5,7 +5,7 @@ import pytest
 
 from weakdet import igcl
 from weakdet import numerics as nm
-from weakdet.datamodel import Box, SceneConfig, generate_dataset
+from weakdet.datamodel import Box, SceneConfig, filter_proposals, generate_dataset
 from weakdet.errors import CompatibilityError, ConfigError, ParseError
 from weakdet.evalmetrics import iou
 from weakdet.trainer import (
@@ -24,7 +24,7 @@ from weakdet.trainer import (
     train,
 )
 
-from conftest import make_bag
+from conftest import graph_nodes, make_bag
 
 
 def tiny_dataset(n=6, seed=0):
@@ -264,6 +264,20 @@ def test_trained_parameters_match_pinned_digests(case, default_scene_bags):
     assert _param_digest(state.params) == digest
 
 
+def test_method_f_bag_step_builds_45_nodes(default_scene_bags):
+    """One fused node per loss module: 31 ops, the 12 parameter leaves, and
+    2 constants (the features and the one-hot induced labels)."""
+    cfg = TrainConfig()
+    bag = filter_proposals(default_scene_bags[0], cfg.min_proposal_side)
+    fwd = forward_losses(bag, init_state(cfg, bag.n_classes, bag.features.shape[1]), cfg)
+    nodes = graph_nodes(fwd.loss)
+    ops = [n for n in nodes if n.parents]
+    leaves = [n for n in nodes if not n.parents and n.requires_grad]
+    constants = [n for n in nodes if not n.parents and not n.requires_grad]
+    assert (len(ops), len(leaves), len(constants)) == (31, 12, 2)
+    assert {id(n) for n in leaves} == {id(n) for n in fwd.leaves.values()}
+
+
 @pytest.mark.parametrize("method", sorted(SUB_METHODS))
 @pytest.mark.parametrize("phase_mode", ("fused", "sequential"))
 def test_every_leaf_gets_a_gradient_of_its_shape(method, phase_mode, rng):
@@ -314,6 +328,14 @@ def test_single_proposal_bag_trains(method, corr_sem_ema, rng):
         fwd = forward_losses(lone, state, cfg)
         blend = (1.0 - corr_sem_ema) * np.eye(3) + corr_sem_ema * state.corr_buffer
         assert np.array_equal(fwd.corr_values, np.eye(3) if corr_sem_ema == 0.0 else blend)
+    if corr_sem_ema > 0.0:
+        # A lone proposal has no sample correlation to fold into the buffer.
+        state = init_state(cfg, 3, 8)
+        state.corr_buffer = 0.75 * np.eye(3) + 0.25
+        before = state.corr_buffer.copy()
+        train([lone], cfg, state=state)
+        assert state.step == cfg.epochs
+        assert np.array_equal(state.corr_buffer, before)
 
 
 def test_sequential_phase_mode_runs_and_differs():
@@ -457,4 +479,47 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ParseError):
+        load_checkpoint(path)
+
+
+@pytest.fixture
+def small_checkpoint(tmp_path):
+    path = tmp_path / "small.bin"
+    save_checkpoint(init_state(small_cfg(), 3, 8), path)
+    return path.read_bytes()
+
+
+def test_checkpoint_rejects_every_truncation(small_checkpoint, tmp_path):
+    path = tmp_path / "cut.bin"
+    for cut in range(len(small_checkpoint)):
+        path.write_bytes(small_checkpoint[:cut])
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(small_checkpoint, tmp_path):
+    path = tmp_path / "padded.bin"
+    path.write_bytes(small_checkpoint + b"\0")
+    with pytest.raises(ParseError, match="trailing"):
+        load_checkpoint(path)
+    path.write_bytes(small_checkpoint)
+    assert load_checkpoint(path).step == 0
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"WDETCKPT\x01\x00\x00\x00\x1a", b"WDETCKPT\x01\x00\x00\x00\xff"),  # 26 tensors
+        (b"centers", b"\x80enters"),  # tensor name, not UTF-8
+        (b'"step": 0}', b'"step": 0]'),  # JSON syntax
+        (b'"step"', b'"stop"'),  # a missing JSON field
+        (b"PCG64", b"PCG65"),  # an RNG state numpy rejects
+    ],
+    ids=["count", "name_utf8", "json_syntax", "json_field", "rng_state"],
+)
+def test_checkpoint_rejects_garbled_fields(small_checkpoint, tmp_path, old, new):
+    assert small_checkpoint.count(old) == 1
+    path = tmp_path / "garbled.bin"
+    path.write_bytes(small_checkpoint.replace(old, new))
+    with pytest.raises(ParseError, match="checkpoint"):
         load_checkpoint(path)
