@@ -9,7 +9,7 @@ import numpy as np
 
 from weakdet import numerics as nm
 from weakdet.datamodel import SceneConfig, generate_dataset
-from weakdet.instance_branch import aggregate_lse, approx_labels, instance_loss, instance_probs
+from weakdet.instance_branch import approx_labels, instance_loss, instance_probs
 from weakdet.numerics import Node
 from weakdet.semantic_branch import (
     SemanticProjector,
@@ -39,8 +39,6 @@ head = DetectionHead(Node(state.params["w_cls"]), Node(state.params["w_det"]), N
 scores = instance_probs(feats, head)
 print("corr_ins column sums (per-class image scores, in [0,1]):")
 print(" ", scores.image_scores.value)
-print("smooth-max pooled view (r=4; an alternative training does not use):")
-print(" ", aggregate_lse(scores.corr_ins, 4.0).value)
 labels = approx_labels(scores.corr_ins.value, bag.tags, gamma=0.9)
 print(f"induced labels (class index, {4} = background): {labels.labels.tolist()}")
 l_ins = instance_loss(scores, labels, bag.tags)

@@ -17,9 +17,9 @@ import logging
 import os
 import statistics
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
-from .datamodel import SceneConfig, generate_dataset, load_jsonl, save_jsonl
+from .datamodel import SceneConfig, generate_dataset, load_jsonl, numbered_lines, save_jsonl
 from .errors import CompatibilityError, ConfigError, ParseError, WeakdetError
 from .evalmetrics import corloc, evaluation_report, mean_ap
 from .gradcheck import check_config, run_checks, summarize
@@ -41,165 +41,150 @@ log = logging.getLogger("weakdet")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConfigKey:
-    name: str
-    kind: str  # int | float | str | int_pair | float_pair | schedule | modules
-    default: object
-    help: str
-
-
-CONFIG_SCHEMA: tuple[ConfigKey, ...] = (
+# Help for every config key. Trainer and scene keys take their defaults from
+# TrainConfig and SceneConfig, the CLI-only keys from CLI_DEFAULTS; the type
+# of each default chooses how the key is parsed and echoed.
+CONFIG_HELP = {
     # scene generator
-    ConfigKey("n_classes", "int", 6, "number of object categories K"),
-    ConfigKey("feature_dim", "int", 32, "feature vector width D (>= K)"),
-    ConfigKey("canvas", "float_pair", (128.0, 128.0), "scene canvas size in pixels"),
-    ConfigKey("objects_per_scene", "int_pair", (1, 4), "min,max objects per scene"),
-    ConfigKey("proposals_per_object", "int", 5, "jittered proposals per object"),
-    ConfigKey("background_proposals", "int", 10, "distractor proposals per scene"),
-    ConfigKey("jitter", "float", 0.25, "proposal corner jitter scale"),
-    ConfigKey("noise_sigma", "float", 0.35, "feature noise standard deviation"),
-    ConfigKey("context_alpha", "float", 0.3, "weight of co-present class prototypes"),
-    ConfigKey("min_gt_side", "float", 24.0, "minimum ground-truth box side"),
-    ConfigKey("max_gt_side", "float", 64.0, "maximum ground-truth box side"),
-    ConfigKey("data_seed", "int", 0, "generator RNG seed"),
-    ConfigKey("n_scenes", "int", 250, "total scenes to generate"),
-    ConfigKey("train_fraction", "float", 0.8, "train share of the generated split"),
+    "n_classes": "number of object categories K",
+    "feature_dim": "feature vector width D (>= K)",
+    "canvas": "scene canvas size in pixels",
+    "objects_per_scene": "min,max objects per scene",
+    "proposals_per_object": "jittered proposals per object",
+    "background_proposals": "distractor proposals per scene",
+    "jitter": "proposal corner jitter scale",
+    "noise_sigma": "feature noise standard deviation",
+    "context_alpha": "weight of co-present class prototypes",
+    "min_gt_side": "minimum ground-truth box side",
+    "max_gt_side": "maximum ground-truth box side",
+    "data_seed": "generator RNG seed",
+    "n_scenes": "total scenes to generate",
+    "train_fraction": "train share of the generated split",
     # trainer
-    ConfigKey("lambda_ins", "float", 1.0, "weight of the instance branch loss"),
-    ConfigKey("lambda_sem", "float", 1.0, "weight of the semantic branch loss"),
-    ConfigKey("lambda_igcl", "float", 1.0, "weight of the contrastive loss"),
-    ConfigKey("lse_sharpness", "float", 4.0, "r of the smooth-max pooling (inert: sum pooling)"),
-    ConfigKey("label_ratio", "float", 0.9, "gamma: top-score ratio for induced labels"),
-    ConfigKey("center_rate", "float", 0.05, "theta: class-center EMA rate"),
-    ConfigKey("tau", "float", 5.0, "contrastive inverse temperature"),
-    ConfigKey(
-        "lr_schedule",
-        "schedule",
-        ((0.0, 1e-3), (0.8, 1e-4)),
-        "piecewise-constant LR as fraction:rate pairs",
-    ),
-    ConfigKey("momentum", "float", 0.9, "SGD momentum"),
-    ConfigKey("weight_decay", "float", 0.0005, "SGD weight decay"),
-    ConfigKey("epochs", "int", 10, "training epochs"),
-    ConfigKey("batch_size", "int", 1, "bags per optimizer step"),
-    ConfigKey("seed", "int", 0, "training RNG seed"),
-    ConfigKey("modules", "modules", ("M1", "M2", "M4"), "module mask (ablations)"),
-    ConfigKey("hidden_dim", "int", 32, "GCN hidden width"),
-    ConfigKey("embed_dim", "int", 16, "contrastive embedding width"),
-    ConfigKey("graph_iou", "float", 0.3, "IoU threshold of the instance graph"),
-    ConfigKey("knn_k", "int", 5, "neighbours in the semantic graph"),
-    ConfigKey("nms_iou", "float", 0.3, "NMS suppression threshold"),
-    ConfigKey("min_score", "float", 1e-3, "detection score floor"),
-    ConfigKey("min_proposal_side", "float", 16.0, "proposal side filter in pixels"),
-    ConfigKey("semantic_init", "str", "prototypes", "w_sem init: prototypes|random"),
-    ConfigKey("center_init", "str", "prototypes", "center init: prototypes|random"),
-    ConfigKey("corr_sem_ema", "float", 0.0, "running-average weight for corr_sem"),
-    ConfigKey("phase_mode", "str", "fused", "update mode: fused|sequential"),
+    "lambda_ins": "weight of the instance branch loss",
+    "lambda_sem": "weight of the semantic branch loss",
+    "lambda_igcl": "weight of the contrastive loss",
+    "label_ratio": "gamma: top-score ratio for induced labels",
+    "center_rate": "theta: class-center EMA rate",
+    "tau": "contrastive inverse temperature",
+    "lr_schedule": "piecewise-constant LR as fraction:rate pairs",
+    "momentum": "SGD momentum",
+    "weight_decay": "SGD weight decay",
+    "epochs": "training epochs",
+    "batch_size": "bags per optimizer step",
+    "seed": "training RNG seed",
+    "modules": "module mask (ablations)",
+    "hidden_dim": "GCN hidden width",
+    "embed_dim": "contrastive embedding width",
+    "graph_iou": "IoU threshold of the instance graph",
+    "knn_k": "neighbours in the semantic graph",
+    "nms_iou": "NMS suppression threshold",
+    "min_score": "detection score floor",
+    "min_proposal_side": "proposal side filter in pixels",
+    "semantic_init": "w_sem init: prototypes|random",
+    "center_init": "center init: prototypes|random",
+    "corr_sem_ema": "running-average weight for corr_sem",
+    "phase_mode": "update mode: fused|sequential",
     # harness
-    ConfigKey("ablate_seeds", "int", 5, "seeds per sub-method in the ablation"),
-    ConfigKey("gc_seeds", "int", 10, "random bags for the gradient check"),
-    ConfigKey("gc_step", "float", 1e-4, "finite-difference step"),
-    ConfigKey("gc_tolerance", "float", 1e-4, "max allowed relative gradient error"),
-)
+    "ablate_seeds": "seeds per sub-method in the ablation",
+    "gc_seeds": "random bags for the gradient check",
+    "gc_step": "finite-difference step",
+    "gc_tolerance": "max allowed relative gradient error",
+}
 
-_SCHEMA_BY_NAME = {k.name: k for k in CONFIG_SCHEMA}
+# Config key -> SceneConfig field: the generator seed is exposed as
+# data_seed, and the cooccurrence matrix stays library-only.
+SCENE_FIELDS = {
+    "data_seed" if f.name == "seed" else f.name: f
+    for f in fields(SceneConfig)
+    if f.name != "cooccurrence"
+}
+
+CLI_DEFAULTS = {"n_scenes": 250, "train_fraction": 0.8, "ablate_seeds": 5,
+                "gc_seeds": 10, "gc_step": 1e-4, "gc_tolerance": 1e-4}
+
+DEFAULTS = {
+    **{key: f.default for key, f in SCENE_FIELDS.items()},
+    **{f.name: f.default for f in fields(TrainConfig)},
+    **CLI_DEFAULTS,
+}
+
+# The TrainConfig keys grad-check takes from the config; the rest of
+# check_config (small widths, random inits) keeps the sweeps fast.
+AUDITED_KEYS = ("lambda_ins", "lambda_sem", "lambda_igcl", "tau", "label_ratio",
+                "graph_iou", "knn_k", "corr_sem_ema", "modules")
 
 
-def _parse_value(key: ConfigKey, raw: str):
+def _pair(raw: str, sep: str, kind: type) -> tuple:
+    a, b = raw.split(sep)
+    return (kind(a), kind(b))
+
+
+def _parse_value(name: str, raw: str):
+    default = DEFAULTS[name]
     try:
-        if key.kind == "int":
-            return int(raw)
-        if key.kind == "float":
-            return float(raw)
-        if key.kind == "str":
-            return raw.strip()
-        if key.kind == "int_pair":
-            a, b = raw.split(",")
-            return (int(a), int(b))
-        if key.kind == "float_pair":
-            a, b = raw.split(",")
-            return (float(a), float(b))
-        if key.kind == "schedule":
-            pairs = []
-            for part in raw.split(","):
-                frac, rate = part.split(":")
-                pairs.append((float(frac), float(rate)))
-            return tuple(pairs)
-        if key.kind == "modules":
-            return tuple(m.strip() for m in raw.split(",") if m.strip())
+        if isinstance(default, frozenset):
+            return frozenset(m.strip() for m in raw.split(",") if m.strip())
+        if isinstance(default, tuple) and isinstance(default[0], tuple):
+            return tuple(_pair(part, ":", float) for part in raw.split(","))
+        if isinstance(default, tuple):
+            return _pair(raw, ",", type(default[0]))
+        return type(default)(raw.strip())
     except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad value for {key.name!r}: {raw!r} ({e})") from e
-    raise ConfigError(f"unknown config kind {key.kind!r}")
+        raise ConfigError(f"bad value for {name!r}: {raw!r} ({e})") from e
 
 
-def _format_value(key: ConfigKey, value) -> str:
-    if key.kind in ("int_pair", "float_pair"):
-        return f"{value[0]},{value[1]}"
-    if key.kind == "schedule":
-        return ",".join(f"{f}:{r}" for f, r in value)
-    if key.kind == "modules":
+def _format_value(value) -> str:
+    if isinstance(value, frozenset):
         return ",".join(sorted(value))
+    if isinstance(value, tuple) and isinstance(value[0], tuple):
+        return ",".join(f"{f}:{r}" for f, r in value)
+    if isinstance(value, tuple):
+        return f"{value[0]},{value[1]}"
     return str(value)
 
 
 def read_config_file(path: str) -> dict:
     """Parse a `key = value` file; unknown keys and bad values are errors."""
     values: dict[str, object] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"expected 'key = value', got {stripped!r}", line=lineno)
-            name, raw = (part.strip() for part in stripped.split("=", 1))
-            if name not in _SCHEMA_BY_NAME:
-                raise ConfigError(f"unknown config key {name!r} (line {lineno})")
-            values[name] = _parse_value(_SCHEMA_BY_NAME[name], raw)
+    for lineno, line in numbered_lines(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"expected 'key = value', got {stripped!r}", line=lineno)
+        name, raw = (part.strip() for part in stripped.split("=", 1))
+        if name not in DEFAULTS:
+            raise ConfigError(f"unknown config key {name!r} (line {lineno})")
+        values[name] = _parse_value(name, raw)
     return values
 
 
 def effective_config(args: argparse.Namespace) -> dict:
     """Defaults, overridden by the config file, overridden by CLI flags."""
-    values = {k.name: k.default for k in CONFIG_SCHEMA}
+    values = dict(DEFAULTS)
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
-    for key in CONFIG_SCHEMA:
-        flag = getattr(args, key.name, None)
+    for name in DEFAULTS:
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[key.name] = _parse_value(key, flag) if isinstance(flag, str) else flag
+            values[name] = _parse_value(name, flag)
+    for name in ("ablate_seeds", "gc_seeds"):
+        if values[name] < 1:
+            raise ConfigError(f"{name} must be >= 1, got {values[name]}")
     return values
 
 
 def scene_config(values: dict) -> SceneConfig:
-    return SceneConfig(
-        n_classes=values["n_classes"],
-        feature_dim=values["feature_dim"],
-        canvas=values["canvas"],
-        objects_per_scene=values["objects_per_scene"],
-        proposals_per_object=values["proposals_per_object"],
-        background_proposals=values["background_proposals"],
-        jitter=values["jitter"],
-        noise_sigma=values["noise_sigma"],
-        context_alpha=values["context_alpha"],
-        min_gt_side=values["min_gt_side"],
-        max_gt_side=values["max_gt_side"],
-        seed=values["data_seed"],
-    )
+    return SceneConfig(**{f.name: values[key] for key, f in SCENE_FIELDS.items()})
 
 
 def train_config(values: dict) -> TrainConfig:
-    names = {f.name for f in fields(TrainConfig)}
-    kwargs = {k: v for k, v in values.items() if k in names}
-    kwargs["modules"] = frozenset(values["modules"])
-    return TrainConfig(**kwargs)
+    return TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)})
 
 
 def config_echo(values: dict) -> dict:
-    return {
-        k.name: _format_value(k, values[k.name]) for k in CONFIG_SCHEMA
-    }
+    return {name: _format_value(values[name]) for name in DEFAULTS}
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +237,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def render_report(values: dict, state, bags, gts, split: str) -> dict:
-    cfg = train_config(values)
-    dets = [d for bag in bags for d in infer(bag, state, cfg)]
-    return evaluation_report(
-        dets, gts, state.n_classes, split=split, config_echo=config_echo(values)
-    )
-
-
 def cmd_eval(args) -> int:
     values = effective_config(args)
     state = load_checkpoint(args.checkpoint)
@@ -269,10 +246,13 @@ def cmd_eval(args) -> int:
             f"checkpoint (K={state.n_classes}, D={state.feature_dim}) does not match "
             f"dataset (K={bags[0].n_classes}, D={bags[0].features.shape[1]})"
         )
-    report = render_report(values, state, bags, gts, args.split)
-    blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    cfg = train_config(values)
+    dets = [d for bag in bags for d in infer(bag, state, cfg)]
+    report = evaluation_report(
+        dets, gts, state.n_classes, split=args.split, config_echo=config_echo(values)
+    )
     with open(args.out, "w") as fh:
-        fh.write(blob)
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     keys = ("map50", "coco_map", "corloc")
     print("  ".join(f"{k}={report[k]:.4f}" for k in keys if report[k] is not None))
     print(f"report: {args.out}")
@@ -284,6 +264,8 @@ def cmd_ablate(args) -> int:
     base_cfg = train_config(values)
     train_bags, train_gts = load_jsonl(os.path.join(args.data, "train.jsonl"))
     test_bags, test_gts = load_jsonl(os.path.join(args.data, "test.jsonl"))
+    if not train_bags:
+        raise ConfigError(f"ablate needs a nonempty train split in {args.data}")
     n_classes = train_bags[0].n_classes
     n_seeds = values["ablate_seeds"]
 
@@ -314,27 +296,13 @@ def cmd_ablate(args) -> int:
 
 def cmd_grad_check(args) -> int:
     values = effective_config(args)
-    base = replace(
-        check_config(0),
-        lambda_ins=values["lambda_ins"],
-        lambda_sem=values["lambda_sem"],
-        lambda_igcl=values["lambda_igcl"],
-        tau=values["tau"],
-        label_ratio=values["label_ratio"],
-        graph_iou=values["graph_iou"],
-        knn_k=values["knn_k"],
-        corr_sem_ema=values["corr_sem_ema"],
-        modules=frozenset(values["modules"]),
-    )
+    base = replace(check_config(0), **{k: values[k] for k in AUDITED_KEYS})
+    tolerance = values["gc_tolerance"]
     results = run_checks(
-        n_seeds=values["gc_seeds"],
-        cfg=base,
-        step=values["gc_step"],
-        tolerance=values["gc_tolerance"],
-        corrupt=bool(args.inject_grad_fault),
+        n_seeds=values["gc_seeds"], cfg=base, step=values["gc_step"],
+        tolerance=tolerance, corrupt=args.inject_grad_fault,
     )
     worst = summarize(results)
-    tolerance = values["gc_tolerance"]
     failed = False
     # The terms check_bag audited under the module mask, in forward order.
     for loss_name in dict.fromkeys(loss for loss, _ in worst):
@@ -373,12 +341,11 @@ def _config_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", help="path to a key = value config file")
     group = parent.add_argument_group("config overrides")
-    for key in CONFIG_SCHEMA:
+    for name, default in DEFAULTS.items():
         group.add_argument(
-            f"--{key.name.replace('_', '-')}",
-            dest=key.name,
-            metavar=key.kind.upper(),
-            help=f"{key.help} (default: {_format_value(key, key.default)})",
+            f"--{name.replace('_', '-')}",
+            dest=name,
+            help=f"{CONFIG_HELP[name]} (default: {_format_value(default)})",
         )
     return parent
 
@@ -433,7 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WeakdetError as e:
+    except (WeakdetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -305,32 +305,42 @@ def save_jsonl(path, bags: list[Bag], gts: list[GroundTruth] | None = None) -> N
             fh.write("\n")
 
 
+def numbered_lines(path):
+    """Yield ``(line number, text)`` for each line of a UTF-8 file; a line
+    that does not decode raises :class:`ParseError` naming it."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(f"not valid UTF-8 ({e})", line=lineno) from e
+
+
 def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
     """Read bags and ground truth; the `gt` field never enters the Bag."""
     bags: list[Bag] = []
     gts: list[GroundTruth] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                bag = Bag(
-                    image_id=rec["image_id"],
-                    canvas=(float(rec["canvas"][0]), float(rec["canvas"][1])),
-                    proposals=[Box(*map(float, b)) for b in rec["proposals"]],
-                    features=np.asarray(rec["features"], dtype=np.float64),
-                    tags=rec["tags"],
-                )
-                objects = [
-                    (Box(float(g[0]), float(g[1]), float(g[2]), float(g[3])), int(g[4]))
-                    for g in rec.get("gt", [])
-                ]
-            except ParseError:
-                raise
-            except Exception as e:  # malformed record: report the line
-                raise ParseError(str(e), line=lineno) from e
-            bags.append(bag)
-            gts.append(GroundTruth(bag.image_id, objects))
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            bag = Bag(
+                image_id=rec["image_id"],
+                canvas=(float(rec["canvas"][0]), float(rec["canvas"][1])),
+                proposals=[Box(*map(float, b)) for b in rec["proposals"]],
+                features=np.asarray(rec["features"], dtype=np.float64),
+                tags=rec["tags"],
+            )
+            objects = [
+                (Box(float(g[0]), float(g[1]), float(g[2]), float(g[3])), int(g[4]))
+                for g in rec.get("gt", [])
+            ]
+        except ParseError:
+            raise
+        except Exception as e:  # malformed record: report the line
+            raise ParseError(str(e), line=lineno) from e
+        bags.append(bag)
+        gts.append(GroundTruth(bag.image_id, objects))
     return bags, gts

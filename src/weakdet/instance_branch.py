@@ -4,13 +4,12 @@ Per-instance class probabilities come from the product of two softmaxes
 over the same features (one across classes per instance, one across
 instances per class), so every class column of ``corr_ins`` sums to at most
 one and the summed image scores stay in [0, 1]. The per-class image score
-is that column sum (WSDDN sum pooling, arXiv 1511.02853); the smooth
-log-sum-exp pool :func:`aggregate_lse` is not part of training, so the
-``lse_sharpness`` config key currently has no effect. Thresholding against
-each positive class's top score induces approximate instance labels; the
-branch loss combines per-class binary cross-entropy on image scores with a
-weighted (K+1)-way cross-entropy on per-instance distributions that include
-an explicit background column, as one fused node.
+is that column sum (WSDDN sum pooling, arXiv 1511.02853), where the paper
+takes a smooth maximum. Thresholding against each positive class's top
+score induces approximate instance labels; the branch loss combines
+per-class binary cross-entropy on image scores with a weighted (K+1)-way
+cross-entropy on per-instance distributions that include an explicit
+background column, as one fused node.
 """
 
 from __future__ import annotations
@@ -70,12 +69,6 @@ def instance_probs(features: Node, head: DetectionHead) -> InstanceScores:
     corr = nm.dual_softmax(cls_logits, det_logits)
     s_logits = nm.hconcat(cls_logits, nm.matmul(features, head.w_bg))
     return InstanceScores(corr_ins=corr, s_logits=s_logits, image_scores=nm.sum_cols(corr))
-
-
-def aggregate_lse(corr_ins: Node, r: float) -> Node:
-    """Smooth per-class maximum of the instance scores; an alternative image
-    view that training does not use."""
-    return nm.lse_columns(corr_ins, r)
 
 
 def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float = 0.9) -> ApproxLabels:

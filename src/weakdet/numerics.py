@@ -468,21 +468,6 @@ def smooth_max_lse(s, r: float) -> Node:
     return _unary(s, val, lambda g: g * w)
 
 
-def lse_columns(a, r: float) -> Node:
-    """Apply :func:`smooth_max_lse` to each column of a 2-D node -> 1-D node."""
-    a = _matrix(a, "lse_columns")
-    m = a.value.shape[0]
-    if m == 0:
-        raise ShapeError("lse_columns of an empty matrix")
-    r = float(r)
-    if r <= 0:
-        raise ParameterError(f"lse_columns needs r > 0, got {r}")
-    mx = a.value.max(axis=0, keepdims=True)
-    val = np.log(np.exp(r * (a.value - mx)).sum(axis=0) / m) / r + mx[0]
-    w = _softmax(r * a.value, axis=0)
-    return _unary(a, val, lambda g: w * g[None, :])
-
-
 def _unit_rows(x: np.ndarray, strict: bool, opname: str):
     """The rows of ``x`` scaled to unit L2 norm, and the rule taking their
     gradient back to ``x``. A (near-)zero row raises
@@ -550,10 +535,7 @@ def _propagated(a_hat: np.ndarray, h: Node, w: Node, opname: str) -> np.ndarray:
         raise ShapeError(
             f"{opname}: shapes {a_hat.shape}, {h.value.shape}, {w.value.shape} do not chain"
         )
-    hw = h.value @ w.value
-    if not all_finite(hw):
-        raise NumericError(f"{opname}: h @ w contains NaN or Inf")
-    return a_hat @ hw
+    return a_hat @ (h.value @ w.value)
 
 
 def _propagate_back(a_hat: np.ndarray, h: Node, w: Node, g: np.ndarray) -> None:

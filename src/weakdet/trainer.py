@@ -59,7 +59,6 @@ class TrainConfig:
     lambda_ins: float = 1.0
     lambda_sem: float = 1.0
     lambda_igcl: float = 1.0
-    lse_sharpness: float = 4.0  # r of the smooth-max pooling; inert (sum pooling)
     label_ratio: float = 0.9  # gamma: top-score ratio for induced labels
     center_rate: float = 0.05  # theta: EMA rate for class centers
     tau: float = 5.0  # contrastive inverse temperature

@@ -1,14 +1,21 @@
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from weakdet.cli import (
-    CONFIG_SCHEMA,
+    CONFIG_HELP,
+    DEFAULTS,
+    _format_value,
+    _parse_value,
     build_parser,
     effective_config,
     main,
     read_config_file,
+    scene_config,
+    train_config,
 )
 from weakdet.datamodel import SceneConfig, generate_dataset, load_jsonl
 from weakdet.errors import ConfigError, ParseError
@@ -80,26 +87,83 @@ def test_flags_override_file(small_cfg_file):
     assert values["n_classes"] == 3  # file wins over default
 
 
-def test_help_documents_every_config_key(capsys):
-    parser = build_parser()
+CLI_ONLY_KEYS = {"n_scenes", "train_fraction", "ablate_seeds", "gc_seeds", "gc_step", "gc_tolerance"}
+
+
+def test_every_dataclass_field_has_exactly_one_config_key():
+    train_keys = {f.name: f for f in fields(TrainConfig)}
+    scene_keys = {
+        "data_seed" if f.name == "seed" else f.name: f
+        for f in fields(SceneConfig)
+        if f.name != "cooccurrence"
+    }
+    owners = [train_keys, scene_keys, dict.fromkeys(CLI_ONLY_KEYS)]
+    for key in CONFIG_HELP:
+        assert sum(key in owner for owner in owners) == 1, key
+    assert set(CONFIG_HELP) == set(DEFAULTS) == set().union(*owners)
+    for key, field in {**train_keys, **scene_keys}.items():
+        assert DEFAULTS[key] == field.default, key
+        # the default's type chooses the parser, so it must be the declared one
+        assert type(field.default).__name__ in str(field.type), key
+
+
+def test_defaults_build_the_default_configs_and_round_trip():
+    assert train_config(DEFAULTS) == TrainConfig()
+    scene = scene_config(DEFAULTS)
+    assert scene == SceneConfig() and scene.cooccurrence is None
+    for key, default in DEFAULTS.items():
+        assert _parse_value(key, _format_value(default)) == default, key
+
+
+def _help_text(capsys, command):
     with pytest.raises(SystemExit):
-        parser.parse_args(["gen-data", "--help"])
-    text = capsys.readouterr().out
-    for key in CONFIG_SCHEMA:
-        assert f"--{key.name.replace('_', '-')}" in text
-        assert "default:" in text
+        build_parser().parse_args([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_help_documents_every_config_key(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "500")  # no hyphen breaks inside a help text
+    text = _help_text(capsys, "gen-data")
+    for key, help_text in CONFIG_HELP.items():
+        assert f"--{key.replace('_', '-')} {key.upper()} {help_text} (default: " in text
 
 
 def test_every_schema_default_shown_in_help(capsys):
-    from weakdet.cli import _format_value
+    text = _help_text(capsys, "train")
+    for key, default in DEFAULTS.items():
+        shown = re.search(rf"--{key.replace('_', '-')} {key.upper()} .*?\(default: (\S*)\)", text)
+        assert shown and shown.group(1) == _format_value(default), key
 
-    parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["train", "--help"])
-    text = capsys.readouterr().out.replace("\n", " ")
-    squashed = " ".join(text.split())
-    for key in CONFIG_SCHEMA:
-        assert f"(default: {_format_value(key, key.default)})" in squashed
+
+def test_lse_sharpness_is_an_unknown_key(tmp_path, capsys):
+    path = tmp_path / "old.cfg"
+    path.write_text("lse_sharpness = 4.0\n")
+    assert run(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert "unknown config key 'lse_sharpness'" in capsys.readouterr().err
+
+
+def test_non_utf8_config_reports_lineno(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"n_classes = 3\nsemantic_init = \xff\n")
+    with pytest.raises(ParseError) as exc:
+        read_config_file(str(path))
+    assert exc.value.line == 2
+    assert run(["gen-data", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_missing_input_files_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert run(["gen-data", "--config", missing, "--out", str(tmp_path / "d")]) == 2
+    assert run(["train", "--data", missing, "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert capsys.readouterr().err.count("No such file") == 2
+
+
+def test_unwritable_out_exits_2(small_cfg_file, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["gen-data", "--config", small_cfg_file, "--out", str(blocker / "d")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- gen-data
@@ -310,6 +374,32 @@ def test_ablate_zero_epochs_equals_untrained_baselines(small_cfg_file, tmp_path)
         assert abs(rows[name][2] - corloc(train_dets, train_gts, 3)) < 1e-12
 
 
+def test_ablate_rejects_zero_seeds(small_cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    run(["gen-data", "--config", small_cfg_file, "--out", str(data)])
+    code = run(
+        [
+            "ablate", "--config", small_cfg_file, "--epochs", "0",
+            "--ablate-seeds", "0", "--data", str(data), "--out", str(tmp_path / "a.csv"),
+        ]
+    )
+    assert code == 2
+    assert "ablate_seeds" in capsys.readouterr().err
+
+
+def test_ablate_rejects_an_empty_train_split(small_cfg_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    run(["gen-data", "--config", small_cfg_file, "--train-fraction", "0", "--out", str(data)])
+    code = run(
+        [
+            "ablate", "--config", small_cfg_file, "--epochs", "0",
+            "--ablate-seeds", "1", "--data", str(data), "--out", str(tmp_path / "a.csv"),
+        ]
+    )
+    assert code == 2
+    assert "train split" in capsys.readouterr().err
+
+
 def test_ablate_csv_embeds_config_echo(small_cfg_file, tmp_path):
     data = tmp_path / "data"
     run(["gen-data", "--config", small_cfg_file, "--out", str(data)])
@@ -372,6 +462,11 @@ def test_grad_check_honours_modules(capsys):
 
 def test_grad_check_rejects_an_invalid_mask(capsys):
     assert run(["grad-check", "--gc-seeds", "1", "--modules", "M1,M4"]) == 2
+
+
+def test_grad_check_rejects_zero_seeds(capsys):
+    assert run(["grad-check", "--gc-seeds", "0"]) == 2
+    assert "gc_seeds" in capsys.readouterr().err
 
 
 def test_grad_check_all_lambdas_zero_trivially_passes(capsys):

@@ -221,6 +221,17 @@ def test_jsonl_malformed_line_reports_lineno(tmp_path):
     assert exc.value.line == 2
 
 
+def test_jsonl_non_utf8_line_reports_lineno(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    bags, gts = generate_dataset(small_cfg(), 1)
+    save_jsonl(path, bags, gts)
+    with open(path, "ab") as fh:
+        fh.write(b'{"image_id": "\xff"}\n')
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(path)
+    assert exc.value.line == 2
+
+
 BAD_TAGS = [2, 0.7, -1, True]
 
 

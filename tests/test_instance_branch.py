@@ -7,7 +7,6 @@ from weakdet.instance_branch import (
     ApproxLabels,
     DetectionHead,
     InstanceScores,
-    aggregate_lse,
     approx_labels,
     instance_loss,
     instance_probs,
@@ -55,35 +54,6 @@ def test_instance_probs_single_instance_single_class():
     # row softmax over one class = 1; column softmax over one instance = 1
     assert np.allclose(scores.corr_ins.value, 1.0, atol=1e-15)
     assert abs(float(scores.image_scores.value[0]) - 1.0) < 1e-15
-
-
-# ---------------------------------------------------------------- pooling
-
-
-def test_aggregate_lse_constant_column():
-    col = np.full((4, 1), 0.3)
-    out = aggregate_lse(Node(col), 4.0)
-    assert abs(float(out.value[0]) - 0.3) < 1e-12
-
-
-def test_aggregate_lse_matches_numerics_oracle():
-    out = aggregate_lse(Node(np.array([[0.0], [1.0]])), 1.0)
-    assert abs(float(out.value[0]) - 0.620115) < 1e-6
-
-
-def test_aggregate_lse_sharp_limit():
-    rng = np.random.default_rng(6)
-    x = rng.uniform(0, 1, size=(7, 3))
-    out = aggregate_lse(Node(x), 100.0).value
-    assert np.all(np.abs(out - x.max(axis=0)) <= np.log(7) / 100.0 + 1e-12)
-
-
-def test_aggregate_lse_between_mean_and_max():
-    rng = np.random.default_rng(7)
-    x = rng.uniform(0, 1, size=(9, 4))
-    out = aggregate_lse(Node(x), 4.0).value
-    assert np.all(out >= x.mean(axis=0) - 1e-12)
-    assert np.all(out <= x.max(axis=0) + 1e-12)
 
 
 # ---------------------------------------------------------------- labels

@@ -132,15 +132,6 @@ def test_lse_errors():
         nm.smooth_max_lse(Node([1.0]), 0.0)
 
 
-def test_lse_columns_matches_vector_op():
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal((5, 3))
-    cols = nm.lse_columns(Node(x), 4.0).value
-    for k in range(3):
-        v = float(nm.smooth_max_lse(Node(x[:, k]), 4.0).value)
-        assert abs(cols[k] - v) < 1e-12
-
-
 # ---------------------------------------------------------------- cosine
 
 
@@ -231,11 +222,11 @@ def test_grad_is_allocated_only_when_backward_reaches_the_node():
 
 
 def _composite_loss(arrays):
-    """A loss touching most ops: softmax, matmul, lse, cosine, concat."""
+    """A loss touching most ops: softmax, matmul, pooling, lse, cosine, concat."""
     a, b, v = Node(arrays["a"]), Node(arrays["b"]), Node(arrays["v"])
     prod = nm.matmul(a, b)
     sm = nm.softmax_rows(prod)
-    pooled = nm.lse_columns(nm.mul(sm, nm.softmax_cols(prod)), 3.0)
+    pooled = nm.sum_cols(nm.mul(sm, nm.softmax_cols(prod)))
     joined = nm.hconcat(nm.log_softmax_rows(prod), nm.relu(prod))
     cos = xo.cosine(v, nm.sum_cols(sm))
     return (
@@ -868,7 +859,6 @@ FD_CASES = {
     "log_softmax_rows": (lambda r: [_normal(r, 3, 4)], lambda a: nm.log_softmax_rows(a)),
     "logsumexp_rows": (lambda r: [_normal(r, 3, 4)], lambda a: nm.logsumexp_rows(a)),
     "smooth_max_lse": (lambda r: [_normal(r, 5)], lambda a: nm.smooth_max_lse(a, 2.0)),
-    "lse_columns": (lambda r: [_normal(r, 4, 3)], lambda a: nm.lse_columns(a, 3.0)),
     "normalize_rows": (lambda r: [_normal(r, 3, 4)], lambda a: nm.normalize_rows(a)),
     "matmul_nt": (lambda r: [_normal(r, 3, 4), _normal(r, 2, 4)], lambda a, b: nm.matmul_nt(a, b)),
     "propagate": (
