@@ -169,9 +169,11 @@ def effective_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = _parse_value(name, flag)
-    for name in ("ablate_seeds", "gc_seeds"):
-        if values[name] < 1:
-            raise ConfigError(f"{name} must be >= 1, got {values[name]}")
+    for name, low in (("n_scenes", 0), ("ablate_seeds", 1), ("gc_seeds", 1)):
+        if values[name] < low:
+            raise ConfigError(f"{name} must be >= {low}, got {values[name]}")
+    if not 0.0 <= values["train_fraction"] <= 1.0:
+        raise ConfigError(f"train_fraction must be in [0, 1], got {values['train_fraction']}")
     return values
 
 
@@ -315,20 +317,40 @@ def cmd_grad_check(args) -> int:
     return 1 if failed else 0
 
 
+def _report_number(parent: dict, key: str, label: str) -> str:
+    value = parent.get(key)  # no bool, NaN, Inf or int too large for a float
+    if value is not None and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+        raise ParseError(f"report field {label!r} must be a finite number or null, got {value!r}")
+    return "-" if value is None else f"{value:.4f}"
+
+
+def _report_object(parent: dict, key: str, label: str) -> dict:
+    value = parent.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ParseError(f"report field {label!r} must be an object or null, got {value!r}")
+    return value or {}
+
+
 def cmd_report(args) -> int:
     with open(args.report) as fh:
-        report = json.load(fh)
-    for key in ("map50", "coco_map", "corloc"):
-        value = report.get(key)
-        print(f"{key:>9}: {'-' if value is None else f'{value:.4f}'}")
-    per_class = report.get("per_class") or {}
+        try:
+            report = json.load(fh)
+        except ValueError as e:  # bad JSON or bad UTF-8
+            raise ParseError(f"{args.report} is not a JSON report ({e})") from e
+    if not isinstance(report, dict):
+        raise ParseError(f"{args.report}: a report is a JSON object, got {type(report).__name__}")
+    lines = [f"{k:>9}: {_report_number(report, k, k)}" for k in ("map50", "coco_map", "corloc")]
+    per_class = _report_object(report, "per_class", "per_class")
+    for k in per_class:
+        if not k.isdecimal():
+            raise ParseError(f"report field 'per_class' has key {k!r}, not a class index")
     for k in sorted(per_class, key=int):
-        entry = per_class[k]
-        ap50 = entry.get("ap50")
-        print(f"  class {k}: ap50={'-' if ap50 is None else f'{ap50:.4f}'}")
-    echo = report.get("config_echo") or {}
+        entry = _report_object(per_class, k, f"per_class.{k}")
+        lines.append(f"  class {k}: ap50={_report_number(entry, 'ap50', f'per_class.{k}.ap50')}")
+    echo = _report_object(report, "config_echo", "config_echo")
     if echo:
-        print(f"config: {len(echo)} keys echoed (split={echo.get('split', '?')})")
+        lines.append(f"config: {len(echo)} keys echoed (split={echo.get('split', '?')})")
+    print("\n".join(lines))
     return 0
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import igcl as gc
 from . import numerics as nm
 from .datamodel import Bag, Box
+from .errors import ParameterError
 from .trainer import FrozenStructures, TrainConfig, TrainState, forward_losses, init_state
 
 REL_FLOOR = 1e-2
@@ -106,13 +107,10 @@ def analytic_gradients(
     return grads
 
 
-def _loss_values(
-    bag: Bag, state: TrainState, cfg: TrainConfig, frozen: FrozenStructures
-) -> dict[str, float]:
-    fwd = forward_losses(bag, state, cfg, frozen)
-    values = {name: float(node.value) for name, node in fwd.terms.items()}
-    values["composite"] = float(fwd.loss.value)
-    return values
+def _check_sweep(step: float, tolerance: float) -> None:
+    for name, value in (("step", step), ("tolerance", tolerance)):
+        if not 0.0 < value < np.inf:
+            raise ParameterError(f"gradient check {name} must be finite and > 0, got {value}")
 
 
 def check_bag(
@@ -126,10 +124,14 @@ def check_bag(
     """Compare analytic and central-difference gradients on one bag.
 
     One sweep perturbs each entry of every parameter group that some loss
-    reaches; each perturbed forward yields the values of all the losses.
+    reaches. The forward is built once; each perturbation replays the ops
+    downstream of its group (:func:`~weakdet.numerics.replay`) for all losses.
     """
+    _check_sweep(step, tolerance)
     frozen = freeze_structures(bag, state, cfg)
     analytic = analytic_gradients(bag, state, cfg, frozen)
+    base = forward_losses(bag, state, cfg, frozen)
+    roots = [*base.terms.values(), base.loss]  # in the order of `analytic`
     fd = {name: {p: np.zeros_like(state.params[p]) for p in g} for name, g in analytic.items()}
     for pname in sorted({p for g in analytic.values() for p in g}):
         target = state.params[pname]
@@ -137,14 +139,16 @@ def check_bag(
         while not it.finished:
             idx = it.multi_index
             orig = target[idx]
-            target[idx] = orig + step
-            hi = _loss_values(bag, state, cfg, frozen)
-            target[idx] = orig - step
-            lo = _loss_values(bag, state, cfg, frozen)
-            target[idx] = orig
-            for loss_name, groups in fd.items():
+            try:  # a replay that raises leaves the parameters as they were
+                target[idx] = orig + step
+                hi = nm.replay(roots, target)
+                target[idx] = orig - step
+                lo = nm.replay(roots, target)
+            finally:
+                target[idx] = orig
+            for groups, v_hi, v_lo in zip(fd.values(), hi, lo):
                 if pname in groups:
-                    groups[pname][idx] = (hi[loss_name] - lo[loss_name]) / (2.0 * step)
+                    groups[pname][idx] = (float(v_hi) - float(v_lo)) / (2.0 * step)
             it.iternext()
 
     results: list[GradCheckResult] = []
@@ -172,6 +176,7 @@ def run_checks(
 ) -> list[GradCheckResult]:
     """Run all loss checks over `n_seeds` random bags; one result per
     (seed, loss, parameter group)."""
+    _check_sweep(step, tolerance)
     results = []
     for seed in range(n_seeds):
         rng = np.random.default_rng(1000 + seed)

@@ -14,6 +14,14 @@ Every op validates its result: a NaN or Inf anywhere raises
 :class:`~weakdet.errors.NumericError` instead of propagating. Exponentials
 (softmax, log-sum-exp, log-softmax) are max-shifted.
 
+Every op records on its result the op (by its module-level name) and its
+operands. :func:`replay` re-evaluates a built graph after a parameter array
+was written in place by calling again exactly the ops downstream of it, so
+every check and data-dependent mask (a ReLU's) runs again and the values are
+bitwise a fresh build's. It never writes into the base graph and returns
+values only: the base nodes' backward rules hold their own intermediates, so
+nothing may backpropagate through a replay.
+
 The fused ops at the end each build one node for what would otherwise be a
 chain of elementary ops. Their forward repeats the chain's numpy expressions
 in the same order and memory layout, and their backward repeats its
@@ -65,12 +73,13 @@ class Node:
     :func:`as_node`, and for an op result true when any parent's is.
     ``grad`` is None until :func:`backward` reaches the node; from then on it
     is a C-contiguous array of the value's shape holding d(loss)/d(node).
-    Constants never get one.
+    Constants never get one. ``_record`` is an op result's ``(op, operands)``.
     """
 
-    __slots__ = ("value", "grad", "parents", "requires_grad", "_backward", "_consumed", "_order")
+    __slots__ = ("value", "grad", "parents", "requires_grad", "_backward", "_consumed", "_order",
+                 "_record")
 
-    def __init__(self, value, parents: tuple = (), backward: Callable | None = None):
+    def __init__(self, value, parents: tuple = (), backward: Callable | None = None, record=None):
         value = np.asarray(value, dtype=np.float64)
         if not all_finite(value):
             raise NumericError("tensor contains NaN or Inf")
@@ -86,6 +95,7 @@ class Node:
         self._backward = backward
         self._consumed = False
         self._order = next(_creation)
+        self._record = record
 
     def __repr__(self):
         return f"Node(shape={self.value.shape}, leaf={self._backward is None})"
@@ -158,6 +168,34 @@ def backward(loss: Node) -> None:
             node._backward(node.grad)
 
 
+def replay(roots, changed: np.ndarray) -> list[np.ndarray]:
+    """The values of ``roots`` after the array ``changed`` was written in place.
+
+    A leaf or constant whose value *is* ``changed`` is dirty, and so is an op
+    result with a dirty operand, which is rebuilt from its record. Plain array
+    operands (an adjacency, tags) and what callers derive outside ops (induced
+    labels, graphs) are not re-derived: the caller must hold them fixed.
+    """
+    reached, stack = {r._order: r for r in roots}, list(roots)
+    while stack:
+        for p in stack.pop().parents:
+            if p._order not in reached:
+                reached[p._order] = p
+                stack.append(p)
+    fresh: dict[int, Node] = {}
+    for key in sorted(reached):
+        node = reached[key]
+        if node._record is None:
+            if node.parents:
+                raise UsageError("replay: an op result carries no record")
+            if node.value is changed:
+                fresh[key] = Node(changed)
+        elif any(p._order in fresh for p in node.parents):
+            op, args = node._record
+            fresh[key] = op(*[fresh.get(a._order, a) if isinstance(a, Node) else a for a in args])
+    return [fresh.get(r._order, r).value for r in roots]
+
+
 # ---------------------------------------------------------------------------
 # elementwise and structural ops
 # ---------------------------------------------------------------------------
@@ -166,9 +204,9 @@ def backward(loss: Node) -> None:
 # every one stays here even where only the fused ops' test oracles build it.
 
 
-def _unary(a: Node, value, rule: Callable, fresh: bool = True) -> Node:
+def _unary(a: Node, value, rule: Callable, record: tuple, fresh: bool = True) -> Node:
     """A node on one operand whose backward adds ``rule(g)`` into ``a``."""
-    return Node(value, (a,), lambda g: _accumulate(a, rule(g), fresh))
+    return Node(value, (a,), lambda g: _accumulate(a, rule(g), fresh), record)
 
 
 def _same_shape(a: Node, b: Node, opname: str) -> None:
@@ -179,7 +217,7 @@ def _same_shape(a: Node, b: Node, opname: str) -> None:
 def add(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     _same_shape(a, b, "add")
-    out = Node(a.value + b.value, (a, b))
+    out = Node(a.value + b.value, (a, b), record=(add, (a, b)))
 
     def bw(g):
         if a.requires_grad:
@@ -194,7 +232,7 @@ def add(a, b) -> Node:
 def sub(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     _same_shape(a, b, "sub")
-    out = Node(a.value - b.value, (a, b))
+    out = Node(a.value - b.value, (a, b), record=(sub, (a, b)))
 
     def bw(g):
         if a.requires_grad:
@@ -208,14 +246,14 @@ def sub(a, b) -> Node:
 
 def neg(a) -> Node:
     a = as_node(a)
-    return _unary(a, -a.value, lambda g: -g)
+    return _unary(a, -a.value, lambda g: -g, (neg, (a,)))
 
 
 def mul(a, b) -> Node:
     """Elementwise product (same shape)."""
     a, b = as_node(a), as_node(b)
     _same_shape(a, b, "mul")
-    out = Node(a.value * b.value, (a, b))
+    out = Node(a.value * b.value, (a, b), record=(mul, (a, b)))
 
     def bw(g):
         if a.requires_grad:
@@ -233,7 +271,7 @@ def div(a, b) -> Node:
     _same_shape(a, b, "div")
     if np.any(np.abs(b.value) < EPS_NORM):
         raise DegenerateInputError("div: denominator entry is (near) zero")
-    out = Node(a.value / b.value, (a, b))
+    out = Node(a.value / b.value, (a, b), record=(div, (a, b)))
 
     def bw(g):
         if a.requires_grad:
@@ -249,7 +287,7 @@ def scale(a, c: float) -> Node:
     """Multiply by a scalar constant."""
     a = as_node(a)
     c = float(c)
-    return _unary(a, a.value * c, lambda g: g * c)
+    return _unary(a, a.value * c, lambda g: g * c, (scale, (a, c)))
 
 
 def matmul(a, b) -> Node:
@@ -261,7 +299,7 @@ def matmul(a, b) -> Node:
         raise ShapeError(
             f"matmul: inner dimensions {a.value.shape} x {b.value.shape} do not agree"
         )
-    out = Node(a.value @ b.value, (a, b))
+    out = Node(a.value @ b.value, (a, b), record=(matmul, (a, b)))
 
     def bw(g):
         if a.requires_grad:
@@ -282,7 +320,7 @@ def _matrix(a, opname: str) -> Node:
 
 def transpose(a) -> Node:
     a = _matrix(a, "transpose")
-    return _unary(a, a.value.T.copy(), lambda g: g.T, fresh=False)
+    return _unary(a, a.value.T.copy(), lambda g: g.T, (transpose, (a,)), fresh=False)
 
 
 def hconcat(a, b) -> Node:
@@ -291,7 +329,7 @@ def hconcat(a, b) -> Node:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[0] != b.value.shape[0]:
         raise ShapeError("hconcat expects 2-D nodes with equal row counts")
     na = a.value.shape[1]
-    out = Node(np.concatenate([a.value, b.value], axis=1), (a, b))
+    out = Node(np.concatenate([a.value, b.value], axis=1), (a, b), record=(hconcat, (a, b)))
 
     def bw(g):
         if a.requires_grad:
@@ -306,14 +344,14 @@ def hconcat(a, b) -> Node:
 def relu(a) -> Node:
     a = as_node(a)
     mask = a.value > 0
-    return _unary(a, np.where(mask, a.value, 0.0), lambda g: g * mask)
+    return _unary(a, np.where(mask, a.value, 0.0), lambda g: g * mask, (relu, (a,)))
 
 
 def log(a) -> Node:
     a = as_node(a)
     if np.any(a.value <= 0):
         raise NumericError("log: non-positive input")
-    return _unary(a, np.log(a.value), lambda g: g / a.value)
+    return _unary(a, np.log(a.value), lambda g: g / a.value, (log, (a,)))
 
 
 def sqrt(a) -> Node:
@@ -321,14 +359,14 @@ def sqrt(a) -> Node:
     if np.any(a.value < 0):
         raise NumericError("sqrt: negative input")
     val = np.sqrt(a.value)
-    return _unary(a, val, lambda g: g / (2.0 * np.maximum(val, EPS_NORM)))
+    return _unary(a, val, lambda g: g / (2.0 * np.maximum(val, EPS_NORM)), (sqrt, (a,)))
 
 
 def clip(a, lo: float, hi: float) -> Node:
     """Clamp to [lo, hi]; gradient passes only through the interior."""
     a = as_node(a)
     mask = (a.value > lo) & (a.value < hi)
-    return _unary(a, np.clip(a.value, lo, hi), lambda g: g * mask)
+    return _unary(a, np.clip(a.value, lo, hi), lambda g: g * mask, (clip, (a, lo, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +377,7 @@ def clip(a, lo: float, hi: float) -> Node:
 def total(a) -> Node:
     """Sum of all entries, as a scalar node."""
     a = as_node(a)
-    return _unary(a, np.sum(a.value), lambda g: g, fresh=False)
+    return _unary(a, np.sum(a.value), lambda g: g, (total, (a,)), fresh=False)
 
 
 def mean(a) -> Node:
@@ -348,19 +386,19 @@ def mean(a) -> Node:
     n = a.value.size
     if n == 0:
         raise ShapeError("mean of an empty tensor")
-    return _unary(a, np.sum(a.value) / n, lambda g: g / n, fresh=False)
+    return _unary(a, np.sum(a.value) / n, lambda g: g / n, (mean, (a,)), fresh=False)
 
 
 def sum_rows(a) -> Node:
     """Row sums of a 2-D node -> 1-D node of length m."""
     a = _matrix(a, "sum_rows")
-    return _unary(a, a.value.sum(axis=1), lambda g: g[:, None], fresh=False)
+    return _unary(a, a.value.sum(axis=1), lambda g: g[:, None], (sum_rows, (a,)), fresh=False)
 
 
 def sum_cols(a) -> Node:
     """Column sums of a 2-D node -> 1-D node of length n."""
     a = _matrix(a, "sum_cols")
-    return _unary(a, a.value.sum(axis=0), lambda g: g[None, :], fresh=False)
+    return _unary(a, a.value.sum(axis=0), lambda g: g[None, :], (sum_cols, (a,)), fresh=False)
 
 
 def diag_part(a) -> Node:
@@ -375,7 +413,7 @@ def diag_part(a) -> Node:
         full[diag, diag] = g
         return full
 
-    return _unary(a, np.diagonal(a.value).copy(), rule)
+    return _unary(a, np.diagonal(a.value).copy(), rule, (diag_part, (a,)))
 
 
 def outer(u, v) -> Node:
@@ -383,7 +421,7 @@ def outer(u, v) -> Node:
     u, v = as_node(u), as_node(v)
     if u.value.ndim != 1 or v.value.ndim != 1:
         raise ShapeError("outer expects 1-D nodes")
-    out = Node(np.outer(u.value, v.value), (u, v))
+    out = Node(np.outer(u.value, v.value), (u, v), record=(outer, (u, v)))
 
     def bw(g):
         if u.requires_grad:
@@ -399,7 +437,7 @@ def center_cols(a) -> Node:
     """Subtract each column's mean (over rows)."""
     a = _matrix(a, "center_cols")
     centered = a.value - a.value.mean(axis=0, keepdims=True)
-    return _unary(a, centered, lambda g: g - g.mean(axis=0, keepdims=True))
+    return _unary(a, centered, lambda g: g - g.mean(axis=0, keepdims=True), (center_cols, (a,)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +451,20 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _softmax_along(a, axis: int, opname: str) -> Node:
+def _softmax_along(a, axis: int, op: Callable, opname: str) -> Node:
     a = _matrix(a, opname)
     s = _softmax(a.value, axis)
-    return _unary(a, s, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True)))
+    return _unary(a, s, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True)), (op, (a,)))
 
 
 def softmax_rows(a) -> Node:
     """Softmax along each row of a 2-D node."""
-    return _softmax_along(a, 1, "softmax_rows")
+    return _softmax_along(a, 1, softmax_rows, "softmax_rows")
 
 
 def softmax_cols(a) -> Node:
     """Softmax along each column of a 2-D node."""
-    return _softmax_along(a, 0, "softmax_cols")
+    return _softmax_along(a, 0, softmax_cols, "softmax_cols")
 
 
 def log_softmax_rows(a) -> Node:
@@ -435,7 +473,8 @@ def log_softmax_rows(a) -> Node:
     shifted = a.value - a.value.max(axis=1, keepdims=True)
     log_s = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     s = np.exp(log_s)
-    return _unary(a, log_s, lambda g: g - s * g.sum(axis=1, keepdims=True))
+    return _unary(a, log_s, lambda g: g - s * g.sum(axis=1, keepdims=True),
+                  (log_softmax_rows, (a,)))
 
 
 def logsumexp_rows(a) -> Node:
@@ -444,7 +483,7 @@ def logsumexp_rows(a) -> Node:
     mx = a.value.max(axis=1, keepdims=True)
     lse = np.log(np.exp(a.value - mx).sum(axis=1, keepdims=True)) + mx
     s = _softmax(a.value, axis=1)
-    return _unary(a, lse[:, 0], lambda g: s * g[:, None])
+    return _unary(a, lse[:, 0], lambda g: s * g[:, None], (logsumexp_rows, (a,)))
 
 
 def smooth_max_lse(s, r: float) -> Node:
@@ -465,7 +504,7 @@ def smooth_max_lse(s, r: float) -> Node:
     mx = s.value.max()
     val = (np.log(np.exp(r * (s.value - mx)).sum() / n)) / r + mx
     w = _softmax(r * s.value, axis=0)
-    return _unary(s, val, lambda g: g * w)
+    return _unary(s, val, lambda g: g * w, (smooth_max_lse, (s, r)))
 
 
 def _unit_rows(x: np.ndarray, strict: bool, opname: str):
@@ -496,7 +535,7 @@ def _unit_rows(x: np.ndarray, strict: bool, opname: str):
 def normalize_rows(a, strict: bool = True) -> Node:
     """Scale each row of a 2-D node to unit L2 norm (see :func:`_unit_rows`)."""
     a = _matrix(a, "normalize_rows")
-    return _unary(a, *_unit_rows(a.value, strict, "normalize_rows"))
+    return _unary(a, *_unit_rows(a.value, strict, "normalize_rows"), (normalize_rows, (a, strict)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +554,7 @@ def matmul_nt(a, b) -> Node:
             f"matmul_nt: column counts {a.value.shape} and {b.value.shape} do not agree"
         )
     bt = b.value.T.copy()
-    out = Node(a.value @ bt, (a, b))
+    out = Node(a.value @ bt, (a, b), record=(matmul_nt, (a, b)))
 
     def bw(g):
         if a.requires_grad:
@@ -551,9 +590,8 @@ def propagate(a_hat: np.ndarray, h, w) -> Node:
     arXiv 1609.02907): the chain ``matmul(a_hat, matmul(h, w))`` for a fixed
     adjacency ``a_hat``, which gets no gradient and no node."""
     h, w = as_node(h), as_node(w)
-    out = Node(_propagated(a_hat, h, w, "propagate"), (h, w))
-    out._backward = lambda g: _propagate_back(a_hat, h, w, g)
-    return out
+    return Node(_propagated(a_hat, h, w, "propagate"), (h, w),
+                lambda g: _propagate_back(a_hat, h, w, g), (propagate, (a_hat, h, w)))
 
 
 def propagate_unit(a_hat: np.ndarray, h, w) -> Node:
@@ -563,7 +601,8 @@ def propagate_unit(a_hat: np.ndarray, h, w) -> Node:
     h, w = as_node(h), as_node(w)
     # A non-finite product leaves a NaN in its unit rows, which Node rejects.
     unit, rule = _unit_rows(_propagated(a_hat, h, w, "propagate_unit"), False, "propagate_unit")
-    return Node(unit, (h, w), lambda g: _propagate_back(a_hat, h, w, rule(g)))
+    return Node(unit, (h, w), lambda g: _propagate_back(a_hat, h, w, rule(g)),
+                (propagate_unit, (a_hat, h, w)))
 
 
 def info_nce(x, y, tau: float) -> Node:
@@ -588,7 +627,8 @@ def info_nce(x, y, tau: float) -> Node:
     e = np.exp(sim - mx)
     e_sum = e.sum(axis=1, keepdims=True)
     lse = np.log(e_sum) + mx
-    out = Node(np.sum(lse[:, 0] - np.diagonal(sim).copy()) / n, (x, y))
+    out = Node(np.sum(lse[:, 0] - np.diagonal(sim).copy()) / n, (x, y),
+               record=(info_nce, (x, y, tau)))
     s = e / e_sum  # the row softmax, as _softmax computes it
     diag = np.arange(n)
 
@@ -638,7 +678,7 @@ def pearson_cols(a, var_eps: float) -> Node:
         bad = np.flatnonzero(~ok)
         corr = np.where(both, corr + 0.0, 0.0)
         corr[bad, bad] = 1.0
-    out = Node((corr + corr.T) * 0.5, (a,))
+    out = Node((corr + corr.T) * 0.5, (a,), record=(pearson_cols, (a, var_eps)))
     diag = np.arange(d)
     two_sd = 2.0 * np.maximum(sd, EPS_NORM)
 
@@ -673,7 +713,7 @@ def dual_softmax(cls, det) -> Node:
         raise ShapeError("dual_softmax expects two 2-D nodes of one shape")
     s_rows = _softmax(cls.value, axis=1)
     s_cols = _softmax(det.value, axis=0)
-    out = Node(s_rows * s_cols, (cls, det))
+    out = Node(s_rows * s_cols, (cls, det), record=(dual_softmax, (cls, det)))
 
     def bw(g):
         if det.requires_grad:
@@ -716,7 +756,8 @@ def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> N
     shifted = s_logits.value - s_logits.value.max(axis=1, keepdims=True)
     log_s = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     soft = np.exp(log_s)
-    out = Node(image_term + -np.sum(log_s * weights), (image_scores, s_logits))
+    out = Node(image_term + -np.sum(log_s * weights), (image_scores, s_logits),
+               record=(bce_plus_weighted_ce, (image_scores, s_logits, tags, weights, eps)))
 
     def bw(g):
         g_total = -g  # both totals' gradient, through neg
@@ -744,6 +785,6 @@ def cosine_center_loss(z, targets) -> Node:
     if m == 0:
         raise ShapeError("cosine_center_loss of an empty matrix")
     unit, rule = _unit_rows(z.value, True, "cosine_center_loss")
-    out = Node(1.0 - np.sum((unit * targets).sum(axis=1)) / m, (z,))
-    out._backward = lambda g: _accumulate(z, rule(-g / m * targets))
-    return out
+    return Node(1.0 - np.sum((unit * targets).sum(axis=1)) / m, (z,),
+                lambda g: _accumulate(z, rule(-g / m * targets)),
+                (cosine_center_loss, (z, targets)))

@@ -1,7 +1,8 @@
 """Autodiff ops that no library code builds, kept for the engine tests.
 
-They run on the engine's own ``Node``, ``as_node`` and ``_accumulate``, and
-their finite-difference cases sit in ``FD_CASES`` beside them.
+They run on the engine's own ``Node``, ``as_node`` and ``_accumulate``, record
+themselves as the engine's ops do, and their finite-difference cases sit in
+``FD_CASES`` beside them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from weakdet.numerics import EPS_NORM, Node, _accumulate, as_node
 def exp(a) -> Node:
     a = as_node(a)
     with np.errstate(over="ignore"):  # Node() turns the inf into NumericError
-        out = Node(np.exp(a.value), (a,))
+        out = Node(np.exp(a.value), (a,), record=(exp, (a,)))
     val = out.value
     out._backward = lambda g: _accumulate(a, g * val)
     return out
@@ -31,7 +32,7 @@ def cosine(u, v) -> Node:
     if nu <= EPS_NORM or nv <= EPS_NORM:
         raise DegenerateInputError("cosine: near-zero norm operand")
     c = float(u.value @ v.value) / (nu * nv)
-    out = Node(c, (u, v))
+    out = Node(c, (u, v), record=(cosine, (u, v)))
 
     def bw(g):
         g = float(g)

@@ -189,6 +189,22 @@ def test_gen_data_zero_scenes(small_cfg_file, tmp_path):
     assert bags == [] and gts == []
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--n-scenes", "-3"], "n_scenes"),
+        (["--n-scenes", "4", "--train-fraction", "2"], "train_fraction"),
+        (["--train-fraction", "-0.5"], "train_fraction"),
+        (["--train-fraction", "nan"], "train_fraction"),
+    ],
+)
+def test_gen_data_rejects_out_of_range_cli_keys(small_cfg_file, tmp_path, flags, field, capsys):
+    out = tmp_path / "d"
+    assert run(["gen-data", "--config", small_cfg_file, *flags, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- train/eval
 
 
@@ -310,6 +326,43 @@ def test_report_command_prints_summary(trained, tmp_path, capsys):
     assert run(["report", str(report_path)]) == 0
     out = capsys.readouterr().out
     assert "map50" in out and "corloc" in out and "class 0" in out
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        (b'{"map50": 0.5, "per', "not a JSON report"),
+        (b"[1, 2]", "JSON object"),
+        (b"\xff\xfe", "not a JSON report"),
+        (b'{"per_class": {"x": {}}}', "'x'"),
+        (b'{"map50": "abc"}', "'map50'"),
+        (b'{"corloc": true}', "'corloc'"),
+        (b'{"coco_map": NaN}', "'coco_map'"),
+        (b'{"map50": 1' + b"0" * 400 + b"}", "'map50'"),
+        (b'{"per_class": [0.5]}', "'per_class'"),
+        (b'{"per_class": {"0": 0.5}}', "'per_class.0'"),
+        (b'{"per_class": {"0": {"ap50": "x"}}}', "'per_class.0.ap50'"),
+        (b'{"config_echo": ["split"]}', "'config_echo'"),
+    ],
+)
+def test_report_rejects_a_bad_report_file(tmp_path, content, field, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert run(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err and captured.out == ""
+
+
+def test_report_prints_nulls_and_sorts_classes(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"map50": 0.5, "coco_map": None, "corloc": 1,
+                                "per_class": {"10": {"ap50": None}, "2": {"ap50": 0.25}},
+                                "config_echo": {"split": "test"}}))
+    assert run(["report", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "    map50: 0.5000", " coco_map: -", "   corloc: 1.0000",
+        "  class 2: ap50=0.2500", "  class 10: ap50=-", "config: 1 keys echoed (split=test)",
+    ]
 
 
 # ---------------------------------------------------------------- golden
@@ -467,6 +520,16 @@ def test_grad_check_rejects_an_invalid_mask(capsys):
 def test_grad_check_rejects_zero_seeds(capsys):
     assert run(["grad-check", "--gc-seeds", "0"]) == 2
     assert "gc_seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", ["--gc-step=0", "--gc-step=nan", "--gc-tolerance=0", "--gc-tolerance=-1",
+             "--gc-tolerance=inf"],
+)
+def test_grad_check_rejects_a_bad_step_or_tolerance(flag, capsys):
+    assert run(["grad-check", "--gc-seeds", "1", flag]) == 2
+    err = capsys.readouterr().err
+    assert flag.split("=")[0][len("--gc-"):] in err and "finite and > 0" in err
 
 
 def test_grad_check_all_lambdas_zero_trivially_passes(capsys):

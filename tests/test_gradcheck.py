@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from weakdet import igcl as gc
 from weakdet import numerics as nm
 from weakdet import semantic_branch as sb
+from weakdet.errors import NumericError, ParameterError
 from weakdet.gradcheck import (
     LOSS_NAMES,
     REL_FLOOR,
@@ -15,9 +17,12 @@ from weakdet.gradcheck import (
     check_config,
     freeze_structures,
     random_bag,
+    run_checks,
 )
 from weakdet.numerics import Node
-from weakdet.trainer import SUB_METHODS, forward_losses, init_state
+from weakdet.trainer import MODULE_NAMES, SUB_METHODS, forward_losses, init_state
+
+from conftest import graph_nodes, make_bag
 
 K, D = 3, 5
 
@@ -151,3 +156,138 @@ def test_check_bag_audits_every_term_the_mask_builds(method, losses):
     results = check_bag(bag, state, cfg)
     assert list(dict.fromkeys(r.loss_name for r in results)) == losses
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_check_bag_and_run_checks_reject_a_bad_step_or_tolerance(bad):
+    bag, state, cfg = small_case(0)
+    for kw in ({"step": bad}, {"tolerance": bad}):
+        with pytest.raises(ParameterError):
+            check_bag(bag, state, cfg, **kw)
+        with pytest.raises(ParameterError):
+            run_checks(1, **kw)
+
+
+def test_check_bag_restores_the_parameters_when_a_replay_raises(monkeypatch):
+    bag, state, cfg = small_case(0)
+    before = {name: value.copy() for name, value in state.params.items()}
+    calls = []
+    original = nm.replay
+
+    def failing(roots, changed):
+        calls.append(None)
+        if len(calls) == 7:
+            raise NumericError("injected")
+        return original(roots, changed)
+
+    monkeypatch.setattr(nm, "replay", failing)
+    with pytest.raises(NumericError, match="injected"):
+        check_bag(bag, state, cfg)
+    for name, value in before.items():
+        assert state.params[name].tobytes() == value.tobytes()
+
+
+# ------------------------------------------- replay of the frozen forward
+
+
+def _roots(fwd):
+    return [*fwd.terms.values(), fwd.loss]
+
+
+def _replay_case(method, m, ema):
+    rng = np.random.default_rng(3100 + m)
+    bag = make_bag(rng, m=m, n_classes=K, feature_dim=D, n_pos=1 if m == 1 else None)
+    cfg = replace(check_config(m), hidden_dim=3, embed_dim=2, modules=SUB_METHODS[method],
+                  corr_sem_ema=ema)
+    state = init_state(cfg, K, D)
+    state.corr_buffer = np.eye(K) + 0.1 * rng.standard_normal((K, K))
+    return bag, state, cfg
+
+
+@pytest.mark.parametrize("method", sorted(SUB_METHODS))
+@pytest.mark.parametrize("phase_mode", ("fused", "sequential"))
+@pytest.mark.parametrize("ema", (0.0, 0.5))
+@pytest.mark.parametrize("m", (1, 8))
+def test_replay_equals_a_fresh_forward_byte_for_byte(method, phase_mode, ema, m):
+    bag, state, cfg = _replay_case(method, m, ema)
+    frozen = freeze_structures(bag, state, cfg)
+    masks = [None] if phase_mode == "fused" else [
+        frozenset({name}) for name in MODULE_NAMES if name in cfg.modules
+    ]
+    rng = np.random.default_rng(3200)
+    for include in masks:
+        base = forward_losses(bag, state, cfg, frozen, include=include)
+        for pname in sorted(state.params):
+            target = state.params[pname]
+            idx = tuple(int(rng.integers(s)) for s in target.shape)
+            orig = target[idx]
+            # Large enough to flip relu masks now and then.
+            target[idx] = orig + rng.normal(0.0, 0.5)
+            got = nm.replay(_roots(base), target)
+            want = _roots(forward_losses(bag, state, cfg, frozen, include=include))
+            target[idx] = orig
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.value.tobytes(), (include, pname)
+
+
+def test_replay_raises_what_a_fresh_forward_raises():
+    bag, state, cfg = _replay_case("F", 8, 0.0)
+    frozen = freeze_structures(bag, state, cfg)
+    base = forward_losses(bag, state, cfg, frozen)
+    state.params["w_sem"][0, 0] = 1e300
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="pearson_cols") as fresh:
+            forward_losses(bag, state, cfg, frozen)
+        with pytest.raises(NumericError, match="pearson_cols") as replayed:
+            nm.replay(_roots(base), state.params["w_sem"])
+    assert str(replayed.value) == str(fresh.value)
+
+
+def test_replay_leaves_the_base_graph_unchanged():
+    bag, state, cfg = _replay_case("F", 8, 0.5)
+    frozen = freeze_structures(bag, state, cfg)
+    base = forward_losses(bag, state, cfg, frozen)
+    nodes = graph_nodes(base.loss)
+    snapshot = [(n.value, n.value.tobytes(), n.grad, n._record) for n in nodes]
+    rng = np.random.default_rng(3300)
+    for pname, target in state.params.items():
+        idx = tuple(int(rng.integers(s)) for s in target.shape)
+        orig = target[idx]
+        target[idx] = orig + 0.3
+        nm.replay(_roots(base), target)
+        target[idx] = orig
+    assert graph_nodes(base.loss) == nodes
+    for n, (value, raw, grad, record) in zip(nodes, snapshot):
+        assert n.value is value and n.value.tobytes() == raw
+        assert n.grad is grad is None and n._record is record
+    nm.backward(base.loss)  # still a fresh graph
+
+
+def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
+    """gcn_ins_w1 reaches u, loss_con_sd and the sums: nothing of either
+    branch, nor the other three projectors, runs again."""
+    calls = {}
+    for name, fn in list(vars(nm).items()):
+        if (inspect.isfunction(fn) and fn.__module__ == nm.__name__
+                and fn.__annotations__.get("return") == "Node"
+                and not name.startswith("_") and name != "as_node"):
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(nm, name, counted)
+    bag, state, cfg = _replay_case("F", 8, 0.0)
+    frozen = freeze_structures(bag, state, cfg)
+    base = forward_losses(bag, state, cfg, frozen)
+    assert calls["matmul"] and calls["pearson_cols"]  # the branches were built
+    calls.clear()
+    target = state.params["gcn_ins_w1"]
+    target[0, 0] += 0.1
+    nm.replay(_roots(base), target)
+    # propagate, relu, propagate_unit for u; info_nce; the l_gcl add, its
+    # lambda scale and the last add of the composite.
+    assert calls == {
+        "propagate": 1, "relu": 1, "propagate_unit": 1, "info_nce": 1, "add": 2, "scale": 1
+    }

@@ -944,3 +944,100 @@ def test_every_op_joins_the_finite_difference_audit():
     assert {"exp", "cosine"} == _public_ops(xo)
     audited = {case.split("/")[0] for case in FD_CASES}
     assert ops - audited == set(), "ops without a finite-difference case"
+
+
+# ---------------------------------------------------------------- replay
+
+
+def _nudge(arr, rng, delta):
+    """Add ``delta`` to one random entry of ``arr`` in place; returns the
+    undo."""
+    idx = tuple(int(rng.integers(s)) for s in arr.shape)
+    orig = arr[idx]
+    arr[idx] = orig + delta
+
+    def undo():
+        arr[idx] = orig
+
+    return undo
+
+
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+def test_every_op_records_itself_and_replays_like_a_rebuild(case):
+    op = case.split("/")[0]
+    make, build = FD_CASES[case]
+    arrays = make(np.random.default_rng(900))
+    leaves = [Node(a) for a in arrays]
+    out = build(*leaves)
+    recorded_op, operands = out._record
+    assert recorded_op is getattr(_home(op), op)
+    assert [a for a in operands if isinstance(a, Node)] == leaves
+    before = out.value.copy()
+    rng = np.random.default_rng(901)
+    for arr in arrays:
+        undo = _nudge(arr, rng, 0.05)
+        (got,) = nm.replay([out], arr)
+        _assert_same_bytes(got, build(*[Node(a) for a in arrays]).value)
+        undo()
+    _assert_same_bytes(out.value, before)
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+@pytest.mark.parametrize("as_leaf", (True, False))
+def test_replay_through_each_chain_equals_a_rebuild(name, as_leaf):
+    """The elementary ops the oracles compose replay too, whether the changed
+    array is a leaf or a constant made by ``as_node``."""
+    fused, chain, make, grad_idx = FUSED[name]
+    rng = np.random.default_rng(910)
+    arrays = make(rng, 5)
+
+    def operands():
+        return [Node(a) if as_leaf and i in grad_idx else a for i, a in enumerate(arrays)]
+
+    for fn in (fused, chain):
+        out = fn(*operands())
+        for i in grad_idx:
+            undo = _nudge(arrays[i], rng, 0.01)
+            (got,) = nm.replay([out], arrays[i])
+            _assert_same_bytes(got, fn(*operands()).value)
+            undo()
+
+
+def test_replay_reruns_only_what_the_change_reaches():
+    a, b = np.arange(6.0).reshape(2, 3) - 2.0, np.ones((3, 2))
+
+    def build(la, lb):
+        left = nm.relu(la)
+        return nm.add(nm.matmul(left, lb), nm.scale(nm.matmul(la, lb), 2.0)), left
+
+    out, left = build(Node(a), Node(b))
+    (same,) = nm.replay([out], np.ones(1))  # an array no node holds
+    assert same is out.value
+    b[0, 0] = 3.0
+    got = nm.replay([out, left], b)
+    assert got[1] is left.value  # relu(a) does not read b
+    _assert_same_bytes(got[0], build(Node(a), Node(b))[0].value)
+    a[0, 0] = 5.0  # flips relu's mask
+    got = nm.replay([out, left], a)
+    rebuilt = build(Node(a), Node(b))
+    _assert_same_bytes(got[0], rebuilt[0].value)
+    _assert_same_bytes(got[1], rebuilt[1].value)
+
+
+def test_replay_raises_what_a_rebuild_raises():
+    a = np.ones((2, 2))
+    out = nm.sqrt(nm.scale(Node(a), 1.0))
+    a[0, 0] = -1.0
+    with pytest.raises(NumericError, match="sqrt"):
+        nm.replay([out], a)
+    a[0, 0] = np.inf
+    with pytest.raises(NumericError, match="NaN or Inf"):
+        nm.replay([out], a)
+
+
+def test_replay_rejects_an_op_result_without_a_record():
+    a = np.ones((2, 2))
+    leaf = Node(a)
+    out = nm.total(Node(leaf.value * 2.0, (leaf,)))
+    with pytest.raises(UsageError, match="record"):
+        nm.replay([out], a)
