@@ -214,10 +214,7 @@ def write_metrics_csv(path: str, history: list[dict]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(METRICS_HEADER) + "\n")
         for row in history:
-            fh.write(
-                f"{row['epoch']},{row['loss_total']!r},{row['loss_ins']!r},"
-                f"{row['loss_sem']!r},{row['loss_igcl']!r},{row['lr']!r}\n"
-            )
+            fh.write(",".join(repr(row[k]) for k in METRICS_HEADER) + "\n")
 
 
 def cmd_train(args) -> int:

@@ -98,8 +98,10 @@ def analytic_gradients(
     """Backward of every named term of the forward and of the composite,
     each on its own graph, by loss and by the parameter groups it reaches."""
     grads: dict[str, dict[str, np.ndarray]] = {}
-    for loss_name in (*forward_losses(bag, state, cfg, frozen).terms, "composite"):
-        fwd = forward_losses(bag, state, cfg, frozen)
+    fwd = forward_losses(bag, state, cfg, frozen)
+    for loss_name in (*fwd.terms, "composite"):
+        if grads:  # the first term's graph is the one that named the terms
+            fwd = forward_losses(bag, state, cfg, frozen)
         nm.backward(fwd.loss if loss_name == "composite" else fwd.terms[loss_name])
         grads[loss_name] = {
             pname: node.grad for pname, node in fwd.leaves.items() if node.grad is not None
@@ -124,8 +126,9 @@ def check_bag(
     """Compare analytic and central-difference gradients on one bag.
 
     One sweep perturbs each entry of every parameter group that some loss
-    reaches. The forward is built once; each perturbation replays the ops
-    downstream of its group (:func:`~weakdet.numerics.replay`) for all losses.
+    reaches. The forward is built once, and each group plans once which of
+    its ops lie downstream of the group (:func:`~weakdet.numerics.replay`);
+    each perturbation runs that plan for all losses.
     """
     _check_sweep(step, tolerance)
     frozen = freeze_structures(bag, state, cfg)
@@ -135,21 +138,23 @@ def check_bag(
     fd = {name: {p: np.zeros_like(state.params[p]) for p in g} for name, g in analytic.items()}
     for pname in sorted({p for g in analytic.values() for p in g}):
         target = state.params[pname]
+        plan = nm.replay(roots, target)
         it = np.nditer(target, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
             orig = target[idx]
             try:  # a replay that raises leaves the parameters as they were
                 target[idx] = orig + step
-                hi = nm.replay(roots, target)
+                hi = plan.run()
                 target[idx] = orig - step
-                lo = nm.replay(roots, target)
+                lo = plan.run()
             finally:
                 target[idx] = orig
             for groups, v_hi, v_lo in zip(fd.values(), hi, lo):
                 if pname in groups:
                     groups[pname][idx] = (float(v_hi) - float(v_lo)) / (2.0 * step)
             it.iternext()
+        del plan  # one plan at a time
 
     results: list[GradCheckResult] = []
     for loss_name, groups in analytic.items():

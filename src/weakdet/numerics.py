@@ -15,12 +15,13 @@ Every op validates its result: a NaN or Inf anywhere raises
 (softmax, log-sum-exp, log-softmax) are max-shifted.
 
 Every op records on its result the op (by its module-level name) and its
-operands. :func:`replay` re-evaluates a built graph after a parameter array
-was written in place by calling again exactly the ops downstream of it, so
-every check and data-dependent mask (a ReLU's) runs again and the values are
-bitwise a fresh build's. It never writes into the base graph and returns
-values only: the base nodes' backward rules hold their own intermediates, so
-nothing may backpropagate through a replay.
+operands. :func:`replay` finds once which ops of a built graph lie
+downstream of a parameter array; each run of its plan, after the array was
+written in place, calls exactly those ops again, so every check and
+data-dependent mask (a ReLU's) runs again and the values are bitwise a fresh
+build's. A run never writes into the base graph and returns values only: the
+base nodes' backward rules hold their own intermediates, so nothing may
+backpropagate through a replay.
 
 The fused ops at the end each build one node for what would otherwise be a
 chain of elementary ops. Their forward repeats the chain's numpy expressions
@@ -168,13 +169,17 @@ def backward(loss: Node) -> None:
             node._backward(node.grad)
 
 
-def replay(roots, changed: np.ndarray) -> list[np.ndarray]:
-    """The values of ``roots`` after the array ``changed`` was written in place.
+def replay(roots, changed: np.ndarray) -> ReplayPlan:
+    """Plan the re-evaluation of ``roots`` after the array ``changed`` is
+    written in place; each :meth:`ReplayPlan.run` then gives their values.
 
     A leaf or constant whose value *is* ``changed`` is dirty, and so is an op
-    result with a dirty operand, which is rebuilt from its record. Plain array
-    operands (an adjacency, tags) and what callers derive outside ops (induced
-    labels, graphs) are not re-derived: the caller must hold them fixed.
+    result with a dirty operand, which a run rebuilds from its record. The
+    graph walk, the sort and the dirty test happen here, once per
+    ``(roots, changed)``; an op result without a record raises
+    :class:`UsageError` here too. Plain array operands (an adjacency, tags)
+    and what callers derive outside ops (induced labels, graphs) are not
+    re-derived: the caller must hold them fixed.
     """
     reached, stack = {r._order: r for r in roots}, list(roots)
     while stack:
@@ -182,18 +187,50 @@ def replay(roots, changed: np.ndarray) -> list[np.ndarray]:
             if p._order not in reached:
                 reached[p._order] = p
                 stack.append(p)
-    fresh: dict[int, Node] = {}
+    slot: dict[int, int] = {}  # a dirty node's creation stamp -> its step
+    steps = []
     for key in sorted(reached):
         node = reached[key]
         if node._record is None:
             if node.parents:
                 raise UsageError("replay: an op result carries no record")
             if node.value is changed:
-                fresh[key] = Node(changed)
-        elif any(p._order in fresh for p in node.parents):
-            op, args = node._record
-            fresh[key] = op(*[fresh.get(a._order, a) if isinstance(a, Node) else a for a in args])
-    return [fresh.get(r._order, r).value for r in roots]
+                slot[key] = len(steps)
+                steps.append((Node, (changed,), ()))
+            continue
+        op, args = node._record
+        subs = tuple((i, slot[a._order]) for i, a in enumerate(args)
+                     if isinstance(a, Node) and a._order in slot)
+        if subs:
+            slot[key] = len(steps)
+            steps.append((op, args, subs))
+    return ReplayPlan(steps, [(slot.get(r._order), r.value) for r in roots])
+
+
+class ReplayPlan:
+    """The dirty steps of a :func:`replay`, in creation order.
+
+    Each step is ``(op, args, subs)``: the recorded op (``Node`` for a leaf
+    holding the changed array), its recorded operands, and the ``(position,
+    step)`` pairs whose operand an earlier step rebuilds. Only this
+    bookkeeping is kept: a run calls every op again, so its checks and
+    data-dependent masks see the current values.
+    """
+
+    def __init__(self, steps: list, picks: list):
+        self.steps = steps
+        self._picks = picks  # per root: its step, or None and its base value
+
+    def run(self) -> list[np.ndarray]:
+        """The roots' values for what the changed array holds now."""
+        fresh: list[Node] = []
+        for op, args, subs in self.steps:
+            if subs:
+                args = list(args)
+                for i, s in subs:
+                    args[i] = fresh[s]
+            fresh.append(op(*args))
+        return [value if s is None else fresh[s].value for s, value in self._picks]
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +246,20 @@ def _unary(a: Node, value, rule: Callable, record: tuple, fresh: bool = True) ->
     return Node(value, (a,), lambda g: _accumulate(a, rule(g), fresh), record)
 
 
+def _binary(a: Node, b: Node, value, rule_a: Callable, rule_b: Callable, record: tuple,
+            fresh: bool = True) -> Node:
+    """A node on two operands whose backward adds ``rule_a(g)`` into ``a`` and
+    ``rule_b(g)`` into ``b``, each only when that operand needs a gradient."""
+
+    def bw(g):
+        if a.requires_grad:
+            _accumulate(a, rule_a(g), fresh)
+        if b.requires_grad:
+            _accumulate(b, rule_b(g), fresh)
+
+    return Node(value, (a, b), bw, record)
+
+
 def _same_shape(a: Node, b: Node, opname: str) -> None:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"{opname}: shapes {a.value.shape} and {b.value.shape} differ")
@@ -217,16 +268,7 @@ def _same_shape(a: Node, b: Node, opname: str) -> None:
 def add(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     _same_shape(a, b, "add")
-    out = Node(a.value + b.value, (a, b), record=(add, (a, b)))
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g, fresh=False)
-        if b.requires_grad:
-            _accumulate(b, g, fresh=False)
-
-    out._backward = bw
-    return out
+    return _binary(a, b, a.value + b.value, lambda g: g, lambda g: g, (add, (a, b)), fresh=False)
 
 
 def sub(a, b) -> Node:
@@ -253,16 +295,8 @@ def mul(a, b) -> Node:
     """Elementwise product (same shape)."""
     a, b = as_node(a), as_node(b)
     _same_shape(a, b, "mul")
-    out = Node(a.value * b.value, (a, b), record=(mul, (a, b)))
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.value)
-        if b.requires_grad:
-            _accumulate(b, g * a.value)
-
-    out._backward = bw
-    return out
+    return _binary(a, b, a.value * b.value, lambda g: g * b.value, lambda g: g * a.value,
+                   (mul, (a, b)))
 
 
 def div(a, b) -> Node:
@@ -271,16 +305,8 @@ def div(a, b) -> Node:
     _same_shape(a, b, "div")
     if np.any(np.abs(b.value) < EPS_NORM):
         raise DegenerateInputError("div: denominator entry is (near) zero")
-    out = Node(a.value / b.value, (a, b), record=(div, (a, b)))
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g / b.value)
-        if b.requires_grad:
-            _accumulate(b, -(g * a.value / (b.value * b.value)))
-
-    out._backward = bw
-    return out
+    return _binary(a, b, a.value / b.value, lambda g: g / b.value,
+                   lambda g: -(g * a.value / (b.value * b.value)), (div, (a, b)))
 
 
 def scale(a, c: float) -> Node:
@@ -299,16 +325,8 @@ def matmul(a, b) -> Node:
         raise ShapeError(
             f"matmul: inner dimensions {a.value.shape} x {b.value.shape} do not agree"
         )
-    out = Node(a.value @ b.value, (a, b), record=(matmul, (a, b)))
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.value.T)
-        if b.requires_grad:
-            _accumulate(b, a.value.T @ g)
-
-    out._backward = bw
-    return out
+    return _binary(a, b, a.value @ b.value, lambda g: g @ b.value.T, lambda g: a.value.T @ g,
+                   (matmul, (a, b)))
 
 
 def _matrix(a, opname: str) -> Node:
@@ -329,16 +347,8 @@ def hconcat(a, b) -> Node:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[0] != b.value.shape[0]:
         raise ShapeError("hconcat expects 2-D nodes with equal row counts")
     na = a.value.shape[1]
-    out = Node(np.concatenate([a.value, b.value], axis=1), (a, b), record=(hconcat, (a, b)))
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g[:, :na], fresh=False)
-        if b.requires_grad:
-            _accumulate(b, g[:, na:], fresh=False)
-
-    out._backward = bw
-    return out
+    return _binary(a, b, np.concatenate([a.value, b.value], axis=1), lambda g: g[:, :na],
+                   lambda g: g[:, na:], (hconcat, (a, b)), fresh=False)
 
 
 def relu(a) -> Node:
@@ -421,16 +431,8 @@ def outer(u, v) -> Node:
     u, v = as_node(u), as_node(v)
     if u.value.ndim != 1 or v.value.ndim != 1:
         raise ShapeError("outer expects 1-D nodes")
-    out = Node(np.outer(u.value, v.value), (u, v), record=(outer, (u, v)))
-
-    def bw(g):
-        if u.requires_grad:
-            _accumulate(u, g @ v.value)
-        if v.requires_grad:
-            _accumulate(v, g.T @ u.value)
-
-    out._backward = bw
-    return out
+    return _binary(u, v, np.outer(u.value, v.value), lambda g: g @ v.value,
+                   lambda g: g.T @ u.value, (outer, (u, v)))
 
 
 def center_cols(a) -> Node:

@@ -111,6 +111,11 @@ class TrainConfig:
             raise ConfigError("corr_sem_ema must be in [0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        for name in ("hidden_dim", "embed_dim", "knn_k"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.graph_iou <= 1.0:  # NaN fails both comparisons
+            raise ConfigError(f"graph_iou must be a number in [0, 1], got {self.graph_iou}")
 
     @property
     def m1(self) -> bool:
@@ -503,16 +508,7 @@ def train(
                         acc[name] /= len(batch)
                 last_lr = lr_at(schedule, state.step)
                 sgd_step(state, acc, cfg, last_lr)
-        history.append(
-            {
-                "epoch": epoch,
-                "loss_total": sums["loss_total"] / n,
-                "loss_ins": sums["loss_ins"] / n,
-                "loss_sem": sums["loss_sem"] / n,
-                "loss_igcl": sums["loss_igcl"] / n,
-                "lr": last_lr,
-            }
-        )
+        history.append({"epoch": epoch, **{k: v / n for k, v in sums.items()}, "lr": last_lr})
     return state, history
 
 
@@ -559,9 +555,9 @@ def infer(bag: Bag, state: TrainState, cfg: TrainConfig) -> list[Detection]:
 
     detections: list[Detection] = []
     for k in range(state.n_classes):
-        idx = [i for i in range(bag.size) if score_matrix[i, k] >= cfg.min_score]
+        idx = np.flatnonzero(score_matrix[:, k] >= cfg.min_score)
         boxes = [bag.proposals[i] for i in idx]
-        class_scores = [float(score_matrix[i, k]) for i in idx]
+        class_scores = score_matrix[idx, k].tolist()
         for j in nms(boxes, class_scores, cfg.nms_iou):
             detections.append(Detection(bag.image_id, boxes[j], k, class_scores[j]))
     return detections

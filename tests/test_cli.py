@@ -220,6 +220,44 @@ def trained(small_cfg_file, tmp_path):
     return small_cfg_file, data, ckpt
 
 
+@pytest.fixture
+def six_scene_split(small_cfg_file, tmp_path):
+    data = tmp_path / "data"
+    assert run(["gen-data", "--config", small_cfg_file, "--n-scenes", "6", "--out", str(data)]) == 0
+    return small_cfg_file, data / "train.jsonl"
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--hidden-dim", "0"], "hidden_dim"),
+        (["--embed-dim", "0"], "embed_dim"),
+        (["--knn-k", "-1"], "knn_k"),
+        (["--knn-k", "0"], "knn_k"),
+        (["--graph-iou", "nan"], "graph_iou"),
+        (["--graph-iou", "2.0"], "graph_iou"),
+        (["--graph-iou", "-0.1"], "graph_iou"),
+        (["--graph-iou", "inf"], "graph_iou"),
+    ],
+)
+def test_train_rejects_out_of_range_projector_and_graph_keys(
+    six_scene_split, tmp_path, flags, field, capsys
+):
+    cfg_file, train_jsonl = six_scene_split
+    ckpt = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    code = run(["train", "--config", cfg_file, "--data", str(train_jsonl), "--epochs", "1",
+                *flags, "--out", str(ckpt)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_projector_and_graph_keys_accept_their_edges():
+    TrainConfig(hidden_dim=1, embed_dim=1, knn_k=1, graph_iou=0.0)
+    TrainConfig(graph_iou=1.0)
+
+
 def test_train_outputs(trained):
     _, _, ckpt = trained
     assert ckpt.exists()

@@ -172,19 +172,42 @@ def test_check_bag_restores_the_parameters_when_a_replay_raises(monkeypatch):
     bag, state, cfg = small_case(0)
     before = {name: value.copy() for name, value in state.params.items()}
     calls = []
-    original = nm.replay
+    original = nm.ReplayPlan.run
 
-    def failing(roots, changed):
+    def failing(plan):
         calls.append(None)
         if len(calls) == 7:
             raise NumericError("injected")
-        return original(roots, changed)
+        return original(plan)
 
-    monkeypatch.setattr(nm, "replay", failing)
+    monkeypatch.setattr(nm.ReplayPlan, "run", failing)
     with pytest.raises(NumericError, match="injected"):
         check_bag(bag, state, cfg)
     for name, value in before.items():
         assert state.params[name].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("method", ("A", "F"))
+def test_check_bag_plans_each_parameter_group_once(method, monkeypatch):
+    """The walk, sort and dirty test run once per group, not per perturbation."""
+    bag, state, cfg = small_case(1, modules=SUB_METHODS[method])
+    planned, runs = [], []
+    plan_for, run = nm.replay, nm.ReplayPlan.run
+
+    def counted_plan(roots, changed):
+        planned.append(next(p for p, v in state.params.items() if v is changed))
+        return plan_for(roots, changed)
+
+    def counted_run(plan):
+        runs.append(None)
+        return run(plan)
+
+    monkeypatch.setattr(nm, "replay", counted_plan)
+    monkeypatch.setattr(nm.ReplayPlan, "run", counted_run)
+    results = check_bag(bag, state, cfg)
+    groups = sorted({r.param_name for r in results})
+    assert planned == groups
+    assert len(runs) == 2 * sum(state.params[p].size for p in groups)
 
 
 # ------------------------------------------- replay of the frozen forward
@@ -219,16 +242,18 @@ def test_replay_equals_a_fresh_forward_byte_for_byte(method, phase_mode, ema, m)
         base = forward_losses(bag, state, cfg, frozen, include=include)
         for pname in sorted(state.params):
             target = state.params[pname]
-            idx = tuple(int(rng.integers(s)) for s in target.shape)
-            orig = target[idx]
-            # Large enough to flip relu masks now and then.
-            target[idx] = orig + rng.normal(0.0, 0.5)
-            got = nm.replay(_roots(base), target)
-            want = _roots(forward_losses(bag, state, cfg, frozen, include=include))
-            target[idx] = orig
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.value.tobytes(), (include, pname)
+            orig = target.copy()
+            plan = nm.replay(_roots(base), target)
+            for write in range(3):  # one plan, successive writes that accumulate
+                idx = tuple(int(rng.integers(s)) for s in target.shape)
+                # Large enough to flip relu masks now and then.
+                target[idx] += rng.normal(0.0, 0.5)
+                got = plan.run()
+                want = _roots(forward_losses(bag, state, cfg, frozen, include=include))
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.value.tobytes(), (include, pname, write)
+            target[...] = orig
 
 
 def test_replay_raises_what_a_fresh_forward_raises():
@@ -240,7 +265,7 @@ def test_replay_raises_what_a_fresh_forward_raises():
         with pytest.raises(NumericError, match="pearson_cols") as fresh:
             forward_losses(bag, state, cfg, frozen)
         with pytest.raises(NumericError, match="pearson_cols") as replayed:
-            nm.replay(_roots(base), state.params["w_sem"])
+            nm.replay(_roots(base), state.params["w_sem"]).run()
     assert str(replayed.value) == str(fresh.value)
 
 
@@ -255,7 +280,7 @@ def test_replay_leaves_the_base_graph_unchanged():
         idx = tuple(int(rng.integers(s)) for s in target.shape)
         orig = target[idx]
         target[idx] = orig + 0.3
-        nm.replay(_roots(base), target)
+        nm.replay(_roots(base), target).run()
         target[idx] = orig
     assert graph_nodes(base.loss) == nodes
     for n, (value, raw, grad, record) in zip(nodes, snapshot):
@@ -284,8 +309,10 @@ def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
     assert calls["matmul"] and calls["pearson_cols"]  # the branches were built
     calls.clear()
     target = state.params["gcn_ins_w1"]
+    plan = nm.replay(_roots(base), target)
+    assert calls == {}  # planning calls no op
     target[0, 0] += 0.1
-    nm.replay(_roots(base), target)
+    plan.run()
     # propagate, relu, propagate_unit for u; info_nce; the l_gcl add, its
     # lambda scale and the last add of the composite.
     assert calls == {

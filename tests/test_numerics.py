@@ -975,10 +975,12 @@ def test_every_op_records_itself_and_replays_like_a_rebuild(case):
     before = out.value.copy()
     rng = np.random.default_rng(901)
     for arr in arrays:
-        undo = _nudge(arr, rng, 0.05)
-        (got,) = nm.replay([out], arr)
-        _assert_same_bytes(got, build(*[Node(a) for a in arrays]).value)
-        undo()
+        plan = nm.replay([out], arr)
+        for _ in range(2):  # one plan serves successive writes
+            undo = _nudge(arr, rng, 0.05)
+            (got,) = plan.run()
+            _assert_same_bytes(got, build(*[Node(a) for a in arrays]).value)
+            undo()
     _assert_same_bytes(out.value, before)
 
 
@@ -997,10 +999,12 @@ def test_replay_through_each_chain_equals_a_rebuild(name, as_leaf):
     for fn in (fused, chain):
         out = fn(*operands())
         for i in grad_idx:
-            undo = _nudge(arrays[i], rng, 0.01)
-            (got,) = nm.replay([out], arrays[i])
-            _assert_same_bytes(got, fn(*operands()).value)
-            undo()
+            plan = nm.replay([out], arrays[i])
+            for _ in range(2):
+                undo = _nudge(arrays[i], rng, 0.01)
+                (got,) = plan.run()
+                _assert_same_bytes(got, fn(*operands()).value)
+                undo()
 
 
 def test_replay_reruns_only_what_the_change_reaches():
@@ -1011,28 +1015,44 @@ def test_replay_reruns_only_what_the_change_reaches():
         return nm.add(nm.matmul(left, lb), nm.scale(nm.matmul(la, lb), 2.0)), left
 
     out, left = build(Node(a), Node(b))
-    (same,) = nm.replay([out], np.ones(1))  # an array no node holds
-    assert same is out.value
+    plan_b, plan_a = nm.replay([out, left], b), nm.replay([out, left], a)
+    # leaf b, matmul, matmul, scale, add: relu(a) does not read b
+    assert [op for op, _, _ in plan_b.steps] == [Node, nm.matmul, nm.matmul, nm.scale, nm.add]
     b[0, 0] = 3.0
-    got = nm.replay([out, left], b)
-    assert got[1] is left.value  # relu(a) does not read b
+    got = plan_b.run()
+    assert got[1] is left.value
     _assert_same_bytes(got[0], build(Node(a), Node(b))[0].value)
     a[0, 0] = 5.0  # flips relu's mask
-    got = nm.replay([out, left], a)
+    got = plan_a.run()
     rebuilt = build(Node(a), Node(b))
     _assert_same_bytes(got[0], rebuilt[0].value)
     _assert_same_bytes(got[1], rebuilt[1].value)
 
 
+def test_a_plan_over_an_array_no_root_reaches_has_no_steps():
+    a = np.arange(4.0).reshape(2, 2)
+    out, other = nm.relu(Node(a)), np.ones(1)
+    plan = nm.replay([out], other)  # an array no node holds
+    assert plan.steps == []
+    other[0] = 7.0
+    (same,) = plan.run()
+    assert same is out.value
+    a[0, 0] = -3.0  # a plan re-runs only its steps, even when other arrays change
+    assert plan.run()[0] is out.value
+
+
 def test_replay_raises_what_a_rebuild_raises():
     a = np.ones((2, 2))
     out = nm.sqrt(nm.scale(Node(a), 1.0))
+    plan = nm.replay([out], a)  # the checks belong to the run, not the plan
     a[0, 0] = -1.0
     with pytest.raises(NumericError, match="sqrt"):
-        nm.replay([out], a)
+        plan.run()
     a[0, 0] = np.inf
     with pytest.raises(NumericError, match="NaN or Inf"):
-        nm.replay([out], a)
+        plan.run()
+    a[0, 0] = 4.0
+    _assert_same_bytes(plan.run()[0], nm.sqrt(nm.scale(Node(a), 1.0)).value)
 
 
 def test_replay_rejects_an_op_result_without_a_record():
@@ -1041,3 +1061,6 @@ def test_replay_rejects_an_op_result_without_a_record():
     out = nm.total(Node(leaf.value * 2.0, (leaf,)))
     with pytest.raises(UsageError, match="record"):
         nm.replay([out], a)
+    # also when the record-less node does not depend on the changed array
+    with pytest.raises(UsageError, match="record"):
+        nm.replay([out], np.ones(1))
