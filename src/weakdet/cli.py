@@ -19,6 +19,8 @@ import statistics
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
+
 from .datamodel import SceneConfig, generate_dataset, load_jsonl, numbered_lines, save_jsonl
 from .errors import CompatibilityError, ConfigError, ParseError, WeakdetError
 from .evalmetrics import corloc, evaluation_report, mean_ap
@@ -417,8 +419,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("WEAKDET_LOG_LEVEL", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # a non-finite op result is a NumericError, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (WeakdetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -156,8 +156,7 @@ class SceneConfig:
 def default_cooccurrence(k: int, decay: float = 0.5) -> np.ndarray:
     """Banded co-occurrence: nearby class indices appear together more often."""
     idx = np.arange(k)
-    mat = decay ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
-    return mat
+    return decay ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
 
 
 def class_prototypes(n_classes: int, feature_dim: int) -> np.ndarray:
@@ -252,20 +251,14 @@ def generate_dataset(cfg: SceneConfig, n_scenes: int) -> tuple[list[Bag], list[G
         tags = np.zeros(cfg.n_classes, dtype=np.int64)
         tags[present] = 1
         image_id = f"scene_{s:05d}"
-        bags.append(
-            Bag(image_id, cfg.canvas, boxes, np.vstack(rows), tags)
-        )
+        bags.append(Bag(image_id, cfg.canvas, boxes, np.vstack(rows), tags))
         gts.append(GroundTruth(image_id, objects))
     return bags, gts
 
 
 def filter_proposals(bag: Bag, min_side: float = 16.0) -> Bag:
     """Drop proposals whose width or height is below `min_side` pixels."""
-    keep = [
-        i
-        for i, b in enumerate(bag.proposals)
-        if b.width >= min_side and b.height >= min_side
-    ]
+    keep = [i for i, b in enumerate(bag.proposals) if b.width >= min_side and b.height >= min_side]
     if not keep:
         raise EmptyBagError(f"bag {bag.image_id}: all proposals below {min_side}px")
     if len(keep) == bag.size:
@@ -329,14 +322,11 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
             bag = Bag(
                 image_id=rec["image_id"],
                 canvas=(float(rec["canvas"][0]), float(rec["canvas"][1])),
-                proposals=[Box(*map(float, b)) for b in rec["proposals"]],
+                proposals=[Box(*b) for b in rec["proposals"]],
                 features=np.asarray(rec["features"], dtype=np.float64),
                 tags=rec["tags"],
             )
-            objects = [
-                (Box(float(g[0]), float(g[1]), float(g[2]), float(g[3])), int(g[4]))
-                for g in rec.get("gt", [])
-            ]
+            objects = [(Box(*g[:4]), int(g[4])) for g in rec.get("gt", [])]
         except ParseError:
             raise
         except Exception as e:  # malformed record: report the line

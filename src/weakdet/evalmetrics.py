@@ -190,17 +190,12 @@ def corloc(dets: list[Detection], gts: list[GroundTruth], n_classes: int) -> flo
 
     hits = total = 0
     for gt in gts:
-        present = sorted({k for _, k in gt.objects})
-        for k in present:
+        for k in sorted({k for _, k in gt.objects}):
             total += 1
             top = best.get((gt.image_id, k))
-            if top is None:
-                continue
-            if any(iou(top.box, box) > 0.5 for box, kk in gt.objects if kk == k):
+            if top is not None and any(iou(top.box, b) > 0.5 for b, kk in gt.objects if kk == k):
                 hits += 1
-    if total == 0:
-        return 0.0
-    return hits / total
+    return hits / total if total else 0.0
 
 
 def evaluation_report(
@@ -215,16 +210,9 @@ def evaluation_report(
     The test split reports mAP@0.5 and COCO-averaged mAP; the train split
     reports CorLoc. Unused fields stay null so the schema is stable.
     """
-    report: dict = {
-        "map50": None,
-        "coco_map": None,
-        "corloc": None,
-        "per_class": {},
-        "config_echo": dict(config_echo or {}),
-    }
-    report["config_echo"].setdefault("ap_interpolation", "all_point")
-    report["config_echo"].setdefault("iou_criterion", "strictly_greater")
-    report["config_echo"].setdefault("split", split)
+    echo = {"ap_interpolation": "all_point", "iou_criterion": "strictly_greater", "split": split}
+    report: dict = {"map50": None, "coco_map": None, "corloc": None, "per_class": {},
+                    "config_echo": {**echo, **(config_echo or {})}}
     if split == "train":
         report["corloc"] = corloc(dets, gts, n_classes)
     else:

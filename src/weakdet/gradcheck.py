@@ -46,13 +46,8 @@ class GradCheckResult:
 
 def check_config(seed: int = 0) -> TrainConfig:
     """Small projector widths keep the finite-difference sweeps fast."""
-    return TrainConfig(
-        hidden_dim=6,
-        embed_dim=4,
-        semantic_init="random",
-        center_init="random",
-        seed=seed,
-    )
+    return TrainConfig(hidden_dim=6, embed_dim=4, semantic_init="random", center_init="random",
+                       seed=seed)
 
 
 def random_bag(
@@ -64,19 +59,11 @@ def random_bag(
     for _ in range(m):
         x1 = float(rng.uniform(0, 90))
         y1 = float(rng.uniform(0, 90))
-        boxes.append(
-            Box(x1, y1, x1 + float(rng.uniform(20, 38)), y1 + float(rng.uniform(20, 38)))
-        )
+        boxes.append(Box(x1, y1, x1 + float(rng.uniform(20, 38)), y1 + float(rng.uniform(20, 38))))
     n_pos = int(rng.integers(1, min(n_classes, m) + 1))
     tags = np.zeros(n_classes, dtype=np.int64)
     tags[rng.choice(n_classes, size=n_pos, replace=False)] = 1
-    return Bag(
-        image_id="gradcheck",
-        canvas=(128.0, 128.0),
-        proposals=boxes,
-        features=rng.standard_normal((m, feature_dim)),
-        tags=tags,
-    )
+    return Bag("gradcheck", (128.0, 128.0), boxes, rng.standard_normal((m, feature_dim)), tags)
 
 
 def freeze_structures(bag: Bag, state: TrainState, cfg: TrainConfig) -> FrozenStructures:

@@ -43,9 +43,9 @@ class GraphAdjacency:
 
 
 def _normalize(adj: np.ndarray) -> GraphAdjacency:
-    a = adj + np.eye(adj.shape[0])
-    inv_sqrt_deg = 1.0 / np.sqrt(a.sum(axis=1))
-    return GraphAdjacency(a * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :])
+    adj.reshape(-1)[:: adj.shape[0] + 1] += 1.0  # A + I, in the caller's fresh array
+    inv_sqrt_deg = 1.0 / np.sqrt(adj.sum(axis=1))
+    return GraphAdjacency(adj * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :])
 
 
 def build_instance_graph(boxes: list[Box], iou_threshold: float = 0.3) -> GraphAdjacency:
@@ -71,14 +71,14 @@ def build_semantic_graph(z: np.ndarray, k: int = 5) -> GraphAdjacency:
     adj = np.zeros((n, n))
     if n > 1:
         k_eff = min(k, n - 1)
-        norms = np.linalg.norm(z, axis=1)
+        norms = np.sqrt(np.add.reduce(z * z, axis=1))  # np.linalg.norm's sum
         safe = np.where(norms > nm.EPS_NORM, norms, 1.0)
         unit = z / safe[:, None]
         sim = unit @ unit.T
-        np.fill_diagonal(sim, -np.inf)
+        sim.reshape(-1)[:: n + 1] = -np.inf
         # Stable sort keeps neighbour choice deterministic under ties.
         nbrs = np.argsort(-sim, axis=1, kind="stable")[:, :k_eff]
-        np.put_along_axis(adj, nbrs, 1.0, axis=1)
+        adj[np.arange(n)[:, None], nbrs] = 1.0
         adj = np.maximum(adj, adj.T)
     return _normalize(adj)
 

@@ -59,11 +59,11 @@ _creation = itertools.count()
 def all_finite(arr: np.ndarray) -> bool:
     """True when no entry of ``arr`` is NaN or Inf.
 
-    A finite sum proves every entry finite, since a NaN or Inf anywhere makes
-    the sum NaN or Inf; only a sum that is not finite (including one that
-    overflowed, which numpy reports as a warning) needs the entrywise test.
+    A finite sum of squares proves every entry finite (a NaN makes it NaN, an
+    Inf of either sign +Inf); only one that is not, such as one that
+    overflowed (silently, in BLAS), needs the entrywise test.
     """
-    return math.isfinite(np.add.reduce(arr, axis=None)) or bool(np.isfinite(arr).all())
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
 
 
 class Node:
@@ -72,8 +72,9 @@ class Node:
     Leaf nodes (parameters, constants) have no parents. ``requires_grad``
     is true for an explicit leaf, false for a constant made by
     :func:`as_node`, and for an op result true when any parent's is.
-    ``grad`` is None until :func:`backward` reaches the node; from then on it
-    is a C-contiguous array of the value's shape holding d(loss)/d(node).
+    ``grad`` is None until :func:`backward` reaches the node, unless a caller
+    preset a leaf's to a zeroed buffer to add into; from then on it is a
+    C-contiguous array of the value's shape holding d(loss)/d(node).
     Constants never get one. ``_record`` is an op result's ``(op, operands)``.
     """
 

@@ -7,9 +7,10 @@ over both. The default fused mode sums the phase losses into one objective
 per bag and takes a single SGD-with-momentum step plus one center update;
 the sequential mode instead loops over the bags once per phase, stepping
 after each phase-local loss. A module mask selects participating phases,
-giving the six ablation sub-methods. Runs are deterministic given
-(seed, config, dataset), and checkpoints restore the trajectory bit for
-bit.
+giving the six ablation sub-methods. Parameters, velocities and each bag's
+gradient are flat vectors, so a step is one vector update when every group
+is touched. Runs are deterministic given (seed, config, dataset), and
+checkpoints restore the trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable
 
@@ -28,12 +29,7 @@ from . import instance_branch as ib
 from . import numerics as nm
 from . import semantic_branch as sb
 from .datamodel import Bag, class_prototypes, filter_proposals
-from .errors import (
-    CompatibilityError,
-    ConfigError,
-    NumericError,
-    ParseError,
-)
+from .errors import CompatibilityError, ConfigError, NumericError, ParseError, WeakdetError
 from .evalmetrics import Detection, iou
 from .numerics import Node
 
@@ -138,7 +134,9 @@ class TrainConfig:
 class TrainState:
     """Everything learnable or stateful: parameters, centers, optimizer
     velocities, the running correlation buffer, the step counter, and the
-    training RNG."""
+    training RNG. The constructor packs the parameter and the velocity groups
+    into one float64 vector each, in sorted name order; ``params[name]`` and
+    ``velocity[name]`` are views into them at ``layout[name]``, a (slice, shape)."""
 
     params: dict
     velocity: dict
@@ -148,6 +146,27 @@ class TrainState:
     rng: np.random.Generator
     n_classes: int
     feature_dim: int
+    flat_params: np.ndarray = field(init=False, repr=False)
+    flat_velocity: np.ndarray = field(init=False, repr=False)
+    layout: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = {k: np.shape(self.params[k]) for k in sorted(self.params)}
+        if {k: np.shape(v) for k, v in self.velocity.items()} != shapes:
+            raise CompatibilityError("velocity groups do not match the parameter groups")
+        ends = np.cumsum([0, *map(math.prod, shapes.values())]).tolist()
+        self.layout = {k: (slice(a, b), s) for (k, s), a, b in zip(shapes.items(), ends, ends[1:])}
+        self.flat_params, self.flat_velocity = (
+            np.concatenate([np.ravel(g[k]) for k in shapes], dtype=np.float64)
+            for g in (self.params, self.velocity)
+        )
+        self.params = {k: self.view(self.flat_params, k) for k in shapes}
+        self.velocity = {k: self.view(self.flat_velocity, k) for k in shapes}
+
+    def view(self, flat: np.ndarray, name: str) -> np.ndarray:
+        """Group ``name`` of a vector in this state's layout."""
+        sl, shape = self.layout[name]
+        return flat[sl].reshape(shape)
 
 
 def init_state(cfg: TrainConfig, n_classes: int, feature_dim: int) -> TrainState:
@@ -405,18 +424,21 @@ def lr_at(schedule: list[tuple[int, float]], step: int) -> float:
     return rate
 
 
-def sgd_step(state: TrainState, grads: dict, cfg: TrainConfig, lr: float) -> None:
-    """v <- mu v + g + wd w;  w <- w - lr v. Only touches params in `grads`."""
-    for name in sorted(grads):
-        g = grads[name]
-        if not nm.all_finite(g):
-            raise NumericError(
-                f"non-finite gradient for {name} at step {state.step}; aborting"
-            )
-        w = state.params[name]
-        v = state.velocity[name]
+def sgd_step(
+    state: TrainState, grad: np.ndarray, cfg: TrainConfig, lr: float, touched=None
+) -> None:
+    """v <- mu v + g + wd w;  w <- w - lr v for the groups in ``touched`` (all
+    when None), as one update when all are touched. ``grad`` is a vector in
+    the state's layout; nothing moves unless all of it is finite."""
+    if not nm.all_finite(grad):
+        bad = next(k for k in state.layout if not nm.all_finite(state.view(grad, k)))
+        raise NumericError(f"non-finite gradient for {bad} at step {state.step}; aborting")
+    whole = touched is None or state.layout.keys() <= touched
+    for sl in [slice(None)] if whole else [state.layout[k][0] for k in sorted(touched)]:
+        w = state.flat_params[sl]
+        v = state.flat_velocity[sl]
         v *= cfg.momentum
-        v += g + cfg.weight_decay * w
+        v += grad[sl] + cfg.weight_decay * w
         w -= lr * v
     state.step += 1
 
@@ -470,6 +492,8 @@ def train(
     steps_per_epoch = -(-n // cfg.batch_size) * len(phases)
     schedule = resolve_schedule(cfg, cfg.epochs * steps_per_epoch)
 
+    bag_grad = np.empty_like(state.flat_params)  # one bag's gradient, zeroed per bag
+    grad_views = {name: state.view(bag_grad, name) for name in state.layout}
     history: list[dict] = []
     start_epoch = state.step // steps_per_epoch if steps_per_epoch else 0
     stop_epoch = cfg.epochs if until_epoch is None else min(cfg.epochs, until_epoch)
@@ -480,34 +504,41 @@ def train(
         for phase in phases:
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                acc: dict[str, np.ndarray] = {}
+                grads, touched = [], set()
                 for i in batch:
-                    fwd = forward_losses(bags[i], state, cfg, frozen[i], include=phase)
-                    nm.backward(fwd.loss)
-                    for name, node in fwd.leaves.items():
-                        if name in acc:
-                            acc[name] += node.grad
-                        else:
-                            acc[name] = node.grad  # the graph is dropped: no copy
+                    try:
+                        fwd = forward_losses(bags[i], state, cfg, frozen[i], include=phase)
+                        # A leaf adds into its group of the zeroed vector:
+                        # 0.0 + contrib, the bits a lazy buffer would hold.
+                        bag_grad.fill(0.0)
+                        for name, node in fwd.leaves.items():
+                            node.grad = grad_views[name]
+                        nm.backward(fwd.loss)
+                        if "M2" in phase and fwd.pseudo_hard is not None:
+                            state.centers = sb.update_centers(
+                                state.centers, fwd.z_values, fwd.pseudo_hard, cfg.center_rate
+                            )
+                            # Under two proposals there is no sample correlation
+                            # to fold in, only the identity fallback.
+                            if cfg.corr_sem_ema > 0.0 and bags[i].size >= 2:
+                                state.corr_buffer = (
+                                    cfg.corr_sem_ema * state.corr_buffer
+                                    + (1.0 - cfg.corr_sem_ema) * fwd.corr_values
+                                )
+                    except WeakdetError as e:
+                        where = f"bag {bags[i].image_id!r}, epoch {epoch}, step {state.step}"
+                        e.args = (f"{where}: {e}",)
+                        raise
+                    grads.append(bag_grad.copy())
+                    touched.update(fwd.leaves)
                     sums["loss_total"] += float(fwd.loss.value)
                     for key in ("loss_ins", "loss_sem", "loss_igcl"):
                         sums[key] += fwd.parts[key]
-                    if "M2" in phase and fwd.pseudo_hard is not None:
-                        state.centers = sb.update_centers(
-                            state.centers, fwd.z_values, fwd.pseudo_hard, cfg.center_rate
-                        )
-                        # Under two proposals there is no sample correlation
-                        # to fold in, only the identity fallback.
-                        if cfg.corr_sem_ema > 0.0 and bags[i].size >= 2:
-                            state.corr_buffer = (
-                                cfg.corr_sem_ema * state.corr_buffer
-                                + (1.0 - cfg.corr_sem_ema) * fwd.corr_values
-                            )
+                grad = reduce(np.add, grads)  # summed in batch order
                 if len(batch) > 1:
-                    for name in acc:
-                        acc[name] /= len(batch)
+                    grad /= len(batch)
                 last_lr = lr_at(schedule, state.step)
-                sgd_step(state, acc, cfg, last_lr)
+                sgd_step(state, grad, cfg, last_lr, touched)
         history.append({"epoch": epoch, **{k: v / n for k, v in sums.items()}, "lr": last_lr})
     return state, history
 

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -596,3 +597,21 @@ def test_train_and_eval_reject_tags_outside_zero_one(trained, tmp_path, bad, cap
                 "--data", str(path), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "tags" in err
+
+
+def test_overflowing_features_exit_2_without_a_numpy_warning(six_scene_split, tmp_path, capsys):
+    cfg_file, train_jsonl = six_scene_split
+    lines = train_jsonl.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["features"] = [[1e308] * len(row) for row in rec["features"]]
+    path = tmp_path / "huge.jsonl"
+    path.write_text(json.dumps(rec) + "\n" + "\n".join(lines[1:]) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["train", "--config", cfg_file, "--data", str(path),
+                    "--out", str(tmp_path / "m.ckpt")])
+    assert code == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and rec["image_id"] in err

@@ -199,6 +199,48 @@ def test_semantic_graph_matches_scalar_loop_on_ties_and_large_k():
             assert build_semantic_graph(z, k).a_hat.tobytes() == expected.tobytes()
 
 
+
+def semantic_graph_argsort_reference(z, k=5):
+    """The earlier vectorised builder (``np.linalg.norm``, ``fill_diagonal``,
+    ``put_along_axis`` and an ``np.eye`` self-loop): the leaner one must
+    give the same bytes."""
+    z = np.asarray(z, dtype=np.float64)
+    n = z.shape[0]
+    adj = np.zeros((n, n))
+    if n > 1:
+        k_eff = min(k, n - 1)
+        norms = np.linalg.norm(z, axis=1)
+        safe = np.where(norms > nm.EPS_NORM, norms, 1.0)
+        unit = z / safe[:, None]
+        sim = unit @ unit.T
+        np.fill_diagonal(sim, -np.inf)
+        nbrs = np.argsort(-sim, axis=1, kind="stable")[:, :k_eff]
+        np.put_along_axis(adj, nbrs, 1.0, axis=1)
+        adj = np.maximum(adj, adj.T)
+    return _normalize_loop(adj)
+
+
+def _semantic_reference_cases():
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        n = int(rng.integers(1, 40))
+        yield rng.standard_normal((n, int(rng.integers(1, 9)))) * rng.uniform(1e-3, 1e3)
+    row = rng.standard_normal(5)
+    yield np.vstack([row, row, -row, 2.0 * row, np.zeros(5), np.zeros(5)])  # ties
+    yield np.ones((7, 3))  # every similarity tied
+    yield np.zeros((4, 3))  # every norm below EPS_NORM
+    yield rng.standard_normal((1, 4))
+    yield rng.standard_normal((2, 4))
+
+
+def test_semantic_graph_bytes_equal_the_argsort_reference():
+    for z in _semantic_reference_cases():
+        n = z.shape[0]
+        for k in sorted({1, 3, 5, max(n - 2, 1), n - 1 or 1, n, n + 4}):
+            want = semantic_graph_argsort_reference(z, k)
+            assert build_semantic_graph(z, k).a_hat.tobytes() == want.tobytes(), (n, k)
+
+
 # ---------------------------------------------------------------- GCN
 
 

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -1064,3 +1065,35 @@ def test_replay_rejects_an_op_result_without_a_record():
     # also when the record-less node does not depend on the changed array
     with pytest.raises(UsageError, match="record"):
         nm.replay([out], np.ones(1))
+
+
+def _all_finite_cases():
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((22, 32))
+    for bad in (np.nan, np.inf, -np.inf):
+        arr = base.copy()
+        arr[3, 7] = bad
+        yield arr
+        yield arr.T  # not C-contiguous
+    both = base.copy()
+    both[0, 0], both[1, 1] = np.inf, -np.inf  # opposite infinities
+    yield both
+    yield np.full((4, 5), 1e308)  # the sum of squares overflows
+    yield np.full((4, 5), -1e308)
+    yield np.array([1e308, np.nan])
+    yield np.zeros((0,))
+    yield np.zeros((3, 0))
+    yield np.array(2.5)
+    yield np.array(np.nan)
+    yield np.array(-np.inf)
+    yield base
+    yield base.T
+    yield base[::2, 1::3]
+    yield np.array([5e-324, -0.0, 1.7976931348623157e308])
+
+
+def test_all_finite_agrees_with_isfinite_and_never_warns():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arr in _all_finite_cases():
+            assert nm.all_finite(arr) is bool(np.isfinite(arr).all()), arr

@@ -1,12 +1,13 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from weakdet import igcl
 from weakdet import numerics as nm
-from weakdet.datamodel import Box, SceneConfig, filter_proposals, generate_dataset
-from weakdet.errors import CompatibilityError, ConfigError, ParseError
+from weakdet.datamodel import Bag, Box, SceneConfig, filter_proposals, generate_dataset
+from weakdet.errors import CompatibilityError, ConfigError, ContractError, NumericError, ParseError
 from weakdet.evalmetrics import iou
 from weakdet.trainer import (
     SUB_METHODS,
@@ -121,17 +122,14 @@ def test_masked_modules_get_no_gradient_and_no_update(rng):
 
 
 def make_scalar_state(w0):
-    cfg = TrainConfig()
-    state = init_state(cfg, 2, 2)
-    state.params = {"w": np.array([w0])}
-    state.velocity = {"w": np.zeros(1)}
-    return state
+    state = init_state(TrainConfig(), 2, 2)
+    return replace(state, params={"w": np.array([w0])}, velocity={"w": np.zeros(1)})
 
 
 def test_sgd_plain_gradient_descent():
     state = make_scalar_state(1.0)
     cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
-    sgd_step(state, {"w": np.array([0.5])}, cfg, lr=0.1)
+    sgd_step(state, np.array([0.5]), cfg, lr=0.1)
     assert abs(state.params["w"][0] - (1.0 - 0.1 * 0.5)) < 1e-15
     assert state.step == 1
 
@@ -139,7 +137,7 @@ def test_sgd_plain_gradient_descent():
 def test_sgd_fixed_point():
     state = make_scalar_state(2.0)
     cfg = TrainConfig(momentum=0.9, weight_decay=0.0)
-    sgd_step(state, {"w": np.array([0.0])}, cfg, lr=0.1)
+    sgd_step(state, np.array([0.0]), cfg, lr=0.1)
     assert state.params["w"][0] == 2.0
 
 
@@ -151,7 +149,7 @@ def test_sgd_two_steps_match_hand_recurrence():
     cfg = TrainConfig(momentum=mu, weight_decay=wd)
     for _ in range(2):
         g = a * state.params["w"][0]
-        sgd_step(state, {"w": np.array([g])}, cfg, lr=lr)
+        sgd_step(state, np.array([g]), cfg, lr=lr)
         v = mu * v + a * w + wd * w
         w = w - lr * v
     assert abs(state.params["w"][0] - w) < 1e-15
@@ -162,7 +160,154 @@ def test_sgd_rejects_nonfinite_gradient():
     from weakdet.errors import NumericError
 
     with pytest.raises(NumericError):
-        sgd_step(state, {"w": np.array([np.nan])}, TrainConfig(), lr=0.1)
+        sgd_step(state, np.array([np.nan]), TrainConfig(), lr=0.1)
+
+
+# ---------------------------------------------------------------- flat layout
+
+
+def _group_reference_step(state, grad, cfg, lr, touched):
+    """The per-group update the flat one must reproduce bit for bit."""
+    params = {k: v.copy() for k, v in state.params.items()}
+    velocity = {k: v.copy() for k, v in state.velocity.items()}
+    for name in sorted(touched):
+        g = state.view(grad, name)
+        velocity[name] *= cfg.momentum
+        velocity[name] += g + cfg.weight_decay * params[name]
+        params[name] -= lr * velocity[name]
+    return params, velocity
+
+
+def _trained_state(**kw):
+    bags, _ = tiny_dataset(4)
+    state, _ = train(bags, small_cfg(epochs=1, **kw))
+    return state
+
+
+def _assert_packed(state):
+    """Every group is a view into its flat vector, in sorted name order."""
+    assert list(state.params) == list(state.velocity) == sorted(state.layout)
+    stop = 0
+    for name, (sl, shape) in state.layout.items():
+        assert sl.start == stop and state.params[name].shape == shape
+        stop = sl.stop
+        for groups, flat in ((state.params, state.flat_params),
+                             (state.velocity, state.flat_velocity)):
+            assert groups[name].base is flat
+            assert np.shares_memory(groups[name], flat[sl])
+            assert np.array_equal(groups[name].reshape(-1), flat[sl])
+    assert stop == state.flat_params.size == state.flat_velocity.size
+
+
+def test_state_groups_are_views_into_flat_vectors():
+    state = init_state(small_cfg(), 3, 8)
+    _assert_packed(state)
+    assert not np.shares_memory(state.flat_params, state.flat_velocity)
+    state.params["w_sem"][0, 0] = 5.0
+    assert state.flat_params[state.layout["w_sem"][0].start] == 5.0
+    _assert_packed(_trained_state())
+    _assert_packed(make_scalar_state(1.0))
+
+
+def test_state_rejects_velocity_that_does_not_match_params():
+    state = init_state(small_cfg(), 3, 8)
+    with pytest.raises(CompatibilityError):
+        replace(state, velocity={k: v for k, v in state.velocity.items() if k != "w_bg"})
+    with pytest.raises(CompatibilityError):
+        replace(state, velocity={**state.velocity, "w_bg": np.zeros(1)})
+
+
+def test_checkpoint_round_trip_packs_views(tmp_path):
+    state = _trained_state()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(state, path)
+    loaded = load_checkpoint(path)
+    _assert_packed(loaded)
+    assert loaded.flat_params.tobytes() == state.flat_params.tobytes()
+    assert loaded.flat_velocity.tobytes() == state.flat_velocity.tobytes()
+    save_checkpoint(loaded, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+# Checkpoint bytes of a 2-epoch run on tiny_dataset(6), pinned from the
+# per-group layout that preceded the flat vectors.
+CHECKPOINT_DIGESTS = {
+    "fused": ({}, "53431f768deff4ef3937cf7aba580f961edb81eefd3d0dae82536f354a803608"),
+    "sequential_batch4": (
+        {"phase_mode": "sequential", "batch_size": 4},
+        "ffb6eeb67103c07b83ccff54d6f176271b05972410c8cfaef833e1dc0d6d1778",
+    ),
+    "method_c": (
+        {"modules": SUB_METHODS["C"]},
+        "36e75db9b32aad058596ea96cec706557be06836bb2fdaa8bd010ea6ef63205a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_DIGESTS))
+def test_checkpoint_bytes_match_pinned_digests(case, tmp_path):
+    overrides, digest = CHECKPOINT_DIGESTS[case]
+    bags, _ = tiny_dataset(6)
+    state, _ = train(bags, TrainConfig(hidden_dim=8, embed_dim=4, epochs=2, **overrides))
+    save_checkpoint(state, tmp_path / "c.bin")
+    assert hashlib.sha256((tmp_path / "c.bin").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "touched",
+    [None, {"w_sem"}, {"w_cls", "w_det", "w_bg"}, {"w_sem", "gcn_sem_w1", "gcn_ins_p_w2"}],
+)
+def test_sgd_step_moves_only_touched_groups(touched):
+    state = _trained_state()
+    rng = np.random.default_rng(3)
+    grad = rng.standard_normal(state.flat_params.size)
+    cfg, lr = TrainConfig(), 0.01
+    names = set(state.layout) if touched is None else touched
+    want_p, want_v = _group_reference_step(state, grad, cfg, lr, names)
+    step = state.step
+    sgd_step(state, grad, cfg, lr, touched)
+    assert state.step == step + 1
+    for name in state.layout:
+        assert state.params[name].tobytes() == want_p[name].tobytes(), name
+        assert state.velocity[name].tobytes() == want_v[name].tobytes(), name
+    _assert_packed(state)
+
+
+def test_sequential_steps_leave_untouched_groups_bitwise_unchanged(monkeypatch):
+    seen = []
+
+    def checked(state, grad, cfg, lr, touched=None):
+        def groups():
+            return {k: (state.params[k].tobytes(), state.velocity[k].tobytes())
+                    for k in state.layout}
+
+        before = groups()
+        sgd_step(state, grad, cfg, lr, touched)
+        after = groups()
+        assert all(after[k] == before[k] for k in set(state.layout) - set(touched))
+        seen.append(frozenset(touched))
+
+    monkeypatch.setattr("weakdet.trainer.sgd_step", checked)
+    bags, _ = tiny_dataset(4)
+    train(bags, small_cfg(epochs=1, phase_mode="sequential"))
+    head = frozenset({"w_cls", "w_det", "w_bg"})
+    gcn = frozenset(k for k in init_state(small_cfg(), 3, 8).layout if k.startswith("gcn_"))
+    assert seen == [head] * 4 + [frozenset({"w_sem"})] * 4 + [gcn | {"w_sem"}] * 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_gradient_moves_nothing(bad):
+    state = _trained_state()
+    params, velocity = state.flat_params.copy(), state.flat_velocity.copy()
+    grad = np.full(state.flat_params.size, 0.25)
+    grad[state.layout["w_sem"][0].start] = bad  # last group in sorted order
+    grad[state.layout["w_det"][0].stop - 1] = bad
+    step = state.step
+    with pytest.raises(NumericError, match=f"w_det at step {step}"):
+        sgd_step(state, grad, TrainConfig(), 0.1)
+    assert state.step == step
+    assert state.flat_params.tobytes() == params.tobytes()
+    assert state.flat_velocity.tobytes() == velocity.tobytes()
 
 
 # ---------------------------------------------------------------- training
@@ -368,6 +513,22 @@ def test_train_rejects_incompatible_state():
     with pytest.raises(CompatibilityError):
         train(bags, cfg, state)
 
+
+@pytest.mark.parametrize(
+    "n_pos, m", [(4, 1), (0, 4)], ids=["four_tags_one_proposal", "all_negative"]
+)
+def test_bag_errors_name_the_bag_epoch_and_step(n_pos, m, rng):
+    good = [make_bag(rng, m=4, n_classes=4, feature_dim=8, image_id=f"ok{i}") for i in range(3)]
+    odd = make_bag(rng, m=m, n_classes=4, feature_dim=8, image_id="odd_bag")
+    tags = [1] * n_pos + [0] * (4 - n_pos)
+    odd = Bag(odd.image_id, odd.canvas, odd.proposals, odd.features, tags)
+    cfg = small_cfg(modules=SUB_METHODS["F"], epochs=2, seed=3)
+    with pytest.raises(ContractError) as exc:
+        train([*good, odd], cfg)
+    # The bag fails the first time it comes up: in epoch 0, after one step
+    # for each bag ahead of it in that epoch's order.
+    assert init_state(cfg, 4, 8).rng.permutation(4).tolist().index(3) == 2
+    assert str(exc.value).startswith("bag 'odd_bag', epoch 0, step 2: ")
 
 # ---------------------------------------------------------------- inference
 
