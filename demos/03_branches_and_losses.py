@@ -11,14 +11,7 @@ from weakdet import numerics as nm
 from weakdet.datamodel import SceneConfig, generate_dataset
 from weakdet.instance_branch import approx_labels, instance_loss, instance_probs
 from weakdet.numerics import Node
-from weakdet.semantic_branch import (
-    SemanticProjector,
-    correlation_matrix,
-    project,
-    pseudo_labels,
-    semantic_loss,
-    update_centers,
-)
+from weakdet.semantic_branch import correlation_matrix, pseudo_labels, semantic_loss, update_centers
 from weakdet.trainer import TrainConfig, forward_losses, init_state
 
 np.set_printoptions(precision=3, suppress=True)
@@ -33,10 +26,8 @@ print(f"bag {bag.image_id}: {bag.size} proposals, tags {bag.tags.tolist()}")
 print()
 
 print("--- phase 1: instance-wise detection ---")
-from weakdet.instance_branch import DetectionHead
-
-head = DetectionHead(Node(state.params["w_cls"]), Node(state.params["w_det"]), Node(state.params["w_bg"]))
-scores = instance_probs(feats, head)
+head = [Node(state.params[name]) for name in ("w_cls", "w_det", "w_bg")]
+scores = instance_probs(feats, *head)
 print("corr_ins column sums (per-class image scores, in [0,1]):")
 print(" ", scores.image_scores.value)
 labels = approx_labels(scores.corr_ins.value, bag.tags, gamma=0.9)
@@ -46,7 +37,7 @@ print(f"detection loss: {float(l_ins.value):.4f}")
 print()
 
 print("--- phase 2: semantic-wise prediction ---")
-z = project(feats, SemanticProjector(Node(state.params["w_sem"])))
+z = nm.matmul_nt(feats, Node(state.params["w_sem"]))  # embeddings, one row per proposal
 corr = correlation_matrix(z)
 print("per-bag category correlation:")
 print(corr.value)
@@ -61,6 +52,10 @@ print()
 
 print("--- phase 3: interactive graph contrast ---")
 fwd = forward_losses(bag, state, cfg)
+used = fwd.structures  # the labels and graphs this forward selected
+for name in ("instance_graph", "semantic_graph"):
+    a_hat = getattr(used, name)
+    print(f"{name}: {(np.count_nonzero(a_hat) - len(a_hat)) // 2} edges")  # minus self-loops
 print(f"contrastive loss (both directions): {fwd.parts['loss_igcl']:.4f}")
 print(f"composite loss: {float(fwd.loss.value):.4f} = "
       f"{fwd.parts['loss_ins']:.4f} + {fwd.parts['loss_sem']:.4f} + {fwd.parts['loss_igcl']:.4f}")

@@ -326,7 +326,11 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
                 features=np.asarray(rec["features"], dtype=np.float64),
                 tags=rec["tags"],
             )
-            objects = [(Box(*g[:4]), int(g[4])) for g in rec.get("gt", [])]
+            objects = [(Box(*g[:4]), g[4]) for g in rec.get("gt", [])]
+            n = bag.n_classes
+            for _, k in objects:  # an int, not a bool or a float such as 1.7
+                if type(k) is not int or not 0 <= k < n:
+                    raise ParseError(f"gt class {k!r} is not an int in [0, {n})", lineno)
         except ParseError:
             raise
         except Exception as e:  # malformed record: report the line

@@ -5,9 +5,10 @@ pass, on small random bags. Discrete structure that the losses select from
 data, i.e. induced labels, pseudo hard labels, and graph topology, is
 frozen at the base point: the analytic gradient describes the loss with
 those choices held fixed, so the finite differences must probe the same
-piecewise-smooth function. Every loss is a named term of the training
-forward, :func:`~weakdet.trainer.forward_losses`, so the audit checks the
-graph that training differentiates.
+piecewise-smooth function. The frozen record is the ``structures`` that a
+plain forward at the base point reports having used. Every loss is a named
+term of the training forward, :func:`~weakdet.trainer.forward_losses`, so
+the audit checks the graph that training differentiates.
 
 The relative error uses a floored denominator, max(|a|, |fd|, 0.01), so
 near-zero entries are judged by an absolute tolerance of step * floor
@@ -20,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import igcl as gc
 from . import numerics as nm
 from .datamodel import Bag, Box
 from .errors import ParameterError
@@ -66,19 +66,6 @@ def random_bag(
     return Bag("gradcheck", (128.0, 128.0), boxes, rng.standard_normal((m, feature_dim)), tags)
 
 
-def freeze_structures(bag: Bag, state: TrainState, cfg: TrainConfig) -> FrozenStructures:
-    """Pin the data-dependent discrete choices at the current parameters."""
-    base = forward_losses(bag, state, cfg)
-    return FrozenStructures(
-        approx=base.approx,
-        pseudo_hard=base.pseudo_hard,
-        instance_graph=gc.build_instance_graph(bag.proposals, cfg.graph_iou),
-        semantic_graph=(
-            None if base.z_values is None else gc.build_semantic_graph(base.z_values, cfg.knn_k)
-        ),
-    )
-
-
 def analytic_gradients(
     bag: Bag, state: TrainState, cfg: TrainConfig, frozen: FrozenStructures
 ) -> dict[str, dict[str, np.ndarray]]:
@@ -118,7 +105,7 @@ def check_bag(
     each perturbation runs that plan for all losses.
     """
     _check_sweep(step, tolerance)
-    frozen = freeze_structures(bag, state, cfg)
+    frozen = forward_losses(bag, state, cfg).structures
     analytic = analytic_gradients(bag, state, cfg, frozen)
     base = forward_losses(bag, state, cfg, frozen)
     roots = [*base.terms.values(), base.loss]  # in the order of `analytic`

@@ -2,53 +2,36 @@
 
 Two bag-local graphs feed two-layer GCN projectors: proposals connect when
 their boxes overlap (spatial adjacency), embeddings connect to their
-cosine nearest neighbours (semantic adjacency). Four projectors map raw
-features, induced instance labels, semantic embeddings, and refined
-category scores to unit-row latent embeddings. The interactive loss
-contrasts across branches (features vs. embeddings, labels vs. scores); the
-non-interactive variant contrasts each branch only with itself and exists
-for the ablation lattice.
+cosine nearest neighbours (semantic adjacency). Each builder returns the
+normalized adjacency ``a_hat`` as a plain array. Four projectors, each a
+``(w1, w2)`` pair of weight nodes, map raw features (``u``), induced
+instance labels (``u_p``), semantic embeddings (``v``), and refined
+category scores (``v_p``) to unit-row latent embeddings. The interactive
+loss contrasts across branches (features vs. embeddings, labels vs.
+scores); the non-interactive variant contrasts each branch only with itself
+and exists for the ablation lattice.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .datamodel import Box
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 # iou is unused here; perfbench checks that its tracer rebinds this name too.
 from .evalmetrics import iou, iou_matrix  # noqa: F401
 from .numerics import Node
 
 
-@dataclass
-class GraphAdjacency:
-    """Symmetrically normalized adjacency with self-loops:
-    A_hat = D^{-1/2} (A + I) D^{-1/2} for a binary symmetric A."""
-
-    a_hat: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a_hat, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeError("adjacency must be square")
-        self.a_hat = a
-
-    @property
-    def size(self) -> int:
-        return self.a_hat.shape[0]
-
-
-def _normalize(adj: np.ndarray) -> GraphAdjacency:
+def _normalize(adj: np.ndarray) -> np.ndarray:
+    """A_hat = D^{-1/2} (A + I) D^{-1/2} for a binary symmetric A."""
     adj.reshape(-1)[:: adj.shape[0] + 1] += 1.0  # A + I, in the caller's fresh array
     inv_sqrt_deg = 1.0 / np.sqrt(adj.sum(axis=1))
-    return GraphAdjacency(adj * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :])
+    return adj * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
 
 
-def build_instance_graph(boxes: list[Box], iou_threshold: float = 0.3) -> GraphAdjacency:
+def build_instance_graph(boxes: list[Box], iou_threshold: float = 0.3) -> np.ndarray:
     """Connect proposals whose boxes overlap with IoU above the threshold.
 
     All pairwise IoUs come from :func:`~weakdet.evalmetrics.iou_matrix`, so
@@ -60,7 +43,7 @@ def build_instance_graph(boxes: list[Box], iou_threshold: float = 0.3) -> GraphA
     return _normalize(adj)
 
 
-def build_semantic_graph(z: np.ndarray, k: int = 5) -> GraphAdjacency:
+def build_semantic_graph(z: np.ndarray, k: int = 5) -> np.ndarray:
     """Union-kNN graph by cosine similarity over embedding rows.
 
     An edge exists when either endpoint ranks the other among its k nearest
@@ -83,30 +66,11 @@ def build_semantic_graph(z: np.ndarray, k: int = 5) -> GraphAdjacency:
     return _normalize(adj)
 
 
-@dataclass
-class GcnProjector:
-    """Two-layer graph convolution: A_hat relu(A_hat H W1) W2."""
-
-    w1: Node
-    w2: Node
-
-
-def gcn_forward(graph: GraphAdjacency, h: Node, proj: GcnProjector) -> Node:
-    """Propagate twice, then unit-normalize rows (zero rows stay zero)."""
-    if h.value.shape[0] != graph.size:
-        raise ShapeError("node features do not match graph size")
-    hidden = nm.relu(nm.propagate(graph.a_hat, h, proj.w1))
-    return nm.propagate_unit(graph.a_hat, hidden, proj.w2)
-
-
-@dataclass
-class Embeddings:
-    """Latent unit-row embeddings of the four branch outputs."""
-
-    u: Node  # from raw features, instance graph
-    u_prime: Node  # from induced instance labels (one-hot), instance graph
-    v: Node  # from semantic embeddings, semantic graph
-    v_prime: Node  # from refined category scores, semantic graph
+def gcn_forward(a_hat: np.ndarray, h: Node, w1: Node, w2: Node) -> Node:
+    """Two-layer graph convolution A_hat relu(A_hat H W1) W2, then unit-
+    normalized rows (zero rows stay zero); ``propagate`` checks the shapes."""
+    hidden = nm.relu(nm.propagate(a_hat, h, w1))
+    return nm.propagate_unit(a_hat, hidden, w2)
 
 
 def one_hot_labels(labels: np.ndarray, n_classes_with_bg: int) -> np.ndarray:
@@ -128,29 +92,30 @@ def info_nce(x_rows: Node, y_rows: Node, tau: float) -> Node:
     return nm.info_nce(x_rows, y_rows, tau)
 
 
-def igcl_terms(emb: Embeddings, tau: float) -> dict[str, Node]:
+def igcl_terms(u: Node, u_p: Node, v: Node, v_p: Node, tau: float) -> dict[str, Node]:
     """Interactive terms, by name: contrast across branches in both
     directions, features against embeddings (``loss_con_sd``) and induced
     labels against refined scores (``loss_con_ds``)."""
     return {
-        "loss_con_sd": info_nce(emb.u, emb.v, tau),
-        "loss_con_ds": info_nce(emb.u_prime, emb.v_prime, tau),
+        "loss_con_sd": info_nce(u, v, tau),
+        "loss_con_ds": info_nce(u_p, v_p, tau),
     }
 
 
 def independent_gcl_terms(
-    emb: Embeddings, tau: float, instance_side: bool = True, semantic_side: bool = True
+    u: Node | None, u_p: Node | None, v: Node | None, v_p: Node | None, tau: float
 ) -> dict[str, Node]:
     """Non-interactive terms, by name: each branch contrasts only with
     itself (``loss_con_ins``, ``loss_con_sem``).
 
-    Single-branch ablations keep just one of the two terms.
+    A single-branch ablation passes ``None`` for the other branch's pair
+    and keeps just one of the two terms.
     """
-    if not (instance_side or semantic_side):
-        raise ParameterError("independent_gcl_terms needs at least one side")
     terms = {}
-    if instance_side:
-        terms["loss_con_ins"] = info_nce(emb.u, emb.u_prime, tau)
-    if semantic_side:
-        terms["loss_con_sem"] = info_nce(emb.v, emb.v_prime, tau)
+    if u is not None:
+        terms["loss_con_ins"] = info_nce(u, u_p, tau)
+    if v is not None:
+        terms["loss_con_sem"] = info_nce(v, v_p, tau)
+    if not terms:
+        raise ParameterError("independent_gcl_terms needs at least one side")
     return terms

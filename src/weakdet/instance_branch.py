@@ -1,15 +1,16 @@
 """Instance-wise detection branch.
 
 Per-instance class probabilities come from the product of two softmaxes
-over the same features (one across classes per instance, one across
-instances per class), so every class column of ``corr_ins`` sums to at most
-one and the summed image scores stay in [0, 1]. The per-class image score
-is that column sum (WSDDN sum pooling, arXiv 1511.02853), where the paper
-takes a smooth maximum. Thresholding against each positive class's top
-score induces approximate instance labels; the branch loss combines
-per-class binary cross-entropy on image scores with a weighted (K+1)-way
-cross-entropy on per-instance distributions that include an explicit
-background column, as one fused node.
+over the same features, one across classes per instance (logits from the
+D x K head ``w_cls``) and one across instances per class (from ``w_det``),
+so every class column of ``corr_ins`` sums to at most one and the summed
+image scores stay in [0, 1]. The per-class image score is that column sum
+(WSDDN sum pooling, arXiv 1511.02853), where the paper takes a smooth
+maximum. Thresholding against each positive class's top score induces
+approximate instance labels; the branch loss combines per-class binary
+cross-entropy on image scores with a weighted (K+1)-way cross-entropy on
+per-instance distributions that include an explicit background column, as
+one fused node. The heads are passed in as graph nodes.
 """
 
 from __future__ import annotations
@@ -23,20 +24,6 @@ from .errors import ContractError, EmptyBagError, ParameterError
 from .numerics import Node
 
 SCORE_EPS = 1e-7
-
-
-@dataclass
-class DetectionHead:
-    """Learnable linear heads over pooled features.
-
-    ``w_cls`` scores classes per instance, ``w_det`` scores instances per
-    class, and ``w_bg`` is the scalar background head appended to the class
-    logits for the (K+1)-way per-instance distribution.
-    """
-
-    w_cls: Node  # D x K
-    w_det: Node  # D x K
-    w_bg: Node  # D x 1
 
 
 @dataclass
@@ -60,14 +47,15 @@ class ApproxLabels:
     seed_weights: np.ndarray
 
 
-def instance_probs(features: Node, head: DetectionHead) -> InstanceScores:
-    """Dual-softmax instance probabilities plus the (K+1)-way logits."""
+def instance_probs(features: Node, w_cls: Node, w_det: Node, w_bg: Node) -> InstanceScores:
+    """Dual-softmax instance probabilities plus the (K+1)-way logits, whose
+    last column is the background head ``w_bg`` (D x 1)."""
     if features.value.shape[0] == 0:
         raise EmptyBagError("instance_probs on an empty bag")
-    cls_logits = nm.matmul(features, head.w_cls)
-    det_logits = nm.matmul(features, head.w_det)
+    cls_logits = nm.matmul(features, w_cls)
+    det_logits = nm.matmul(features, w_det)
     corr = nm.dual_softmax(cls_logits, det_logits)
-    s_logits = nm.hconcat(cls_logits, nm.matmul(features, head.w_bg))
+    s_logits = nm.hconcat(cls_logits, nm.matmul(features, w_bg))
     return InstanceScores(corr_ins=corr, s_logits=s_logits, image_scores=nm.sum_cols(corr))
 
 

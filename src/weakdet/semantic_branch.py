@@ -1,12 +1,13 @@
 """Semantic-wise prediction branch.
 
 Features project into a K-dimensional semantic space (one coordinate per
-category), a per-bag correlation matrix over those coordinates captures
-which categories fire together, and multiplying it back onto each embedding
-yields context-refined category scores whose argmax is the instance's
-pseudo-label. A cosine center loss pulls embeddings toward per-category
-centers, which in turn track their assigned embeddings by an exponential
-moving average kept outside the gradient.
+category) as ``z = features @ w_sem^T``, one ``matmul_nt`` node in the
+trainer's forward. A per-bag correlation matrix over those coordinates
+captures which categories fire together, and multiplying it back onto each
+embedding yields context-refined category scores whose argmax is the
+instance's pseudo-label. A cosine center loss pulls embeddings toward
+per-category centers, which in turn track their assigned embeddings by an
+exponential moving average kept outside the gradient.
 """
 
 from __future__ import annotations
@@ -23,27 +24,11 @@ VAR_EPS = 1e-12
 
 
 @dataclass
-class SemanticProjector:
-    """Learnable map from feature space (D) to semantic space (d = K)."""
-
-    w_sem: Node  # K x D
-
-    def __post_init__(self):
-        if self.w_sem.value.ndim != 2:
-            raise ShapeError("w_sem must be 2-D (K x D)")
-
-
-@dataclass
 class PseudoLabels:
     """Context-refined category scores and their hard argmax labels."""
 
     scores: Node  # |B| x K
     labels: np.ndarray  # |B|, values in 0..K-1
-
-
-def project(features: Node, proj: SemanticProjector) -> Node:
-    """Semantic embeddings Z = features @ w_sem^T, one row per instance."""
-    return nm.matmul_nt(features, proj.w_sem)
 
 
 def correlation_matrix(z: Node) -> Node:

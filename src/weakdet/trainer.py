@@ -20,7 +20,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable
 
 import numpy as np
 
@@ -169,6 +168,15 @@ class TrainState:
         return flat[sl].reshape(shape)
 
 
+def param_shapes(n_classes: int, feature_dim: int, hidden_dim: int, embed_dim: int) -> dict:
+    """Each parameter group's shape, by name, in initialization order."""
+    k, d, h = n_classes, feature_dim, hidden_dim
+    shapes = {"w_cls": (d, k), "w_det": (d, k), "w_bg": (d, 1), "w_sem": (k, d)}
+    for tag, in_dim in (("ins", d), ("ins_p", k + 1), ("sem", k), ("sem_p", k)):
+        shapes |= {f"gcn_{tag}_w1": (in_dim, h), f"gcn_{tag}_w2": (h, embed_dim)}
+    return shapes
+
+
 def init_state(cfg: TrainConfig, n_classes: int, feature_dim: int) -> TrainState:
     """Deterministic parameter initialization from cfg.seed.
 
@@ -178,22 +186,14 @@ def init_state(cfg: TrainConfig, n_classes: int, feature_dim: int) -> TrainState
     both fall back to seeded random initialization.
     """
     rng = np.random.default_rng(cfg.seed)
-    k, d, h, e = n_classes, feature_dim, cfg.hidden_dim, cfg.embed_dim
+    k, d = n_classes, feature_dim
     params: dict[str, np.ndarray] = {}
-
-    def gauss(shape, scale):
-        return rng.standard_normal(shape) * scale
-
-    params["w_cls"] = gauss((d, k), 1.0 / np.sqrt(d))
-    params["w_det"] = gauss((d, k), 1.0 / np.sqrt(d))
-    params["w_bg"] = gauss((d, 1), 1.0 / np.sqrt(d))
-    if cfg.semantic_init == "prototypes":
-        params["w_sem"] = class_prototypes(k, d)
-    else:
-        params["w_sem"] = gauss((k, d), 1.0 / np.sqrt(d))
-    for tag, in_dim in (("ins", d), ("ins_p", k + 1), ("sem", k), ("sem_p", k)):
-        params[f"gcn_{tag}_w1"] = gauss((in_dim, h), 1.0 / np.sqrt(in_dim))
-        params[f"gcn_{tag}_w2"] = gauss((h, e), 1.0 / np.sqrt(h))
+    for name, shape in param_shapes(k, d, cfg.hidden_dim, cfg.embed_dim).items():
+        if name == "w_sem" and cfg.semantic_init == "prototypes":
+            params[name] = class_prototypes(k, d)
+        else:  # scaled by 1/sqrt(fan-in), which is D for the K x D w_sem
+            fan_in = d if name == "w_sem" else shape[0]
+            params[name] = rng.standard_normal(shape) * (1.0 / np.sqrt(fan_in))
 
     if cfg.center_init == "prototypes":
         protos = class_prototypes(k, d)
@@ -223,19 +223,21 @@ def init_state(cfg: TrainConfig, n_classes: int, feature_dim: int) -> TrainState
 
 @dataclass
 class FrozenStructures:
-    """Discrete selections pinned at a base point.
+    """A bag's discrete selections: induced labels, pseudo hard labels, and
+    the two graphs' normalized adjacencies.
 
-    Induced labels, pseudo hard labels, and graph topologies are data-
-    dependent but non-differentiable; the gradient checker freezes them so
-    finite differences probe the same piecewise-smooth function the
-    analytic gradient describes. Training pins only the instance graph,
-    which depends on nothing but the bag's proposals.
+    They are data-dependent but non-differentiable. The forward reports the
+    ones it used as :attr:`BagForward.structures`; passing that record back
+    as ``frozen`` pins them, so the gradient checker's finite differences
+    probe the same piecewise-smooth function the analytic gradient
+    describes. Training pins only the instance graph, which depends on
+    nothing but the bag's proposals.
     """
 
     approx: ib.ApproxLabels | None = None
     pseudo_hard: np.ndarray | None = None
-    instance_graph: gc.GraphAdjacency | None = None
-    semantic_graph: gc.GraphAdjacency | None = None
+    instance_graph: np.ndarray | None = None
+    semantic_graph: np.ndarray | None = None
 
 
 @dataclass
@@ -246,23 +248,18 @@ class BagForward:
     and ``loss_sem`` carry their lambda weight, and the contrastive terms
     (``loss_con_sd`` and ``loss_con_ds`` under M4, ``loss_con_ins`` and
     ``loss_con_sem`` under M3) are summed and weighted by ``lambda_igcl``.
-    ``parts`` holds the unweighted branch losses as floats.
+    ``parts`` holds the unweighted branch losses as floats. ``structures``
+    holds the discrete selections the forward used, given or computed; a
+    field the forward did not need stays None.
     """
 
     loss: Node
     terms: dict
     leaves: dict
     parts: dict
-    approx: ib.ApproxLabels | None
+    structures: FrozenStructures
     z_values: np.ndarray | None
-    pseudo_hard: np.ndarray | None
     corr_values: np.ndarray | None
-
-
-def _instance_scores(feats: Node, param: Callable[[str], Node]) -> ib.InstanceScores:
-    """The instance branch forward: dual-softmax scores from the detection head."""
-    head = ib.DetectionHead(param("w_cls"), param("w_det"), param("w_bg"))
-    return ib.instance_probs(feats, head)
 
 
 def _semantic_chain(
@@ -274,7 +271,7 @@ def _semantic_chain(
     A bag with fewer than two proposals has no sample correlation; each
     class then correlates only with itself (the identity).
     """
-    z = sb.project(feats, sb.SemanticProjector(w_sem))
+    z = nm.matmul_nt(feats, w_sem)
     if z.value.shape[0] >= 2:
         corr = sb.correlation_matrix(z)
     else:
@@ -299,6 +296,8 @@ def forward_losses(
     sequential phase mode passes one at a time). Parameters are wrapped as
     differentiable leaves only when the restricted loss actually reaches
     them, so masked-out modules see zero gradient and no optimizer update.
+    A field of ``frozen`` that is set replaces the selection the forward
+    would compute; ``frozen`` itself is never written.
     """
     active = cfg.modules if include is None else (cfg.modules & include)
     need_gcl = bool({"M3", "M4"} & active)
@@ -319,32 +318,33 @@ def forward_losses(
     def fixed(name: str) -> Node:
         return nm.as_node(state.params[name])
 
+    given = frozen or FrozenStructures()
+    used = FrozenStructures()
     feats = nm.as_node(bag.features)
     parts = {"loss_ins": 0.0, "loss_sem": 0.0, "loss_igcl": 0.0}
     terms: dict[str, Node] = {}
     weighted: list[Node] = []
 
-    scores = approx = None
     if need_ins_branch:
-        scores = _instance_scores(feats, leaf if wrap_head else fixed)
-        approx = (
-            frozen.approx
-            if frozen is not None and frozen.approx is not None
-            else ib.approx_labels(scores.corr_ins.value, bag.tags, cfg.label_ratio)
+        param = leaf if wrap_head else fixed
+        scores = ib.instance_probs(feats, param("w_cls"), param("w_det"), param("w_bg"))
+        used.approx = given.approx or ib.approx_labels(
+            scores.corr_ins.value, bag.tags, cfg.label_ratio
         )
     if "M1" in active:
-        l_ins = ib.instance_loss(scores, approx, bag.tags)
+        l_ins = ib.instance_loss(scores, used.approx, bag.tags)
         parts["loss_ins"] = float(l_ins.value)
         terms["loss_ins"] = nm.scale(l_ins, cfg.lambda_ins)
         weighted.append(terms["loss_ins"])
 
-    z = pseudo = corr = None
+    z = corr = None
     if need_sem_branch:
         z, corr, pseudo = _semantic_chain(
             feats, (leaf if wrap_sem else fixed)("w_sem"), state, cfg
         )
-        if frozen is not None and frozen.pseudo_hard is not None:
-            pseudo = sb.PseudoLabels(scores=pseudo.scores, labels=frozen.pseudo_hard)
+        if given.pseudo_hard is not None:
+            pseudo = sb.PseudoLabels(scores=pseudo.scores, labels=given.pseudo_hard)
+        used.pseudo_hard = pseudo.labels
     if "M2" in active:
         l_sem = sb.semantic_loss(z, pseudo, state.centers)
         parts["loss_sem"] = float(l_sem.value)
@@ -354,41 +354,24 @@ def forward_losses(
     if need_gcl:
         u = u_p = v = v_p = None
         if cfg.m1:
-            igraph = (
-                frozen.instance_graph
-                if frozen is not None and frozen.instance_graph is not None
+            used.instance_graph = igraph = (
+                given.instance_graph
+                if given.instance_graph is not None
                 else gc.build_instance_graph(bag.proposals, cfg.graph_iou)
             )
-            onehot = gc.one_hot_labels(approx.labels, bag.n_classes + 1)
-            u = gc.gcn_forward(
-                igraph, feats, gc.GcnProjector(leaf("gcn_ins_w1"), leaf("gcn_ins_w2"))
-            )
-            u_p = gc.gcn_forward(
-                igraph,
-                nm.as_node(onehot),
-                gc.GcnProjector(leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2")),
-            )
+            onehot = nm.as_node(gc.one_hot_labels(used.approx.labels, bag.n_classes + 1))
+            u = gc.gcn_forward(igraph, feats, leaf("gcn_ins_w1"), leaf("gcn_ins_w2"))
+            u_p = gc.gcn_forward(igraph, onehot, leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2"))
         if cfg.m2:
-            sgraph = (
-                frozen.semantic_graph
-                if frozen is not None and frozen.semantic_graph is not None
+            used.semantic_graph = sgraph = (
+                given.semantic_graph
+                if given.semantic_graph is not None
                 else gc.build_semantic_graph(z.value, cfg.knn_k)
             )
-            v = gc.gcn_forward(
-                sgraph, z, gc.GcnProjector(leaf("gcn_sem_w1"), leaf("gcn_sem_w2"))
-            )
-            v_p = gc.gcn_forward(
-                sgraph,
-                pseudo.scores,
-                gc.GcnProjector(leaf("gcn_sem_p_w1"), leaf("gcn_sem_p_w2")),
-            )
-        emb = gc.Embeddings(u=u, u_prime=u_p, v=v, v_prime=v_p)
-        if "M4" in active:
-            contrast = gc.igcl_terms(emb, cfg.tau)
-        else:
-            contrast = gc.independent_gcl_terms(
-                emb, cfg.tau, instance_side=cfg.m1, semantic_side=cfg.m2
-            )
+            v = gc.gcn_forward(sgraph, z, leaf("gcn_sem_w1"), leaf("gcn_sem_w2"))
+            v_p = gc.gcn_forward(sgraph, pseudo.scores, leaf("gcn_sem_p_w1"), leaf("gcn_sem_p_w2"))
+        terms_of = gc.igcl_terms if "M4" in active else gc.independent_gcl_terms
+        contrast = terms_of(u, u_p, v, v_p, cfg.tau)
         terms.update(contrast)
         l_gcl = reduce(nm.add, contrast.values())
         parts["loss_igcl"] = float(l_gcl.value)
@@ -399,9 +382,8 @@ def forward_losses(
         terms=terms,
         leaves=leaves,
         parts=parts,
-        approx=approx,
+        structures=used,
         z_values=None if z is None else z.value,
-        pseudo_hard=None if pseudo is None else pseudo.labels,
         corr_values=None if corr is None else corr.value,
     )
 
@@ -514,9 +496,10 @@ def train(
                         for name, node in fwd.leaves.items():
                             node.grad = grad_views[name]
                         nm.backward(fwd.loss)
-                        if "M2" in phase and fwd.pseudo_hard is not None:
+                        pseudo_hard = fwd.structures.pseudo_hard
+                        if "M2" in phase and pseudo_hard is not None:
                             state.centers = sb.update_centers(
-                                state.centers, fwd.z_values, fwd.pseudo_hard, cfg.center_rate
+                                state.centers, fwd.z_values, pseudo_hard, cfg.center_rate
                             )
                             # Under two proposals there is no sample correlation
                             # to fold in, only the identity fallback.
@@ -578,7 +561,8 @@ def infer(bag: Bag, state: TrainState, cfg: TrainConfig) -> list[Detection]:
 
     score_matrix: np.ndarray | None = None
     if cfg.m1:
-        score_matrix = _instance_scores(feats, param).corr_ins.value
+        scores = ib.instance_probs(feats, param("w_cls"), param("w_det"), param("w_bg"))
+        score_matrix = scores.corr_ins.value
     if cfg.m2:
         _, _, pseudo = _semantic_chain(feats, param("w_sem"), state, cfg)
         sem_scores = nm.softmax_rows(pseudo.scores).value
@@ -636,7 +620,9 @@ def load_checkpoint(path) -> TrainState:
 
     Every read is checked against the bytes left and nothing may follow the
     JSON tail, so a truncated, padded or garbled file raises
-    :class:`ParseError`.
+    :class:`ParseError`. So does a tensor set other than the one
+    :func:`init_state` makes for the stored K and D and the file's own
+    hidden and embedding widths.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -669,6 +655,17 @@ def load_checkpoint(path) -> TrainState:
         meta = json.loads(take(blob_len).decode())
         if pos != len(data):
             raise ParseError(f"{len(data) - pos} trailing bytes after the checkpoint")
+        k, d = int(meta["n_classes"]), int(meta["feature_dim"])
+        w2 = tensors.get("param/gcn_ins_w2")  # (hidden, embed): the checkpoint's own widths
+        widths = w2.shape if w2 is not None and w2.ndim == 2 else (0, 0)
+        shapes = param_shapes(k, d, *widths)
+        want = {f"{g}/{n}": s for g in ("param", "velocity") for n, s in shapes.items()}
+        want |= {"centers": (k, k), "corr_buffer": (k, k)}
+        got = {name: t.shape for name, t in tensors.items()}
+        for name in sorted(want.keys() | got.keys()):
+            if want.get(name) != got.get(name):
+                raise ParseError(f"checkpoint tensor {name!r} is {got.get(name, 'missing')}, "
+                                 f"expected {want.get(name, 'absent')} for K={k}, D={d}")
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
         return TrainState(
@@ -680,8 +677,8 @@ def load_checkpoint(path) -> TrainState:
             corr_buffer=tensors["corr_buffer"],
             step=int(meta["step"]),
             rng=rng,
-            n_classes=int(meta["n_classes"]),
-            feature_dim=int(meta["feature_dim"]),
+            n_classes=k,
+            feature_dim=d,
         )
     except (KeyError, TypeError, ValueError) as e:  # includes bad UTF-8 and JSON
         raise ParseError(f"malformed checkpoint ({type(e).__name__}: {e})") from e

@@ -320,6 +320,25 @@ def test_eval_rejects_mismatched_checkpoint(trained, tmp_path):
     assert code == 2
 
 
+def test_eval_rejects_a_checkpoint_missing_a_group(trained, tmp_path, capsys):
+    cfg_file, data, ckpt = trained
+    from weakdet.trainer import load_checkpoint, save_checkpoint
+
+    state = load_checkpoint(ckpt)
+    del state.params["w_sem"], state.velocity["w_sem"]
+    bad = tmp_path / "no_w_sem.ckpt"
+    save_checkpoint(state, bad)
+    capsys.readouterr()
+    code = run(
+        [
+            "eval", "--config", cfg_file, "--checkpoint", str(bad),
+            "--data", str(data / "test.jsonl"), "--out", str(tmp_path / "r.json"),
+        ]
+    )
+    assert code == 2
+    assert "'param/w_sem' is missing" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", ["truncated", "padded"])
 def test_eval_rejects_a_damaged_checkpoint(trained, tmp_path, damage, capsys):
     cfg_file, data, ckpt = trained

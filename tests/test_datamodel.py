@@ -256,6 +256,26 @@ def test_jsonl_tag_outside_zero_one_reports_lineno(tmp_path, bad):
     assert "tags" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [17, 4, -1, 1.7, 1.0, True, "1", None])
+def test_jsonl_gt_class_outside_the_class_range_reports_lineno(tmp_path, bad):
+    path = tmp_path / "gt.jsonl"
+    bags, gts = generate_dataset(small_cfg(), 2)
+    save_jsonl(path, bags, gts)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    n_classes = len(rec["tags"])
+    assert rec["gt"] and n_classes == 4
+    for k in (0, n_classes - 1):  # both ends of the range load
+        rec["gt"][0][4] = k
+        path.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
+        assert load_jsonl(path)[1][1].objects[0][1] == k
+    rec["gt"][0][4] = bad
+    path.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
+    with pytest.raises(ParseError, match="gt class") as exc:
+        load_jsonl(path)
+    assert exc.value.line == 2
+
+
 @pytest.mark.parametrize("bad", BAD_TAGS + [np.float64(1.0), np.bool_(True)])
 def test_bag_rejects_tags_outside_zero_one(bad):
     with pytest.raises(ConfigError):

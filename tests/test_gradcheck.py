@@ -15,7 +15,6 @@ from weakdet.gradcheck import (
     analytic_gradients,
     check_bag,
     check_config,
-    freeze_structures,
     random_bag,
     run_checks,
 )
@@ -53,33 +52,25 @@ def _oracle_loss(name, bag, state, cfg, frozen):
         return leaves[n]
 
     feats = nm.as_node(bag.features)
-    z = sb.project(feats, sb.SemanticProjector(leaf("w_sem")))
+    z = nm.matmul_nt(feats, leaf("w_sem"))
     if name == "loss_con_sd":
-        u = gc.gcn_forward(
-            frozen.instance_graph, feats, gc.GcnProjector(leaf("gcn_ins_w1"), leaf("gcn_ins_w2"))
-        )
-        v = gc.gcn_forward(
-            frozen.semantic_graph, z, gc.GcnProjector(leaf("gcn_sem_w1"), leaf("gcn_sem_w2"))
-        )
+        u = gc.gcn_forward(frozen.instance_graph, feats, leaf("gcn_ins_w1"), leaf("gcn_ins_w2"))
+        v = gc.gcn_forward(frozen.semantic_graph, z, leaf("gcn_sem_w1"), leaf("gcn_sem_w2"))
         return gc.info_nce(u, v, cfg.tau), leaves
     pseudo = sb.pseudo_labels(sb.correlation_matrix(z), z)
     onehot = gc.one_hot_labels(frozen.approx.labels, bag.n_classes + 1)
     u_p = gc.gcn_forward(
-        frozen.instance_graph,
-        nm.as_node(onehot),
-        gc.GcnProjector(leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2")),
+        frozen.instance_graph, nm.as_node(onehot), leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2")
     )
     v_p = gc.gcn_forward(
-        frozen.semantic_graph,
-        pseudo.scores,
-        gc.GcnProjector(leaf("gcn_sem_p_w1"), leaf("gcn_sem_p_w2")),
+        frozen.semantic_graph, pseudo.scores, leaf("gcn_sem_p_w1"), leaf("gcn_sem_p_w2")
     )
     return gc.info_nce(u_p, v_p, cfg.tau), leaves
 
 
 def oracle_check_bag(bag, state, cfg, step=1e-4, tolerance=1e-4, corrupt=False):
     """The audit as it was: a separate central-difference sweep per loss."""
-    frozen = freeze_structures(bag, state, cfg)
+    frozen = forward_losses(bag, state, cfg).structures
     results = []
     for loss_name in LOSS_NAMES:
         loss, leaves = _oracle_loss(loss_name, bag, state, cfg, frozen)
@@ -129,7 +120,7 @@ def test_audit_reads_the_trained_contrastive_forward_under_ema():
     bag, state, cfg = small_case(1, corr_sem_ema=0.5)
     assert all(r.passed for r in check_bag(bag, state, cfg))
 
-    frozen = freeze_structures(bag, state, cfg)
+    frozen = forward_losses(bag, state, cfg).structures
     audited = analytic_gradients(bag, state, cfg, frozen)["loss_con_ds"]
     fwd = forward_losses(bag, state, cfg, frozen)
     nm.backward(fwd.terms["loss_con_ds"])
@@ -233,7 +224,7 @@ def _replay_case(method, m, ema):
 @pytest.mark.parametrize("m", (1, 8))
 def test_replay_equals_a_fresh_forward_byte_for_byte(method, phase_mode, ema, m):
     bag, state, cfg = _replay_case(method, m, ema)
-    frozen = freeze_structures(bag, state, cfg)
+    frozen = forward_losses(bag, state, cfg).structures
     masks = [None] if phase_mode == "fused" else [
         frozenset({name}) for name in MODULE_NAMES if name in cfg.modules
     ]
@@ -258,7 +249,7 @@ def test_replay_equals_a_fresh_forward_byte_for_byte(method, phase_mode, ema, m)
 
 def test_replay_raises_what_a_fresh_forward_raises():
     bag, state, cfg = _replay_case("F", 8, 0.0)
-    frozen = freeze_structures(bag, state, cfg)
+    frozen = forward_losses(bag, state, cfg).structures
     base = forward_losses(bag, state, cfg, frozen)
     state.params["w_sem"][0, 0] = 1e300
     with np.errstate(all="ignore"):
@@ -271,7 +262,7 @@ def test_replay_raises_what_a_fresh_forward_raises():
 
 def test_replay_leaves_the_base_graph_unchanged():
     bag, state, cfg = _replay_case("F", 8, 0.5)
-    frozen = freeze_structures(bag, state, cfg)
+    frozen = forward_losses(bag, state, cfg).structures
     base = forward_losses(bag, state, cfg, frozen)
     nodes = graph_nodes(base.loss)
     snapshot = [(n.value, n.value.tobytes(), n.grad, n._record) for n in nodes]
@@ -304,7 +295,7 @@ def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
 
             monkeypatch.setattr(nm, name, counted)
     bag, state, cfg = _replay_case("F", 8, 0.0)
-    frozen = freeze_structures(bag, state, cfg)
+    frozen = forward_losses(bag, state, cfg).structures
     base = forward_losses(bag, state, cfg, frozen)
     assert calls["matmul"] and calls["pearson_cols"]  # the branches were built
     calls.clear()

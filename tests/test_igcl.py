@@ -1,3 +1,4 @@
+from collections import namedtuple
 from functools import reduce
 
 import numpy as np
@@ -5,11 +6,9 @@ import pytest
 
 from weakdet import numerics as nm
 from weakdet.datamodel import Box
-from weakdet.errors import ParameterError
+from weakdet.errors import ParameterError, ShapeError
 from weakdet.evalmetrics import iou
 from weakdet.igcl import (
-    Embeddings,
-    GcnProjector,
     build_instance_graph,
     build_semantic_graph,
     gcn_forward,
@@ -19,12 +18,7 @@ from weakdet.igcl import (
     one_hot_labels,
 )
 from weakdet.numerics import Node
-from weakdet.semantic_branch import (
-    SemanticProjector,
-    correlation_matrix,
-    project,
-    pseudo_labels,
-)
+from weakdet.semantic_branch import correlation_matrix, pseudo_labels
 from weakdet.trainer import TrainConfig, forward_losses, init_state
 
 from conftest import finite_difference, make_bag, max_rel_err
@@ -36,13 +30,13 @@ from conftest import finite_difference, make_bag, max_rel_err
 def test_instance_graph_disjoint_boxes_is_identity():
     boxes = [Box(0, 0, 10, 10), Box(50, 50, 60, 60), Box(100, 0, 110, 10)]
     g = build_instance_graph(boxes)
-    assert np.array_equal(g.a_hat, np.eye(3))
+    assert np.array_equal(g, np.eye(3))
 
 
 def test_instance_graph_identical_pair_normalization():
     boxes = [Box(0, 0, 10, 10), Box(0, 0, 10, 10)]
     g = build_instance_graph(boxes)
-    assert np.abs(g.a_hat - 0.5).max() < 1e-12
+    assert np.abs(g - 0.5).max() < 1e-12
 
 
 def test_instance_graph_exactly_symmetric():
@@ -52,26 +46,26 @@ def test_instance_graph_exactly_symmetric():
         x1, y1 = rng.uniform(0, 60, size=2)
         boxes.append(Box(x1, y1, x1 + rng.uniform(10, 50), y1 + rng.uniform(10, 50)))
     g = build_instance_graph(boxes)
-    assert np.array_equal(g.a_hat, g.a_hat.T)
+    assert np.array_equal(g, g.T)
 
 
 def test_regular_graph_rows_sum_to_one():
     # complete graph on 4 nodes: every degree equals 4 after self-loops
     boxes = [Box(0, 0, 10, 10)] * 4
     g = build_instance_graph(boxes)
-    assert np.abs(g.a_hat.sum(axis=1) - 1.0).max() < 1e-12
+    assert np.abs(g.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_semantic_graph_singleton():
     g = build_semantic_graph(np.ones((1, 3)), k=5)
-    assert np.array_equal(g.a_hat, np.eye(1))
+    assert np.array_equal(g, np.eye(1))
 
 
 def test_semantic_graph_two_clusters_block_diagonal():
     z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     g = build_semantic_graph(z, k=1)
-    assert np.all(g.a_hat[:2, 2:] == 0) and np.all(g.a_hat[2:, :2] == 0)
-    assert np.all(g.a_hat[:2, :2] > 0) and np.all(g.a_hat[2:, 2:] > 0)
+    assert np.all(g[:2, 2:] == 0) and np.all(g[2:, :2] == 0)
+    assert np.all(g[:2, :2] > 0) and np.all(g[2:, 2:] > 0)
 
 
 def test_semantic_graph_matches_bruteforce_knn():
@@ -89,13 +83,13 @@ def test_semantic_graph_matches_bruteforce_knn():
     deg = expected.sum(axis=1)
     expected = expected / np.sqrt(np.outer(deg, deg))
     got = build_semantic_graph(z, k=k)
-    assert np.abs(got.a_hat - expected).max() < 1e-12
+    assert np.abs(got - expected).max() < 1e-12
 
 
 def test_semantic_graph_large_k_gives_complete_graph():
     rng = np.random.default_rng(2)
     g = build_semantic_graph(rng.standard_normal((4, 3)), k=10)
-    assert np.all(g.a_hat > 0)
+    assert np.all(g > 0)
 
 
 # ------------------------------------------------- vectorised graph builds
@@ -158,13 +152,13 @@ def test_instance_graph_matches_scalar_loop_on_edge_cases(case):
     boxes = INSTANCE_CASES[case]
     for thr in (0.0, 0.3, 0.5):
         expected = instance_graph_loop(boxes, thr)
-        assert build_instance_graph(boxes, thr).a_hat.tobytes() == expected.tobytes()
+        assert build_instance_graph(boxes, thr).tobytes() == expected.tobytes()
 
 
 def test_instance_graph_pair_at_threshold_stays_unlinked():
     boxes = INSTANCE_CASES["at_threshold"]
     assert iou(*boxes) == 0.3  # the strict '>' must not link them
-    assert np.array_equal(build_instance_graph(boxes, 0.3).a_hat, np.eye(2))
+    assert np.array_equal(build_instance_graph(boxes, 0.3), np.eye(2))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -174,7 +168,7 @@ def test_instance_graph_matches_scalar_loop_on_random_boxes(seed):
     # Thresholds at and just below scalar IoUs catch any rounding difference.
     exact = [iou(a, b) for a in boxes for b in boxes if a is not b and iou(a, b) > 0][:20]
     for thr in [0.1, 0.3, 0.5] + exact + [np.nextafter(t, 0.0) for t in exact]:
-        got = build_instance_graph(boxes, thr).a_hat
+        got = build_instance_graph(boxes, thr)
         assert got.tobytes() == instance_graph_loop(boxes, thr).tobytes()
 
 
@@ -185,7 +179,7 @@ def test_semantic_graph_matches_scalar_loop(seed):
     z = rng.standard_normal((n, 6))
     z[rng.integers(n)] = 0.0  # a zero row: its similarities are all zero
     for k in (1, 3, 5):
-        assert build_semantic_graph(z, k).a_hat.tobytes() == semantic_graph_loop(z, k).tobytes()
+        assert build_semantic_graph(z, k).tobytes() == semantic_graph_loop(z, k).tobytes()
 
 
 def test_semantic_graph_matches_scalar_loop_on_ties_and_large_k():
@@ -196,7 +190,7 @@ def test_semantic_graph_matches_scalar_loop_on_ties_and_large_k():
         n = z.shape[0]
         for k in (1, 2, n - 1, n, n + 3):
             expected = semantic_graph_loop(z, k)
-            assert build_semantic_graph(z, k).a_hat.tobytes() == expected.tobytes()
+            assert build_semantic_graph(z, k).tobytes() == expected.tobytes()
 
 
 
@@ -238,7 +232,7 @@ def test_semantic_graph_bytes_equal_the_argsort_reference():
         n = z.shape[0]
         for k in sorted({1, 3, 5, max(n - 2, 1), n - 1 or 1, n, n + 4}):
             want = semantic_graph_argsort_reference(z, k)
-            assert build_semantic_graph(z, k).a_hat.tobytes() == want.tobytes(), (n, k)
+            assert build_semantic_graph(z, k).tobytes() == want.tobytes(), (n, k)
 
 
 # ---------------------------------------------------------------- GCN
@@ -247,8 +241,8 @@ def test_semantic_graph_bytes_equal_the_argsort_reference():
 def test_gcn_identity_graph_identity_weights():
     h = np.array([[1.0, -2.0], [3.0, 0.5]])
     g = build_instance_graph([Box(0, 0, 10, 10), Box(50, 50, 60, 60)])
-    proj = GcnProjector(Node(np.eye(2)), Node(np.eye(2)))
-    out = gcn_forward(g, Node(h), proj).value
+    proj = (Node(np.eye(2)), Node(np.eye(2)))
+    out = gcn_forward(g, Node(h), *proj).value
     expected = np.maximum(h, 0)
     norms = np.linalg.norm(expected, axis=1, keepdims=True)
     assert np.abs(out - expected / norms).max() < 1e-12
@@ -256,9 +250,15 @@ def test_gcn_identity_graph_identity_weights():
 
 def test_gcn_zero_input_gives_flagged_zero_rows():
     g = build_instance_graph([Box(0, 0, 10, 10), Box(0, 0, 10, 10)])
-    proj = GcnProjector(Node(np.ones((3, 4))), Node(np.ones((4, 2))))
-    out = gcn_forward(g, Node(np.zeros((2, 3))), proj).value
+    proj = (Node(np.ones((3, 4))), Node(np.ones((4, 2))))
+    out = gcn_forward(g, Node(np.zeros((2, 3))), *proj).value
     assert np.array_equal(out, np.zeros((2, 2)))
+
+
+def test_gcn_rejects_features_that_do_not_match_the_graph():
+    g = build_instance_graph([Box(0, 0, 10, 10), Box(50, 50, 60, 60), Box(0, 0, 10, 12)])
+    with pytest.raises(ShapeError, match="propagate"):
+        gcn_forward(g, Node(np.ones((2, 3))), Node(np.ones((3, 4))), Node(np.ones((4, 2))))
 
 
 def test_gcn_two_node_fixture_matches_hand_propagation():
@@ -268,8 +268,8 @@ def test_gcn_two_node_fixture_matches_hand_propagation():
     w2 = rng.standard_normal((4, 2))
     a_hat = np.full((2, 2), 0.5)
     g = build_instance_graph([Box(0, 0, 10, 10), Box(0, 0, 10, 10)])
-    assert np.abs(g.a_hat - a_hat).max() < 1e-12
-    out = gcn_forward(g, Node(h), GcnProjector(Node(w1), Node(w2))).value
+    assert np.abs(g - a_hat).max() < 1e-12
+    out = gcn_forward(g, Node(h), Node(w1), Node(w2)).value
     manual = a_hat @ np.maximum(a_hat @ h @ w1, 0) @ w2
     manual /= np.linalg.norm(manual, axis=1, keepdims=True)
     assert np.abs(out - manual).max() < 1e-10
@@ -301,18 +301,22 @@ def test_gcn_relu_parent_is_its_propagate_pre_activation(monkeypatch, rng):
 # ---------------------------------------------------------------- embeddings
 
 
+# The four latent embeddings, in the argument order of igcl_terms.
+Embeddings = namedtuple("Embeddings", "u u_prime v v_prime")
+
+
 def _projectors(rng, dims, h=4, e=3):
-    return [GcnProjector(Node(rng.standard_normal((d, h))), Node(rng.standard_normal((h, e)))) for d in dims]
+    return [(Node(rng.standard_normal((d, h))), Node(rng.standard_normal((h, e)))) for d in dims]
 
 
 def _embed(feats, label_onehot, z, scores, projs, instance_graph, semantic_graph):
     """The four projections as the training forward computes them."""
     p_ins, p_ins2, p_sem, p_sem2 = projs
     return Embeddings(
-        u=gcn_forward(instance_graph, feats, p_ins),
-        u_prime=gcn_forward(instance_graph, nm.as_node(label_onehot), p_ins2),
-        v=gcn_forward(semantic_graph, z, p_sem),
-        v_prime=gcn_forward(semantic_graph, scores, p_sem2),
+        u=gcn_forward(instance_graph, feats, *p_ins),
+        u_prime=gcn_forward(instance_graph, nm.as_node(label_onehot), *p_ins2),
+        v=gcn_forward(semantic_graph, z, *p_sem),
+        v_prime=gcn_forward(semantic_graph, scores, *p_sem2),
     )
 
 
@@ -363,14 +367,14 @@ def test_compute_embeddings_equals_gcn_composition():
 
     def proj(tag):
         p = state.params
-        return GcnProjector(Node(p[f"gcn_{tag}_w1"]), Node(p[f"gcn_{tag}_w2"]))
+        return Node(p[f"gcn_{tag}_w1"]), Node(p[f"gcn_{tag}_w2"])
 
     feats = Node(bag.features)
-    z = project(feats, SemanticProjector(Node(state.params["w_sem"])))
+    z = nm.matmul_nt(feats, Node(state.params["w_sem"]))
     scores = pseudo_labels(correlation_matrix(z), z).scores
     emb = _embed(
         feats,
-        one_hot_labels(fwd.approx.labels, 4),
+        one_hot_labels(fwd.structures.approx.labels, 4),
         z,
         scores,
         [proj("ins"), proj("ins_p"), proj("sem"), proj("sem_p")],
@@ -444,7 +448,7 @@ def _unit_rows(rng, m, e):
 def test_igcl_loss_is_sum_of_both_directions():
     rng = np.random.default_rng(9)
     emb = Embeddings(*(Node(_unit_rows(rng, 4, 3)) for _ in range(4)))
-    terms = igcl_terms(emb, 5.0)
+    terms = igcl_terms(*emb, 5.0)
     assert list(terms) == ["loss_con_sd", "loss_con_ds"]
     assert terms["loss_con_sd"].value == info_nce(emb.u, emb.v, 5.0).value
     assert terms["loss_con_ds"].value == info_nce(emb.u_prime, emb.v_prime, 5.0).value
@@ -462,7 +466,7 @@ def test_igcl_aligned_pairs_decreases_with_tau():
     emb = Embeddings(Node(u), Node(u), Node(u), Node(u))
     prev = np.inf
     for tau in (1.0, 3.0, 10.0, 30.0):
-        val = sum(float(t.value) for t in igcl_terms(emb, tau).values())
+        val = sum(float(t.value) for t in igcl_terms(*emb, tau).values())
         assert val < prev
         prev = val
     assert prev < 1e-6  # aligned pairs, large tau: loss approaches zero
@@ -471,21 +475,21 @@ def test_igcl_aligned_pairs_decreases_with_tau():
 def test_igcl_singleton_is_zero():
     rng = np.random.default_rng(11)
     emb = Embeddings(*(Node(_unit_rows(rng, 1, 3)) for _ in range(4)))
-    for terms in (igcl_terms(emb, 5.0), independent_gcl_terms(emb, 5.0)):
+    for terms in (igcl_terms(*emb, 5.0), independent_gcl_terms(*emb, 5.0)):
         assert all(float(t.value) == 0.0 for t in terms.values())
 
 
 def test_independent_gcl_is_sum_of_self_contrasts():
     rng = np.random.default_rng(12)
     emb = Embeddings(*(Node(_unit_rows(rng, 4, 3)) for _ in range(4)))
-    terms = independent_gcl_terms(emb, 5.0)
+    terms = independent_gcl_terms(*emb, 5.0)
     assert list(terms) == ["loss_con_ins", "loss_con_sem"]
     assert terms["loss_con_ins"].value == info_nce(emb.u, emb.u_prime, 5.0).value
     assert terms["loss_con_sem"].value == info_nce(emb.v, emb.v_prime, 5.0).value
-    single = independent_gcl_terms(emb, 5.0, semantic_side=False)
+    single = independent_gcl_terms(emb.u, emb.u_prime, None, None, 5.0)
     assert list(single) == ["loss_con_ins"]
     with pytest.raises(ParameterError):
-        independent_gcl_terms(emb, 5.0, instance_side=False, semantic_side=False)
+        independent_gcl_terms(None, None, None, None, 5.0)
 
     bag = make_bag(rng, m=5, n_classes=3, feature_dim=8)
     cfg = TrainConfig(hidden_dim=4, embed_dim=3, modules=frozenset({"M1", "M2", "M3"}))
@@ -502,7 +506,7 @@ def test_losses_invariant_under_bag_permutation():
     emb = Embeddings(*(Node(r) for r in rows))
     emb_p = Embeddings(*(Node(r[perm]) for r in rows))
     for fn in (igcl_terms, independent_gcl_terms):
-        terms, terms_p = fn(emb, 5.0), fn(emb_p, 5.0)
+        terms, terms_p = fn(*emb, 5.0), fn(*emb_p, 5.0)
         for name in terms:
             assert abs(float(terms[name].value) - float(terms_p[name].value)) < 1e-10
 
@@ -531,18 +535,18 @@ def test_igcl_gradients_through_projectors(seed):
 
     def build():
         projs = {
-            name: GcnProjector(Node(arrays[f"{name[0]}1"]), Node(arrays[f"{name[0]}2"]))
+            name: (Node(arrays[f"{name[0]}1"]), Node(arrays[f"{name[0]}2"]))
             for name in ("ins", "prime", "sem", "tem")
         }
         emb = _embed(
             Node(feats), onehot, Node(z_vals), Node(scores),
             [projs["ins"], projs["prime"], projs["sem"], projs["tem"]], ig, sg,
         )
-        return reduce(nm.add, igcl_terms(emb, 5.0).values()), projs
+        return reduce(nm.add, igcl_terms(*emb, 5.0).values()), projs
 
     loss, projs = build()
     nm.backward(loss)
     fd = finite_difference(lambda: float(build()[0].value), arrays)
-    for name, proj in projs.items():
-        assert max_rel_err(proj.w1.grad, fd[f"{name[0]}1"]) < 1e-4
-        assert max_rel_err(proj.w2.grad, fd[f"{name[0]}2"]) < 1e-4
+    for name, (w1, w2) in projs.items():
+        assert max_rel_err(w1.grad, fd[f"{name[0]}1"]) < 1e-4
+        assert max_rel_err(w2.grad, fd[f"{name[0]}2"]) < 1e-4

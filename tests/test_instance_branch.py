@@ -5,7 +5,6 @@ from weakdet import numerics as nm
 from weakdet.errors import ContractError, EmptyBagError, ParameterError
 from weakdet.instance_branch import (
     ApproxLabels,
-    DetectionHead,
     InstanceScores,
     approx_labels,
     instance_loss,
@@ -17,7 +16,8 @@ from conftest import finite_difference, max_rel_err
 
 
 def make_head(rng, d, k):
-    return DetectionHead(
+    """The three head weights, by instance_probs's argument names."""
+    return dict(
         w_cls=Node(rng.standard_normal((d, k))),
         w_det=Node(rng.standard_normal((d, k))),
         w_bg=Node(rng.standard_normal((d, 1))),
@@ -30,13 +30,13 @@ def make_head(rng, d, k):
 def test_instance_probs_empty_bag():
     rng = np.random.default_rng(3)
     with pytest.raises(EmptyBagError):
-        instance_probs(Node(np.zeros((0, 4))), make_head(rng, 4, 2))
+        instance_probs(Node(np.zeros((0, 4))), **make_head(rng, 4, 2))
 
 
 def test_instance_probs_contracts():
     rng = np.random.default_rng(4)
     head = make_head(rng, 5, 3)
-    scores = instance_probs(Node(rng.standard_normal((6, 5))), head)
+    scores = instance_probs(Node(rng.standard_normal((6, 5))), **head)
     corr = scores.corr_ins.value
     assert corr.min() >= 0 and corr.max() <= 1
     colsums = corr.sum(axis=0)
@@ -50,7 +50,7 @@ def test_instance_probs_contracts():
 def test_instance_probs_single_instance_single_class():
     rng = np.random.default_rng(5)
     head = make_head(rng, 4, 1)
-    scores = instance_probs(Node(rng.standard_normal((1, 4))), head)
+    scores = instance_probs(Node(rng.standard_normal((1, 4))), **head)
     # row softmax over one class = 1; column softmax over one instance = 1
     assert np.allclose(scores.corr_ins.value, 1.0, atol=1e-15)
     assert abs(float(scores.image_scores.value[0]) - 1.0) < 1e-15
@@ -192,7 +192,7 @@ def test_instance_loss_matches_bruteforce_oracle():
         tags = np.array([1, 1])
         feats = rng.standard_normal((3, 4))
         head = make_head(rng, 4, 2)
-        scores = instance_probs(Node(feats), head)
+        scores = instance_probs(Node(feats), **head)
         labels = approx_labels(scores.corr_ins.value, tags)
         loss = float(instance_loss(scores, labels, tags).value)
 
@@ -232,7 +232,7 @@ def test_instance_loss_nonnegative():
     for _ in range(20):
         head = make_head(rng, 5, 3)
         tags = np.array([1, 0, 1])
-        scores = instance_probs(Node(rng.standard_normal((4, 5))), head)
+        scores = instance_probs(Node(rng.standard_normal((4, 5))), **head)
         labels = approx_labels(scores.corr_ins.value, tags)
         assert float(instance_loss(scores, labels, tags).value) >= 0.0
 
@@ -250,8 +250,8 @@ def test_instance_loss_gradients_match_finite_differences(seed):
     frozen_labels = {}
 
     def build():
-        head = DetectionHead(Node(arrays["w_cls"]), Node(arrays["w_det"]), Node(arrays["w_bg"]))
-        scores = instance_probs(Node(feats), head)
+        head = {name: Node(arrays[name]) for name in ("w_cls", "w_det", "w_bg")}
+        scores = instance_probs(Node(feats), **head)
         if "labels" not in frozen_labels:
             frozen_labels["labels"] = approx_labels(scores.corr_ins.value, tags)
         return instance_loss(scores, frozen_labels["labels"], tags), head
@@ -259,6 +259,6 @@ def test_instance_loss_gradients_match_finite_differences(seed):
     loss, head = build()
     nm.backward(loss)
     fd = finite_difference(lambda: float(build()[0].value), arrays)
-    assert max_rel_err(head.w_cls.grad, fd["w_cls"]) < 1e-4
-    assert max_rel_err(head.w_det.grad, fd["w_det"]) < 1e-4
-    assert max_rel_err(head.w_bg.grad, fd["w_bg"]) < 1e-4
+    assert max_rel_err(head["w_cls"].grad, fd["w_cls"]) < 1e-4
+    assert max_rel_err(head["w_det"].grad, fd["w_det"]) < 1e-4
+    assert max_rel_err(head["w_bg"].grad, fd["w_bg"]) < 1e-4

@@ -11,6 +11,7 @@ from weakdet.errors import CompatibilityError, ConfigError, ContractError, Numer
 from weakdet.evalmetrics import iou
 from weakdet.trainer import (
     SUB_METHODS,
+    FrozenStructures,
     TrainConfig,
     _phase_masks,
     forward_losses,
@@ -438,6 +439,66 @@ def test_every_leaf_gets_a_gradient_of_its_shape(method, phase_mode, rng):
             assert node.grad is not None and node.grad.shape == state.params[name].shape
 
 
+def _leaf_grads(fwd):
+    nm.backward(fwd.loss)
+    return {name: node.grad.tobytes() for name, node in fwd.leaves.items()}
+
+
+@pytest.mark.parametrize("method", sorted(SUB_METHODS))
+@pytest.mark.parametrize("phase_mode", ("fused", "sequential"))
+def test_reported_structures_pin_the_same_forward(method, phase_mode, rng):
+    """Feeding a forward's ``structures`` back as ``frozen`` rebuilds the same
+    terms and leaf gradients bit for bit, and reports the same selections."""
+    bag = make_bag(rng, m=6, n_classes=3, feature_dim=8)
+    cfg = small_cfg(modules=SUB_METHODS[method], phase_mode=phase_mode, corr_sem_ema=0.5)
+    state = init_state(cfg, 3, 8)
+    state.corr_buffer = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+    for phase in _phase_masks(cfg):
+        fwd = forward_losses(bag, state, cfg, include=phase)
+        used = fwd.structures
+        snapshot = dict(vars(used))
+        again = forward_losses(bag, state, cfg, used, include=phase)
+        assert all(getattr(used, k) is v for k, v in snapshot.items())  # not written
+        assert again.terms.keys() == fwd.terms.keys()
+        for name, node in fwd.terms.items():
+            assert again.terms[name].value.tobytes() == node.value.tobytes(), name
+        assert again.loss.value.tobytes() == fwd.loss.value.tobytes()
+        assert _leaf_grads(again) == _leaf_grads(fwd)
+        for key in ("instance_graph", "semantic_graph", "pseudo_hard"):
+            a, b = getattr(again.structures, key), getattr(used, key)
+            assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes()), key
+        assert (again.structures.approx is None) == (used.approx is None)
+        if used.approx is not None:
+            assert again.structures.approx.labels.tobytes() == used.approx.labels.tobytes()
+        uses_graphs = bool({"M3", "M4"} & phase & cfg.modules)
+        assert (used.instance_graph is not None) == (uses_graphs and cfg.m1)
+        assert (used.semantic_graph is not None) == (uses_graphs and cfg.m2)
+
+
+@pytest.mark.parametrize("method", ("C", "E", "F"))
+def test_train_pins_only_the_instance_graph(method, monkeypatch):
+    """train() passes one record per bag to every step; the forward reads it
+    and never writes the selections it makes into it."""
+    bags, _ = tiny_dataset(4)
+    seen = {}
+
+    def recording(bag, state, cfg, frozen=None, include=None):
+        seen.setdefault(id(frozen), (bag.image_id, frozen))
+        return forward_losses(bag, state, cfg, frozen, include)
+
+    monkeypatch.setattr("weakdet.trainer.forward_losses", recording)
+    cfg = small_cfg(modules=SUB_METHODS[method], epochs=2, phase_mode="sequential")
+    train(bags, cfg)
+    by_id = {b.image_id: filter_proposals(b, cfg.min_proposal_side) for b in bags}
+    assert sorted(image_id for image_id, _ in seen.values()) == sorted(by_id)
+    for image_id, frozen in seen.values():
+        assert isinstance(frozen, FrozenStructures)
+        assert frozen.approx is None and frozen.pseudo_hard is None
+        assert frozen.semantic_graph is None
+        want = igcl.build_instance_graph(by_id[image_id].proposals, cfg.graph_iou)
+        assert frozen.instance_graph.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "method, per_call", [("F", 1), ("E", 1), ("C", 1), ("D", 0), ("A", 0), ("B", 0)]
 )
@@ -665,6 +726,50 @@ def test_checkpoint_rejects_trailing_bytes(small_checkpoint, tmp_path):
         load_checkpoint(path)
     path.write_bytes(small_checkpoint)
     assert load_checkpoint(path).step == 0
+
+
+def _drop_w_sem(state):
+    del state.params["w_sem"], state.velocity["w_sem"]
+
+
+def _widen_w_cls(state):
+    state.params["w_cls"] = state.velocity["w_cls"] = np.zeros((8, 4))
+
+
+def _extra_group(state):
+    state.params["w_extra"] = state.velocity["w_extra"] = np.zeros((2, 2))
+
+
+@pytest.mark.parametrize(
+    "damage, name",
+    [
+        (_drop_w_sem, "param/w_sem"),
+        (_widen_w_cls, "param/w_cls"),
+        (_extra_group, "param/w_extra"),
+        (lambda s: s.velocity.update(gcn_sem_w2=np.zeros((4, 3))), "velocity/gcn_sem_w2"),
+        (lambda s: s.params.update(gcn_ins_w1=np.zeros((8, 5))), "param/gcn_ins_w1"),
+        (lambda s: setattr(s, "centers", np.zeros((3, 4))), "centers"),
+        (lambda s: setattr(s, "corr_buffer", np.eye(4)), "corr_buffer"),
+    ],
+    ids=["missing", "wrong_shape", "extra", "velocity", "hidden_width", "centers", "corr_buffer"],
+)
+def test_checkpoint_rejects_groups_init_state_would_not_make(damage, name, tmp_path):
+    state = init_state(small_cfg(), 3, 8)  # hidden 8 and embed 4 widths
+    damage(state)
+    path = tmp_path / "groups.bin"
+    save_checkpoint(state, path)
+    with pytest.raises(ParseError, match=f"tensor '{name}'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_keeps_its_own_widths(tmp_path):
+    state = init_state(small_cfg(hidden_dim=5, embed_dim=3), 3, 8)
+    path = tmp_path / "widths.bin"
+    save_checkpoint(state, path)
+    loaded = load_checkpoint(path)
+    assert {k: v.shape for k, v in loaded.params.items()} == {
+        k: v.shape for k, v in state.params.items()
+    }
 
 
 @pytest.mark.parametrize(
