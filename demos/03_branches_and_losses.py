@@ -9,6 +9,7 @@ import numpy as np
 
 from weakdet import numerics as nm
 from weakdet.datamodel import SceneConfig, generate_dataset
+from weakdet.igcl import build_instance_graph, build_semantic_graph
 from weakdet.instance_branch import approx_labels, instance_loss, instance_probs
 from weakdet.numerics import Node
 from weakdet.semantic_branch import correlation_matrix, pseudo_labels, semantic_loss, update_centers
@@ -51,11 +52,13 @@ print(f"center movement after one update: {moved}")
 print()
 
 print("--- phase 3: interactive graph contrast ---")
-fwd = forward_losses(bag, state, cfg)
-used = fwd.structures  # the labels and graphs this forward selected
-for name in ("instance_graph", "semantic_graph"):
-    a_hat = getattr(used, name)
+graphs = {  # the two graphs the contrastive forward builds for this bag
+    "instance_graph": build_instance_graph(bag.proposals, cfg.graph_iou),
+    "semantic_graph": build_semantic_graph(z.value, cfg.knn_k),
+}
+for name, a_hat in graphs.items():
     print(f"{name}: {(np.count_nonzero(a_hat) - len(a_hat)) // 2} edges")  # minus self-loops
+fwd = forward_losses(bag, state, cfg)
 print(f"contrastive loss (both directions): {fwd.parts['loss_igcl']:.4f}")
 print(f"composite loss: {float(fwd.loss.value):.4f} = "
       f"{fwd.parts['loss_ins']:.4f} + {fwd.parts['loss_sem']:.4f} + {fwd.parts['loss_igcl']:.4f}")

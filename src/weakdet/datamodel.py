@@ -276,17 +276,14 @@ def filter_proposals(bag: Bag, min_side: float = 16.0) -> Bag:
 
 
 def _bag_record(bag: Bag, gt: GroundTruth | None) -> dict:
-    rec = {
+    return {
         "image_id": bag.image_id,
         "canvas": [bag.canvas[0], bag.canvas[1]],
         "proposals": [b.as_list() for b in bag.proposals],
         "features": bag.features.tolist(),
         "tags": bag.tags.tolist(),
-        "gt": [],
+        "gt": [] if gt is None else [[*box.as_list(), int(k)] for box, k in gt.objects],
     }
-    if gt is not None:
-        rec["gt"] = [[*box.as_list(), int(k)] for box, k in gt.objects]
-    return rec
 
 
 def save_jsonl(path, bags: list[Bag], gts: list[GroundTruth] | None = None) -> None:
@@ -309,6 +306,9 @@ def numbered_lines(path):
                 raise ParseError(f"not valid UTF-8 ({e})", line=lineno) from e
 
 
+RECORD_KEYS = frozenset({"image_id", "canvas", "proposals", "features", "tags", "gt"})
+
+
 def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
     """Read bags and ground truth; the `gt` field never enters the Bag."""
     bags: list[Bag] = []
@@ -319,14 +319,22 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
             continue
         try:
             rec = json.loads(line)
+            extra, canvas, gt = rec.keys() - RECORD_KEYS, rec["canvas"], rec.get("gt", [])
+            if extra:
+                raise ParseError(f"unknown record keys {sorted(extra)}", lineno)
+            if not (type(canvas) is list and len(canvas) == 2  # NaN fails 0 < c < inf
+                    and all(type(c) in (int, float) and 0 < c < math.inf for c in canvas)):
+                raise ParseError(f"canvas {canvas!r} is not two finite positive numbers", lineno)
+            if not all(type(g) is list and len(g) == 5 for g in gt):
+                raise ParseError("a gt item is not [x1, y1, x2, y2, k]", lineno)
             bag = Bag(
                 image_id=rec["image_id"],
-                canvas=(float(rec["canvas"][0]), float(rec["canvas"][1])),
+                canvas=(float(canvas[0]), float(canvas[1])),
                 proposals=[Box(*b) for b in rec["proposals"]],
                 features=np.asarray(rec["features"], dtype=np.float64),
                 tags=rec["tags"],
             )
-            objects = [(Box(*g[:4]), g[4]) for g in rec.get("gt", [])]
+            objects = [(Box(*g[:4]), g[4]) for g in gt]
             n = bag.n_classes
             for _, k in objects:  # an int, not a bool or a float such as 1.7
                 if type(k) is not int or not 0 <= k < n:

@@ -2,13 +2,14 @@
 
 Central differences (step 1e-4 by default) against the analytic backward
 pass, on small random bags. Discrete structure that the losses select from
-data, i.e. induced labels, pseudo hard labels, and graph topology, is
-frozen at the base point: the analytic gradient describes the loss with
-those choices held fixed, so the finite differences must probe the same
-piecewise-smooth function. The frozen record is the ``structures`` that a
-plain forward at the base point reports having used. Every loss is a named
-term of the training forward, :func:`~weakdet.trainer.forward_losses`, so
-the audit checks the graph that training differentiates.
+data, i.e. induced labels, pseudo hard labels, and graph topology, stays
+at the base point: the analytic gradient describes the loss with those
+choices held fixed, so the finite differences must probe the same
+piecewise-smooth function. Each perturbation replays the base forward's
+recorded ops (:func:`~weakdet.numerics.replay`), whose constant operands
+carry the base point's selections. Every loss is a named term of the
+training forward, :func:`~weakdet.trainer.forward_losses`, so the audit
+checks the graph that training differentiates.
 
 The relative error uses a floored denominator, max(|a|, |fd|, 0.01), so
 near-zero entries are judged by an absolute tolerance of step * floor
@@ -24,7 +25,7 @@ import numpy as np
 from . import numerics as nm
 from .datamodel import Bag, Box
 from .errors import ParameterError
-from .trainer import FrozenStructures, TrainConfig, TrainState, forward_losses, init_state
+from .trainer import TrainConfig, TrainState, forward_losses, init_state
 
 REL_FLOOR = 1e-2
 
@@ -67,15 +68,15 @@ def random_bag(
 
 
 def analytic_gradients(
-    bag: Bag, state: TrainState, cfg: TrainConfig, frozen: FrozenStructures
+    bag: Bag, state: TrainState, cfg: TrainConfig
 ) -> dict[str, dict[str, np.ndarray]]:
     """Backward of every named term of the forward and of the composite,
     each on its own graph, by loss and by the parameter groups it reaches."""
     grads: dict[str, dict[str, np.ndarray]] = {}
-    fwd = forward_losses(bag, state, cfg, frozen)
+    fwd = forward_losses(bag, state, cfg)
     for loss_name in (*fwd.terms, "composite"):
         if grads:  # the first term's graph is the one that named the terms
-            fwd = forward_losses(bag, state, cfg, frozen)
+            fwd = forward_losses(bag, state, cfg)
         nm.backward(fwd.loss if loss_name == "composite" else fwd.terms[loss_name])
         grads[loss_name] = {
             pname: node.grad for pname, node in fwd.leaves.items() if node.grad is not None
@@ -105,9 +106,8 @@ def check_bag(
     each perturbation runs that plan for all losses.
     """
     _check_sweep(step, tolerance)
-    frozen = forward_losses(bag, state, cfg).structures
-    analytic = analytic_gradients(bag, state, cfg, frozen)
-    base = forward_losses(bag, state, cfg, frozen)
+    analytic = analytic_gradients(bag, state, cfg)
+    base = forward_losses(bag, state, cfg)
     roots = [*base.terms.values(), base.loss]  # in the order of `analytic`
     fd = {name: {p: np.zeros_like(state.params[p]) for p in g} for name, g in analytic.items()}
     for pname in sorted({p for g in analytic.values() for p in g}):

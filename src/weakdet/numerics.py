@@ -180,7 +180,7 @@ def replay(roots, changed: np.ndarray) -> ReplayPlan:
     ``(roots, changed)``; an op result without a record raises
     :class:`UsageError` here too. Plain array operands (an adjacency, tags)
     and what callers derive outside ops (induced labels, graphs) are not
-    re-derived: the caller must hold them fixed.
+    re-derived: they stay at the values the base graph recorded.
     """
     reached, stack = {r._order: r for r in roots}, list(roots)
     while stack:

@@ -222,25 +222,6 @@ def init_state(cfg: TrainConfig, n_classes: int, feature_dim: int) -> TrainState
 
 
 @dataclass
-class FrozenStructures:
-    """A bag's discrete selections: induced labels, pseudo hard labels, and
-    the two graphs' normalized adjacencies.
-
-    They are data-dependent but non-differentiable. The forward reports the
-    ones it used as :attr:`BagForward.structures`; passing that record back
-    as ``frozen`` pins them, so the gradient checker's finite differences
-    probe the same piecewise-smooth function the analytic gradient
-    describes. Training pins only the instance graph, which depends on
-    nothing but the bag's proposals.
-    """
-
-    approx: ib.ApproxLabels | None = None
-    pseudo_hard: np.ndarray | None = None
-    instance_graph: np.ndarray | None = None
-    semantic_graph: np.ndarray | None = None
-
-
-@dataclass
 class BagForward:
     """One bag's losses plus what the update step needs afterwards.
 
@@ -248,16 +229,16 @@ class BagForward:
     and ``loss_sem`` carry their lambda weight, and the contrastive terms
     (``loss_con_sd`` and ``loss_con_ds`` under M4, ``loss_con_ins`` and
     ``loss_con_sem`` under M3) are summed and weighted by ``lambda_igcl``.
-    ``parts`` holds the unweighted branch losses as floats. ``structures``
-    holds the discrete selections the forward used, given or computed; a
-    field the forward did not need stays None.
+    ``parts`` holds the unweighted branch losses as floats. ``pseudo_hard``
+    holds the semantic branch's hard pseudo-labels, None when the forward
+    did not build that branch.
     """
 
     loss: Node
     terms: dict
     leaves: dict
     parts: dict
-    structures: FrozenStructures
+    pseudo_hard: np.ndarray | None
     z_values: np.ndarray | None
     corr_values: np.ndarray | None
 
@@ -287,7 +268,7 @@ def forward_losses(
     bag: Bag,
     state: TrainState,
     cfg: TrainConfig,
-    frozen: FrozenStructures | None = None,
+    instance_graph: np.ndarray | None = None,
     include: frozenset | None = None,
 ) -> BagForward:
     """Build the composite loss graph for one bag under the module mask.
@@ -296,8 +277,9 @@ def forward_losses(
     sequential phase mode passes one at a time). Parameters are wrapped as
     differentiable leaves only when the restricted loss actually reaches
     them, so masked-out modules see zero gradient and no optimizer update.
-    A field of ``frozen`` that is set replaces the selection the forward
-    would compute; ``frozen`` itself is never written.
+    ``instance_graph`` is the bag's normalized instance adjacency, which a
+    caller may build once: it depends on the proposals alone. Every other
+    discrete selection is made anew from the current parameters.
     """
     active = cfg.modules if include is None else (cfg.modules & include)
     need_gcl = bool({"M3", "M4"} & active)
@@ -318,8 +300,6 @@ def forward_losses(
     def fixed(name: str) -> Node:
         return nm.as_node(state.params[name])
 
-    given = frozen or FrozenStructures()
-    used = FrozenStructures()
     feats = nm.as_node(bag.features)
     parts = {"loss_ins": 0.0, "loss_sem": 0.0, "loss_igcl": 0.0}
     terms: dict[str, Node] = {}
@@ -328,23 +308,18 @@ def forward_losses(
     if need_ins_branch:
         param = leaf if wrap_head else fixed
         scores = ib.instance_probs(feats, param("w_cls"), param("w_det"), param("w_bg"))
-        used.approx = given.approx or ib.approx_labels(
-            scores.corr_ins.value, bag.tags, cfg.label_ratio
-        )
+        approx = ib.approx_labels(scores.corr_ins.value, bag.tags, cfg.label_ratio)
     if "M1" in active:
-        l_ins = ib.instance_loss(scores, used.approx, bag.tags)
+        l_ins = ib.instance_loss(scores, approx, bag.tags)
         parts["loss_ins"] = float(l_ins.value)
         terms["loss_ins"] = nm.scale(l_ins, cfg.lambda_ins)
         weighted.append(terms["loss_ins"])
 
-    z = corr = None
+    z = corr = pseudo = None
     if need_sem_branch:
         z, corr, pseudo = _semantic_chain(
             feats, (leaf if wrap_sem else fixed)("w_sem"), state, cfg
         )
-        if given.pseudo_hard is not None:
-            pseudo = sb.PseudoLabels(scores=pseudo.scores, labels=given.pseudo_hard)
-        used.pseudo_hard = pseudo.labels
     if "M2" in active:
         l_sem = sb.semantic_loss(z, pseudo, state.centers)
         parts["loss_sem"] = float(l_sem.value)
@@ -354,20 +329,14 @@ def forward_losses(
     if need_gcl:
         u = u_p = v = v_p = None
         if cfg.m1:
-            used.instance_graph = igraph = (
-                given.instance_graph
-                if given.instance_graph is not None
-                else gc.build_instance_graph(bag.proposals, cfg.graph_iou)
-            )
-            onehot = nm.as_node(gc.one_hot_labels(used.approx.labels, bag.n_classes + 1))
+            igraph = instance_graph
+            if igraph is None:
+                igraph = gc.build_instance_graph(bag.proposals, cfg.graph_iou)
+            onehot = nm.as_node(gc.one_hot_labels(approx.labels, bag.n_classes + 1))
             u = gc.gcn_forward(igraph, feats, leaf("gcn_ins_w1"), leaf("gcn_ins_w2"))
             u_p = gc.gcn_forward(igraph, onehot, leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2"))
         if cfg.m2:
-            used.semantic_graph = sgraph = (
-                given.semantic_graph
-                if given.semantic_graph is not None
-                else gc.build_semantic_graph(z.value, cfg.knn_k)
-            )
+            sgraph = gc.build_semantic_graph(z.value, cfg.knn_k)
             v = gc.gcn_forward(sgraph, z, leaf("gcn_sem_w1"), leaf("gcn_sem_w2"))
             v_p = gc.gcn_forward(sgraph, pseudo.scores, leaf("gcn_sem_p_w1"), leaf("gcn_sem_p_w2"))
         terms_of = gc.igcl_terms if "M4" in active else gc.independent_gcl_terms
@@ -382,7 +351,7 @@ def forward_losses(
         terms=terms,
         leaves=leaves,
         parts=parts,
-        structures=used,
+        pseudo_hard=None if pseudo is None else pseudo.labels,
         z_values=None if z is None else z.value,
         corr_values=None if corr is None else corr.value,
     )
@@ -399,11 +368,8 @@ def resolve_schedule(cfg: TrainConfig, total_steps: int) -> list[tuple[int, floa
 
 
 def lr_at(schedule: list[tuple[int, float]], step: int) -> float:
-    rate = schedule[0][1]
-    for boundary, r in schedule:
-        if step >= boundary:
-            rate = r
-    return rate
+    """The rate of the last breakpoint at or before ``step``, else the first rate."""
+    return next((r for boundary, r in reversed(schedule) if step >= boundary), schedule[0][1])
 
 
 def sgd_step(
@@ -464,12 +430,9 @@ def train(
     n = len(bags)
     # An instance graph depends only on the bag's proposals: build each one
     # once per call, and only when the contrastive module reads it.
-    frozen: list[FrozenStructures | None] = [None] * n
+    graphs: list[np.ndarray | None] = [None] * n
     if cfg.m1 and (cfg.m3 or cfg.m4):
-        frozen = [
-            FrozenStructures(instance_graph=gc.build_instance_graph(b.proposals, cfg.graph_iou))
-            for b in bags
-        ]
+        graphs = [gc.build_instance_graph(b.proposals, cfg.graph_iou) for b in bags]
     phases = _phase_masks(cfg)
     steps_per_epoch = -(-n // cfg.batch_size) * len(phases)
     schedule = resolve_schedule(cfg, cfg.epochs * steps_per_epoch)
@@ -489,17 +452,16 @@ def train(
                 grads, touched = [], set()
                 for i in batch:
                     try:
-                        fwd = forward_losses(bags[i], state, cfg, frozen[i], include=phase)
+                        fwd = forward_losses(bags[i], state, cfg, graphs[i], include=phase)
                         # A leaf adds into its group of the zeroed vector:
                         # 0.0 + contrib, the bits a lazy buffer would hold.
                         bag_grad.fill(0.0)
                         for name, node in fwd.leaves.items():
                             node.grad = grad_views[name]
                         nm.backward(fwd.loss)
-                        pseudo_hard = fwd.structures.pseudo_hard
-                        if "M2" in phase and pseudo_hard is not None:
+                        if "M2" in phase and fwd.pseudo_hard is not None:
                             state.centers = sb.update_centers(
-                                state.centers, fwd.z_values, pseudo_hard, cfg.center_rate
+                                state.centers, fwd.z_values, fwd.pseudo_hard, cfg.center_rate
                             )
                             # Under two proposals there is no sample correlation
                             # to fold in, only the identity fallback.
@@ -589,10 +551,9 @@ CKPT_VERSION = 1
 def save_checkpoint(state: TrainState, path) -> None:
     """Versioned binary container: named float64 tensors, then a JSON tail
     with the step counter and the exact RNG state."""
-    tensors: dict[str, np.ndarray] = {f"param/{k}": v for k, v in state.params.items()}
-    tensors.update({f"velocity/{k}": v for k, v in state.velocity.items()})
-    tensors["centers"] = state.centers
-    tensors["corr_buffer"] = state.corr_buffer
+    tensors = {"centers": state.centers, "corr_buffer": state.corr_buffer}
+    for group, values in (("param", state.params), ("velocity", state.velocity)):
+        tensors |= {f"{group}/{k}": v for k, v in values.items()}
     meta = {
         "step": state.step,
         "n_classes": state.n_classes,
@@ -622,7 +583,8 @@ def load_checkpoint(path) -> TrainState:
     JSON tail, so a truncated, padded or garbled file raises
     :class:`ParseError`. So does a tensor set other than the one
     :func:`init_state` makes for the stored K and D and the file's own
-    hidden and embedding widths.
+    hidden and embedding widths, a NaN or Inf entry, a step that is not an
+    int >= 0, or a K or D that is not an int >= 1.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -651,11 +613,16 @@ def load_checkpoint(path) -> TrainState:
                 raise ParseError(f"tensor {name!r} has a negative dimension")
             raw = take(8 * math.prod(shape))
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(tensors[name]).all():
+                raise ParseError(f"checkpoint tensor {name!r} holds NaN or Inf")
         (blob_len,) = struct.unpack("<I", take(4))
         meta = json.loads(take(blob_len).decode())
         if pos != len(data):
             raise ParseError(f"{len(data) - pos} trailing bytes after the checkpoint")
-        k, d = int(meta["n_classes"]), int(meta["feature_dim"])
+        for key, low in (("step", 0), ("n_classes", 1), ("feature_dim", 1)):
+            if type(meta[key]) is not int or meta[key] < low:  # bools are not ints here
+                raise ParseError(f"checkpoint {key} {meta[key]!r} is not an int >= {low}")
+        k, d = meta["n_classes"], meta["feature_dim"]
         w2 = tensors.get("param/gcn_ins_w2")  # (hidden, embed): the checkpoint's own widths
         widths = w2.shape if w2 is not None and w2.ndim == 2 else (0, 0)
         shapes = param_shapes(k, d, *widths)
@@ -669,16 +636,14 @@ def load_checkpoint(path) -> TrainState:
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
         return TrainState(
-            params={k[len("param/") :]: v for k, v in tensors.items() if k.startswith("param/")},
-            velocity={
-                k[len("velocity/") :]: v for k, v in tensors.items() if k.startswith("velocity/")
-            },
+            params={n: tensors[f"param/{n}"] for n in shapes},
+            velocity={n: tensors[f"velocity/{n}"] for n in shapes},
             centers=tensors["centers"],
             corr_buffer=tensors["corr_buffer"],
-            step=int(meta["step"]),
+            step=meta["step"],
             rng=rng,
             n_classes=k,
             feature_dim=d,
         )
-    except (KeyError, TypeError, ValueError) as e:  # includes bad UTF-8 and JSON
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # bad UTF-8, JSON, RNG state
         raise ParseError(f"malformed checkpoint ({type(e).__name__}: {e})") from e

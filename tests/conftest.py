@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from weakdet import igcl as gc
+from weakdet import instance_branch as ib
+from weakdet import semantic_branch as sb
 from weakdet.datamodel import Bag, Box
+from weakdet.trainer import forward_losses
+
+# Derandomized, so every run (CI included) tries the same examples.
+settings.register_profile(
+    "weakdet", derandomize=True, deadline=None, max_examples=200, database=None
+)
+settings.load_profile("weakdet")
 
 
 def finite_difference(loss_fn, arrays, step=1e-4):
@@ -65,3 +76,36 @@ def make_bag(rng, m=5, n_classes=3, feature_dim=8, n_pos=None, image_id="bag"):
         features=rng.standard_normal((m, feature_dim)),
         tags=tags,
     )
+
+
+class PinnedSelections:
+    """Hold the discrete selections of ``forward_losses`` on one bag at the
+    ones a plain forward makes now, as the audit's replay holds them.
+
+    Wraps, with ``monkeypatch``, the functions ``trainer`` makes them with:
+    ``approx_labels``, ``pseudo_labels`` (a pinned call keeps its real
+    ``scores`` node and takes the recorded hard labels),
+    ``build_instance_graph`` and ``build_semantic_graph``. ``pinned`` holds
+    the recorded selection by function name and ``fresh`` the one the
+    latest call computed; while ``held`` is False, each call returns its
+    own selection. Every forward must be on the same bag.
+    """
+
+    def __init__(self, monkeypatch, bag, state, cfg):
+        self.pinned, self.fresh, self.held = {}, {}, True
+        self._wrap(monkeypatch, ib, "approx_labels")
+        self._wrap(monkeypatch, sb, "pseudo_labels",
+                   lambda got, kept: sb.PseudoLabels(got.scores, kept.labels))
+        self._wrap(monkeypatch, gc, "build_instance_graph")
+        self._wrap(monkeypatch, gc, "build_semantic_graph")
+        forward_losses(bag, state, cfg)
+
+    def _wrap(self, monkeypatch, module, name, merge=lambda got, kept: kept):
+        original = getattr(module, name)
+
+        def pinning(*args, **kwargs):
+            got = self.fresh[name] = original(*args, **kwargs)
+            kept = self.pinned.setdefault(name, got)
+            return merge(got, kept) if self.held else got
+
+        monkeypatch.setattr(module, name, pinning)

@@ -276,6 +276,51 @@ def test_jsonl_gt_class_outside_the_class_range_reports_lineno(tmp_path, bad):
     assert exc.value.line == 2
 
 
+def _write_with(path, change):
+    """Two bags as JSONL; ``change`` edits the second line's record."""
+    bags, gts = generate_dataset(small_cfg(), 2)
+    save_jsonl(path, bags, gts)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    change(rec)
+    path.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (lambda r: r["gt"][0].extend(["junk", 7]), "gt item"),
+        (lambda r: r["gt"][0].pop(), "gt item"),
+        (lambda r: r["gt"].append({"box": [0, 0, 9, 9], "k": 0}), "gt item"),
+        (lambda r: r.update(tagz=[1, 0, 0, 0]), "unknown record keys \\['tagz'\\]"),
+        (lambda r: r.update(canvas="12"), "canvas"),
+        (lambda r: r.update(canvas=[1, 2, 3]), "canvas"),
+        (lambda r: r.update(canvas=[float("nan"), -5]), "canvas"),
+        (lambda r: r.update(canvas=[128.0, float("inf")]), "canvas"),
+        (lambda r: r.update(canvas=[128.0, 0]), "canvas"),
+        (lambda r: r.update(canvas=[True, 128.0]), "canvas"),
+        (lambda r: r.update(canvas=[128.0, "128"]), "canvas"),
+    ],
+    ids=["gt_long", "gt_short", "gt_object", "unknown_key", "canvas_string", "canvas_three",
+         "canvas_nan", "canvas_inf", "canvas_zero", "canvas_bool", "canvas_str_item"],
+)
+def test_jsonl_rejects_a_malformed_record_naming_the_line(tmp_path, change, match):
+    path = tmp_path / "strict.jsonl"
+    _write_with(path, lambda r: None)
+    assert len(load_jsonl(path)[0]) == 2
+    _write_with(path, change)
+    with pytest.raises(ParseError, match=match) as exc:
+        load_jsonl(path)
+    assert exc.value.line == 2
+
+
+def test_jsonl_accepts_an_int_canvas_and_a_record_without_gt(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    _write_with(path, lambda r: (r.update(canvas=[200, 150.5]), r.pop("gt")))
+    bags, gts = load_jsonl(path)
+    assert bags[1].canvas == (200.0, 150.5) and gts[1].objects == []
+
+
 @pytest.mark.parametrize("bad", BAD_TAGS + [np.float64(1.0), np.bool_(True)])
 def test_bag_rejects_tags_outside_zero_one(bad):
     with pytest.raises(ConfigError):

@@ -21,7 +21,7 @@ from weakdet.gradcheck import (
 from weakdet.numerics import Node
 from weakdet.trainer import MODULE_NAMES, SUB_METHODS, forward_losses, init_state
 
-from conftest import graph_nodes, make_bag
+from conftest import PinnedSelections, graph_nodes, make_bag
 
 K, D = 3, 5
 
@@ -36,12 +36,12 @@ def small_case(seed, **overrides):
 # ------------------------------------------- oracle: one sweep per loss
 
 
-def _oracle_loss(name, bag, state, cfg, frozen):
+def _oracle_loss(name, bag, state, cfg, pins):
     """(loss node, leaves) for one loss, with its own contrastive forward,
-    which knows nothing of ``corr_sem_ema``."""
+    which knows nothing of ``corr_sem_ema``; ``pins`` holds the selections."""
     if name in ("loss_ins", "loss_sem", "composite"):
         include = {"loss_ins": frozenset({"M1"}), "loss_sem": frozenset({"M2"})}.get(name)
-        fwd = forward_losses(bag, state, cfg, frozen, include=include)
+        fwd = forward_losses(bag, state, cfg, include=include)
         return fwd.loss, fwd.leaves
 
     leaves = {}
@@ -53,27 +53,29 @@ def _oracle_loss(name, bag, state, cfg, frozen):
 
     feats = nm.as_node(bag.features)
     z = nm.matmul_nt(feats, leaf("w_sem"))
+    instance_graph = pins.pinned["build_instance_graph"]
+    semantic_graph = pins.pinned["build_semantic_graph"]
     if name == "loss_con_sd":
-        u = gc.gcn_forward(frozen.instance_graph, feats, leaf("gcn_ins_w1"), leaf("gcn_ins_w2"))
-        v = gc.gcn_forward(frozen.semantic_graph, z, leaf("gcn_sem_w1"), leaf("gcn_sem_w2"))
+        u = gc.gcn_forward(instance_graph, feats, leaf("gcn_ins_w1"), leaf("gcn_ins_w2"))
+        v = gc.gcn_forward(semantic_graph, z, leaf("gcn_sem_w1"), leaf("gcn_sem_w2"))
         return gc.info_nce(u, v, cfg.tau), leaves
     pseudo = sb.pseudo_labels(sb.correlation_matrix(z), z)
-    onehot = gc.one_hot_labels(frozen.approx.labels, bag.n_classes + 1)
+    onehot = gc.one_hot_labels(pins.pinned["approx_labels"].labels, bag.n_classes + 1)
     u_p = gc.gcn_forward(
-        frozen.instance_graph, nm.as_node(onehot), leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2")
+        instance_graph, nm.as_node(onehot), leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2")
     )
     v_p = gc.gcn_forward(
-        frozen.semantic_graph, pseudo.scores, leaf("gcn_sem_p_w1"), leaf("gcn_sem_p_w2")
+        semantic_graph, pseudo.scores, leaf("gcn_sem_p_w1"), leaf("gcn_sem_p_w2")
     )
     return gc.info_nce(u_p, v_p, cfg.tau), leaves
 
 
-def oracle_check_bag(bag, state, cfg, step=1e-4, tolerance=1e-4, corrupt=False):
-    """The audit as it was: a separate central-difference sweep per loss."""
-    frozen = forward_losses(bag, state, cfg).structures
+def oracle_check_bag(pins, bag, state, cfg, step=1e-4, tolerance=1e-4, corrupt=False):
+    """The audit as it was: a separate central-difference sweep per loss,
+    each forward rebuilt with the selections ``pins`` holds."""
     results = []
     for loss_name in LOSS_NAMES:
-        loss, leaves = _oracle_loss(loss_name, bag, state, cfg, frozen)
+        loss, leaves = _oracle_loss(loss_name, bag, state, cfg, pins)
         nm.backward(loss)
         for pname in sorted(leaves):
             analytic = leaves[pname].grad.copy()
@@ -87,9 +89,9 @@ def oracle_check_bag(bag, state, cfg, step=1e-4, tolerance=1e-4, corrupt=False):
                 idx = it.multi_index
                 orig = target[idx]
                 target[idx] = orig + step
-                hi, _ = _oracle_loss(loss_name, bag, state, cfg, frozen)
+                hi, _ = _oracle_loss(loss_name, bag, state, cfg, pins)
                 target[idx] = orig - step
-                lo, _ = _oracle_loss(loss_name, bag, state, cfg, frozen)
+                lo, _ = _oracle_loss(loss_name, bag, state, cfg, pins)
                 target[idx] = orig
                 fd[idx] = (float(hi.value) - float(lo.value)) / (2.0 * step)
                 it.iternext()
@@ -101,10 +103,11 @@ def oracle_check_bag(bag, state, cfg, step=1e-4, tolerance=1e-4, corrupt=False):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("corrupt", (False, True))
-def test_one_sweep_audit_equals_per_loss_oracle(seed, corrupt):
+def test_one_sweep_audit_equals_per_loss_oracle(seed, corrupt, monkeypatch):
     bag, state, cfg = small_case(seed)
-    expected = oracle_check_bag(bag, state, cfg, corrupt=corrupt)
     got = check_bag(bag, state, cfg, corrupt=corrupt)
+    pins = PinnedSelections(monkeypatch, bag, state, cfg)
+    expected = oracle_check_bag(pins, bag, state, cfg, corrupt=corrupt)
     assert [(r.loss_name, r.param_name, r.max_rel_err) for r in got] == [
         (r.loss_name, r.param_name, r.max_rel_err) for r in expected
     ]
@@ -116,13 +119,12 @@ def test_loss_names_are_the_forward_terms():
     assert LOSS_NAMES == (*forward_losses(bag, state, cfg).terms, "composite")
 
 
-def test_audit_reads_the_trained_contrastive_forward_under_ema():
+def test_audit_reads_the_trained_contrastive_forward_under_ema(monkeypatch):
     bag, state, cfg = small_case(1, corr_sem_ema=0.5)
     assert all(r.passed for r in check_bag(bag, state, cfg))
 
-    frozen = forward_losses(bag, state, cfg).structures
-    audited = analytic_gradients(bag, state, cfg, frozen)["loss_con_ds"]
-    fwd = forward_losses(bag, state, cfg, frozen)
+    audited = analytic_gradients(bag, state, cfg)["loss_con_ds"]
+    fwd = forward_losses(bag, state, cfg)
     nm.backward(fwd.terms["loss_con_ds"])
     trained = {n: node.grad for n, node in fwd.leaves.items() if node.grad is not None}
     assert audited.keys() == trained.keys()
@@ -130,7 +132,8 @@ def test_audit_reads_the_trained_contrastive_forward_under_ema():
         assert np.array_equal(audited[name], trained[name])
 
     # The per-loss copy ignores the blend, so its gradient differs here.
-    loss, leaves = _oracle_loss("loss_con_ds", bag, state, cfg, frozen)
+    pins = PinnedSelections(monkeypatch, bag, state, cfg)
+    loss, leaves = _oracle_loss("loss_con_ds", bag, state, cfg, pins)
     nm.backward(loss)
     assert not np.array_equal(leaves["w_sem"].grad, audited["w_sem"])
 
@@ -201,7 +204,7 @@ def test_check_bag_plans_each_parameter_group_once(method, monkeypatch):
     assert len(runs) == 2 * sum(state.params[p].size for p in groups)
 
 
-# ------------------------------------------- replay of the frozen forward
+# ------------------------------------------- replay of the base forward
 
 
 def _roots(fwd):
@@ -222,15 +225,17 @@ def _replay_case(method, m, ema):
 @pytest.mark.parametrize("phase_mode", ("fused", "sequential"))
 @pytest.mark.parametrize("ema", (0.0, 0.5))
 @pytest.mark.parametrize("m", (1, 8))
-def test_replay_equals_a_fresh_forward_byte_for_byte(method, phase_mode, ema, m):
+def test_replay_equals_a_fresh_forward_byte_for_byte(method, phase_mode, ema, m, monkeypatch):
+    """The reference forward pins the base point's selections; unpinned, it
+    differs from the replay in most of these cases."""
     bag, state, cfg = _replay_case(method, m, ema)
-    frozen = forward_losses(bag, state, cfg).structures
+    PinnedSelections(monkeypatch, bag, state, cfg)
     masks = [None] if phase_mode == "fused" else [
         frozenset({name}) for name in MODULE_NAMES if name in cfg.modules
     ]
     rng = np.random.default_rng(3200)
     for include in masks:
-        base = forward_losses(bag, state, cfg, frozen, include=include)
+        base = forward_losses(bag, state, cfg, include=include)
         for pname in sorted(state.params):
             target = state.params[pname]
             orig = target.copy()
@@ -240,21 +245,55 @@ def test_replay_equals_a_fresh_forward_byte_for_byte(method, phase_mode, ema, m)
                 # Large enough to flip relu masks now and then.
                 target[idx] += rng.normal(0.0, 0.5)
                 got = plan.run()
-                want = _roots(forward_losses(bag, state, cfg, frozen, include=include))
+                want = _roots(forward_losses(bag, state, cfg, include=include))
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.value.tobytes(), (include, pname, write)
             target[...] = orig
 
 
-def test_replay_raises_what_a_fresh_forward_raises():
+def _flipped(selection, fresh, pinned):
+    if selection == "build_semantic_graph":  # a kNN edge came or went
+        return not np.array_equal(fresh != 0, pinned != 0)
+    return not np.array_equal(fresh.labels, pinned.labels)
+
+
+@pytest.mark.parametrize(
+    "selection, pname",
+    [("approx_labels", "w_det"), ("pseudo_labels", "w_sem"), ("build_semantic_graph", "w_sem")],
+)
+def test_replay_holds_a_selection_that_a_fresh_forward_flips(selection, pname, monkeypatch):
+    """The audit's only hold on the discrete selections is the replay."""
+    bag, state, cfg = _replay_case("F", 8, 0.5)
+    pins = PinnedSelections(monkeypatch, bag, state, cfg)
+    base = forward_losses(bag, state, cfg)
+    target = state.params[pname]
+    plan = nm.replay(_roots(base), target)
+    rng = np.random.default_rng(3400)
+    pins.held = False
+    for _ in range(50):  # successive writes that accumulate
+        idx = tuple(int(rng.integers(s)) for s in target.shape)
+        target[idx] += rng.normal(0.0, 0.5)
+        unpinned = [r.value.tobytes() for r in _roots(forward_losses(bag, state, cfg))]
+        if _flipped(selection, pins.fresh[selection], pins.pinned[selection]):
+            break
+    else:
+        pytest.fail(f"no write to {pname} flipped {selection}")
+    pins.held = True
+    want = [r.value.tobytes() for r in _roots(forward_losses(bag, state, cfg))]
+    got = [g.tobytes() for g in plan.run()]
+    assert got == want
+    assert got != unpinned
+
+
+def test_replay_raises_what_a_fresh_forward_raises(monkeypatch):
     bag, state, cfg = _replay_case("F", 8, 0.0)
-    frozen = forward_losses(bag, state, cfg).structures
-    base = forward_losses(bag, state, cfg, frozen)
+    PinnedSelections(monkeypatch, bag, state, cfg)
+    base = forward_losses(bag, state, cfg)
     state.params["w_sem"][0, 0] = 1e300
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match="pearson_cols") as fresh:
-            forward_losses(bag, state, cfg, frozen)
+            forward_losses(bag, state, cfg)
         with pytest.raises(NumericError, match="pearson_cols") as replayed:
             nm.replay(_roots(base), state.params["w_sem"]).run()
     assert str(replayed.value) == str(fresh.value)
@@ -262,8 +301,7 @@ def test_replay_raises_what_a_fresh_forward_raises():
 
 def test_replay_leaves_the_base_graph_unchanged():
     bag, state, cfg = _replay_case("F", 8, 0.5)
-    frozen = forward_losses(bag, state, cfg).structures
-    base = forward_losses(bag, state, cfg, frozen)
+    base = forward_losses(bag, state, cfg)
     nodes = graph_nodes(base.loss)
     snapshot = [(n.value, n.value.tobytes(), n.grad, n._record) for n in nodes]
     rng = np.random.default_rng(3300)
@@ -295,8 +333,7 @@ def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
 
             monkeypatch.setattr(nm, name, counted)
     bag, state, cfg = _replay_case("F", 8, 0.0)
-    frozen = forward_losses(bag, state, cfg).structures
-    base = forward_losses(bag, state, cfg, frozen)
+    base = forward_losses(bag, state, cfg)
     assert calls["matmul"] and calls["pearson_cols"]  # the branches were built
     calls.clear()
     target = state.params["gcn_ins_w1"]

@@ -21,7 +21,7 @@ from weakdet.numerics import Node
 from weakdet.semantic_branch import correlation_matrix, pseudo_labels
 from weakdet.trainer import TrainConfig, forward_losses, init_state
 
-from conftest import finite_difference, make_bag, max_rel_err
+from conftest import PinnedSelections, finite_difference, make_bag, max_rel_err
 
 
 # ---------------------------------------------------------------- graphs
@@ -357,12 +357,13 @@ def test_compute_embeddings_singleton_bag():
         assert abs(np.linalg.norm(rows.value[0]) - 1.0) < 1e-9
 
 
-def test_compute_embeddings_equals_gcn_composition():
+def test_compute_embeddings_equals_gcn_composition(monkeypatch):
     """The training forward contrasts the GCN projections of its inputs."""
     rng = np.random.default_rng(6)
     bag = make_bag(rng, m=5, n_classes=3, feature_dim=8)
     cfg = TrainConfig(hidden_dim=4, embed_dim=3)
     state = init_state(cfg, 3, 8)
+    pins = PinnedSelections(monkeypatch, bag, state, cfg)
     fwd = forward_losses(bag, state, cfg)
 
     def proj(tag):
@@ -374,7 +375,7 @@ def test_compute_embeddings_equals_gcn_composition():
     scores = pseudo_labels(correlation_matrix(z), z).scores
     emb = _embed(
         feats,
-        one_hot_labels(fwd.structures.approx.labels, 4),
+        one_hot_labels(pins.pinned["approx_labels"].labels, 4),
         z,
         scores,
         [proj("ins"), proj("ins_p"), proj("sem"), proj("sem_p")],

@@ -1,8 +1,12 @@
 import hashlib
+import inspect
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weakdet import igcl
 from weakdet import numerics as nm
@@ -11,8 +15,8 @@ from weakdet.errors import CompatibilityError, ConfigError, ContractError, Numer
 from weakdet.evalmetrics import iou
 from weakdet.trainer import (
     SUB_METHODS,
-    FrozenStructures,
     TrainConfig,
+    TrainState,
     _phase_masks,
     forward_losses,
     infer,
@@ -439,64 +443,29 @@ def test_every_leaf_gets_a_gradient_of_its_shape(method, phase_mode, rng):
             assert node.grad is not None and node.grad.shape == state.params[name].shape
 
 
-def _leaf_grads(fwd):
-    nm.backward(fwd.loss)
-    return {name: node.grad.tobytes() for name, node in fwd.leaves.items()}
-
-
-@pytest.mark.parametrize("method", sorted(SUB_METHODS))
-@pytest.mark.parametrize("phase_mode", ("fused", "sequential"))
-def test_reported_structures_pin_the_same_forward(method, phase_mode, rng):
-    """Feeding a forward's ``structures`` back as ``frozen`` rebuilds the same
-    terms and leaf gradients bit for bit, and reports the same selections."""
-    bag = make_bag(rng, m=6, n_classes=3, feature_dim=8)
-    cfg = small_cfg(modules=SUB_METHODS[method], phase_mode=phase_mode, corr_sem_ema=0.5)
-    state = init_state(cfg, 3, 8)
-    state.corr_buffer = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
-    for phase in _phase_masks(cfg):
-        fwd = forward_losses(bag, state, cfg, include=phase)
-        used = fwd.structures
-        snapshot = dict(vars(used))
-        again = forward_losses(bag, state, cfg, used, include=phase)
-        assert all(getattr(used, k) is v for k, v in snapshot.items())  # not written
-        assert again.terms.keys() == fwd.terms.keys()
-        for name, node in fwd.terms.items():
-            assert again.terms[name].value.tobytes() == node.value.tobytes(), name
-        assert again.loss.value.tobytes() == fwd.loss.value.tobytes()
-        assert _leaf_grads(again) == _leaf_grads(fwd)
-        for key in ("instance_graph", "semantic_graph", "pseudo_hard"):
-            a, b = getattr(again.structures, key), getattr(used, key)
-            assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes()), key
-        assert (again.structures.approx is None) == (used.approx is None)
-        if used.approx is not None:
-            assert again.structures.approx.labels.tobytes() == used.approx.labels.tobytes()
-        uses_graphs = bool({"M3", "M4"} & phase & cfg.modules)
-        assert (used.instance_graph is not None) == (uses_graphs and cfg.m1)
-        assert (used.semantic_graph is not None) == (uses_graphs and cfg.m2)
-
-
 @pytest.mark.parametrize("method", ("C", "E", "F"))
 def test_train_pins_only_the_instance_graph(method, monkeypatch):
-    """train() passes one record per bag to every step; the forward reads it
-    and never writes the selections it makes into it."""
+    """train() passes one instance graph per bag to every step, and the
+    forward takes no other selection; it never writes into the graph."""
+    assert list(inspect.signature(forward_losses).parameters) == [
+        "bag", "state", "cfg", "instance_graph", "include"
+    ]
     bags, _ = tiny_dataset(4)
     seen = {}
 
-    def recording(bag, state, cfg, frozen=None, include=None):
-        seen.setdefault(id(frozen), (bag.image_id, frozen))
-        return forward_losses(bag, state, cfg, frozen, include)
+    def recording(bag, state, cfg, instance_graph=None, include=None):
+        seen.setdefault(id(instance_graph), (bag.image_id, instance_graph))
+        return forward_losses(bag, state, cfg, instance_graph, include)
 
     monkeypatch.setattr("weakdet.trainer.forward_losses", recording)
     cfg = small_cfg(modules=SUB_METHODS[method], epochs=2, phase_mode="sequential")
     train(bags, cfg)
     by_id = {b.image_id: filter_proposals(b, cfg.min_proposal_side) for b in bags}
     assert sorted(image_id for image_id, _ in seen.values()) == sorted(by_id)
-    for image_id, frozen in seen.values():
-        assert isinstance(frozen, FrozenStructures)
-        assert frozen.approx is None and frozen.pseudo_hard is None
-        assert frozen.semantic_graph is None
+    for image_id, graph in seen.values():
+        assert isinstance(graph, np.ndarray)
         want = igcl.build_instance_graph(by_id[image_id].proposals, cfg.graph_iou)
-        assert frozen.instance_graph.tobytes() == want.tobytes()
+        assert graph.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -780,8 +749,9 @@ def test_checkpoint_keeps_its_own_widths(tmp_path):
         (b'"step": 0}', b'"step": 0]'),  # JSON syntax
         (b'"step"', b'"stop"'),  # a missing JSON field
         (b"PCG64", b"PCG65"),  # an RNG state numpy rejects
+        (b'"inc": 8', b'"inc":-8'),  # an RNG word out of range for uint64
     ],
-    ids=["count", "name_utf8", "json_syntax", "json_field", "rng_state"],
+    ids=["count", "name_utf8", "json_syntax", "json_field", "rng_state", "rng_overflow"],
 )
 def test_checkpoint_rejects_garbled_fields(small_checkpoint, tmp_path, old, new):
     assert small_checkpoint.count(old) == 1
@@ -789,3 +759,74 @@ def test_checkpoint_rejects_garbled_fields(small_checkpoint, tmp_path, old, new)
     path.write_bytes(small_checkpoint.replace(old, new))
     with pytest.raises(ParseError, match="checkpoint"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "n_classes, key, good, bad",
+    [
+        (3, "step", "0", "-400"),
+        (3, "step", "0", "4.5"),
+        (3, "step", "0", "true"),
+        (3, "step", "0", "null"),
+        (1, "n_classes", "1", "true"),
+        (1, "n_classes", "1", "1.0"),
+        (3, "feature_dim", "8", "8.0"),
+        (3, "feature_dim", "8", '"8"'),
+    ],
+    ids=["step_negative", "step_float", "step_bool", "step_null", "k_bool", "k_float",
+         "d_float", "d_string"],
+)
+def test_checkpoint_rejects_a_header_value_that_is_not_a_count(
+    n_classes, key, good, bad, tmp_path
+):
+    path = tmp_path / "header.bin"
+    save_checkpoint(init_state(small_cfg(), n_classes, 8), path)
+    raw = path.read_bytes()
+    old, new = (f'"{key}": {value}'.encode() for value in (good, bad))
+    assert raw.count(old) == 1 and load_checkpoint(path).n_classes == n_classes
+    start = raw.rindex(b'{"feature_dim"')  # the JSON tail, after its length
+    blob = raw[start:].replace(old, new)
+    path.write_bytes(raw[: start - 4] + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(ParseError, match=f"checkpoint {key} "):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["centers", "param", "velocity"])
+def test_checkpoint_rejects_a_non_finite_tensor(where, bad, tmp_path):
+    state = init_state(small_cfg(), 3, 8)
+    target = {"centers": state.centers, "param": state.params["w_sem"],
+              "velocity": state.velocity["gcn_sem_w2"]}[where]
+    target.flat[-1] = bad
+    path = tmp_path / "nonfinite.bin"
+    save_checkpoint(state, path)
+    with pytest.raises(ParseError, match="holds NaN or Inf"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def damage_dir(tmp_path_factory):
+    """A directory holding ``small.bin``, the checkpoint of ``small_checkpoint``."""
+    path = tmp_path_factory.mktemp("damage")
+    save_checkpoint(init_state(small_cfg(), 3, 8), path / "small.bin")
+    return path
+
+
+@given(st.data())
+def test_one_damaged_byte_or_a_cut_loads_or_raises_parse_error(damage_dir, data):
+    """Half the draws land in the JSON tail, which is a small share of the file."""
+    raw = (damage_dir / "small.bin").read_bytes()
+    tail = raw.rindex(b'{"feature_dim"')
+    pos = data.draw(st.integers(tail, len(raw) - 1) | st.integers(0, len(raw) - 1), "pos")
+    if data.draw(st.booleans(), "cut"):
+        damaged = raw[:pos]
+    else:
+        flip = data.draw(st.integers(1, 255), "xor")
+        damaged = raw[:pos] + bytes([raw[pos] ^ flip]) + raw[pos + 1 :]
+    path = damage_dir / "damaged.bin"
+    path.write_bytes(damaged)
+    try:
+        loaded = load_checkpoint(path)
+    except ParseError:
+        return
+    assert isinstance(loaded, TrainState)
