@@ -322,6 +322,8 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
             extra, canvas, gt = rec.keys() - RECORD_KEYS, rec["canvas"], rec.get("gt", [])
             if extra:
                 raise ParseError(f"unknown record keys {sorted(extra)}", lineno)
+            if type(rec["image_id"]) is not str:  # evaluation sorts and compares the ids
+                raise ParseError(f"image_id {rec['image_id']!r} is not a string", lineno)
             if not (type(canvas) is list and len(canvas) == 2  # NaN fails 0 < c < inf
                     and all(type(c) in (int, float) and 0 < c < math.inf for c in canvas)):
                 raise ParseError(f"canvas {canvas!r} is not two finite positive numbers", lineno)

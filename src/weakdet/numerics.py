@@ -32,6 +32,13 @@ bitwise those of the chain, except that a zero may carry the other sign.
 The sign of a zero never changes a nonzero result here (no rule divides by a
 gradient), and a leaf's buffer turns -0.0 into +0.0, so a leaf stores the
 same bits either way.
+
+A forward computes its value and its checks only. What only the backward
+reads (a softmax, a mask, an index) the backward rule computes from arrays
+the forward made, never from an operand's ``value``, which the gradient audit
+overwrites in place. A reduction calls the ufunc numpy's wrapper would call
+(``np.add.reduce`` for ``sum`` and ``mean``, ``np.maximum.reduce`` for
+``max``): the same operands in the same order give the same bits, faster.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ class Node:
 
     def __init__(self, value, parents: tuple = (), backward: Callable | None = None, record=None):
         value = np.asarray(value, dtype=np.float64)
-        if not all_finite(value):
+        if not (math.isfinite(np.vdot(value, value)) or np.isfinite(value).all()):  # all_finite
             raise NumericError("tensor contains NaN or Inf")
         self.value = value
         self.grad = None
@@ -409,7 +416,8 @@ def sum_rows(a) -> Node:
 def sum_cols(a) -> Node:
     """Column sums of a 2-D node -> 1-D node of length n."""
     a = _matrix(a, "sum_cols")
-    return _unary(a, a.value.sum(axis=0), lambda g: g[None, :], (sum_cols, (a,)), fresh=False)
+    return _unary(a, np.add.reduce(a.value, axis=0), lambda g: g[None, :], (sum_cols, (a,)),
+                  fresh=False)
 
 
 def diag_part(a) -> Node:
@@ -417,14 +425,7 @@ def diag_part(a) -> Node:
     a = _matrix(a, "diag_part")
     if a.value.shape[0] != a.value.shape[1]:
         raise ShapeError("diag_part expects a square 2-D node")
-    diag = np.arange(a.value.shape[0])
-
-    def rule(g):
-        full = np.zeros(a.value.shape)
-        full[diag, diag] = g
-        return full
-
-    return _unary(a, np.diagonal(a.value).copy(), rule, (diag_part, (a,)))
+    return _unary(a, a.value.diagonal().copy(), np.diag, (diag_part, (a,)))
 
 
 def outer(u, v) -> Node:
@@ -449,9 +450,8 @@ def center_cols(a) -> Node:
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def _softmax_along(a, axis: int, op: Callable, opname: str) -> Node:
@@ -515,7 +515,7 @@ def _unit_rows(x: np.ndarray, strict: bool, opname: str):
     gradient back to ``x``. A (near-)zero row raises
     :class:`DegenerateInputError` when ``strict``; otherwise it stays a zero
     row and passes zero gradient."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))  # np.linalg.norm's sum
     bad = norms[:, 0] <= EPS_NORM
     any_bad = bool(bad.any())
     if any_bad:
@@ -527,7 +527,7 @@ def _unit_rows(x: np.ndarray, strict: bool, opname: str):
         unit[bad] = 0.0
 
     def rule(g):
-        contrib = (g - unit * (g * unit).sum(axis=1, keepdims=True)) / norms
+        contrib = (g - unit * np.add.reduce(g * unit, axis=1, keepdims=True)) / norms
         if any_bad:
             contrib[bad] = 0.0
         return contrib
@@ -626,18 +626,17 @@ def info_nce(x, y, tau: float) -> Node:
     sim = x.value @ yt * tau
     if not all_finite(sim):
         raise NumericError("info_nce: similarities contain NaN or Inf")
-    mx = sim.max(axis=1, keepdims=True)
+    mx = np.maximum.reduce(sim, axis=1, keepdims=True)
     e = np.exp(sim - mx)
-    e_sum = e.sum(axis=1, keepdims=True)
+    e_sum = np.add.reduce(e, axis=1, keepdims=True)
     lse = np.log(e_sum) + mx
-    out = Node(np.sum(lse[:, 0] - np.diagonal(sim).copy()) / n, (x, y),
+    out = Node(np.add.reduce(lse[:, 0] - sim.diagonal()) / n, (x, y),
                record=(info_nce, (x, y, tau)))
-    s = e / e_sum  # the row softmax, as _softmax computes it
-    diag = np.arange(n)
 
     def bw(g):
         g_lse = g / n
-        g_sim = s * g_lse
+        g_sim = e / e_sum * g_lse  # the row softmax, as _softmax computes it
+        diag = np.arange(n)
         g_sim[diag, diag] -= g_lse  # diag_part's term (the sum commutes)
         g_xy = g_sim * tau
         if x.requires_grad:
@@ -663,16 +662,16 @@ def pearson_cols(a, var_eps: float) -> Node:
     if m == 0:
         raise ShapeError("pearson_cols of an empty matrix")
     inv_m = float(1.0 / m)
-    c = a.value - a.value.mean(axis=0, keepdims=True)
+    c = a.value - np.add.reduce(a.value, axis=0, keepdims=True) / m  # ndarray.mean
     ct = c.T.copy()
     cov = ct @ c * inv_m
-    var = np.diagonal(cov).copy()
+    var = cov.diagonal()
     ok = var > var_eps
     sd = np.sqrt(np.where(ok, var, 1.0))
-    den = np.outer(sd, sd)
+    den = sd[:, None] * sd[None, :]  # np.outer
     if not (all_finite(cov) and all_finite(den)):
         raise NumericError("pearson_cols: covariance contains NaN or Inf")
-    if np.any(np.abs(den) < EPS_NORM):
+    if (np.abs(den) < EPS_NORM).any():
         raise DegenerateInputError("pearson_cols: standard deviation is (near) zero")
     corr = cov / den
     both = None
@@ -682,8 +681,6 @@ def pearson_cols(a, var_eps: float) -> Node:
         corr = np.where(both, corr + 0.0, 0.0)
         corr[bad, bad] = 1.0
     out = Node((corr + corr.T) * 0.5, (a,), record=(pearson_cols, (a, var_eps)))
-    diag = np.arange(d)
-    two_sd = 2.0 * np.maximum(sd, EPS_NORM)
 
     def bw(g):
         g_half = g * 0.5
@@ -694,14 +691,16 @@ def pearson_cols(a, var_eps: float) -> Node:
         g_den = -(g_corr * cov / (den * den))
         g_sd_row = g_den @ sd
         g_sd_col = g_den.T @ sd
+        two_sd = 2.0 * np.maximum(sd, EPS_NORM)
         g_var = g_sd_col / two_sd + g_sd_row / two_sd
         if both is not None:
             g_var = np.where(ok, g_var, 0.0)
+        diag = np.arange(d)
         g_cov[diag, diag] += g_var
         g_gram = g_cov * inv_m
         g_ct = g_gram @ c.T
         g_c = ct.T @ g_gram + g_ct.T
-        _accumulate(a, g_c - g_c.mean(axis=0, keepdims=True))
+        _accumulate(a, g_c - np.add.reduce(g_c, axis=0, keepdims=True) / m)
 
     out._backward = bw
     return out
@@ -721,11 +720,11 @@ def dual_softmax(cls, det) -> Node:
     def bw(g):
         if det.requires_grad:
             g_cols = g * s_rows
-            dot = (g_cols * s_cols).sum(axis=0, keepdims=True)
+            dot = np.add.reduce(g_cols * s_cols, axis=0, keepdims=True)
             _accumulate(det, s_cols * (g_cols - dot))
         if cls.requires_grad:
             g_rows = g * s_cols
-            dot = (g_rows * s_rows).sum(axis=1, keepdims=True)
+            dot = np.add.reduce(g_rows * s_rows, axis=1, keepdims=True)
             _accumulate(cls, s_rows * (g_rows - dot))
 
     out._backward = bw
@@ -750,26 +749,25 @@ def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> N
     eps = float(eps)
     if not 0.0 < eps < 0.5:
         raise ParameterError(f"bce_plus_weighted_ce needs 0 < eps < 0.5, got {eps}")
-    x = image_scores.value
-    inside = (x > eps) & (x < 1.0 - eps)
-    clamped = np.clip(x, eps, 1.0 - eps)
+    clamped = np.minimum(np.maximum(image_scores.value, eps), 1.0 - eps)  # np.clip on finite input
     rest = 1.0 - clamped
     untagged = 1.0 - tags
-    image_term = -np.sum(np.log(clamped) * tags + np.log(rest) * untagged)
-    shifted = s_logits.value - s_logits.value.max(axis=1, keepdims=True)
-    log_s = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    soft = np.exp(log_s)
-    out = Node(image_term + -np.sum(log_s * weights), (image_scores, s_logits),
+    image_term = -np.add.reduce(np.log(clamped) * tags + np.log(rest) * untagged, axis=None)
+    shifted = s_logits.value - np.maximum.reduce(s_logits.value, axis=1, keepdims=True)
+    log_s = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    out = Node(image_term + -np.add.reduce(log_s * weights, axis=None), (image_scores, s_logits),
                record=(bce_plus_weighted_ce, (image_scores, s_logits, tags, weights, eps)))
 
     def bw(g):
         g_total = -g  # both totals' gradient, through neg
         if s_logits.requires_grad:
             g_log = g_total * weights
-            _accumulate(s_logits, g_log - soft * g_log.sum(axis=1, keepdims=True))
+            soft = np.exp(log_s)
+            _accumulate(s_logits, g_log - soft * np.add.reduce(g_log, axis=1, keepdims=True))
         if image_scores.requires_grad:
             # the chain's (0 - sub's term) + log's term, bit for bit
             g_clamped = (g_total * tags) / clamped - (g_total * untagged) / rest
+            inside = (clamped > eps) & (clamped < 1.0 - eps)  # the scores' interior
             _accumulate(image_scores, g_clamped * inside)
 
     out._backward = bw
@@ -788,6 +786,6 @@ def cosine_center_loss(z, targets) -> Node:
     if m == 0:
         raise ShapeError("cosine_center_loss of an empty matrix")
     unit, rule = _unit_rows(z.value, True, "cosine_center_loss")
-    return Node(1.0 - np.sum((unit * targets).sum(axis=1)) / m, (z,),
+    return Node(1.0 - np.add.reduce(np.add.reduce(unit * targets, axis=1)) / m, (z,),
                 lambda g: _accumulate(z, rule(-g / m * targets)),
                 (cosine_center_loss, (z, targets)))

@@ -618,6 +618,21 @@ def test_train_and_eval_reject_tags_outside_zero_one(trained, tmp_path, bad, cap
     assert "line 1" in err and "tags" in err
 
 
+def test_eval_rejects_a_non_string_image_id(trained, tmp_path, capsys):
+    """One bag saved twice, as ids 5 and "img": evaluation would compare
+    the two ids when it sorts tied detections."""
+    cfg_file, data, ckpt = trained
+    rec = json.loads((data / "test.jsonl").read_text().splitlines()[0])
+    path = tmp_path / "mixed_ids.jsonl"
+    path.write_text(json.dumps({**rec, "image_id": 5}) + "\n"
+                    + json.dumps({**rec, "image_id": "img"}) + "\n")
+    capsys.readouterr()
+    assert run(["eval", "--config", cfg_file, "--checkpoint", str(ckpt),
+                "--data", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 1" in err and "image_id 5" in err
+
+
 def test_overflowing_features_exit_2_without_a_numpy_warning(six_scene_split, tmp_path, capsys):
     cfg_file, train_jsonl = six_scene_split
     lines = train_jsonl.read_text().splitlines()

@@ -300,9 +300,13 @@ def _write_with(path, change):
         (lambda r: r.update(canvas=[128.0, 0]), "canvas"),
         (lambda r: r.update(canvas=[True, 128.0]), "canvas"),
         (lambda r: r.update(canvas=[128.0, "128"]), "canvas"),
+        (lambda r: r.update(image_id=5), "image_id 5 is not a string"),
+        (lambda r: r.update(image_id=None), "image_id None is not a string"),
+        (lambda r: r.update(image_id=["img"]), "image_id"),
     ],
     ids=["gt_long", "gt_short", "gt_object", "unknown_key", "canvas_string", "canvas_three",
-         "canvas_nan", "canvas_inf", "canvas_zero", "canvas_bool", "canvas_str_item"],
+         "canvas_nan", "canvas_inf", "canvas_zero", "canvas_bool", "canvas_str_item",
+         "image_id_int", "image_id_null", "image_id_list"],
 )
 def test_jsonl_rejects_a_malformed_record_naming_the_line(tmp_path, change, match):
     path = tmp_path / "strict.jsonl"

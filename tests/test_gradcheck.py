@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 from dataclasses import replace
 
@@ -112,6 +113,45 @@ def test_one_sweep_audit_equals_per_loss_oracle(seed, corrupt, monkeypatch):
         (r.loss_name, r.param_name, r.max_rel_err) for r in expected
     ]
     assert all(r.passed for r in got) != corrupt
+
+
+# ------------------------------------------- the audit, bit for bit
+
+# SHA-256 over (loss, parameter group, max_rel_err.hex()) for every result of
+# check_bag, per (sub-method, corr_sem_ema): the audit's counterpart of the
+# trainer's TRAJECTORY_DIGESTS. A kernel change that moves one bit of any
+# forward the replays run, or of any analytic gradient, moves a digest.
+AUDIT_DIGESTS = {
+    ("A", 0.0): "96b585c1831eaddb21ddd9bd960f267610ba7d39b22cf74f6984c04b76b7a55c",
+    ("A", 0.5): "8e49b24bd8494ff6be73d74677b8f49b583dc757ebd4f5ba673593370d3ffe21",
+    ("B", 0.0): "90b275d44ed49c031752e17d9a6e65e55d77c18a0f67ddafff541541e060a33c",
+    ("B", 0.5): "2a2fe96139e87dd3a67e5d5cf1fa4cbf96c0e02ea05d9c2a95f8d39344f35a97",
+    ("C", 0.0): "74732e8bed9be94e2eb82a817eb9c392cc431dc565dfe08255fa1ea31a71a0a2",
+    ("C", 0.5): "590d183382e22b86e3ea1d96586a282252b7f25da68e980daef55ce0b2b727e2",
+    ("D", 0.0): "7cde1686844cc0b7bad102c151991d081505e2182b7c90989815a89169972dcd",
+    ("D", 0.5): "5fe22d485104da8cf74ca6a32c6f1923b270e78de60f3cde558d182dba144025",
+    ("E", 0.0): "a502f01bb5f03ad633281d734d59bcf148f59e5441323f709d3e36c3f4849293",
+    ("E", 0.5): "2ead2172e063bda46d104aed86ef6bdbe0ee9a25ca19ef0efebcad57b991d4bd",
+    ("F", 0.0): "b128aeda2c4715cd97a4eebb5c5ccbabd79aa7720e0bea661aa078539bc0c084",
+    ("F", 0.5): "67ea84659e956f84d975434889e7e4797c2b1c313b836017ba39f0c7debe71b4",
+}
+
+
+@pytest.mark.parametrize("method, ema", sorted(AUDIT_DIGESTS))
+def test_audit_results_match_pinned_digests(method, ema):
+    seed = 3600 + 10 * "ABCDEF".index(method) + int(ema > 0)
+    rng = np.random.default_rng(seed)
+    n_classes, feature_dim = 4, 12
+    bag = random_bag(rng, n_classes, feature_dim)
+    cfg = replace(check_config(seed), modules=SUB_METHODS[method], corr_sem_ema=ema)
+    state = init_state(cfg, n_classes, feature_dim)
+    state.corr_buffer = np.eye(n_classes) + 0.1 * rng.standard_normal((n_classes, n_classes))
+    results = check_bag(bag, state, cfg)
+    assert all(r.passed for r in results)
+    h = hashlib.sha256()
+    for r in results:
+        h.update(repr((r.loss_name, r.param_name, r.max_rel_err.hex())).encode())
+    assert h.hexdigest() == AUDIT_DIGESTS[method, ema]
 
 
 def test_loss_names_are_the_forward_terms():

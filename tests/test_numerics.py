@@ -656,6 +656,37 @@ def test_pearson_cols_degenerate_columns(seed):
     assert np.array_equal(nm.pearson_cols(flat, VAR_EPS).value, np.eye(3))
 
 
+# A fused op computes what only its backward reads inside the backward rule,
+# from arrays its forward made: a leaf's value may be a view into the flat
+# parameter vector, which the gradient audit writes in place after building
+# the graph. name: (operands overwritten after the forward, operands whose
+# gradient must not change).
+DEFERRED = {
+    "bce_plus_weighted_ce": ((0, 1), (0, 1)),  # the clamp's mask, the softmax
+    "pearson_cols": ((0,), (0,)),  # the centred columns, two_sd, the diagonal
+    "info_nce": ((1,), (0,)),  # the row softmax, y's transposed copy
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFERRED))
+def test_backward_reads_no_operand_overwritten_after_the_forward(name):
+    overwritten, held = DEFERRED[name]
+    fused_fn, _, operands, grad_idx = FUSED[name]
+    rng = np.random.default_rng(48)
+    arrays = operands(rng, 6)
+    grads = []
+    for overwrite in (False, True):
+        ops = [Node(a.copy()) if i in grad_idx else a.copy() for i, a in enumerate(arrays)]
+        loss = _probe(fused_fn(*ops))
+        if overwrite:  # inside the clamp's interior, where the scores were not
+            for i in overwritten:
+                ops[i].value[...] = rng.uniform(0.2, 0.8, ops[i].value.shape)
+        nm.backward(loss)
+        grads.append([ops[i].grad for i in held])
+    for g, g_ref in zip(*grads):
+        _assert_same_bytes(g, g_ref)
+
+
 def test_propagate_unit_keeps_a_zero_row_at_zero():
     rng = np.random.default_rng(45)
     a_hat = _adjacency(rng, 5)
