@@ -12,9 +12,11 @@ survive the synthesis.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -280,14 +282,19 @@ def _bag_record(bag: Bag, gt: GroundTruth | None) -> dict:
         "image_id": bag.image_id,
         "canvas": [bag.canvas[0], bag.canvas[1]],
         "proposals": [b.as_list() for b in bag.proposals],
-        "features": bag.features.tolist(),
+        "features": base64.b64encode(bag.features.astype("<f8", copy=False).tobytes()).decode(),
         "tags": bag.tags.tolist(),
         "gt": [] if gt is None else [[*box.as_list(), int(k)] for box, k in gt.objects],
     }
 
 
 def save_jsonl(path, bags: list[Bag], gts: list[GroundTruth] | None = None) -> None:
-    """Write one bag per line; ground truth rides along in the `gt` field."""
+    """Write one bag per line; ground truth rides along in the `gt` field.
+
+    `features` is written as one base64 string of the row-major
+    little-endian float64 matrix: exact, and far cheaper to read back than
+    decimal floats.
+    """
     by_id = {g.image_id: g for g in gts} if gts else {}
     with open(path, "w") as fh:
         for bag in bags:
@@ -307,12 +314,40 @@ def numbered_lines(path):
 
 
 RECORD_KEYS = frozenset({"image_id", "canvas", "proposals", "features", "tags", "gt"})
+NUMBER = frozenset({int, float})  # what json gives a JSON number; a bool is neither
+
+
+def _feature_matrix(value, rows: int) -> np.ndarray:
+    """A bag's features from their JSON value: a base64 string of row-major
+    little-endian float64s, D = bytes / (8 * rows) wide, or a list of rows
+    of JSON numbers."""
+    if type(value) is str:
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as e:  # binascii.Error, or a non-ASCII character
+            raise ValueError(f"features are not valid base64 ({e})") from e
+        if not rows or not raw or len(raw) % (8 * rows):
+            raise ValueError(f"features hold {len(raw)} bytes, "
+                             f"not a positive multiple of 8 x {rows} proposals")
+        return np.frombuffer(raw, "<f8").reshape(rows, -1).astype(np.float64)
+    if not (type(value) is list and all(type(row) is list for row in value)
+            and NUMBER.issuperset(map(type, chain.from_iterable(value)))):
+        raise ValueError("features are neither a base64 string nor a list of rows of JSON numbers")
+    features = np.asarray(value, dtype=np.float64)
+    if features.shape[1:] == (0,):
+        raise ValueError("features have no columns")
+    return features
 
 
 def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
-    """Read bags and ground truth; the `gt` field never enters the Bag."""
+    """Read bags and ground truth; the `gt` field never enters the Bag.
+
+    Every bag of a file must have the first bag's tag count K and feature
+    width D.
+    """
     bags: list[Bag] = []
     gts: list[GroundTruth] = []
+    first = None  # (K, D, line) of the first bag
     for lineno, line in numbered_lines(path):
         line = line.strip()
         if not line:
@@ -320,20 +355,25 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
         try:
             rec = json.loads(line)
             extra, canvas, gt = rec.keys() - RECORD_KEYS, rec["canvas"], rec.get("gt", [])
+            proposals = rec["proposals"]
             if extra:
                 raise ParseError(f"unknown record keys {sorted(extra)}", lineno)
             if type(rec["image_id"]) is not str:  # evaluation sorts and compares the ids
                 raise ParseError(f"image_id {rec['image_id']!r} is not a string", lineno)
             if not (type(canvas) is list and len(canvas) == 2  # NaN fails 0 < c < inf
-                    and all(type(c) in (int, float) and 0 < c < math.inf for c in canvas)):
+                    and all(type(c) in NUMBER and 0 < c < math.inf for c in canvas)):
                 raise ParseError(f"canvas {canvas!r} is not two finite positive numbers", lineno)
-            if not all(type(g) is list and len(g) == 5 for g in gt):
-                raise ParseError("a gt item is not [x1, y1, x2, y2, k]", lineno)
+            # Box would cast a string such as "6.91" and a bool to float.
+            if not NUMBER.issuperset(map(type, chain.from_iterable(proposals))):
+                raise ParseError("a proposal coordinate is not a JSON number", lineno)
+            if not all(type(g) is list and len(g) == 5
+                       and all(type(v) in NUMBER for v in g[:4]) for g in gt):
+                raise ParseError("a gt item is not [x1, y1, x2, y2, k] of JSON numbers", lineno)
             bag = Bag(
                 image_id=rec["image_id"],
                 canvas=(float(canvas[0]), float(canvas[1])),
-                proposals=[Box(*b) for b in rec["proposals"]],
-                features=np.asarray(rec["features"], dtype=np.float64),
+                proposals=[Box(*b) for b in proposals],
+                features=_feature_matrix(rec["features"], len(proposals)),
                 tags=rec["tags"],
             )
             objects = [(Box(*g[:4]), g[4]) for g in gt]
@@ -341,6 +381,13 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
             for _, k in objects:  # an int, not a bool or a float such as 1.7
                 if type(k) is not int or not 0 <= k < n:
                     raise ParseError(f"gt class {k!r} is not an int in [0, {n})", lineno)
+            dims = (n, bag.features.shape[1])
+            if first is None:
+                first = (*dims, lineno)
+            elif dims != first[:2]:
+                raise ParseError(f"bag has K={dims[0]} tags and D={dims[1]} feature columns, but "
+                                 f"the bag on line {first[2]} has K={first[0]} and D={first[1]}",
+                                 lineno)
         except ParseError:
             raise
         except Exception as e:  # malformed record: report the line

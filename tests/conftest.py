@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,7 +8,7 @@ from hypothesis import settings
 from weakdet import igcl as gc
 from weakdet import instance_branch as ib
 from weakdet import semantic_branch as sb
-from weakdet.datamodel import Bag, Box
+from weakdet.datamodel import Bag, Box, save_jsonl
 from weakdet.trainer import forward_losses
 
 # Derandomized, so every run (CI included) tries the same examples.
@@ -53,6 +56,16 @@ def graph_nodes(root):
 def max_rel_err(analytic, fd, floor=1e-2):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
     return float((np.abs(analytic - fd) / denom).max())
+
+
+def save_jsonl_as_lists(path, bags, gts=None):
+    """Write ``bags`` as ``save_jsonl`` does, but with each bag's features as
+    a list of rows of JSON numbers, the encoding older versions wrote."""
+    save_jsonl(path, bags, gts)
+    records = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    for rec, bag in zip(records, bags):
+        rec["features"] = bag.features.tolist()
+    Path(path).write_text("".join(json.dumps(rec) + "\n" for rec in records))
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 import json
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import save_jsonl_as_lists
 from weakdet.cli import (
     CONFIG_HELP,
     DEFAULTS,
@@ -18,7 +20,7 @@ from weakdet.cli import (
     scene_config,
     train_config,
 )
-from weakdet.datamodel import SceneConfig, generate_dataset, load_jsonl
+from weakdet.datamodel import SceneConfig, generate_dataset, load_jsonl, save_jsonl
 from weakdet.errors import ConfigError, ParseError
 from weakdet.evalmetrics import corloc, mean_ap
 from weakdet.trainer import SUB_METHODS, TrainConfig, infer, init_state
@@ -635,17 +637,59 @@ def test_eval_rejects_a_non_string_image_id(trained, tmp_path, capsys):
 
 def test_overflowing_features_exit_2_without_a_numpy_warning(six_scene_split, tmp_path, capsys):
     cfg_file, train_jsonl = six_scene_split
-    lines = train_jsonl.read_text().splitlines()
-    rec = json.loads(lines[0])
-    rec["features"] = [[1e308] * len(row) for row in rec["features"]]
-    path = tmp_path / "huge.jsonl"
-    path.write_text(json.dumps(rec) + "\n" + "\n".join(lines[1:]) + "\n")
+    bags, gts = load_jsonl(train_jsonl)
+    bags[0] = replace(bags[0], features=np.full(bags[0].features.shape, 1e308))
+    for save in (save_jsonl, save_jsonl_as_lists):
+        path = tmp_path / "huge.jsonl"
+        save(path, bags, gts)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train", "--config", cfg_file, "--data", str(path),
+                        "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bags[0].image_id in err
+
+
+def _narrow_third_bag(bags, gts, path):
+    bags[2] = replace(bags[2], features=bags[2].features[:, :-1])
+    save_jsonl(path, bags, gts)
+
+
+def _edit_third_line(change):
+    def write(bags, gts, path):
+        save_jsonl_as_lists(path, bags, gts)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        change(rec)
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+    return write
+
+
+@pytest.mark.parametrize(
+    "write, match",
+    [
+        (_narrow_third_bag, "D=7 feature columns, but the bag on line 1 has K=3 and D=8"),
+        (_edit_third_line(lambda r: r["proposals"][0].__setitem__(0, "6.91")),
+         "proposal coordinate"),
+        (_edit_third_line(lambda r: r["features"][0].__setitem__(0, True)), "JSON numbers"),
+        (_edit_third_line(lambda r: r["features"][0].__setitem__(0, None)), "JSON numbers"),
+    ],
+    ids=["narrow_features", "string_coordinate", "bool_feature", "null_feature"],
+)
+def test_train_and_eval_reject_a_bag_naming_its_line(trained, tmp_path, write, match, capsys):
+    cfg_file, data, ckpt = trained
+    bags, gts = load_jsonl(data / "train.jsonl")
+    path = tmp_path / "four.jsonl"
+    write(bags[:4], gts[:4], path)
     capsys.readouterr()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run(["train", "--config", cfg_file, "--data", str(path),
-                    "--out", str(tmp_path / "m.ckpt")])
-    assert code == 2
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and rec["image_id"] in err
+    assert run(["train", "--config", cfg_file, "--data", str(path),
+                "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert run(["eval", "--config", cfg_file, "--checkpoint", str(ckpt),
+                "--data", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    train_err, eval_err = capsys.readouterr().err.splitlines()
+    for err in (train_err, eval_err):
+        assert err.startswith("error: line 3: ") and re.search(match, err)

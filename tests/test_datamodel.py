@@ -1,11 +1,17 @@
+import base64
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import save_jsonl_as_lists
 from weakdet.datamodel import (
     Bag,
     Box,
+    GroundTruth,
     SceneConfig,
     class_prototypes,
     default_cooccurrence,
@@ -276,10 +282,19 @@ def test_jsonl_gt_class_outside_the_class_range_reports_lineno(tmp_path, bad):
     assert exc.value.line == 2
 
 
+def _set_features(payload):
+    return lambda r: r.update(features=payload)
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode()
+
+
 def _write_with(path, change):
-    """Two bags as JSONL; ``change`` edits the second line's record."""
+    """Two bags as JSONL, features as lists so that ``change`` can edit one
+    value; ``change`` edits the second line's record."""
     bags, gts = generate_dataset(small_cfg(), 2)
-    save_jsonl(path, bags, gts)
+    save_jsonl_as_lists(path, bags, gts)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
     change(rec)
@@ -303,10 +318,35 @@ def _write_with(path, change):
         (lambda r: r.update(image_id=5), "image_id 5 is not a string"),
         (lambda r: r.update(image_id=None), "image_id None is not a string"),
         (lambda r: r.update(image_id=["img"]), "image_id"),
+        (_set_features("not base64!"), "not valid base64"),
+        (_set_features("QUJ"), "not valid base64"),
+        (_set_features("QUJD\n"), "not valid base64"),
+        (_set_features("QUJDRA=="), "not a positive multiple"),  # 4 bytes
+        (_set_features(""), "not a positive multiple"),
+        (_set_features(_b64(bytes(8))), "not a positive multiple"),  # one row of m > 1
+        (lambda r: r.update(features=_b64(np.full((len(r["proposals"]), 3), np.inf).tobytes())),
+         "finite"),
+        (_set_features(7), "neither a base64 string nor a list"),
+        (_set_features([1.0, 2.0]), "neither a base64 string nor a list"),
+        (lambda r: r["features"].__setitem__(0, "QUJD"), "neither"),
+        (lambda r: r["features"][0].__setitem__(1, "6.91"), "JSON numbers"),
+        (lambda r: r["features"][0].__setitem__(1, True), "JSON numbers"),
+        (lambda r: r["features"][0].__setitem__(1, None), "JSON numbers"),
+        (lambda r: r["features"][0].pop(), "inhomogeneous"),
+        (_set_features([[]]), "no columns"),
+        (lambda r: r["proposals"][0].__setitem__(2, "6.91"), "proposal coordinate"),
+        (lambda r: r["proposals"][0].__setitem__(2, True), "proposal coordinate"),
+        (lambda r: r["proposals"][0].__setitem__(2, None), "proposal coordinate"),
+        (lambda r: r["gt"][0].__setitem__(0, "6.91"), "gt item"),
+        (lambda r: r["gt"][0].__setitem__(3, False), "gt item"),
     ],
     ids=["gt_long", "gt_short", "gt_object", "unknown_key", "canvas_string", "canvas_three",
          "canvas_nan", "canvas_inf", "canvas_zero", "canvas_bool", "canvas_str_item",
-         "image_id_int", "image_id_null", "image_id_list"],
+         "image_id_int", "image_id_null", "image_id_list", "b64_alphabet", "b64_padding",
+         "b64_newline", "b64_short", "b64_empty", "b64_one_row", "b64_inf", "features_int",
+         "features_flat", "row_string", "value_string", "value_bool", "value_null", "ragged",
+         "no_columns", "coord_string", "coord_bool", "coord_null", "gt_coord_string",
+         "gt_coord_bool"],
 )
 def test_jsonl_rejects_a_malformed_record_naming_the_line(tmp_path, change, match):
     path = tmp_path / "strict.jsonl"
@@ -323,6 +363,131 @@ def test_jsonl_accepts_an_int_canvas_and_a_record_without_gt(tmp_path):
     _write_with(path, lambda r: (r.update(canvas=[200, 150.5]), r.pop("gt")))
     bags, gts = load_jsonl(path)
     assert bags[1].canvas == (200.0, 150.5) and gts[1].objects == []
+
+
+def test_jsonl_writes_features_as_base64_little_endian_float64(tmp_path):
+    bags, gts = generate_dataset(small_cfg(), 2)
+    path = tmp_path / "b64.jsonl"
+    save_jsonl(path, bags, gts)
+    for line, bag in zip(path.read_text().splitlines(), bags):
+        payload = json.loads(line)["features"]
+        assert payload == _b64(bag.features.astype("<f8").tobytes())
+    loaded = load_jsonl(path)[0][0].features
+    assert loaded.dtype == np.float64 and loaded.flags.c_contiguous and loaded.flags.writeable
+
+
+def test_jsonl_list_features_load_to_the_same_bits_as_base64(tmp_path):
+    bags, gts = generate_dataset(SceneConfig(seed=0), 20)
+    save_jsonl(tmp_path / "b64.jsonl", bags, gts)
+    save_jsonl_as_lists(tmp_path / "lists.jsonl", bags, gts)
+    first = json.loads((tmp_path / "lists.jsonl").read_text().splitlines()[0])
+    assert isinstance(first["features"], list)
+    new, new_gts = load_jsonl(tmp_path / "b64.jsonl")
+    old, old_gts = load_jsonl(tmp_path / "lists.jsonl")
+    for a, b, bag in zip(new, old, bags):
+        assert a.features.tobytes() == b.features.tobytes() == bag.features.tobytes()
+        assert a.features.shape == b.features.shape == bag.features.shape
+        assert a.proposals == b.proposals
+    assert [g.objects for g in new_gts] == [g.objects for g in old_gts]
+
+
+@pytest.mark.parametrize("save", [save_jsonl, save_jsonl_as_lists], ids=["base64", "lists"])
+@pytest.mark.parametrize("field", ["tags", "features"])
+def test_jsonl_rejects_a_bag_with_another_k_or_d_naming_the_line(tmp_path, save, field):
+    bags, gts = generate_dataset(small_cfg(), 4)
+    odd = bags[2]
+    if field == "tags":
+        bags[2] = Bag(odd.image_id, odd.canvas, odd.proposals, odd.features, [*odd.tags, 0])
+    else:
+        bags[2] = Bag(odd.image_id, odd.canvas, odd.proposals, odd.features[:, :-1], odd.tags)
+    path = tmp_path / "mixed.jsonl"
+    save(path, bags, gts)
+    with pytest.raises(ParseError, match="the bag on line 1 has K=4 and D=8") as exc:
+        load_jsonl(path)
+    assert exc.value.line == 3
+
+
+FEATURE_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308, 1.7976931348623157e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+COORD = st.floats(0.0, 1e4)
+SIDE = st.floats(1e-2, 1e3)
+
+
+@st.composite
+def bags_with_gt(draw):
+    m, d, k = draw(st.integers(1, 30)), draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    boxes = []
+    for _ in range(m + draw(st.integers(0, 3))):
+        x1, y1 = draw(COORD), draw(COORD)
+        boxes.append(Box(x1, y1, x1 + draw(SIDE), y1 + draw(SIDE)))
+    tags = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    features = draw(arrays(np.float64, (m, d), elements=FEATURE_VALUES))
+    bag = Bag(draw(st.text(max_size=8)), (draw(SIDE), draw(SIDE)), boxes[:m], features, tags)
+    objects = [(box, draw(st.integers(0, k - 1))) for box in boxes[m:]]
+    return bag, GroundTruth(bag.image_id, objects)
+
+
+def _box_bytes(boxes):
+    return np.array([b.as_list() for b in boxes], dtype=np.float64).tobytes()
+
+
+@pytest.fixture(scope="module")
+def jsonl_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("jsonl")
+
+
+@given(bags_with_gt())
+def test_random_bags_round_trip_bit_for_bit_in_both_encodings(jsonl_dir, bag_gt):
+    bag, gt = bag_gt
+    for save in (save_jsonl, save_jsonl_as_lists):
+        path = jsonl_dir / "round_trip.jsonl"
+        save(path, [bag], [gt])
+        (got,), (got_gt,) = load_jsonl(path)
+        assert got.image_id == bag.image_id and got.canvas == bag.canvas
+        assert got.features.shape == bag.features.shape
+        assert got.features.tobytes() == bag.features.tobytes()
+        assert _box_bytes(got.proposals) == _box_bytes(bag.proposals)
+        assert got.tags.tobytes() == bag.tags.tobytes()
+        assert [k for _, k in got_gt.objects] == [k for _, k in gt.objects]
+        assert _box_bytes(b for b, _ in got_gt.objects) == _box_bytes(b for b, _ in gt.objects)
+
+
+@pytest.fixture(scope="module")
+def written_lines(jsonl_dir):
+    """One bag's line in each encoding, with the span of its features payload."""
+    bags, gts = generate_dataset(small_cfg(), 1)
+    out = {}
+    for name, save in (("base64", save_jsonl), ("lists", save_jsonl_as_lists)):
+        save(jsonl_dir / "one.jsonl", bags, gts)
+        line = (jsonl_dir / "one.jsonl").read_text().rstrip("\n")
+        payload = json.dumps(json.loads(line)["features"])
+        start = line.index(payload)
+        out[name] = line, start, start + len(payload)
+    return out
+
+
+@given(st.data())
+def test_a_damaged_features_payload_or_a_cut_loads_or_raises_parse_error(
+    jsonl_dir, written_lines, data
+):
+    line, start, stop = written_lines[data.draw(st.sampled_from(["base64", "lists"]), "encoding")]
+    how = data.draw(st.sampled_from(["change", "delete", "cut"]), "how")
+    if how == "cut":
+        damaged = line[: data.draw(st.integers(0, len(line) - 1), "cut at")]
+    else:
+        pos = data.draw(st.integers(start, stop - 1), "pos")
+        new = ""
+        if how == "change":
+            new = data.draw(st.sampled_from('"\\=+/-.,[]eE0 \n') | st.characters(
+                exclude_categories=("Cs",)), "char")
+        damaged = line[:pos] + new + line[pos + 1 :]
+    path = jsonl_dir / "damaged.jsonl"
+    path.write_text(damaged + "\n", encoding="utf-8")
+    try:
+        load_jsonl(path)
+    except ParseError as e:
+        assert e.line == 1
 
 
 @pytest.mark.parametrize("bad", BAD_TAGS + [np.float64(1.0), np.bool_(True)])
