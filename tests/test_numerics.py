@@ -18,6 +18,16 @@ from weakdet.numerics import Node
 
 import extra_ops as xo
 from conftest import finite_difference, graph_nodes, max_rel_err
+from reference_forward import (
+    chain_bce_plus_weighted_ce,
+    chain_cosine_center_loss,
+    chain_dual_softmax,
+    chain_info_nce,
+    chain_matmul_nt,
+    chain_pearson_cols,
+    chain_propagate,
+    chain_propagate_unit,
+)
 
 
 # ---------------------------------------------------------------- matmul
@@ -343,67 +353,10 @@ def test_outer_backward():
 # ---------------------------------------------------------------- fused ops
 #
 # Each fused op must equal the chain of elementary ops it replaces byte for
-# byte, in value and in every operand's gradient. The chains live only here,
-# as oracles.
+# byte, in value and in every operand's gradient. The chains are the
+# oracles of reference_forward.
 
 VAR_EPS = 1e-12
-
-
-def chain_propagate(a_hat, h, w):
-    return nm.matmul(a_hat, nm.matmul(h, w))
-
-
-def chain_info_nce(x, y, tau):
-    sim = nm.scale(nm.matmul(x, nm.transpose(y)), tau)
-    return nm.mean(nm.sub(nm.logsumexp_rows(sim), nm.diag_part(sim)))
-
-
-def chain_pearson_cols(z, var_eps):
-    """The 12-node correlation (16 with a degenerate column) that
-    ``pearson_cols`` replaces."""
-    z = nm.as_node(z)
-    m = z.value.shape[0]
-    centered = nm.center_cols(z)
-    cov = nm.scale(nm.matmul(nm.transpose(centered), centered), 1.0 / m)
-    var = nm.diag_part(cov)
-    ok = var.value > var_eps
-    if ok.all():
-        corr = nm.div(cov, nm.outer(nm.sqrt(var), nm.sqrt(var)))
-    else:
-        okf = ok.astype(np.float64)
-        var_safe = nm.add(nm.mul(var, okf), 1.0 - okf)
-        denom = nm.outer(nm.sqrt(var_safe), nm.sqrt(var_safe))
-        corr = nm.mul(nm.div(cov, denom), np.outer(okf, okf))
-        corr = nm.add(corr, np.diag(1.0 - okf))
-    return nm.scale(nm.add(corr, nm.transpose(corr)), 0.5)
-
-
-def chain_dual_softmax(cls, det):
-    return nm.mul(nm.softmax_rows(cls), nm.softmax_cols(det))
-
-
-def chain_matmul_nt(a, b):
-    return nm.matmul(a, nm.transpose(b))
-
-
-def chain_propagate_unit(a_hat, h, w):
-    return nm.normalize_rows(nm.propagate(a_hat, h, w), strict=False)
-
-
-def chain_bce_plus_weighted_ce(image_scores, s_logits, tags, weights):
-    """The 14-op, 4-constant instance loss that ``bce_plus_weighted_ce``
-    replaces."""
-    clamped = nm.clip(image_scores, SCORE_EPS, 1.0 - SCORE_EPS)
-    pos = nm.mul(nm.log(clamped), tags)
-    negv = nm.mul(nm.log(nm.sub(np.ones_like(tags), clamped)), 1.0 - tags)
-    image_term = nm.neg(nm.total(nm.add(pos, negv)))
-    instance_term = nm.neg(nm.total(nm.mul(nm.log_softmax_rows(s_logits), weights)))
-    return nm.add(image_term, instance_term)
-
-
-def chain_cosine_center_loss(z, targets):
-    cos = nm.sum_rows(nm.mul(nm.normalize_rows(z, strict=True), targets))
-    return nm.sub(1.0, nm.mean(cos))
 
 
 def _adjacency(rng, m):
