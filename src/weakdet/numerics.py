@@ -10,33 +10,35 @@ the loss once each, in reverse creation order (every node is created after
 its operands). A node's first gradient contribution becomes its ``grad``
 buffer; later ones add into it (see :func:`_accumulate`).
 
-Every op validates its result: a NaN or Inf anywhere raises
-:class:`~weakdet.errors.NumericError` instead of propagating. Exponentials
-(softmax, log-sum-exp, log-softmax) are max-shifted.
+Every op is a value kernel under one node wrapper, :func:`_op`. The op
+makes its kernel, a function of its operands' arrays that holds the op's
+constants: it runs the op's shape and domain checks and returns the value
+with one backward rule per operand. The wrapper makes the node: it applies
+:func:`as_node` to the operands and the finite check to the value (a NaN or
+Inf raises :class:`~weakdet.errors.NumericError`), and its backward adds
+each rule's result into its operand when that operand needs a gradient.
+Exponentials are max-shifted.
 
-Every op records on its result the op (by its module-level name) and its
-operands. :func:`replay` finds once which ops of a built graph lie
-downstream of a parameter array; each run of its plan, after the array was
-written in place, calls exactly those ops again, so every check and
-data-dependent mask (a ReLU's) runs again and the values are bitwise a fresh
-build's. A run never writes into the base graph and returns values only: the
-base nodes' backward rules hold their own intermediates, so nothing may
-backpropagate through a replay.
+Every op records its kernel; a replay runs kernels on arrays and makes no
+nodes. :func:`replay` finds once which ops of a built graph lie downstream of
+a parameter array; each run of its plan, after the array was written in
+place, calls exactly those kernels again and applies the same finite check,
+so every check and data-dependent mask (a ReLU's) runs again and the values
+are bitwise a fresh build's. A run never writes into the base graph.
 
 The fused ops at the end each build one node for what would otherwise be a
-chain of elementary ops. Their forward repeats the chain's numpy expressions
-in the same order and memory layout, and their backward repeats its
+chain of elementary ops. Their kernels repeat the chain's numpy expressions
+in the same order and memory layout, and their rules repeat its
 accumulation: an intermediate read by several ops of the chain sums their
 contributions in reverse creation order. Values and gradients are therefore
-bitwise those of the chain, except that a zero may carry the other sign.
-The sign of a zero never changes a nonzero result here (no rule divides by a
-gradient), and a leaf's buffer turns -0.0 into +0.0, so a leaf stores the
-same bits either way.
+bitwise those of the chain, except that a zero may carry the other sign,
+which never changes a nonzero result (no rule divides by a gradient); a
+leaf's buffer turns -0.0 into +0.0, so a leaf stores the same bits either way.
 
-A forward computes its value and its checks only. What only the backward
-reads (a softmax, a mask, an index) the backward rule computes from arrays
-the forward made, never from an operand's ``value``, which the gradient audit
-overwrites in place. A reduction calls the ufunc numpy's wrapper would call
+A kernel computes its value and its checks only. What only the backward
+reads (a softmax, a mask, an index) a rule computes from arrays the kernel
+made, never from an operand array, which the gradient audit overwrites in
+place. A reduction calls the ufunc numpy's wrapper would call
 (``np.add.reduce`` for ``sum`` and ``mean``, ``np.maximum.reduce`` for
 ``max``): the same operands in the same order give the same bits, faster.
 """
@@ -73,6 +75,15 @@ def all_finite(arr: np.ndarray) -> bool:
     return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
 
 
+def _finite(value) -> np.ndarray:
+    """``value`` as a float64 array, or :class:`NumericError` if it holds a
+    NaN or Inf: the check of every node's value and of every replayed one."""
+    value = np.asarray(value, dtype=np.float64)
+    if not all_finite(value):
+        raise NumericError("tensor contains NaN or Inf")
+    return value
+
+
 class Node:
     """One value in the computation graph.
 
@@ -82,17 +93,14 @@ class Node:
     ``grad`` is None until :func:`backward` reaches the node, unless a caller
     preset a leaf's to a zeroed buffer to add into; from then on it is a
     C-contiguous array of the value's shape holding d(loss)/d(node).
-    Constants never get one. ``_record`` is an op result's ``(op, operands)``.
+    Constants never get one. ``_record`` is an op result's kernel.
     """
 
     __slots__ = ("value", "grad", "parents", "requires_grad", "_backward", "_consumed", "_order",
                  "_record")
 
     def __init__(self, value, parents: tuple = (), backward: Callable | None = None, record=None):
-        value = np.asarray(value, dtype=np.float64)
-        if not (math.isfinite(np.vdot(value, value)) or np.isfinite(value).all()):  # all_finite
-            raise NumericError("tensor contains NaN or Inf")
-        self.value = value
+        self.value = _finite(value)
         self.grad = None
         self.parents = parents
         requires_grad = not parents
@@ -120,30 +128,48 @@ def as_node(x) -> Node:
     return node
 
 
-def _accumulate(node: Node, contrib, fresh: bool = True) -> None:
+def _accumulate(node: Node, contrib, upstream) -> None:
     """Add one backward contribution to ``node.grad``.
 
-    The first contribution becomes the buffer. A ``fresh`` one (an array the
-    rule just computed and nobody else holds) is taken over when it is a
-    C-contiguous array of the node's shape; anything else, such as the
-    upstream gradient itself, a view or a broadcast, is copied into a new
-    C-ordered buffer. Either way the buffer equals ``0.0 + contrib``, as a
-    zero-filled one would: a leaf's -0.0 becomes +0.0 (an intermediate may
-    keep it, which only the sign of its zeros can show).
+    The first contribution becomes the buffer. An array the rule just made
+    (not a view, nor the ``upstream`` gradient itself) is taken over when it
+    is C-contiguous and of the node's shape; anything else, such as the
+    upstream gradient, a view or a broadcast, is copied into a new C-ordered
+    buffer. Either way the buffer equals ``0.0 +
+    contrib``, as a zero-filled one would: a leaf's -0.0 becomes +0.0 (an
+    intermediate may keep it, which only the sign of its zeros can show).
     """
     if node.grad is not None:
         node.grad += contrib
-    elif (
-        fresh
-        and type(contrib) is np.ndarray
-        and contrib.flags.c_contiguous
-        and contrib.shape == node.value.shape
-    ):
+    elif (contrib is not upstream and type(contrib) is np.ndarray and contrib.base is None
+          and contrib.flags.c_contiguous and contrib.shape == node.value.shape):
         if node._backward is None:
             contrib += 0.0
         node.grad = contrib
     else:
         node.grad = np.add(contrib, 0.0, out=np.empty(node.value.shape))
+
+
+def _op(kernel: Callable, *operands) -> Node:
+    """The node of one op; every op result is made here.
+
+    ``kernel``, called on the arrays of ``operands`` (each passed through
+    :func:`as_node`), returns the value and one backward rule per operand.
+    The node's parents are the operands and its record is ``kernel``; its
+    backward adds ``rule(g)`` into each operand that needs a gradient, in
+    operand order.
+    """
+    nodes = operands  # every op has one or two, so these are all of them:
+    if type(nodes[0]) is not Node or type(nodes[-1]) is not Node:
+        nodes = tuple(map(as_node, operands))
+    value, rules = kernel(*[n.value for n in nodes])
+
+    def backward(g):
+        for node, rule in zip(nodes, rules):
+            if node.requires_grad:
+                _accumulate(node, rule(g), g)
+
+    return Node(value, nodes, backward, kernel)
 
 
 def backward(loss: Node) -> None:
@@ -177,17 +203,22 @@ def backward(loss: Node) -> None:
             node._backward(node.grad)
 
 
+def _leaf(x: np.ndarray):
+    """The kernel of a replayed leaf that holds the changed array."""
+    return x, ()
+
+
 def replay(roots, changed: np.ndarray) -> ReplayPlan:
     """Plan the re-evaluation of ``roots`` after the array ``changed`` is
     written in place; each :meth:`ReplayPlan.run` then gives their values.
 
     A leaf or constant whose value *is* ``changed`` is dirty, and so is an op
-    result with a dirty operand, which a run rebuilds from its record. The
-    graph walk, the sort and the dirty test happen here, once per
-    ``(roots, changed)``; an op result without a record raises
-    :class:`UsageError` here too. Plain array operands (an adjacency, tags)
-    and what callers derive outside ops (induced labels, graphs) are not
-    re-derived: they stay at the values the base graph recorded.
+    result with a dirty operand, whose kernel a run calls again. The graph
+    walk, the sort and the dirty test happen here, once per ``(roots,
+    changed)``; an op result without a record raises :class:`UsageError`
+    here too. Constants of an op (an adjacency, tags) and what callers derive
+    outside ops (induced labels, graphs) are not re-derived: they stay at the
+    values the base graph recorded.
     """
     reached, stack = {r._order: r for r in roots}, list(roots)
     while stack:
@@ -204,25 +235,23 @@ def replay(roots, changed: np.ndarray) -> ReplayPlan:
                 raise UsageError("replay: an op result carries no record")
             if node.value is changed:
                 slot[key] = len(steps)
-                steps.append((Node, (changed,), ()))
+                steps.append((_leaf, (changed,), ()))
             continue
-        op, args = node._record
-        subs = tuple((i, slot[a._order]) for i, a in enumerate(args)
-                     if isinstance(a, Node) and a._order in slot)
+        subs = tuple((i, slot[p._order]) for i, p in enumerate(node.parents) if p._order in slot)
         if subs:
             slot[key] = len(steps)
-            steps.append((op, args, subs))
+            steps.append((node._record, tuple(p.value for p in node.parents), subs))
     return ReplayPlan(steps, [(slot.get(r._order), r.value) for r in roots])
 
 
 class ReplayPlan:
     """The dirty steps of a :func:`replay`, in creation order.
 
-    Each step is ``(op, args, subs)``: the recorded op (``Node`` for a leaf
-    holding the changed array), its recorded operands, and the ``(position,
-    step)`` pairs whose operand an earlier step rebuilds. Only this
-    bookkeeping is kept: a run calls every op again, so its checks and
-    data-dependent masks see the current values.
+    Each step is ``(kernel, args, subs)``: the recorded kernel (``_leaf``
+    for a leaf holding the changed array), the base operands' arrays, and
+    the ``(position, step)`` pairs whose array an earlier step recomputes.
+    Only this bookkeeping is kept: a run calls every kernel again, so its
+    checks and data-dependent masks see the current values.
     """
 
     def __init__(self, steps: list, picks: list):
@@ -231,14 +260,14 @@ class ReplayPlan:
 
     def run(self) -> list[np.ndarray]:
         """The roots' values for what the changed array holds now."""
-        fresh: list[Node] = []
-        for op, args, subs in self.steps:
+        fresh: list[np.ndarray] = []
+        for kernel, args, subs in self.steps:
             if subs:
                 args = list(args)
                 for i, s in subs:
                     args[i] = fresh[s]
-            fresh.append(op(*args))
-        return [value if s is None else fresh[s].value for s, value in self._picks]
+            fresh.append(_finite(kernel(*args)[0]))
+        return [value if s is None else fresh[s] for s, value in self._picks]
 
 
 # ---------------------------------------------------------------------------
@@ -249,142 +278,116 @@ class ReplayPlan:
 # every one stays here even where only the fused ops' test oracles build it.
 
 
-def _unary(a: Node, value, rule: Callable, record: tuple, fresh: bool = True) -> Node:
-    """A node on one operand whose backward adds ``rule(g)`` into ``a``."""
-    return Node(value, (a,), lambda g: _accumulate(a, rule(g), fresh), record)
+def _same_shape(a: np.ndarray, b: np.ndarray, opname: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ")
 
 
-def _binary(a: Node, b: Node, value, rule_a: Callable, rule_b: Callable, record: tuple,
-            fresh: bool = True) -> Node:
-    """A node on two operands whose backward adds ``rule_a(g)`` into ``a`` and
-    ``rule_b(g)`` into ``b``, each only when that operand needs a gradient."""
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, rule_a(g), fresh)
-        if b.requires_grad:
-            _accumulate(b, rule_b(g), fresh)
-
-    return Node(value, (a, b), bw, record)
-
-
-def _same_shape(a: Node, b: Node, opname: str) -> None:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"{opname}: shapes {a.value.shape} and {b.value.shape} differ")
+def _matrix(a: np.ndarray, opname: str) -> None:
+    if a.ndim != 2:
+        raise ShapeError(f"{opname} expects a 2-D node")
 
 
 def add(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    _same_shape(a, b, "add")
-    return _binary(a, b, a.value + b.value, lambda g: g, lambda g: g, (add, (a, b)), fresh=False)
+    def kernel(a, b):
+        _same_shape(a, b, "add")
+        return a + b, (lambda g: g, lambda g: g)
+    return _op(kernel, a, b)
 
 
 def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    _same_shape(a, b, "sub")
-    out = Node(a.value - b.value, (a, b), record=(sub, (a, b)))
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g, fresh=False)
-        if b.requires_grad:
-            _accumulate(b, -g)
-
-    out._backward = bw
-    return out
+    def kernel(a, b):
+        _same_shape(a, b, "sub")
+        return a - b, (lambda g: g, lambda g: -g)
+    return _op(kernel, a, b)
 
 
 def neg(a) -> Node:
-    a = as_node(a)
-    return _unary(a, -a.value, lambda g: -g, (neg, (a,)))
+    return _op(lambda a: (-a, (lambda g: -g,)), a)
 
 
 def mul(a, b) -> Node:
     """Elementwise product (same shape)."""
-    a, b = as_node(a), as_node(b)
-    _same_shape(a, b, "mul")
-    return _binary(a, b, a.value * b.value, lambda g: g * b.value, lambda g: g * a.value,
-                   (mul, (a, b)))
+    def kernel(a, b):
+        _same_shape(a, b, "mul")
+        return a * b, (lambda g: g * b, lambda g: g * a)
+    return _op(kernel, a, b)
 
 
 def div(a, b) -> Node:
     """Elementwise quotient; denominator must be bounded away from zero."""
-    a, b = as_node(a), as_node(b)
-    _same_shape(a, b, "div")
-    if np.any(np.abs(b.value) < EPS_NORM):
-        raise DegenerateInputError("div: denominator entry is (near) zero")
-    return _binary(a, b, a.value / b.value, lambda g: g / b.value,
-                   lambda g: -(g * a.value / (b.value * b.value)), (div, (a, b)))
+    def kernel(a, b):
+        _same_shape(a, b, "div")
+        if np.any(np.abs(b) < EPS_NORM):
+            raise DegenerateInputError("div: denominator entry is (near) zero")
+        return a / b, (lambda g: g / b, lambda g: -(g * a / (b * b)))
+    return _op(kernel, a, b)
 
 
 def scale(a, c: float) -> Node:
     """Multiply by a scalar constant."""
-    a = as_node(a)
     c = float(c)
-    return _unary(a, a.value * c, lambda g: g * c, (scale, (a, c)))
+    return _op(lambda a: (a * c, (lambda g: g * c,)), a)
 
 
 def matmul(a, b) -> Node:
     """Matrix product of two 2-D nodes."""
-    a, b = as_node(a), as_node(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions {a.value.shape} x {b.value.shape} do not agree"
-        )
-    return _binary(a, b, a.value @ b.value, lambda g: g @ b.value.T, lambda g: a.value.T @ g,
-                   (matmul, (a, b)))
-
-
-def _matrix(a, opname: str) -> Node:
-    a = as_node(a)
-    if a.value.ndim != 2:
-        raise ShapeError(f"{opname} expects a 2-D node")
-    return a
+    def kernel(a, b):
+        if a.ndim != 2 or b.ndim != 2:
+            raise ShapeError("matmul expects 2-D operands")
+        if a.shape[1] != b.shape[0]:
+            raise ShapeError(f"matmul: inner dimensions {a.shape} x {b.shape} do not agree")
+        return a @ b, (lambda g: g @ b.T, lambda g: a.T @ g)
+    return _op(kernel, a, b)
 
 
 def transpose(a) -> Node:
-    a = _matrix(a, "transpose")
-    return _unary(a, a.value.T.copy(), lambda g: g.T, (transpose, (a,)), fresh=False)
+    def kernel(a):
+        _matrix(a, "transpose")
+        return a.T.copy(), (lambda g: g.T,)
+    return _op(kernel, a)
 
 
 def hconcat(a, b) -> Node:
     """Concatenate two 2-D nodes along columns."""
-    a, b = as_node(a), as_node(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[0] != b.value.shape[0]:
-        raise ShapeError("hconcat expects 2-D nodes with equal row counts")
-    na = a.value.shape[1]
-    return _binary(a, b, np.concatenate([a.value, b.value], axis=1), lambda g: g[:, :na],
-                   lambda g: g[:, na:], (hconcat, (a, b)), fresh=False)
+    def kernel(a, b):
+        if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
+            raise ShapeError("hconcat expects 2-D nodes with equal row counts")
+        na = a.shape[1]
+        return np.concatenate([a, b], axis=1), (lambda g: g[:, :na], lambda g: g[:, na:])
+    return _op(kernel, a, b)
 
 
 def relu(a) -> Node:
-    a = as_node(a)
-    mask = a.value > 0
-    return _unary(a, np.where(mask, a.value, 0.0), lambda g: g * mask, (relu, (a,)))
+    def kernel(a):
+        mask = a > 0
+        return np.where(mask, a, 0.0), (lambda g: g * mask,)
+    return _op(kernel, a)
 
 
 def log(a) -> Node:
-    a = as_node(a)
-    if np.any(a.value <= 0):
-        raise NumericError("log: non-positive input")
-    return _unary(a, np.log(a.value), lambda g: g / a.value, (log, (a,)))
+    def kernel(a):
+        if np.any(a <= 0):
+            raise NumericError("log: non-positive input")
+        return np.log(a), (lambda g: g / a,)
+    return _op(kernel, a)
 
 
 def sqrt(a) -> Node:
-    a = as_node(a)
-    if np.any(a.value < 0):
-        raise NumericError("sqrt: negative input")
-    val = np.sqrt(a.value)
-    return _unary(a, val, lambda g: g / (2.0 * np.maximum(val, EPS_NORM)), (sqrt, (a,)))
+    def kernel(a):
+        if np.any(a < 0):
+            raise NumericError("sqrt: negative input")
+        val = np.sqrt(a)
+        return val, (lambda g: g / (2.0 * np.maximum(val, EPS_NORM)),)
+    return _op(kernel, a)
 
 
 def clip(a, lo: float, hi: float) -> Node:
     """Clamp to [lo, hi]; gradient passes only through the interior."""
-    a = as_node(a)
-    mask = (a.value > lo) & (a.value < hi)
-    return _unary(a, np.clip(a.value, lo, hi), lambda g: g * mask, (clip, (a, lo, hi)))
+    def kernel(a):
+        mask = (a > lo) & (a < hi)
+        return np.clip(a, lo, hi), (lambda g: g * mask,)
+    return _op(kernel, a)
 
 
 # ---------------------------------------------------------------------------
@@ -394,54 +397,60 @@ def clip(a, lo: float, hi: float) -> Node:
 
 def total(a) -> Node:
     """Sum of all entries, as a scalar node."""
-    a = as_node(a)
-    return _unary(a, np.sum(a.value), lambda g: g, (total, (a,)), fresh=False)
+    return _op(lambda a: (np.sum(a), (lambda g: g,)), a)
 
 
 def mean(a) -> Node:
     """Mean of all entries, as a scalar node."""
-    a = as_node(a)
-    n = a.value.size
-    if n == 0:
-        raise ShapeError("mean of an empty tensor")
-    return _unary(a, np.sum(a.value) / n, lambda g: g / n, (mean, (a,)), fresh=False)
+    def kernel(a):
+        n = a.size
+        if n == 0:
+            raise ShapeError("mean of an empty tensor")
+        return np.sum(a) / n, (lambda g: g / n,)
+    return _op(kernel, a)
 
 
 def sum_rows(a) -> Node:
     """Row sums of a 2-D node -> 1-D node of length m."""
-    a = _matrix(a, "sum_rows")
-    return _unary(a, a.value.sum(axis=1), lambda g: g[:, None], (sum_rows, (a,)), fresh=False)
+    def kernel(a):
+        _matrix(a, "sum_rows")
+        return a.sum(axis=1), (lambda g: g[:, None],)
+    return _op(kernel, a)
 
 
 def sum_cols(a) -> Node:
     """Column sums of a 2-D node -> 1-D node of length n."""
-    a = _matrix(a, "sum_cols")
-    return _unary(a, np.add.reduce(a.value, axis=0), lambda g: g[None, :], (sum_cols, (a,)),
-                  fresh=False)
+    def kernel(a):
+        _matrix(a, "sum_cols")
+        return np.add.reduce(a, axis=0), (lambda g: g[None, :],)
+    return _op(kernel, a)
 
 
 def diag_part(a) -> Node:
     """Diagonal of a square 2-D node as a 1-D node."""
-    a = _matrix(a, "diag_part")
-    if a.value.shape[0] != a.value.shape[1]:
-        raise ShapeError("diag_part expects a square 2-D node")
-    return _unary(a, a.value.diagonal().copy(), np.diag, (diag_part, (a,)))
+    def kernel(a):
+        _matrix(a, "diag_part")
+        if a.shape[0] != a.shape[1]:
+            raise ShapeError("diag_part expects a square 2-D node")
+        return a.diagonal().copy(), (np.diag,)
+    return _op(kernel, a)
 
 
 def outer(u, v) -> Node:
     """Outer product of two 1-D nodes."""
-    u, v = as_node(u), as_node(v)
-    if u.value.ndim != 1 or v.value.ndim != 1:
-        raise ShapeError("outer expects 1-D nodes")
-    return _binary(u, v, np.outer(u.value, v.value), lambda g: g @ v.value,
-                   lambda g: g.T @ u.value, (outer, (u, v)))
+    def kernel(u, v):
+        if u.ndim != 1 or v.ndim != 1:
+            raise ShapeError("outer expects 1-D nodes")
+        return np.outer(u, v), (lambda g: g @ v, lambda g: g.T @ u)
+    return _op(kernel, u, v)
 
 
 def center_cols(a) -> Node:
     """Subtract each column's mean (over rows)."""
-    a = _matrix(a, "center_cols")
-    centered = a.value - a.value.mean(axis=0, keepdims=True)
-    return _unary(a, centered, lambda g: g - g.mean(axis=0, keepdims=True), (center_cols, (a,)))
+    def kernel(a):
+        _matrix(a, "center_cols")
+        return a - a.mean(axis=0, keepdims=True), (lambda g: g - g.mean(axis=0, keepdims=True),)
+    return _op(kernel, a)
 
 
 # ---------------------------------------------------------------------------
@@ -454,39 +463,45 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
-def _softmax_along(a, axis: int, op: Callable, opname: str) -> Node:
-    a = _matrix(a, opname)
-    s = _softmax(a.value, axis)
-    return _unary(a, s, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True)), (op, (a,)))
+def _softmax_along(a: np.ndarray, axis: int, opname: str):
+    """The kernel of a softmax along ``axis`` of a 2-D array."""
+    _matrix(a, opname)
+    s = _softmax(a, axis)
+    return s, (lambda g: s * (g - np.add.reduce(g * s, axis=axis, keepdims=True)),)
 
 
 def softmax_rows(a) -> Node:
     """Softmax along each row of a 2-D node."""
-    return _softmax_along(a, 1, softmax_rows, "softmax_rows")
+    return _op(lambda a: _softmax_along(a, 1, "softmax_rows"), a)
 
 
 def softmax_cols(a) -> Node:
     """Softmax along each column of a 2-D node."""
-    return _softmax_along(a, 0, softmax_cols, "softmax_cols")
+    return _op(lambda a: _softmax_along(a, 0, "softmax_cols"), a)
+
+
+def _log_softmax(a: np.ndarray, opname: str):
+    """The kernel of a row-wise log-softmax of a 2-D array."""
+    _matrix(a, opname)
+    shifted = a - np.maximum.reduce(a, axis=1, keepdims=True)
+    log_s = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    return log_s, (lambda g: g - np.exp(log_s) * np.add.reduce(g, axis=1, keepdims=True),)
 
 
 def log_softmax_rows(a) -> Node:
     """Row-wise log-softmax; stable replacement for log(softmax_rows(x))."""
-    a = _matrix(a, "log_softmax_rows")
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    log_s = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    s = np.exp(log_s)
-    return _unary(a, log_s, lambda g: g - s * g.sum(axis=1, keepdims=True),
-                  (log_softmax_rows, (a,)))
+    return _op(lambda a: _log_softmax(a, "log_softmax_rows"), a)
 
 
 def logsumexp_rows(a) -> Node:
     """Row-wise log(sum(exp(.))) of a 2-D node -> 1-D node."""
-    a = _matrix(a, "logsumexp_rows")
-    mx = a.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(a.value - mx).sum(axis=1, keepdims=True)) + mx
-    s = _softmax(a.value, axis=1)
-    return _unary(a, lse[:, 0], lambda g: s * g[:, None], (logsumexp_rows, (a,)))
+    def kernel(a):
+        _matrix(a, "logsumexp_rows")
+        mx = a.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(a - mx).sum(axis=1, keepdims=True)) + mx
+        s = _softmax(a, axis=1)
+        return lse[:, 0], (lambda g: s * g[:, None],)
+    return _op(kernel, a)
 
 
 def smooth_max_lse(s, r: float) -> Node:
@@ -495,26 +510,28 @@ def smooth_max_lse(s, r: float) -> Node:
     Lies between mean(s) and max(s) for every r > 0 and sharpens toward the
     max as r grows; never more than log(n)/r below the true max.
     """
-    s = as_node(s)
-    if s.value.ndim != 1:
-        raise ShapeError("smooth_max_lse expects a 1-D node")
-    n = s.value.size
-    if n == 0:
-        raise ShapeError("smooth_max_lse of an empty vector")
     r = float(r)
-    if r <= 0:
-        raise ParameterError(f"smooth_max_lse needs r > 0, got {r}")
-    mx = s.value.max()
-    val = (np.log(np.exp(r * (s.value - mx)).sum() / n)) / r + mx
-    w = _softmax(r * s.value, axis=0)
-    return _unary(s, val, lambda g: g * w, (smooth_max_lse, (s, r)))
+
+    def kernel(s):
+        if s.ndim != 1:
+            raise ShapeError("smooth_max_lse expects a 1-D node")
+        n = s.size
+        if n == 0:
+            raise ShapeError("smooth_max_lse of an empty vector")
+        if r <= 0:
+            raise ParameterError(f"smooth_max_lse needs r > 0, got {r}")
+        mx = s.max()
+        val = (np.log(np.exp(r * (s - mx)).sum() / n)) / r + mx
+        w = _softmax(r * s, axis=0)
+        return val, (lambda g: g * w,)
+    return _op(kernel, s)
 
 
 def _unit_rows(x: np.ndarray, strict: bool, opname: str):
-    """The rows of ``x`` scaled to unit L2 norm, and the rule taking their
-    gradient back to ``x``. A (near-)zero row raises
-    :class:`DegenerateInputError` when ``strict``; otherwise it stays a zero
-    row and passes zero gradient."""
+    """The kernel scaling each row of a 2-D array to unit L2 norm. A
+    (near-)zero row raises :class:`DegenerateInputError` when ``strict``;
+    otherwise it stays a zero row and passes zero gradient."""
+    _matrix(x, opname)
     norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))  # np.linalg.norm's sum
     bad = norms[:, 0] <= EPS_NORM
     any_bad = bool(bad.any())
@@ -532,13 +549,12 @@ def _unit_rows(x: np.ndarray, strict: bool, opname: str):
             contrib[bad] = 0.0
         return contrib
 
-    return unit, rule
+    return unit, (rule,)
 
 
 def normalize_rows(a, strict: bool = True) -> Node:
     """Scale each row of a 2-D node to unit L2 norm (see :func:`_unit_rows`)."""
-    a = _matrix(a, "normalize_rows")
-    return _unary(a, *_unit_rows(a.value, strict, "normalize_rows"), (normalize_rows, (a, strict)))
+    return _op(lambda a: _unit_rows(a, strict, "normalize_rows"), a)
 
 
 # ---------------------------------------------------------------------------
@@ -546,66 +562,59 @@ def normalize_rows(a, strict: bool = True) -> Node:
 # ---------------------------------------------------------------------------
 
 
+def _once(fn: Callable) -> Callable:
+    """``fn`` of the upstream gradient, computed on the first call only: the
+    work that several operands' rules share."""
+    memo = []
+
+    def shared(g):
+        if not memo:
+            memo.append(fn(g))
+        return memo[0]
+
+    return shared
+
+
 def matmul_nt(a, b) -> Node:
     """``a @ b.T`` for two 2-D nodes: the chain ``matmul(a, transpose(b))``,
     whose transpose is a contiguous copy."""
-    a, b = as_node(a), as_node(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ShapeError("matmul_nt expects 2-D operands")
-    if a.value.shape[1] != b.value.shape[1]:
-        raise ShapeError(
-            f"matmul_nt: column counts {a.value.shape} and {b.value.shape} do not agree"
-        )
-    bt = b.value.T.copy()
-    out = Node(a.value @ bt, (a, b), record=(matmul_nt, (a, b)))
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g @ bt.T)
-        if b.requires_grad:
-            _accumulate(b, (a.value.T @ g).T, fresh=False)
-
-    out._backward = bw
-    return out
+    def kernel(a, b):
+        if a.ndim != 2 or b.ndim != 2:
+            raise ShapeError("matmul_nt expects 2-D operands")
+        if a.shape[1] != b.shape[1]:
+            raise ShapeError(f"matmul_nt: column counts {a.shape} and {b.shape} do not agree")
+        bt = b.T.copy()
+        return a @ bt, (lambda g: g @ bt.T, lambda g: (a.T @ g).T)
+    return _op(kernel, a, b)
 
 
-def _propagated(a_hat: np.ndarray, h: Node, w: Node, opname: str) -> np.ndarray:
-    """``a_hat @ (h @ w)``, with the operand checks of both GCN ops."""
-    if a_hat.ndim != 2 or h.value.ndim != 2 or w.value.ndim != 2:
+def _propagated(a_hat: np.ndarray, h: np.ndarray, w: np.ndarray, unit: bool):
+    """The kernel of both GCN ops: ``a_hat @ (h @ w)``, with each row then
+    scaled to unit L2 norm when ``unit`` (see :func:`_unit_rows`)."""
+    opname = "propagate_unit" if unit else "propagate"
+    if a_hat.ndim != 2 or h.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"{opname} expects 2-D operands")
-    if h.value.shape[1] != w.value.shape[0] or a_hat.shape[1] != h.value.shape[0]:
-        raise ShapeError(
-            f"{opname}: shapes {a_hat.shape}, {h.value.shape}, {w.value.shape} do not chain"
-        )
-    return a_hat @ (h.value @ w.value)
-
-
-def _propagate_back(a_hat: np.ndarray, h: Node, w: Node, g: np.ndarray) -> None:
-    g_hw = a_hat.T @ g
-    if h.requires_grad:
-        _accumulate(h, g_hw @ w.value.T)
-    if w.requires_grad:
-        _accumulate(w, h.value.T @ g_hw)
+    if h.shape[1] != w.shape[0] or a_hat.shape[1] != h.shape[0]:
+        raise ShapeError(f"{opname}: shapes {a_hat.shape}, {h.shape}, {w.shape} do not chain")
+    out, rule = a_hat @ (h @ w), None
+    if unit:  # a non-finite product leaves a NaN in its unit rows
+        out, (rule,) = _unit_rows(out, False, opname)
+    g_hw = _once(lambda g: a_hat.T @ (g if rule is None else rule(g)))
+    return out, (lambda g: g_hw(g) @ w.T, lambda g: h.T @ g_hw(g))
 
 
 def propagate(a_hat: np.ndarray, h, w) -> Node:
     """One graph-convolution step ``a_hat @ (h @ w)`` (Kipf & Welling,
     arXiv 1609.02907): the chain ``matmul(a_hat, matmul(h, w))`` for a fixed
     adjacency ``a_hat``, which gets no gradient and no node."""
-    h, w = as_node(h), as_node(w)
-    return Node(_propagated(a_hat, h, w, "propagate"), (h, w),
-                lambda g: _propagate_back(a_hat, h, w, g), (propagate, (a_hat, h, w)))
+    return _op(lambda h, w: _propagated(a_hat, h, w, False), h, w)
 
 
 def propagate_unit(a_hat: np.ndarray, h, w) -> Node:
     """:func:`propagate`, then each row scaled to unit L2 norm: the chain
     ``normalize_rows(propagate(a_hat, h, w), strict=False)``. A (near-)zero
     row stays zero and passes no gradient."""
-    h, w = as_node(h), as_node(w)
-    # A non-finite product leaves a NaN in its unit rows, which Node rejects.
-    unit, rule = _unit_rows(_propagated(a_hat, h, w, "propagate_unit"), False, "propagate_unit")
-    return Node(unit, (h, w), lambda g: _propagate_back(a_hat, h, w, rule(g)),
-                (propagate_unit, (a_hat, h, w)))
+    return _op(lambda h, w: _propagated(a_hat, h, w, True), h, w)
 
 
 def info_nce(x, y, tau: float) -> Node:
@@ -613,39 +622,36 @@ def info_nce(x, y, tau: float) -> Node:
     positives: ``mean(logsumexp_rows(S) - diag(S))`` for
     ``S = tau * x @ y.T``, the chain transpose, matmul, scale,
     logsumexp_rows, diag_part, sub and mean."""
-    x, y = as_node(x), as_node(y)
     tau = float(tau)
-    if tau <= 0:
-        raise ParameterError(f"info_nce needs tau > 0, got {tau}")
-    if x.value.ndim != 2 or x.value.shape != y.value.shape:
-        raise ShapeError("info_nce operands must be 2-D and share a shape")
-    n = x.value.shape[0]
-    if n == 0:
-        raise ShapeError("info_nce of empty operands")
-    yt = y.value.T.copy()
-    sim = x.value @ yt * tau
-    if not all_finite(sim):
-        raise NumericError("info_nce: similarities contain NaN or Inf")
-    mx = np.maximum.reduce(sim, axis=1, keepdims=True)
-    e = np.exp(sim - mx)
-    e_sum = np.add.reduce(e, axis=1, keepdims=True)
-    lse = np.log(e_sum) + mx
-    out = Node(np.add.reduce(lse[:, 0] - sim.diagonal()) / n, (x, y),
-               record=(info_nce, (x, y, tau)))
 
-    def bw(g):
-        g_lse = g / n
-        g_sim = e / e_sum * g_lse  # the row softmax, as _softmax computes it
-        diag = np.arange(n)
-        g_sim[diag, diag] -= g_lse  # diag_part's term (the sum commutes)
-        g_xy = g_sim * tau
-        if x.requires_grad:
-            _accumulate(x, g_xy @ yt.T)
-        if y.requires_grad:
-            _accumulate(y, (x.value.T @ g_xy).T, fresh=False)
+    def kernel(x, y):
+        if tau <= 0:
+            raise ParameterError(f"info_nce needs tau > 0, got {tau}")
+        if x.ndim != 2 or x.shape != y.shape:
+            raise ShapeError("info_nce operands must be 2-D and share a shape")
+        n = x.shape[0]
+        if n == 0:
+            raise ShapeError("info_nce of empty operands")
+        yt = y.T.copy()
+        sim = x @ yt * tau
+        if not all_finite(sim):
+            raise NumericError("info_nce: similarities contain NaN or Inf")
+        mx = np.maximum.reduce(sim, axis=1, keepdims=True)
+        e = np.exp(sim - mx)
+        e_sum = np.add.reduce(e, axis=1, keepdims=True)
+        lse = np.log(e_sum) + mx
 
-    out._backward = bw
-    return out
+        @_once
+        def g_xy(g):
+            g_lse = g / n
+            g_sim = e / e_sum * g_lse  # the row softmax, as _softmax computes it
+            diag = np.arange(n)
+            g_sim[diag, diag] -= g_lse  # diag_part's term (the sum commutes)
+            return g_sim * tau
+
+        value = np.add.reduce(lse[:, 0] - sim.diagonal()) / n
+        return value, (lambda g: g_xy(g) @ yt.T, lambda g: (x.T @ g_xy(g)).T)
+    return _op(kernel, x, y)
 
 
 def pearson_cols(a, var_eps: float) -> Node:
@@ -657,78 +663,67 @@ def pearson_cols(a, var_eps: float) -> Node:
     its row and column are zeroed and its diagonal entry is 1; those masks
     are data-dependent constants, like a ReLU's.
     """
-    a = _matrix(a, "pearson_cols")
-    m, d = a.value.shape
-    if m == 0:
-        raise ShapeError("pearson_cols of an empty matrix")
-    inv_m = float(1.0 / m)
-    c = a.value - np.add.reduce(a.value, axis=0, keepdims=True) / m  # ndarray.mean
-    ct = c.T.copy()
-    cov = ct @ c * inv_m
-    var = cov.diagonal()
-    ok = var > var_eps
-    sd = np.sqrt(np.where(ok, var, 1.0))
-    den = sd[:, None] * sd[None, :]  # np.outer
-    if not (all_finite(cov) and all_finite(den)):
-        raise NumericError("pearson_cols: covariance contains NaN or Inf")
-    if (np.abs(den) < EPS_NORM).any():
-        raise DegenerateInputError("pearson_cols: standard deviation is (near) zero")
-    corr = cov / den
-    both = None
-    if not ok.all():
-        both = np.outer(ok, ok)
-        bad = np.flatnonzero(~ok)
-        corr = np.where(both, corr + 0.0, 0.0)
-        corr[bad, bad] = 1.0
-    out = Node((corr + corr.T) * 0.5, (a,), record=(pearson_cols, (a, var_eps)))
+    def kernel(a):
+        _matrix(a, "pearson_cols")
+        m, d = a.shape
+        if m == 0:
+            raise ShapeError("pearson_cols of an empty matrix")
+        inv_m = float(1.0 / m)
+        c = a - np.add.reduce(a, axis=0, keepdims=True) / m  # ndarray.mean
+        ct = c.T.copy()
+        cov = ct @ c * inv_m
+        var = cov.diagonal()
+        ok = var > var_eps
+        sd = np.sqrt(np.where(ok, var, 1.0))
+        den = sd[:, None] * sd[None, :]  # np.outer
+        if not (all_finite(cov) and all_finite(den)):
+            raise NumericError("pearson_cols: covariance contains NaN or Inf")
+        if (np.abs(den) < EPS_NORM).any():
+            raise DegenerateInputError("pearson_cols: standard deviation is (near) zero")
+        corr = cov / den
+        both = None
+        if not ok.all():
+            both = np.outer(ok, ok)
+            bad = np.flatnonzero(~ok)
+            corr = np.where(both, corr + 0.0, 0.0)
+            corr[bad, bad] = 1.0
 
-    def bw(g):
-        g_half = g * 0.5
-        g_corr = g_half + g_half.T
-        if both is not None:
-            g_corr = np.where(both, g_corr, 0.0)
-        g_cov = g_corr / den
-        g_den = -(g_corr * cov / (den * den))
-        g_sd_row = g_den @ sd
-        g_sd_col = g_den.T @ sd
-        two_sd = 2.0 * np.maximum(sd, EPS_NORM)
-        g_var = g_sd_col / two_sd + g_sd_row / two_sd
-        if both is not None:
-            g_var = np.where(ok, g_var, 0.0)
-        diag = np.arange(d)
-        g_cov[diag, diag] += g_var
-        g_gram = g_cov * inv_m
-        g_ct = g_gram @ c.T
-        g_c = ct.T @ g_gram + g_ct.T
-        _accumulate(a, g_c - np.add.reduce(g_c, axis=0, keepdims=True) / m)
+        def rule(g):
+            g_half = g * 0.5
+            g_corr = g_half + g_half.T
+            if both is not None:
+                g_corr = np.where(both, g_corr, 0.0)
+            g_cov = g_corr / den
+            g_den = -(g_corr * cov / (den * den))
+            g_sd_row = g_den @ sd
+            g_sd_col = g_den.T @ sd
+            two_sd = 2.0 * np.maximum(sd, EPS_NORM)
+            g_var = g_sd_col / two_sd + g_sd_row / two_sd
+            if both is not None:
+                g_var = np.where(ok, g_var, 0.0)
+            diag = np.arange(d)
+            g_cov[diag, diag] += g_var
+            g_gram = g_cov * inv_m
+            g_ct = g_gram @ c.T
+            g_c = ct.T @ g_gram + g_ct.T
+            return g_c - np.add.reduce(g_c, axis=0, keepdims=True) / m
 
-    out._backward = bw
-    return out
+        return (corr + corr.T) * 0.5, (rule,)
+    return _op(kernel, a)
 
 
 def dual_softmax(cls, det) -> Node:
     """``softmax_rows(cls) * softmax_cols(det)`` for two same-shape 2-D
     nodes: each entry is a row-wise class probability times a column-wise
-    instance probability."""
-    cls, det = as_node(cls), as_node(det)
-    if cls.value.ndim != 2 or cls.value.shape != det.value.shape:
-        raise ShapeError("dual_softmax expects two 2-D nodes of one shape")
-    s_rows = _softmax(cls.value, axis=1)
-    s_cols = _softmax(det.value, axis=0)
-    out = Node(s_rows * s_cols, (cls, det), record=(dual_softmax, (cls, det)))
-
-    def bw(g):
-        if det.requires_grad:
-            g_cols = g * s_rows
-            dot = np.add.reduce(g_cols * s_cols, axis=0, keepdims=True)
-            _accumulate(det, s_cols * (g_cols - dot))
-        if cls.requires_grad:
-            g_rows = g * s_cols
-            dot = np.add.reduce(g_rows * s_rows, axis=1, keepdims=True)
-            _accumulate(cls, s_rows * (g_rows - dot))
-
-    out._backward = bw
-    return out
+    instance probability. ``det`` is the node's first operand because the
+    chain's backward reaches it first."""
+    def kernel(det, cls):
+        if cls.ndim != 2 or cls.shape != det.shape:
+            raise ShapeError("dual_softmax expects two 2-D nodes of one shape")
+        s_rows, (rows_rule,) = _softmax_along(cls, 1, "dual_softmax")
+        s_cols, (cols_rule,) = _softmax_along(det, 0, "dual_softmax")
+        return s_rows * s_cols, (lambda g: cols_rule(g * s_rows), lambda g: rows_rule(g * s_cols))
+    return _op(kernel, det, cls)
 
 
 def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> Node:
@@ -739,53 +734,47 @@ def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> N
     total, neg for the first term, log_softmax_rows, mul, total, neg for the
     second, and a final add; ``tags`` and ``weights`` are constants.
     """
-    image_scores, s_logits = as_node(image_scores), as_node(s_logits)
     tags = np.asarray(tags, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if (image_scores.value.shape != tags.shape or tags.ndim != 1
-            or s_logits.value.shape != weights.shape or weights.ndim != 2):
-        raise ShapeError("bce_plus_weighted_ce: scores and tags must be 1-D, logits and "
-                         "weights 2-D, each pair of one shape")
     eps = float(eps)
-    if not 0.0 < eps < 0.5:
-        raise ParameterError(f"bce_plus_weighted_ce needs 0 < eps < 0.5, got {eps}")
-    clamped = np.minimum(np.maximum(image_scores.value, eps), 1.0 - eps)  # np.clip on finite input
-    rest = 1.0 - clamped
-    untagged = 1.0 - tags
-    image_term = -np.add.reduce(np.log(clamped) * tags + np.log(rest) * untagged, axis=None)
-    shifted = s_logits.value - np.maximum.reduce(s_logits.value, axis=1, keepdims=True)
-    log_s = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
-    out = Node(image_term + -np.add.reduce(log_s * weights, axis=None), (image_scores, s_logits),
-               record=(bce_plus_weighted_ce, (image_scores, s_logits, tags, weights, eps)))
 
-    def bw(g):
-        g_total = -g  # both totals' gradient, through neg
-        if s_logits.requires_grad:
-            g_log = g_total * weights
-            soft = np.exp(log_s)
-            _accumulate(s_logits, g_log - soft * np.add.reduce(g_log, axis=1, keepdims=True))
-        if image_scores.requires_grad:
+    def kernel(image_scores, s_logits):
+        if (image_scores.shape != tags.shape or tags.ndim != 1
+                or s_logits.shape != weights.shape or weights.ndim != 2):
+            raise ShapeError("bce_plus_weighted_ce: scores and tags must be 1-D, logits and "
+                             "weights 2-D, each pair of one shape")
+        if not 0.0 < eps < 0.5:
+            raise ParameterError(f"bce_plus_weighted_ce needs 0 < eps < 0.5, got {eps}")
+        clamped = np.minimum(np.maximum(image_scores, eps), 1.0 - eps)  # np.clip on finite input
+        rest = 1.0 - clamped
+        untagged = 1.0 - tags
+        image_term = -np.add.reduce(np.log(clamped) * tags + np.log(rest) * untagged, axis=None)
+        log_s, (log_s_rule,) = _log_softmax(s_logits, "bce_plus_weighted_ce")
+
+        def scores_rule(g):
+            g_total = -g  # the image total's gradient, through neg
             # the chain's (0 - sub's term) + log's term, bit for bit
             g_clamped = (g_total * tags) / clamped - (g_total * untagged) / rest
-            inside = (clamped > eps) & (clamped < 1.0 - eps)  # the scores' interior
-            _accumulate(image_scores, g_clamped * inside)
+            return g_clamped * ((clamped > eps) & (clamped < 1.0 - eps))  # the scores' interior
 
-    out._backward = bw
-    return out
+        value = image_term + -np.add.reduce(log_s * weights, axis=None)
+        return value, (scores_rule, lambda g: log_s_rule(-g * weights))
+    return _op(kernel, image_scores, s_logits)
 
 
 def cosine_center_loss(z, targets) -> Node:
     """Mean cosine misalignment ``1 - mean_i(unit(z_i) . targets_i)`` between
     the rows of a 2-D node and constant unit rows: the chain
     normalize_rows (strict), mul, sum_rows, mean and ``sub(1.0, .)``."""
-    z = as_node(z)
     targets = np.asarray(targets, dtype=np.float64)
-    if z.value.ndim != 2 or z.value.shape != targets.shape:
-        raise ShapeError("cosine_center_loss expects two 2-D arrays of one shape")
-    m = z.value.shape[0]
-    if m == 0:
-        raise ShapeError("cosine_center_loss of an empty matrix")
-    unit, rule = _unit_rows(z.value, True, "cosine_center_loss")
-    return Node(1.0 - np.add.reduce(np.add.reduce(unit * targets, axis=1)) / m, (z,),
-                lambda g: _accumulate(z, rule(-g / m * targets)),
-                (cosine_center_loss, (z, targets)))
+
+    def kernel(z):
+        if z.ndim != 2 or z.shape != targets.shape:
+            raise ShapeError("cosine_center_loss expects two 2-D arrays of one shape")
+        m = z.shape[0]
+        if m == 0:
+            raise ShapeError("cosine_center_loss of an empty matrix")
+        unit, (rule,) = _unit_rows(z, True, "cosine_center_loss")
+        value = 1.0 - np.add.reduce(np.add.reduce(unit * targets, axis=1)) / m
+        return value, (lambda g: rule(-g / m * targets),)
+    return _op(kernel, z)

@@ -28,7 +28,7 @@ from . import instance_branch as ib
 from . import numerics as nm
 from . import semantic_branch as sb
 from .datamodel import Bag, class_prototypes, filter_proposals
-from .errors import CompatibilityError, ConfigError, NumericError, ParseError, WeakdetError
+from .errors import CompatibilityError, ConfigError, EmptyBagError, NumericError, ParseError, WeakdetError
 from .evalmetrics import Detection, iou
 from .numerics import Node
 
@@ -438,6 +438,7 @@ def train(
     schedule = resolve_schedule(cfg, cfg.epochs * steps_per_epoch)
 
     bag_grad = np.empty_like(state.flat_params)  # one bag's gradient, zeroed per bag
+    grad = np.empty_like(bag_grad)  # the batch's, summed in batch order
     grad_views = {name: state.view(bag_grad, name) for name in state.layout}
     history: list[dict] = []
     start_epoch = state.step // steps_per_epoch if steps_per_epoch else 0
@@ -449,8 +450,8 @@ def train(
         for phase in phases:
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                grads, touched = [], set()
-                for i in batch:
+                touched = set()
+                for j, i in enumerate(batch):
                     try:
                         fwd = forward_losses(bags[i], state, cfg, graphs[i], include=phase)
                         # A leaf adds into its group of the zeroed vector:
@@ -474,12 +475,14 @@ def train(
                         where = f"bag {bags[i].image_id!r}, epoch {epoch}, step {state.step}"
                         e.args = (f"{where}: {e}",)
                         raise
-                    grads.append(bag_grad.copy())
+                    if j:
+                        grad += bag_grad
+                    else:
+                        grad[...] = bag_grad
                     touched.update(fwd.leaves)
                     sums["loss_total"] += float(fwd.loss.value)
                     for key in ("loss_ins", "loss_sem", "loss_igcl"):
                         sums[key] += fwd.parts[key]
-                grad = reduce(np.add, grads)  # summed in batch order
                 if len(batch) > 1:
                     grad /= len(batch)
                 last_lr = lr_at(schedule, state.step)
@@ -513,9 +516,13 @@ def infer(bag: Bag, state: TrainState, cfg: TrainConfig) -> list[Detection]:
     With both branches active the detection score is the instance
     probability refined by the semantic pseudo-score softmax; a lone
     branch scores on its own. Per class: drop scores below the floor,
-    then greedy NMS.
+    then greedy NMS. A bag whose every proposal is below
+    ``min_proposal_side`` gets no detections.
     """
-    bag = filter_proposals(bag, cfg.min_proposal_side)
+    try:
+        bag = filter_proposals(bag, cfg.min_proposal_side)
+    except EmptyBagError:
+        return []
     feats = nm.as_node(bag.features)
 
     def param(name: str) -> Node:

@@ -1,8 +1,8 @@
 """Autodiff ops that no library code builds, kept for the engine tests.
 
-They run on the engine's own ``Node``, ``as_node`` and ``_accumulate``, record
-themselves as the engine's ops do, and their finite-difference cases sit in
-``FD_CASES`` beside them.
+They are kernels under the engine's own node wrapper ``_op``, as the
+engine's ops are, and their finite-difference cases sit in ``FD_CASES``
+beside them.
 """
 
 from __future__ import annotations
@@ -10,39 +10,30 @@ from __future__ import annotations
 import numpy as np
 
 from weakdet.errors import DegenerateInputError, ShapeError
-from weakdet.numerics import EPS_NORM, Node, _accumulate, as_node
+from weakdet.numerics import EPS_NORM, Node, _op
 
 
 def exp(a) -> Node:
-    a = as_node(a)
-    with np.errstate(over="ignore"):  # Node() turns the inf into NumericError
-        out = Node(np.exp(a.value), (a,), record=(exp, (a,)))
-    val = out.value
-    out._backward = lambda g: _accumulate(a, g * val)
-    return out
+    def kernel(a):
+        with np.errstate(over="ignore"):  # the finite check turns the inf into NumericError
+            val = np.exp(a)
+        return val, (lambda g: g * val,)
+    return _op(kernel, a)
 
 
 def cosine(u, v) -> Node:
     """Cosine similarity of two 1-D nodes, in [-1, 1]."""
-    u, v = as_node(u), as_node(v)
-    if u.value.ndim != 1 or v.value.ndim != 1 or u.value.shape != v.value.shape:
-        raise ShapeError("cosine expects two 1-D nodes of equal length")
-    nu = np.linalg.norm(u.value)
-    nv = np.linalg.norm(v.value)
-    if nu <= EPS_NORM or nv <= EPS_NORM:
-        raise DegenerateInputError("cosine: near-zero norm operand")
-    c = float(u.value @ v.value) / (nu * nv)
-    out = Node(c, (u, v), record=(cosine, (u, v)))
-
-    def bw(g):
-        g = float(g)
-        if u.requires_grad:
-            _accumulate(u, g * (v.value / (nu * nv) - c * u.value / (nu * nu)))
-        if v.requires_grad:
-            _accumulate(v, g * (u.value / (nu * nv) - c * v.value / (nv * nv)))
-
-    out._backward = bw
-    return out
+    def kernel(u, v):
+        if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
+            raise ShapeError("cosine expects two 1-D nodes of equal length")
+        nu = np.linalg.norm(u)
+        nv = np.linalg.norm(v)
+        if nu <= EPS_NORM or nv <= EPS_NORM:
+            raise DegenerateInputError("cosine: near-zero norm operand")
+        c = float(u @ v) / (nu * nv)
+        return c, (lambda g: float(g) * (v / (nu * nv) - c * u / (nu * nu)),
+                   lambda g: float(g) * (u / (nu * nv) - c * v / (nv * nv)))
+    return _op(kernel, u, v)
 
 
 # Finite-difference cases, as in the engine tests: operand arrays from a

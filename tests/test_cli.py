@@ -20,10 +20,10 @@ from weakdet.cli import (
     scene_config,
     train_config,
 )
-from weakdet.datamodel import SceneConfig, generate_dataset, load_jsonl, save_jsonl
+from weakdet.datamodel import Box, SceneConfig, generate_dataset, load_jsonl, save_jsonl
 from weakdet.errors import ConfigError, ParseError
-from weakdet.evalmetrics import corloc, mean_ap
-from weakdet.trainer import SUB_METHODS, TrainConfig, infer, init_state
+from weakdet.evalmetrics import corloc, evaluation_report, mean_ap
+from weakdet.trainer import SUB_METHODS, TrainConfig, infer, init_state, load_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -633,6 +633,42 @@ def test_eval_rejects_a_non_string_image_id(trained, tmp_path, capsys):
                 "--data", str(path), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 1" in err and "image_id 5" in err
+
+
+def test_eval_scores_a_bag_of_only_tiny_proposals_as_all_misses(trained, tmp_path, capsys):
+    """Every proposal of the first bag is below min_proposal_side (16 px):
+    eval gives it no detections and counts its ground truth as missed, while
+    train still rejects it, naming the bag."""
+    cfg_file, data, ckpt = trained
+    bags, gts = load_jsonl(data / "test.jsonl")
+    bags = bags[:3]
+    tiny = [Box(b.x1, b.y1, b.x1 + 10.0, b.y1 + 12.0) for b in bags[0].proposals]
+    bags[0] = replace(bags[0], proposals=tiny)
+    gts = [g for g in gts if g.image_id in {b.image_id for b in bags}]
+    assert any(g.image_id == bags[0].image_id for g in gts)
+    path = tmp_path / "tiny.jsonl"
+    save_jsonl(path, bags, gts)
+    out = tmp_path / "r.json"
+    assert run(["eval", "--config", cfg_file, "--checkpoint", str(ckpt),
+                "--data", str(path), "--out", str(out)]) == 0
+    cfg = train_config(effective_config(build_parser().parse_args(
+        ["eval", "--config", cfg_file, "--checkpoint", str(ckpt), "--data", str(path),
+         "--out", str(out)])))
+    state = load_checkpoint(str(ckpt))
+    assert infer(bags[0], state, cfg) == []
+    dets = [d for b in bags[1:] for d in infer(b, state, cfg)]
+    report = json.loads(out.read_text())
+    expected = evaluation_report(dets, gts, state.n_classes, config_echo=report["config_echo"])
+    assert report == json.loads(json.dumps(expected))
+    unseen = evaluation_report(dets, [g for g in gts if g.image_id != bags[0].image_id],
+                               state.n_classes)
+    assert report["map50"] != unseen["map50"]  # the tiny bag's objects count as misses
+
+    capsys.readouterr()
+    assert run(["train", "--config", cfg_file, "--data", str(path),
+                "--out", str(tmp_path / "m.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bags[0].image_id in err and "16.0px" in err
 
 
 def test_overflowing_features_exit_2_without_a_numpy_warning(six_scene_split, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from weakdet import igcl as gc
 from weakdet import numerics as nm
 from weakdet import semantic_branch as sb
-from weakdet.errors import NumericError, ParameterError
+from weakdet.errors import NumericError, ParameterError, WeakdetError
 from weakdet.gradcheck import (
     LOSS_NAMES,
     REL_FLOOR,
@@ -339,6 +338,52 @@ def test_replay_raises_what_a_fresh_forward_raises(monkeypatch):
     assert str(replayed.value) == str(fresh.value)
 
 
+def test_replay_builds_no_node_and_raises_what_a_rebuild_raises(monkeypatch):
+    """A run calls kernels on arrays only, with every check of a rebuild:
+    a domain error or a non-finite value raises the same error."""
+    bag, state, cfg = _replay_case("F", 8, 0.5)
+    base = forward_losses(bag, state, cfg)
+    plans = {pname: nm.replay(_roots(base), target) for pname, target in state.params.items()}
+    made = []
+    init = Node.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "__init__", counted_init)
+    rng = np.random.default_rng(3500)
+    for pname, plan in plans.items():
+        target = state.params[pname]
+        orig = target.copy()
+        target[tuple(int(rng.integers(s)) for s in target.shape)] += 0.3
+        plan.run()
+        target[...] = orig
+    assert made == []
+    forward_losses(bag, state, cfg)
+    assert made  # the count sees the nodes a rebuild makes
+    monkeypatch.undo()
+
+    # Zero embeddings break the center loss's strict unit rows; an Inf or
+    # NaN weight fails the finite check.
+    for pname, value in (("w_sem", 0.0), ("w_cls", np.inf), ("gcn_sem_p_w1", np.nan)):
+        target = state.params[pname]
+        orig = target.copy()
+        target[...] = value
+        try:
+            with pytest.raises(WeakdetError) as fresh:
+                forward_losses(bag, state, cfg)
+            with pytest.raises(WeakdetError) as replayed:
+                plans[pname].run()
+        finally:
+            target[...] = orig
+        assert type(replayed.value) is type(fresh.value), pname
+        assert str(replayed.value) == str(fresh.value), pname
+    assert [r.tobytes() for r in plans["w_sem"].run()] == [
+        r.value.tobytes() for r in _roots(base)
+    ]
+
+
 def test_replay_leaves_the_base_graph_unchanged():
     bag, state, cfg = _replay_case("F", 8, 0.5)
     base = forward_losses(bag, state, cfg)
@@ -362,16 +407,18 @@ def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
     """gcn_ins_w1 reaches u, loss_con_sd and the sums: nothing of either
     branch, nor the other three projectors, runs again."""
     calls = {}
-    for name, fn in list(vars(nm).items()):
-        if (inspect.isfunction(fn) and fn.__module__ == nm.__name__
-                and fn.__annotations__.get("return") == "Node"
-                and not name.startswith("_") and name != "as_node"):
+    make_node = nm._op
 
-            def counted(*args, _name=name, _fn=fn, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args, **kwargs)
+    def counting_op(kernel, *operands):
+        name = kernel.__qualname__.split(".")[0]  # the op that made the kernel
 
-            monkeypatch.setattr(nm, name, counted)
+        def counted(*arrays):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*arrays)
+
+        return make_node(counted, *operands)
+
+    monkeypatch.setattr(nm, "_op", counting_op)
     bag, state, cfg = _replay_case("F", 8, 0.0)
     base = forward_losses(bag, state, cfg)
     assert calls["matmul"] and calls["pearson_cols"]  # the branches were built

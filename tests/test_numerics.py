@@ -949,14 +949,19 @@ def _nudge(arr, rng, delta):
 
 @pytest.mark.parametrize("case", sorted(FD_CASES))
 def test_every_op_records_itself_and_replays_like_a_rebuild(case):
+    """Each op records the kernel it made, whose operands are the node's
+    parents; the kernel on their arrays gives the node's value."""
     op = case.split("/")[0]
     make, build = FD_CASES[case]
     arrays = make(np.random.default_rng(900))
     leaves = [Node(a) for a in arrays]
     out = build(*leaves)
-    recorded_op, operands = out._record
-    assert recorded_op is getattr(_home(op), op)
-    assert [a for a in operands if isinstance(a, Node)] == leaves
+    kernel = out._record
+    assert kernel.__qualname__.startswith(f"{op}.<locals>.")
+    assert sorted(map(id, out.parents)) == sorted(map(id, leaves))
+    value, rules = kernel(*[p.value for p in out.parents])
+    assert len(rules) == len(out.parents)
+    _assert_same_bytes(value, out.value)
     before = out.value.copy()
     rng = np.random.default_rng(901)
     for arr in arrays:
@@ -1002,7 +1007,9 @@ def test_replay_reruns_only_what_the_change_reaches():
     out, left = build(Node(a), Node(b))
     plan_b, plan_a = nm.replay([out, left], b), nm.replay([out, left], a)
     # leaf b, matmul, matmul, scale, add: relu(a) does not read b
-    assert [op for op, _, _ in plan_b.steps] == [Node, nm.matmul, nm.matmul, nm.scale, nm.add]
+    kernels = [kernel for kernel, _, _ in plan_b.steps]
+    assert kernels[0] is nm._leaf
+    assert [k.__qualname__.split(".")[0] for k in kernels[1:]] == ["matmul", "matmul", "scale", "add"]
     b[0, 0] = 3.0
     got = plan_b.run()
     assert got[1] is left.value
