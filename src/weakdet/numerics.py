@@ -150,19 +150,22 @@ def _accumulate(node: Node, contrib, upstream) -> None:
         node.grad = np.add(contrib, 0.0, out=np.empty(node.value.shape))
 
 
-def _op(kernel: Callable, *operands) -> Node:
-    """The node of one op; every op result is made here.
+def _op(kernel: Callable, a, b=None) -> Node:
+    """The node of an op on one operand ``a`` or two, ``a`` and ``b``;
+    every op result is made here.
 
-    ``kernel``, called on the arrays of ``operands`` (each passed through
+    ``kernel``, called on the operands' arrays (each operand passed through
     :func:`as_node`), returns the value and one backward rule per operand.
     The node's parents are the operands and its record is ``kernel``; its
     backward adds ``rule(g)`` into each operand that needs a gradient, in
     operand order.
     """
-    nodes = operands  # every op has one or two, so these are all of them:
-    if type(nodes[0]) is not Node or type(nodes[-1]) is not Node:
-        nodes = tuple(map(as_node, operands))
-    value, rules = kernel(*[n.value for n in nodes])
+    a = as_node(a)
+    if b is None:
+        nodes, (value, rules) = (a,), kernel(a.value)
+    else:
+        b = as_node(b)
+        nodes, (value, rules) = (a, b), kernel(a.value, b.value)
 
     def backward(g):
         for node, rule in zip(nodes, rules):
