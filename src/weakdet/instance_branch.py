@@ -67,7 +67,9 @@ def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float = 0.9) ->
     classes goes to the one where it scores highest (ties to the lowest
     index). Everything unclaimed is background. A repair pass then ensures
     every tagged class keeps at least one instance, which is always
-    possible when the bag has at least as many instances as tagged classes.
+    possible when the bag has at least as many instances as tagged classes;
+    in a bag with fewer, the classes left when no instance can be spared
+    stay unlabelled.
     """
     corr_ins = np.asarray(corr_ins, dtype=np.float64)
     tags = np.asarray(tags)
@@ -86,19 +88,17 @@ def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float = 0.9) ->
     labels = np.where(claimed.any(axis=1), positives[best], background)
 
     # Repair: a class whose every claimed instance was taken by a stronger
-    # class gets its own top instance back, preferring instances that are
+    # class gets its own top instance back, among instances that are
     # background or whose current class keeps another one.
     for k in positives:
         if np.any(labels == k):
             continue
         order = np.argsort(-corr_ins[:, k], kind="stable")
-        chosen = None
         for i in order:
             cur = labels[i]
             if cur == background or np.sum(labels == cur) > 1:
-                chosen = i
+                labels[i] = k
                 break
-        labels[int(order[0] if chosen is None else chosen)] = k
 
     is_bg = labels == background
     fg_score = corr_ins[np.arange(m), np.where(is_bg, 0, labels)]
@@ -112,7 +112,8 @@ def instance_loss(scores: InstanceScores, labels: ApproxLabels, tags: np.ndarray
     The image term clamps scores to [eps, 1-eps] before the logs; the
     instance term selects each row's labelled log-probability through a
     constant one-hot weight mask, so labels and seed weights stay outside
-    the gradient.
+    the gradient. Every tagged class needs a labelled instance, unless the
+    bag has fewer instances than tagged classes.
     """
     tags = np.asarray(tags, dtype=np.float64)
     n_classes = scores.corr_ins.value.shape[1]
@@ -122,11 +123,10 @@ def instance_loss(scores: InstanceScores, labels: ApproxLabels, tags: np.ndarray
     untagged = np.flatnonzero((tags == 0) & labelled)
     if untagged.size:
         raise ContractError(f"instance labelled with untagged class {untagged[0]}")
-    missing = np.flatnonzero((tags == 1) & ~labelled)
-    if missing.size:
-        raise ContractError(f"tagged class {missing[0]} has no labelled instance")
-
     m = labels.labels.size
+    missing = np.flatnonzero((tags == 1) & ~labelled)
+    if missing.size and m >= np.count_nonzero(tags == 1):
+        raise ContractError(f"tagged class {missing[0]} has no labelled instance")
     mask = np.zeros((m, n_classes + 1), dtype=np.float64)
     mask[np.arange(m), labels.labels] = labels.seed_weights
     return nm.bce_plus_weighted_ce(scores.image_scores, scores.s_logits, tags, mask, SCORE_EPS)

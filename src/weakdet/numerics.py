@@ -13,18 +13,21 @@ buffer; later ones add into it (see :func:`_accumulate`).
 Every op is a value kernel under one node wrapper, :func:`_op`. The op
 makes its kernel, a function of its operands' arrays that holds the op's
 constants: it runs the op's shape and domain checks and returns the value
-with one backward rule per operand. The wrapper makes the node: it applies
-:func:`as_node` to the operands and the finite check to the value (a NaN or
-Inf raises :class:`~weakdet.errors.NumericError`), and its backward adds
-each rule's result into its operand when that operand needs a gradient.
-Exponentials are max-shifted.
+with its backward rules unbuilt. The wrapper makes the node and checks the
+value (a NaN or Inf raises :class:`~weakdet.errors.NumericError`); only the
+node's backward builds the rules, once, so a forward-only pass and a replay
+build none. What only the backward reads (a softmax, a mask, an index) the
+rules compute from arrays the kernel made, never from an operand array,
+which the gradient audit overwrites in place. Exponentials are max-shifted.
+A reduction calls the ufunc numpy's wrapper calls (``np.add.reduce`` for
+``sum`` and ``mean``, ``np.maximum.reduce`` for ``max``): same bits, faster.
 
-Every op records its kernel; a replay runs kernels on arrays and makes no
-nodes. :func:`replay` finds once which ops of a built graph lie downstream of
-a parameter array; each run of its plan, after the array was written in
-place, calls exactly those kernels again and applies the same finite check,
-so every check and data-dependent mask (a ReLU's) runs again and the values
-are bitwise a fresh build's. A run never writes into the base graph.
+Every op records its kernel. :func:`replay` finds once which ops of a built
+graph lie downstream of a parameter array; each run of its plan, after the
+array was written in place, calls exactly those kernels again on arrays,
+with the same finite check and no node, so every check and data-dependent
+mask (a ReLU's) runs again and the values are bitwise a fresh build's. A run
+never writes into the base graph.
 
 The fused ops at the end each build one node for what would otherwise be a
 chain of elementary ops. Their kernels repeat the chain's numpy expressions
@@ -34,13 +37,6 @@ contributions in reverse creation order. Values and gradients are therefore
 bitwise those of the chain, except that a zero may carry the other sign,
 which never changes a nonzero result (no rule divides by a gradient); a
 leaf's buffer turns -0.0 into +0.0, so a leaf stores the same bits either way.
-
-A kernel computes its value and its checks only. What only the backward
-reads (a softmax, a mask, an index) a rule computes from arrays the kernel
-made, never from an operand array, which the gradient audit overwrites in
-place. A reduction calls the ufunc numpy's wrapper would call
-(``np.add.reduce`` for ``sum`` and ``mean``, ``np.maximum.reduce`` for
-``max``): the same operands in the same order give the same bits, faster.
 """
 
 from __future__ import annotations
@@ -51,15 +47,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    NumericError,
-    ParameterError,
-    ShapeError,
-    UsageError,
-)
+from .errors import DegenerateInputError, NumericError, ParameterError, ShapeError, UsageError
 
 EPS_NORM = 1e-12
+_FLOAT64 = np.dtype(np.float64)
 
 # Creation stamps: an op's result always gets a larger one than its operands.
 _creation = itertools.count()
@@ -77,11 +68,17 @@ def all_finite(arr: np.ndarray) -> bool:
 
 def _finite(value) -> np.ndarray:
     """``value`` as a float64 array, or :class:`NumericError` if it holds a
-    NaN or Inf: the check of every node's value and of every replayed one."""
-    value = np.asarray(value, dtype=np.float64)
-    if not all_finite(value):
-        raise NumericError("tensor contains NaN or Inf")
-    return value
+    NaN or Inf: the check of every node's value and of every replayed one, in
+    one frame (a numpy float64 scalar is tested by ``math.isfinite``)."""
+    if type(value) is np.float64:
+        if math.isfinite(value):
+            return np.asarray(value)
+    else:
+        if type(value) is not np.ndarray or value.dtype is not _FLOAT64:
+            value = np.asarray(value, dtype=np.float64)
+        if math.isfinite(np.vdot(value, value)) or np.isfinite(value).all():
+            return value
+    raise NumericError("tensor contains NaN or Inf")
 
 
 class Node:
@@ -133,11 +130,11 @@ def _accumulate(node: Node, contrib, upstream) -> None:
 
     The first contribution becomes the buffer. An array the rule just made
     (not a view, nor the ``upstream`` gradient itself) is taken over when it
-    is C-contiguous and of the node's shape; anything else, such as the
-    upstream gradient, a view or a broadcast, is copied into a new C-ordered
-    buffer. Either way the buffer equals ``0.0 +
-    contrib``, as a zero-filled one would: a leaf's -0.0 becomes +0.0 (an
-    intermediate may keep it, which only the sign of its zeros can show).
+    is C-contiguous and of the node's shape; anything else, such as a
+    broadcast, is copied into a new C-ordered buffer. Either way the buffer
+    equals ``0.0 + contrib``, as a zero-filled one would: a leaf's -0.0
+    becomes +0.0 (an intermediate may keep it, which only the sign of its
+    zeros can show).
     """
     if node.grad is not None:
         node.grad += contrib
@@ -151,15 +148,13 @@ def _accumulate(node: Node, contrib, upstream) -> None:
 
 
 def _op(kernel: Callable, a, b=None) -> Node:
-    """The node of an op on one operand ``a`` or two, ``a`` and ``b``;
-    every op result is made here.
-
-    ``kernel``, called on the operands' arrays (each operand passed through
-    :func:`as_node`), returns the value and one backward rule per operand.
-    The node's parents are the operands and its record is ``kernel``; its
-    backward adds ``rule(g)`` into each operand that needs a gradient, in
-    operand order.
-    """
+    """The node of an op on one operand ``a`` or two; every op result is
+    made here. ``kernel``, called on the operands' arrays, returns the value
+    and ``rules``: a function of the upstream gradient ``g`` that does the
+    work the operands' rules share and returns one rule per operand, a
+    callable of no arguments giving that operand's contribution. The node's
+    record is ``kernel``; its backward calls ``rules(g)`` once and adds
+    ``rule()`` into each operand that needs a gradient, in operand order."""
     a = as_node(a)
     if b is None:
         nodes, (value, rules) = (a,), kernel(a.value)
@@ -168,9 +163,9 @@ def _op(kernel: Callable, a, b=None) -> Node:
         nodes, (value, rules) = (a, b), kernel(a.value, b.value)
 
     def backward(g):
-        for node, rule in zip(nodes, rules):
+        for node, rule in zip(nodes, rules(g)):
             if node.requires_grad:
-                _accumulate(node, rule(g), g)
+                _accumulate(node, rule(), g)
 
     return Node(value, nodes, backward, kernel)
 
@@ -208,7 +203,7 @@ def backward(loss: Node) -> None:
 
 def _leaf(x: np.ndarray):
     """The kernel of a replayed leaf that holds the changed array."""
-    return x, ()
+    return x, None
 
 
 def replay(roots, changed: np.ndarray) -> ReplayPlan:
@@ -217,11 +212,10 @@ def replay(roots, changed: np.ndarray) -> ReplayPlan:
 
     A leaf or constant whose value *is* ``changed`` is dirty, and so is an op
     result with a dirty operand, whose kernel a run calls again. The graph
-    walk, the sort and the dirty test happen here, once per ``(roots,
-    changed)``; an op result without a record raises :class:`UsageError`
-    here too. Constants of an op (an adjacency, tags) and what callers derive
-    outside ops (induced labels, graphs) are not re-derived: they stay at the
-    values the base graph recorded.
+    walk, the sort, the dirty test and the check that every op result has a
+    record (else :class:`UsageError`) happen here, once. Constants of an op
+    (an adjacency, tags) and what callers derive outside ops (induced labels,
+    graphs) stay at the values the base graph recorded.
     """
     reached, stack = {r._order: r for r in roots}, list(roots)
     while stack:
@@ -238,12 +232,12 @@ def replay(roots, changed: np.ndarray) -> ReplayPlan:
                 raise UsageError("replay: an op result carries no record")
             if node.value is changed:
                 slot[key] = len(steps)
-                steps.append((_leaf, (changed,), ()))
+                steps.append((_leaf, [changed], ()))
             continue
         subs = tuple((i, slot[p._order]) for i, p in enumerate(node.parents) if p._order in slot)
         if subs:
             slot[key] = len(steps)
-            steps.append((node._record, tuple(p.value for p in node.parents), subs))
+            steps.append((node._record, [p.value for p in node.parents], subs))
     return ReplayPlan(steps, [(slot.get(r._order), r.value) for r in roots])
 
 
@@ -251,10 +245,10 @@ class ReplayPlan:
     """The dirty steps of a :func:`replay`, in creation order.
 
     Each step is ``(kernel, args, subs)``: the recorded kernel (``_leaf``
-    for a leaf holding the changed array), the base operands' arrays, and
-    the ``(position, step)`` pairs whose array an earlier step recomputes.
-    Only this bookkeeping is kept: a run calls every kernel again, so its
-    checks and data-dependent masks see the current values.
+    for a leaf holding the changed array), a list of the base operands'
+    arrays, and the ``(position, step)`` pairs whose array an earlier step
+    recomputes, which a run writes into ``args`` in place. A run calls every
+    kernel, so its checks and data-dependent masks see the current values.
     """
 
     def __init__(self, steps: list, picks: list):
@@ -265,10 +259,8 @@ class ReplayPlan:
         """The roots' values for what the changed array holds now."""
         fresh: list[np.ndarray] = []
         for kernel, args, subs in self.steps:
-            if subs:
-                args = list(args)
-                for i, s in subs:
-                    args[i] = fresh[s]
+            for i, s in subs:
+                args[i] = fresh[s]
             fresh.append(_finite(kernel(*args)[0]))
         return [value if s is None else fresh[s] for s, value in self._picks]
 
@@ -294,26 +286,26 @@ def _matrix(a: np.ndarray, opname: str) -> None:
 def add(a, b) -> Node:
     def kernel(a, b):
         _same_shape(a, b, "add")
-        return a + b, (lambda g: g, lambda g: g)
+        return a + b, lambda g: (lambda: g, lambda: g)
     return _op(kernel, a, b)
 
 
 def sub(a, b) -> Node:
     def kernel(a, b):
         _same_shape(a, b, "sub")
-        return a - b, (lambda g: g, lambda g: -g)
+        return a - b, lambda g: (lambda: g, lambda: -g)
     return _op(kernel, a, b)
 
 
 def neg(a) -> Node:
-    return _op(lambda a: (-a, (lambda g: -g,)), a)
+    return _op(lambda a: (-a, lambda g: (lambda: -g,)), a)
 
 
 def mul(a, b) -> Node:
     """Elementwise product (same shape)."""
     def kernel(a, b):
         _same_shape(a, b, "mul")
-        return a * b, (lambda g: g * b, lambda g: g * a)
+        return a * b, lambda g: (lambda: g * b, lambda: g * a)
     return _op(kernel, a, b)
 
 
@@ -323,14 +315,14 @@ def div(a, b) -> Node:
         _same_shape(a, b, "div")
         if np.any(np.abs(b) < EPS_NORM):
             raise DegenerateInputError("div: denominator entry is (near) zero")
-        return a / b, (lambda g: g / b, lambda g: -(g * a / (b * b)))
+        return a / b, lambda g: (lambda: g / b, lambda: -(g * a / (b * b)))
     return _op(kernel, a, b)
 
 
 def scale(a, c: float) -> Node:
     """Multiply by a scalar constant."""
     c = float(c)
-    return _op(lambda a: (a * c, (lambda g: g * c,)), a)
+    return _op(lambda a: (a * c, lambda g: (lambda: g * c,)), a)
 
 
 def matmul(a, b) -> Node:
@@ -340,14 +332,14 @@ def matmul(a, b) -> Node:
             raise ShapeError("matmul expects 2-D operands")
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: inner dimensions {a.shape} x {b.shape} do not agree")
-        return a @ b, (lambda g: g @ b.T, lambda g: a.T @ g)
+        return a @ b, lambda g: (lambda: g @ b.T, lambda: a.T @ g)
     return _op(kernel, a, b)
 
 
 def transpose(a) -> Node:
     def kernel(a):
         _matrix(a, "transpose")
-        return a.T.copy(), (lambda g: g.T,)
+        return a.T.copy(), lambda g: (lambda: g.T,)
     return _op(kernel, a)
 
 
@@ -357,14 +349,14 @@ def hconcat(a, b) -> Node:
         if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
             raise ShapeError("hconcat expects 2-D nodes with equal row counts")
         na = a.shape[1]
-        return np.concatenate([a, b], axis=1), (lambda g: g[:, :na], lambda g: g[:, na:])
+        return np.concatenate([a, b], axis=1), lambda g: (lambda: g[:, :na], lambda: g[:, na:])
     return _op(kernel, a, b)
 
 
 def relu(a) -> Node:
     def kernel(a):
         mask = a > 0
-        return np.where(mask, a, 0.0), (lambda g: g * mask,)
+        return np.where(mask, a, 0.0), lambda g: (lambda: g * mask,)
     return _op(kernel, a)
 
 
@@ -372,7 +364,7 @@ def log(a) -> Node:
     def kernel(a):
         if np.any(a <= 0):
             raise NumericError("log: non-positive input")
-        return np.log(a), (lambda g: g / a,)
+        return np.log(a), lambda g: (lambda: g / a,)
     return _op(kernel, a)
 
 
@@ -381,7 +373,7 @@ def sqrt(a) -> Node:
         if np.any(a < 0):
             raise NumericError("sqrt: negative input")
         val = np.sqrt(a)
-        return val, (lambda g: g / (2.0 * np.maximum(val, EPS_NORM)),)
+        return val, lambda g: (lambda: g / (2.0 * np.maximum(val, EPS_NORM)),)
     return _op(kernel, a)
 
 
@@ -389,7 +381,7 @@ def clip(a, lo: float, hi: float) -> Node:
     """Clamp to [lo, hi]; gradient passes only through the interior."""
     def kernel(a):
         mask = (a > lo) & (a < hi)
-        return np.clip(a, lo, hi), (lambda g: g * mask,)
+        return np.clip(a, lo, hi), lambda g: (lambda: g * mask,)
     return _op(kernel, a)
 
 
@@ -400,7 +392,7 @@ def clip(a, lo: float, hi: float) -> Node:
 
 def total(a) -> Node:
     """Sum of all entries, as a scalar node."""
-    return _op(lambda a: (np.sum(a), (lambda g: g,)), a)
+    return _op(lambda a: (np.sum(a), lambda g: (lambda: g,)), a)
 
 
 def mean(a) -> Node:
@@ -409,7 +401,7 @@ def mean(a) -> Node:
         n = a.size
         if n == 0:
             raise ShapeError("mean of an empty tensor")
-        return np.sum(a) / n, (lambda g: g / n,)
+        return np.sum(a) / n, lambda g: (lambda: g / n,)
     return _op(kernel, a)
 
 
@@ -417,7 +409,7 @@ def sum_rows(a) -> Node:
     """Row sums of a 2-D node -> 1-D node of length m."""
     def kernel(a):
         _matrix(a, "sum_rows")
-        return a.sum(axis=1), (lambda g: g[:, None],)
+        return a.sum(axis=1), lambda g: (lambda: g[:, None],)
     return _op(kernel, a)
 
 
@@ -425,7 +417,7 @@ def sum_cols(a) -> Node:
     """Column sums of a 2-D node -> 1-D node of length n."""
     def kernel(a):
         _matrix(a, "sum_cols")
-        return np.add.reduce(a, axis=0), (lambda g: g[None, :],)
+        return np.add.reduce(a, axis=0), lambda g: (lambda: g[None, :],)
     return _op(kernel, a)
 
 
@@ -435,7 +427,7 @@ def diag_part(a) -> Node:
         _matrix(a, "diag_part")
         if a.shape[0] != a.shape[1]:
             raise ShapeError("diag_part expects a square 2-D node")
-        return a.diagonal().copy(), (np.diag,)
+        return a.diagonal().copy(), lambda g: (lambda: np.diag(g),)
     return _op(kernel, a)
 
 
@@ -444,7 +436,7 @@ def outer(u, v) -> Node:
     def kernel(u, v):
         if u.ndim != 1 or v.ndim != 1:
             raise ShapeError("outer expects 1-D nodes")
-        return np.outer(u, v), (lambda g: g @ v, lambda g: g.T @ u)
+        return np.outer(u, v), lambda g: (lambda: g @ v, lambda: g.T @ u)
     return _op(kernel, u, v)
 
 
@@ -452,7 +444,7 @@ def center_cols(a) -> Node:
     """Subtract each column's mean (over rows)."""
     def kernel(a):
         _matrix(a, "center_cols")
-        return a - a.mean(axis=0, keepdims=True), (lambda g: g - g.mean(axis=0, keepdims=True),)
+        return a - a.mean(axis=0, keepdims=True), lambda g: (lambda: g - g.mean(axis=0, keepdims=True),)
     return _op(kernel, a)
 
 
@@ -466,34 +458,47 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
-def _softmax_along(a: np.ndarray, axis: int, opname: str):
-    """The kernel of a softmax along ``axis`` of a 2-D array."""
-    _matrix(a, opname)
-    s = _softmax(a, axis)
-    return s, (lambda g: s * (g - np.add.reduce(g * s, axis=axis, keepdims=True)),)
+def _softmax_grad(s: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient through the softmax ``s`` along ``axis`` of ``g``."""
+    return s * (g - np.add.reduce(g * s, axis=axis, keepdims=True))
 
 
 def softmax_rows(a) -> Node:
     """Softmax along each row of a 2-D node."""
-    return _op(lambda a: _softmax_along(a, 1, "softmax_rows"), a)
+    def kernel(a):
+        _matrix(a, "softmax_rows")
+        s = _softmax(a, 1)
+        return s, lambda g: (lambda: _softmax_grad(s, g, 1),)
+    return _op(kernel, a)
 
 
 def softmax_cols(a) -> Node:
     """Softmax along each column of a 2-D node."""
-    return _op(lambda a: _softmax_along(a, 0, "softmax_cols"), a)
+    def kernel(a):
+        _matrix(a, "softmax_cols")
+        s = _softmax(a, 0)
+        return s, lambda g: (lambda: _softmax_grad(s, g, 0),)
+    return _op(kernel, a)
 
 
-def _log_softmax(a: np.ndarray, opname: str):
-    """The kernel of a row-wise log-softmax of a 2-D array."""
+def _log_softmax(a: np.ndarray, opname: str) -> np.ndarray:
+    """The row-wise log-softmax of a 2-D array."""
     _matrix(a, opname)
     shifted = a - np.maximum.reduce(a, axis=1, keepdims=True)
-    log_s = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
-    return log_s, (lambda g: g - np.exp(log_s) * np.add.reduce(g, axis=1, keepdims=True),)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+
+
+def _log_softmax_grad(log_s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient through the row-wise log-softmax ``log_s`` of ``g``."""
+    return g - np.exp(log_s) * np.add.reduce(g, axis=1, keepdims=True)
 
 
 def log_softmax_rows(a) -> Node:
     """Row-wise log-softmax; stable replacement for log(softmax_rows(x))."""
-    return _op(lambda a: _log_softmax(a, "log_softmax_rows"), a)
+    def kernel(a):
+        log_s = _log_softmax(a, "log_softmax_rows")
+        return log_s, lambda g: (lambda: _log_softmax_grad(log_s, g),)
+    return _op(kernel, a)
 
 
 def logsumexp_rows(a) -> Node:
@@ -503,7 +508,7 @@ def logsumexp_rows(a) -> Node:
         mx = a.max(axis=1, keepdims=True)
         lse = np.log(np.exp(a - mx).sum(axis=1, keepdims=True)) + mx
         s = _softmax(a, axis=1)
-        return lse[:, 0], (lambda g: s * g[:, None],)
+        return lse[:, 0], lambda g: (lambda: s * g[:, None],)
     return _op(kernel, a)
 
 
@@ -514,7 +519,6 @@ def smooth_max_lse(s, r: float) -> Node:
     max as r grows; never more than log(n)/r below the true max.
     """
     r = float(r)
-
     def kernel(s):
         if s.ndim != 1:
             raise ShapeError("smooth_max_lse expects a 1-D node")
@@ -526,56 +530,47 @@ def smooth_max_lse(s, r: float) -> Node:
         mx = s.max()
         val = (np.log(np.exp(r * (s - mx)).sum() / n)) / r + mx
         w = _softmax(r * s, axis=0)
-        return val, (lambda g: g * w,)
+        return val, lambda g: (lambda: g * w,)
     return _op(kernel, s)
 
 
 def _unit_rows(x: np.ndarray, strict: bool, opname: str):
-    """The kernel scaling each row of a 2-D array to unit L2 norm. A
-    (near-)zero row raises :class:`DegenerateInputError` when ``strict``;
-    otherwise it stays a zero row and passes zero gradient."""
+    """Each row of a 2-D array scaled to unit L2 norm, with the divisors and
+    the mask of (near-)zero rows, or None, that :func:`_unit_rows_grad` reads.
+    A zero row raises :class:`DegenerateInputError` when ``strict``, else it
+    stays zero and passes zero gradient."""
     _matrix(x, opname)
     norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))  # np.linalg.norm's sum
     bad = norms[:, 0] <= EPS_NORM
-    any_bad = bool(bad.any())
-    if any_bad:
-        if strict:
-            raise DegenerateInputError(f"{opname}: zero-norm row")
-        norms = np.where(norms <= EPS_NORM, 1.0, norms)
+    if not bad.any():
+        return x / norms, norms, None
+    if strict:
+        raise DegenerateInputError(f"{opname}: zero-norm row")
+    norms = np.where(norms <= EPS_NORM, 1.0, norms)
     unit = x / norms
-    if any_bad:
-        unit[bad] = 0.0
+    unit[bad] = 0.0
+    return unit, norms, bad
 
-    def rule(g):
-        contrib = (g - unit * np.add.reduce(g * unit, axis=1, keepdims=True)) / norms
-        if any_bad:
-            contrib[bad] = 0.0
-        return contrib
 
-    return unit, (rule,)
+def _unit_rows_grad(g: np.ndarray, unit: np.ndarray, norms: np.ndarray, bad) -> np.ndarray:
+    """The gradient through :func:`_unit_rows` of ``g``."""
+    contrib = (g - unit * np.add.reduce(g * unit, axis=1, keepdims=True)) / norms
+    if bad is not None:
+        contrib[bad] = 0.0
+    return contrib
 
 
 def normalize_rows(a, strict: bool = True) -> Node:
     """Scale each row of a 2-D node to unit L2 norm (see :func:`_unit_rows`)."""
-    return _op(lambda a: _unit_rows(a, strict, "normalize_rows"), a)
+    def kernel(a):
+        unit, norms, bad = _unit_rows(a, strict, "normalize_rows")
+        return unit, lambda g: (lambda: _unit_rows_grad(g, unit, norms, bad),)
+    return _op(kernel, a)
 
 
 # ---------------------------------------------------------------------------
 # fused ops (one node each; see the module docstring for the bitwise rules)
 # ---------------------------------------------------------------------------
-
-
-def _once(fn: Callable) -> Callable:
-    """``fn`` of the upstream gradient, computed on the first call only: the
-    work that several operands' rules share."""
-    memo = []
-
-    def shared(g):
-        if not memo:
-            memo.append(fn(g))
-        return memo[0]
-
-    return shared
 
 
 def matmul_nt(a, b) -> Node:
@@ -587,7 +582,7 @@ def matmul_nt(a, b) -> Node:
         if a.shape[1] != b.shape[1]:
             raise ShapeError(f"matmul_nt: column counts {a.shape} and {b.shape} do not agree")
         bt = b.T.copy()
-        return a @ bt, (lambda g: g @ bt.T, lambda g: (a.T @ g).T)
+        return a @ bt, lambda g: (lambda: g @ bt.T, lambda: (a.T @ g).T)
     return _op(kernel, a, b)
 
 
@@ -599,11 +594,14 @@ def _propagated(a_hat: np.ndarray, h: np.ndarray, w: np.ndarray, unit: bool):
         raise ShapeError(f"{opname} expects 2-D operands")
     if h.shape[1] != w.shape[0] or a_hat.shape[1] != h.shape[0]:
         raise ShapeError(f"{opname}: shapes {a_hat.shape}, {h.shape}, {w.shape} do not chain")
-    out, rule = a_hat @ (h @ w), None
+    out, norms, bad = a_hat @ (h @ w), None, None
     if unit:  # a non-finite product leaves a NaN in its unit rows
-        out, (rule,) = _unit_rows(out, False, opname)
-    g_hw = _once(lambda g: a_hat.T @ (g if rule is None else rule(g)))
-    return out, (lambda g: g_hw(g) @ w.T, lambda g: h.T @ g_hw(g))
+        out, norms, bad = _unit_rows(out, False, opname)
+
+    def rules(g):
+        g_hw = a_hat.T @ (g if norms is None else _unit_rows_grad(g, out, norms, bad))
+        return lambda: g_hw @ w.T, lambda: h.T @ g_hw
+    return out, rules
 
 
 def propagate(a_hat: np.ndarray, h, w) -> Node:
@@ -644,16 +642,15 @@ def info_nce(x, y, tau: float) -> Node:
         e_sum = np.add.reduce(e, axis=1, keepdims=True)
         lse = np.log(e_sum) + mx
 
-        @_once
-        def g_xy(g):
+        def rules(g):
             g_lse = g / n
             g_sim = e / e_sum * g_lse  # the row softmax, as _softmax computes it
             diag = np.arange(n)
             g_sim[diag, diag] -= g_lse  # diag_part's term (the sum commutes)
-            return g_sim * tau
+            g_xy = g_sim * tau
+            return lambda: g_xy @ yt.T, lambda: (x.T @ g_xy).T
 
-        value = np.add.reduce(lse[:, 0] - sim.diagonal()) / n
-        return value, (lambda g: g_xy(g) @ yt.T, lambda g: (x.T @ g_xy(g)).T)
+        return np.add.reduce(lse[:, 0] - sim.diagonal()) / n, rules
     return _op(kernel, x, y)
 
 
@@ -691,27 +688,29 @@ def pearson_cols(a, var_eps: float) -> Node:
             corr = np.where(both, corr + 0.0, 0.0)
             corr[bad, bad] = 1.0
 
-        def rule(g):
-            g_half = g * 0.5
-            g_corr = g_half + g_half.T
-            if both is not None:
-                g_corr = np.where(both, g_corr, 0.0)
-            g_cov = g_corr / den
-            g_den = -(g_corr * cov / (den * den))
-            g_sd_row = g_den @ sd
-            g_sd_col = g_den.T @ sd
-            two_sd = 2.0 * np.maximum(sd, EPS_NORM)
-            g_var = g_sd_col / two_sd + g_sd_row / two_sd
-            if both is not None:
-                g_var = np.where(ok, g_var, 0.0)
-            diag = np.arange(d)
-            g_cov[diag, diag] += g_var
-            g_gram = g_cov * inv_m
-            g_ct = g_gram @ c.T
-            g_c = ct.T @ g_gram + g_ct.T
-            return g_c - np.add.reduce(g_c, axis=0, keepdims=True) / m
+        def rules(g):
+            def rule():
+                g_half = g * 0.5
+                g_corr = g_half + g_half.T
+                if both is not None:
+                    g_corr = np.where(both, g_corr, 0.0)
+                g_cov = g_corr / den
+                g_den = -(g_corr * cov / (den * den))
+                g_sd_row = g_den @ sd
+                g_sd_col = g_den.T @ sd
+                two_sd = 2.0 * np.maximum(sd, EPS_NORM)
+                g_var = g_sd_col / two_sd + g_sd_row / two_sd
+                if both is not None:
+                    g_var = np.where(ok, g_var, 0.0)
+                diag = np.arange(d)
+                g_cov[diag, diag] += g_var
+                g_gram = g_cov * inv_m
+                g_ct = g_gram @ c.T
+                g_c = ct.T @ g_gram + g_ct.T
+                return g_c - np.add.reduce(g_c, axis=0, keepdims=True) / m
+            return (rule,)
 
-        return (corr + corr.T) * 0.5, (rule,)
+        return (corr + corr.T) * 0.5, rules
     return _op(kernel, a)
 
 
@@ -723,9 +722,9 @@ def dual_softmax(cls, det) -> Node:
     def kernel(det, cls):
         if cls.ndim != 2 or cls.shape != det.shape:
             raise ShapeError("dual_softmax expects two 2-D nodes of one shape")
-        s_rows, (rows_rule,) = _softmax_along(cls, 1, "dual_softmax")
-        s_cols, (cols_rule,) = _softmax_along(det, 0, "dual_softmax")
-        return s_rows * s_cols, (lambda g: cols_rule(g * s_rows), lambda g: rows_rule(g * s_cols))
+        s_rows, s_cols = _softmax(cls, 1), _softmax(det, 0)
+        return s_rows * s_cols, lambda g: (lambda: _softmax_grad(s_cols, g * s_rows, 0),
+                                           lambda: _softmax_grad(s_rows, g * s_cols, 1))
     return _op(kernel, det, cls)
 
 
@@ -752,16 +751,17 @@ def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> N
         rest = 1.0 - clamped
         untagged = 1.0 - tags
         image_term = -np.add.reduce(np.log(clamped) * tags + np.log(rest) * untagged, axis=None)
-        log_s, (log_s_rule,) = _log_softmax(s_logits, "bce_plus_weighted_ce")
+        log_s = _log_softmax(s_logits, "bce_plus_weighted_ce")
 
-        def scores_rule(g):
-            g_total = -g  # the image total's gradient, through neg
-            # the chain's (0 - sub's term) + log's term, bit for bit
-            g_clamped = (g_total * tags) / clamped - (g_total * untagged) / rest
-            return g_clamped * ((clamped > eps) & (clamped < 1.0 - eps))  # the scores' interior
+        def rules(g):
+            def scores_rule():
+                g_total = -g  # the image total's gradient, through neg
+                # the chain's (0 - sub's term) + log's term, bit for bit
+                g_clamped = (g_total * tags) / clamped - (g_total * untagged) / rest
+                return g_clamped * ((clamped > eps) & (clamped < 1.0 - eps))  # the scores' interior
+            return scores_rule, lambda: _log_softmax_grad(log_s, -g * weights)
 
-        value = image_term + -np.add.reduce(log_s * weights, axis=None)
-        return value, (scores_rule, lambda g: log_s_rule(-g * weights))
+        return image_term + -np.add.reduce(log_s * weights, axis=None), rules
     return _op(kernel, image_scores, s_logits)
 
 
@@ -777,7 +777,7 @@ def cosine_center_loss(z, targets) -> Node:
         m = z.shape[0]
         if m == 0:
             raise ShapeError("cosine_center_loss of an empty matrix")
-        unit, (rule,) = _unit_rows(z, True, "cosine_center_loss")
+        unit, norms, _ = _unit_rows(z, True, "cosine_center_loss")  # strict: no zero row
         value = 1.0 - np.add.reduce(np.add.reduce(unit * targets, axis=1)) / m
-        return value, (lambda g: rule(-g / m * targets),)
+        return value, lambda g: (lambda: _unit_rows_grad(-g / m * targets, unit, norms, None),)
     return _op(kernel, z)

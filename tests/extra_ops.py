@@ -17,7 +17,7 @@ def exp(a) -> Node:
     def kernel(a):
         with np.errstate(over="ignore"):  # the finite check turns the inf into NumericError
             val = np.exp(a)
-        return val, (lambda g: g * val,)
+        return val, lambda g: (lambda: g * val,)
     return _op(kernel, a)
 
 
@@ -31,8 +31,8 @@ def cosine(u, v) -> Node:
         if nu <= EPS_NORM or nv <= EPS_NORM:
             raise DegenerateInputError("cosine: near-zero norm operand")
         c = float(u @ v) / (nu * nv)
-        return c, (lambda g: float(g) * (v / (nu * nv) - c * u / (nu * nu)),
-                   lambda g: float(g) * (u / (nu * nv) - c * v / (nv * nv)))
+        return c, lambda g: (lambda: float(g) * (v / (nu * nv) - c * u / (nu * nu)),
+                             lambda: float(g) * (u / (nu * nv) - c * v / (nv * nv)))
     return _op(kernel, u, v)
 
 

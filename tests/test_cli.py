@@ -671,6 +671,30 @@ def test_eval_scores_a_bag_of_only_tiny_proposals_as_all_misses(trained, tmp_pat
     assert err.startswith("error: ") and bags[0].image_id in err and "16.0px" in err
 
 
+@pytest.mark.parametrize("phase_mode", ["fused", "sequential"])
+def test_a_bag_with_fewer_proposals_than_positive_tags_trains_and_evaluates(
+    six_scene_split, tmp_path, phase_mode
+):
+    """Two bags keep one and two proposals and tag all three classes: the
+    repair pass leaves the surplus classes unlabelled, every sub-method
+    trains on the file, and eval scores it."""
+    cfg_file, train_jsonl = six_scene_split
+    bags, gts = load_jsonl(train_jsonl)
+    for i, m in ((0, 1), (1, 2)):
+        bags[i] = replace(bags[i], proposals=bags[i].proposals[:m],
+                          features=bags[i].features[:m], tags=np.ones(3, dtype=int))
+    path = tmp_path / "few.jsonl"
+    save_jsonl(path, bags, gts)
+    for method, modules in sorted(SUB_METHODS.items()):
+        ckpt, out = tmp_path / f"{method}.ckpt", tmp_path / f"{method}.json"
+        flags = ["--config", cfg_file, "--modules", ",".join(sorted(modules)),
+                 "--phase-mode", phase_mode]
+        assert run(["train", *flags, "--data", str(path), "--out", str(ckpt)]) == 0, method
+        assert run(["eval", *flags, "--checkpoint", str(ckpt), "--data", str(path),
+                    "--out", str(out)]) == 0, method
+        assert 0.0 <= json.loads(out.read_text())["map50"] <= 1.0
+
+
 def test_overflowing_features_exit_2_without_a_numpy_warning(six_scene_split, tmp_path, capsys):
     cfg_file, train_jsonl = six_scene_split
     bags, gts = load_jsonl(train_jsonl)

@@ -19,7 +19,7 @@ from weakdet.gradcheck import (
     run_checks,
 )
 from weakdet.numerics import Node
-from weakdet.trainer import MODULE_NAMES, SUB_METHODS, forward_losses, init_state
+from weakdet.trainer import MODULE_NAMES, SUB_METHODS, forward_losses, infer, init_state
 
 from conftest import PinnedSelections, graph_nodes, make_bag
 
@@ -433,3 +433,40 @@ def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
     assert calls == {
         "propagate": 1, "relu": 1, "propagate_unit": 1, "info_nce": 1, "add": 2, "scale": 1
     }
+
+
+def test_only_a_backward_builds_rules_and_once_per_node(monkeypatch):
+    """Kernels return their rules unbuilt: no replay run and no inference
+    builds any, and a backward builds each differentiable op result's rules
+    exactly once."""
+    built = []
+    make_node = nm._op
+
+    def counting_op(kernel, *operands):
+        def counted(*arrays):
+            value, rules = kernel(*arrays)
+
+            def counted_rules(g):
+                built.append(counted)
+                return rules(g)
+
+            return value, counted_rules
+
+        return make_node(counted, *operands)
+
+    monkeypatch.setattr(nm, "_op", counting_op)
+    bag, state, cfg = _replay_case("F", 8, 0.5)
+    base = forward_losses(bag, state, cfg)
+    rng = np.random.default_rng(3600)
+    for target in state.params.values():
+        plan = nm.replay(_roots(base), target)
+        orig = target.copy()
+        target[tuple(int(rng.integers(s)) for s in target.shape)] += 0.1
+        plan.run()
+        target[...] = orig
+    assert infer(bag, state, cfg)
+    assert built == []
+    nm.backward(base.loss)
+    ops = [n._record for n in graph_nodes(base.loss) if n.requires_grad and n.parents]
+    assert len(ops) > 20
+    assert sorted(map(id, built)) == sorted(map(id, ops))

@@ -76,12 +76,10 @@ def oracle_labels(corr, tags, gamma):
         if k in labels:
             continue
         order = sorted(range(m), key=lambda i: -corr[i, k])
-        pick = None
         for i in order:
             if labels[i] == K or labels.count(labels[i]) > 1:
-                pick = i
+                labels[i] = k
                 break
-        labels[pick if pick is not None else order[0]] = k
     weights = [
         corr[i, labels[i]] if labels[i] != K else 1.0 - corr[i].max() for i in range(m)
     ]
@@ -147,6 +145,21 @@ def test_approx_labels_cover_every_positive_class():
                 assert np.any(out.labels == cls)
             else:
                 assert not np.any(out.labels == cls)
+
+
+def test_fewer_instances_than_positive_tags_leave_the_surplus_classes_unlabelled():
+    # Class 1 claims both instances; the repair pass gives class 0 its top
+    # one, and no instance is left to spare for class 2.
+    corr = np.array([[0.3, 0.5, 0.1], [0.1, 0.4, 0.2]])
+    tags = np.array([1, 1, 1])
+    out = approx_labels(corr, tags, gamma=0.5)
+    assert out.labels.tolist() == [0, 1]
+    loss = instance_loss(hand_scores(corr, np.zeros((2, 4))), out, tags)
+    assert np.isfinite(float(loss.value))
+    # With as many instances as tagged classes, a missing class is still a contract breach.
+    both_one = ApproxLabels(labels=np.array([1, 1]), seed_weights=np.ones(2))
+    with pytest.raises(ContractError, match="tagged class 2 has"):
+        instance_loss(hand_scores(corr, np.zeros((2, 4))), both_one, np.array([0, 1, 1]))
 
 
 def test_approx_labels_requires_positive_tag():

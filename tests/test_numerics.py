@@ -960,7 +960,7 @@ def test_every_op_records_itself_and_replays_like_a_rebuild(case):
     assert kernel.__qualname__.startswith(f"{op}.<locals>.")
     assert sorted(map(id, out.parents)) == sorted(map(id, leaves))
     value, rules = kernel(*[p.value for p in out.parents])
-    assert len(rules) == len(out.parents)
+    assert len(rules(np.ones_like(value))) == len(out.parents)  # one rule per operand
     _assert_same_bytes(value, out.value)
     before = out.value.copy()
     rng = np.random.default_rng(901)
@@ -1088,3 +1088,39 @@ def test_all_finite_agrees_with_isfinite_and_never_warns():
         warnings.simplefilter("error")
         for arr in _all_finite_cases():
             assert nm.all_finite(arr) is bool(np.isfinite(arr).all()), arr
+
+
+def _finite_inputs():
+    """Values of every kind a kernel returns or a caller wraps, finite or
+    not: numpy float64 scalars, Python floats, 0-d, float64, float32 and int
+    arrays, and 1e200 arrays whose sum of squares overflows."""
+    for x in (2.5, -0.0, 1e200, np.nan, np.inf, -np.inf):
+        yield np.float64(x)
+        yield x
+        yield np.array(x)
+        full = np.full((3, 4), x)
+        yield full
+        yield full.T  # not C-contiguous
+        yield np.array([1.0, x, -2.0])
+        if abs(x) != 1e200:  # float32 would overflow it to inf
+            yield np.array([1.0, x, -2.0], dtype=np.float32)
+    yield np.arange(6).reshape(2, 3)
+    yield np.array([2**62, -(2**62)])
+    yield np.array(7)
+    yield np.zeros((0, 3))
+
+
+def test_finite_returns_the_float64_array_or_raises_the_numeric_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in _finite_inputs():
+            want = np.asarray(value, dtype=np.float64)
+            if not np.isfinite(want).all():
+                with pytest.raises(NumericError, match=r"^tensor contains NaN or Inf$"):
+                    nm._finite(value)
+                continue
+            got = nm._finite(value)
+            assert type(got) is np.ndarray and got.dtype == np.float64, repr(value)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), repr(value)
+            if want is value:  # a float64 array passes through uncopied
+                assert got is value

@@ -544,9 +544,7 @@ def test_train_rejects_incompatible_state():
         train(bags, cfg, state)
 
 
-@pytest.mark.parametrize(
-    "n_pos, m", [(4, 1), (0, 4)], ids=["four_tags_one_proposal", "all_negative"]
-)
+@pytest.mark.parametrize("n_pos, m", [(0, 4)], ids=["all_negative"])
 def test_bag_errors_name_the_bag_epoch_and_step(n_pos, m, rng):
     good = [make_bag(rng, m=4, n_classes=4, feature_dim=8, image_id=f"ok{i}") for i in range(3)]
     odd = make_bag(rng, m=m, n_classes=4, feature_dim=8, image_id="odd_bag")
