@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import base64
 import json
-import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import chain
+from math import inf, isfinite
 
 import numpy as np
 
@@ -25,23 +26,23 @@ from .errors import ConfigError, EmptyBagError, ParseError
 PROTOTYPE_SEED = 0x5EED
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned rectangle in pixel coordinates, x2 > x1 and y2 > y1."""
+class Box(namedtuple("Box", "x1 y1 x2 y2")):
+    """Axis-aligned pixel rectangle: a tuple of four finite floats, x2 > x1, y2 > y1."""
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("x1", "y1", "x2", "y2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ConfigError("box coordinates must be finite")
-            object.__setattr__(self, name, v)
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise ConfigError(f"degenerate box {self.as_list()}")
+    def __new__(cls, x1, y1, x2, y2):
+        # Converted and checked one coordinate at a time, in field order.
+        if not (isfinite(x1 := float(x1)) and isfinite(y1 := float(y1))
+                and isfinite(x2 := float(x2)) and isfinite(y2 := float(y2))):
+            raise ConfigError("box coordinates must be finite")
+        if not (x2 > x1 and y2 > y1):
+            raise ConfigError(f"degenerate box {[x1, y1, x2, y2]}")
+        return tuple.__new__(cls, (x1, y1, x2, y2))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def width(self) -> float:
@@ -56,17 +57,19 @@ class Box:
         return self.width * self.height
 
     def as_list(self) -> list[float]:
-        return [self.x1, self.y1, self.x2, self.y2]
+        return list(self)
 
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    ix = max(0.0, min(ax2, bx2) - max(ax1, bx1))
+    iy = max(0.0, min(ay2, by2) - max(ay1, by1))
     inter = ix * iy
     if inter <= 0.0:
         return 0.0
-    return inter / (a.area + b.area - inter)
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
 @dataclass
@@ -260,7 +263,8 @@ def generate_dataset(cfg: SceneConfig, n_scenes: int) -> tuple[list[Bag], list[G
 
 def filter_proposals(bag: Bag, min_side: float = 16.0) -> Bag:
     """Drop proposals whose width or height is below `min_side` pixels."""
-    keep = [i for i, b in enumerate(bag.proposals) if b.width >= min_side and b.height >= min_side]
+    keep = [i for i, (x1, y1, x2, y2) in enumerate(bag.proposals)
+            if x2 - x1 >= min_side and y2 - y1 >= min_side]
     if not keep:
         raise EmptyBagError(f"bag {bag.image_id}: all proposals below {min_side}px")
     if len(keep) == bag.size:
@@ -361,7 +365,7 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
             if type(rec["image_id"]) is not str:  # evaluation sorts and compares the ids
                 raise ParseError(f"image_id {rec['image_id']!r} is not a string", lineno)
             if not (type(canvas) is list and len(canvas) == 2  # NaN fails 0 < c < inf
-                    and all(type(c) in NUMBER and 0 < c < math.inf for c in canvas)):
+                    and all(type(c) in NUMBER and 0 < c < inf for c in canvas)):
                 raise ParseError(f"canvas {canvas!r} is not two finite positive numbers", lineno)
             # Box would cast a string such as "6.91" and a bool to float.
             if not NUMBER.issuperset(map(type, chain.from_iterable(proposals))):

@@ -10,7 +10,7 @@ convention). Classes with no ground truth are excluded from means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,8 @@ def iou_matrix(boxes_a: list[Box], boxes_b: list[Box]) -> np.ndarray:
     Repeats the operations of :func:`iou` in the same order, including its
     strict ``inter > 0`` guard, so each entry equals the scalar IoU exactly.
     """
-    ax1, ay1, ax2, ay2 = _coords(boxes_a)[:, :, None]
-    bx1, by1, bx2, by2 = _coords(boxes_b)
+    ax1, ay1, ax2, ay2 = np.array(boxes_a, np.float64).reshape(-1, 4).T[:, :, None]
+    bx1, by1, bx2, by2 = np.array(boxes_b, np.float64).reshape(-1, 4).T
     ix = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
     iy = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
     inter = ix * iy
@@ -34,13 +34,7 @@ def iou_matrix(boxes_a: list[Box], boxes_b: list[Box]) -> np.ndarray:
     return np.where(inter > 0.0, inter / union, 0.0)
 
 
-def _coords(boxes: list[Box]) -> np.ndarray:
-    # x1, y1, x2, y2 as the four rows of a 4 x n array.
-    return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4).T
-
-
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """One scored box prediction for one image."""
 
     image_id: str
@@ -50,9 +44,10 @@ class Detection:
 
 
 def _det_sort_key(d: Detection):
-    # Descending score; ties by image then box coordinates, so matching
-    # order (and therefore every metric) is deterministic.
-    return (-d.score, d.image_id, d.box.x1, d.box.y1, d.box.x2, d.box.y2)
+    # Descending score; ties by image then box coordinates (a Box compares as
+    # its x1, y1, x2, y2 tuple), so matching order and every metric are
+    # deterministic.
+    return (-d.score, d.image_id, d.box)
 
 
 def _match_table(
@@ -60,11 +55,12 @@ def _match_table(
 ) -> tuple[list[list[bool]], int]:
     """Greedy TP/FP flags of one class at each threshold, plus its GT count.
 
-    The class's detections are sorted once and every image's IoUs come from
-    one :func:`iou_matrix`, shared by all thresholds. Ground-truth entries
-    with the same image id pool their boxes. Within an image, each detection
-    in turn claims the first unmatched box of highest IoU, if that IoU is
-    strictly above the threshold; matching never crosses images.
+    The class's detections are sorted once, and each (detection, ground-truth
+    box) IoU of an image is one scalar :func:`iou`, shared by all thresholds.
+    Ground-truth entries with the same image id pool their boxes. Within an
+    image, each detection in turn claims the first unmatched box of highest
+    IoU, if that IoU is strictly above the threshold; matching never crosses
+    images.
     """
     gt_boxes: dict[str, list[Box]] = {}
     for gt in gts:
@@ -81,7 +77,7 @@ def _match_table(
         boxes = gt_boxes.get(image_id)
         if not boxes:
             continue
-        ious = iou_matrix([ordered[i].box for i in rows], boxes).tolist()
+        ious = [[iou(ordered[i].box, b) for b in boxes] for i in rows]
         for flags, thr in zip(table, thresholds):
             matched = [False] * len(boxes)
             for i, row in zip(rows, ious):

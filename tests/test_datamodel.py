@@ -1,5 +1,7 @@
 import base64
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -40,6 +42,67 @@ def test_box_validation():
         Box(0, 0, np.inf, 10)
     b = Box(0, 1, 4, 5)
     assert b.width == 4 and b.height == 4 and b.area == 16
+
+
+def test_box_coordinates_become_python_floats():
+    b = Box(1, np.float64(2.5), np.int64(3), np.float32(4.5))
+    assert b == (1.0, 2.5, 3.0, 4.5) and b.as_list() == [1.0, 2.5, 3.0, 4.5]
+    assert all(type(v) is float for v in b)
+    assert (b.x1, b.y1, b.x2, b.y2) == tuple(b)
+    assert repr(b) == "Box(x1=1.0, y1=2.5, x2=3.0, y2=4.5)"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "nan", "inf"])
+@pytest.mark.parametrize("at", range(4))
+def test_box_rejects_a_non_finite_coordinate(at, bad):
+    coords = [0.0, 0.0, 10.0, 10.0]
+    coords[at] = bad
+    with pytest.raises(ConfigError, match="^box coordinates must be finite$"):
+        Box(*coords)
+
+
+def test_box_checks_each_coordinate_in_order():
+    # A non-finite x1 is reported before a y1 that float() cannot read.
+    with pytest.raises(ConfigError, match="finite"):
+        Box(np.nan, "y", 1, 1)
+    with pytest.raises(ValueError):
+        Box(0, "y", np.nan, 1)
+
+
+@pytest.mark.parametrize("coords", [(5, 0, 5, 10), (0, 5, 10, 5), (6, 0, 5, 10), (0, 0, 0, 0)])
+def test_box_rejects_a_degenerate_box(coords):
+    expected = f"degenerate box {[float(v) for v in coords]}"
+    with pytest.raises(ConfigError) as exc:
+        Box(*coords)
+    assert str(exc.value) == expected
+
+
+def test_box_is_immutable_and_replace_validates():
+    b = Box(0, 1, 4, 5)
+    with pytest.raises(AttributeError):
+        b.x1 = 2.0
+    with pytest.raises(AttributeError):
+        b.label = "x"  # no instance dict
+    assert b._replace(x2=9) == Box(0, 1, 9, 5)
+    with pytest.raises(ConfigError, match="degenerate"):
+        b._replace(x2=-1)
+    with pytest.raises(ConfigError, match="degenerate"):
+        Box._make([3, 3, 3, 3])
+
+
+def test_equal_boxes_hash_equally():
+    a, b = Box(0, 1, 4, 5), Box(0.0, np.float64(1), 4, np.int64(5))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert Box(0, 1, 4, 6) != a
+
+
+@pytest.mark.parametrize(
+    "copier", [lambda b: pickle.loads(pickle.dumps(b)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"])
+def test_box_round_trips_through_pickle_and_deepcopy(copier):
+    b = Box(0.1, 0.2, 4.75, 5e-300 + 1)
+    got = copier(b)
+    assert type(got) is Box and got == b and all(type(v) is float for v in got)
 
 
 # ---------------------------------------------------------------- generator
@@ -488,6 +551,62 @@ def test_a_damaged_features_payload_or_a_cut_loads_or_raises_parse_error(
         load_jsonl(path)
     except ParseError as e:
         assert e.line == 1
+
+
+NOT_A_LIST = COORD | st.text(max_size=4) | st.none() | st.booleans() | st.dictionaries(
+    st.text(max_size=2), COORD, max_size=4)
+
+
+@st.composite
+def bad_proposals(draw):
+    """``(where, JSON text)``: a value for one proposal ("one") or for the
+    whole ``proposals`` field ("all") that ``load_jsonl`` must reject."""
+    x1, y1 = draw(COORD), draw(COORD)
+    coords = [x1, y1, x1 + draw(SIDE), y1 + draw(SIDE)]
+    at = draw(st.integers(0, 3))
+    case = draw(st.sampled_from(
+        ["3 numbers", "5 numbers", "nested", "not a list", "field not a list", "x2 <= x1",
+         "y2 <= y1", "1e309"]))
+    if case == "field not a list":
+        return "all", json.dumps(draw(NOT_A_LIST))
+    if case == "1e309":  # json reads it as an infinity
+        coords[at] = "@@"
+        return "one", json.dumps(coords).replace('"@@"', draw(st.sampled_from(["1e309", "-1e309"])))
+    if case in ("x2 <= x1", "y2 <= y1"):
+        lo = 0 if case == "x2 <= x1" else 1
+        coords[lo + 2] = coords[lo] - draw(st.floats(0.0, 1e3))
+    elif case == "nested":
+        coords[at] = draw(st.sampled_from([[coords[at]], [], [coords[at], coords[at]]]))
+    elif case.endswith("numbers"):
+        coords = coords[:3] if case == "3 numbers" else [*coords, draw(COORD)]
+    elif case == "not a list":
+        coords = draw(NOT_A_LIST)
+    return "one", json.dumps(coords)
+
+
+@pytest.fixture(scope="module")
+def three_lines(jsonl_dir):
+    bags, gts = generate_dataset(small_cfg(), 3)
+    save_jsonl(jsonl_dir / "three.jsonl", bags, gts)
+    return (jsonl_dir / "three.jsonl").read_text().splitlines()
+
+
+@given(bad_proposals(), st.integers(0, 100))
+def test_a_malformed_proposal_is_a_parse_error_naming_its_line(
+    jsonl_dir, three_lines, bad, index
+):
+    where, text = bad
+    rec = json.loads(three_lines[1])
+    if where == "all":
+        rec["proposals"] = "@@"
+    else:
+        rec["proposals"][index % len(rec["proposals"])] = "@@"
+    path = jsonl_dir / "bad_proposal.jsonl"
+    damaged = json.dumps(rec).replace('"@@"', text)
+    path.write_text("\n".join([three_lines[0], damaged, three_lines[2]]) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(path)
+    assert exc.value.line == 2 and str(exc.value).startswith("line 2: ")
 
 
 @pytest.mark.parametrize("bad", BAD_TAGS + [np.float64(1.0), np.bool_(True)])

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weakdet.datamodel import Box, GroundTruth
 from weakdet.evalmetrics import (
@@ -16,6 +18,7 @@ from weakdet.evalmetrics import (
     iou_matrix,
     mean_ap,
 )
+from weakdet.trainer import nms
 
 
 # ---------------------------------------------------------------- IoU
@@ -479,8 +482,9 @@ def test_report_schema():
 # ---------------------------------------------------------------- report oracle
 
 # The scalar matcher and AP loop as they stood before matching moved to one
-# IoU matrix per image and one sort per class; the report must not change
-# by a byte.
+# sort per class, with each detection's IoUs computed once for every
+# threshold; the report must not change by a byte. Its sort key spells out
+# the box coordinates, which the library's key compares as one Box tuple.
 
 
 def scalar_match(dets, gts, class_index, thr):
@@ -626,3 +630,57 @@ def test_report_with_zero_detections_and_no_ground_truth():
     assert json.dumps(evaluation_report([], gts, 3)) == json.dumps(scalar_report([], gts, 3))
     assert json.dumps(evaluation_report([], [], 2)) == json.dumps(scalar_report([], [], 2))
     assert evaluation_report([], [], 0)["coco_map"] == 0.0
+
+
+# ---------------------------------------------------------------- invariants
+
+# Integer boxes on a small grid, so IoUs tie, touch and reach the thresholds;
+# few distinct scores, so the sort key's tie-breaks decide the order.
+GRID_BOX = st.builds(lambda x1, y1, w, h: Box(x1, y1, x1 + w, y1 + h),
+                     st.integers(0, 7), st.integers(0, 7), st.integers(1, 4), st.integers(1, 4))
+FREE_BOX = st.builds(lambda x1, y1, w, h: Box(x1, y1, x1 + w, y1 + h),
+                     st.floats(0.0, 1e4), st.floats(0.0, 1e4), st.floats(1e-2, 1e3),
+                     st.floats(1e-2, 1e3))
+SCORE = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def evaluation_inputs(draw):
+    n_classes = draw(st.integers(1, 2))
+    images = [f"img{i}" for i in range(draw(st.integers(1, 2)))]
+    cls = st.integers(0, n_classes - 1)
+    gts = [GroundTruth(img, draw(st.lists(st.tuples(GRID_BOX, cls), max_size=4)))
+           for img in images]
+    det = st.builds(Detection, st.sampled_from([*images, "no_gt"]), GRID_BOX, cls,
+                    st.sampled_from([0.5, 1.0]))
+    return draw(st.lists(det, max_size=16)), gts, n_classes
+
+
+@given(st.data())
+def test_report_and_corloc_ignore_the_order_of_detections(data):
+    dets, gts, n_classes = data.draw(evaluation_inputs())
+    shuffled = data.draw(st.permutations(dets))
+    for split in ("test", "train"):
+        assert (json.dumps(evaluation_report(shuffled, gts, n_classes, split))
+                == json.dumps(evaluation_report(dets, gts, n_classes, split)))
+    assert corloc(shuffled, gts, n_classes) == corloc(dets, gts, n_classes)
+
+
+@given(GRID_BOX | FREE_BOX, GRID_BOX | FREE_BOX)
+def test_iou_is_symmetric_in_unit_interval_and_one_on_itself(a, b):
+    v = iou(a, b)
+    assert v == iou(b, a) and 0.0 <= v <= 1.0
+    assert iou(a, a) == 1.0 and iou(b, b) == 1.0
+
+
+@given(st.lists(st.tuples(GRID_BOX, SCORE), min_size=1, max_size=12),
+       st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
+def test_nms_kept_boxes_are_apart_and_each_dropped_box_is_covered(scored, thr):
+    boxes, scores = [b for b, _ in scored], [s for _, s in scored]
+    rank = {i: r for r, i in enumerate(sorted(range(len(boxes)), key=lambda i: (-scores[i], i)))}
+    kept = nms(boxes, scores, thr)
+    assert kept == sorted(set(kept), key=rank.get)
+    for i, j in itertools.combinations(kept, 2):
+        assert iou(boxes[i], boxes[j]) <= thr
+    for i in set(range(len(boxes))) - set(kept):
+        assert any(rank[j] < rank[i] and iou(boxes[i], boxes[j]) > thr for j in kept)
