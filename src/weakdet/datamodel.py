@@ -52,10 +52,6 @@ class Box(namedtuple("Box", "x1 y1 x2 y2")):
     def height(self) -> float:
         return self.y2 - self.y1
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def as_list(self) -> list[float]:
         return list(self)
 

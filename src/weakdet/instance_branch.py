@@ -47,14 +47,18 @@ class ApproxLabels:
     seed_weights: np.ndarray
 
 
-def instance_probs(features: Node, w_cls: Node, w_det: Node, w_bg: Node) -> InstanceScores:
-    """Dual-softmax instance probabilities plus the (K+1)-way logits, whose
-    last column is the background head ``w_bg`` (D x 1)."""
+def dual_scores(features: Node, w_cls: Node, w_det: Node) -> tuple[Node, Node]:
+    """Class logits ``features @ w_cls`` and the dual-softmax ``corr_ins``, which infer scores."""
     if features.value.shape[0] == 0:
         raise EmptyBagError("instance_probs on an empty bag")
     cls_logits = nm.matmul(features, w_cls)
-    det_logits = nm.matmul(features, w_det)
-    corr = nm.dual_softmax(cls_logits, det_logits)
+    return cls_logits, nm.dual_softmax(cls_logits, nm.matmul(features, w_det))
+
+
+def instance_probs(features: Node, w_cls: Node, w_det: Node, w_bg: Node) -> InstanceScores:
+    """:func:`dual_scores`' probabilities plus the loss-only image scores and
+    (K+1)-way logits, whose last column is the background head ``w_bg`` (D x 1)."""
+    cls_logits, corr = dual_scores(features, w_cls, w_det)
     s_logits = nm.hconcat(cls_logits, nm.matmul(features, w_bg))
     return InstanceScores(corr_ins=corr, s_logits=s_logits, image_scores=nm.sum_cols(corr))
 

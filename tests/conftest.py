@@ -8,7 +8,7 @@ from hypothesis import settings
 from weakdet import igcl as gc
 from weakdet import instance_branch as ib
 from weakdet import semantic_branch as sb
-from weakdet.datamodel import Bag, Box, save_jsonl
+from weakdet.datamodel import Bag, Box, iou, save_jsonl
 from weakdet.trainer import forward_losses
 
 # Derandomized, so every run (CI included) tries the same examples.
@@ -56,6 +56,15 @@ def graph_nodes(root):
 def max_rel_err(analytic, fd, floor=1e-2):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
     return float((np.abs(analytic - fd) / denom).max())
+
+
+def reference_nms(boxes, scores, thr):
+    """Greedy NMS by scalar IoU: keep a box iff its IoU with every kept box is <= thr."""
+    kept = []
+    for i in sorted(range(len(boxes)), key=lambda i: (-scores[i], i)):
+        if all(iou(boxes[i], boxes[j]) <= thr for j in kept):
+            kept.append(i)
+    return kept
 
 
 def save_jsonl_as_lists(path, bags, gts=None):

@@ -261,6 +261,46 @@ def test_projector_and_graph_keys_accept_their_edges():
     TrainConfig(graph_iou=1.0)
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--nms-iou", "nan"], "nms_iou"),
+        (["--nms-iou", "1.5"], "nms_iou"),
+        (["--nms-iou", "-0.1"], "nms_iou"),
+        (["--min-score", "nan"], "min_score"),
+        (["--min-score", "inf"], "min_score"),
+        (["--min-score", "-0.001"], "min_score"),
+        (["--min-proposal-side", "nan"], "min_proposal_side"),
+        (["--min-proposal-side", "inf"], "min_proposal_side"),
+        (["--min-proposal-side", "-1"], "min_proposal_side"),
+    ],
+)
+def test_train_and_eval_reject_out_of_range_decode_keys(trained, tmp_path, flags, field, capsys):
+    cfg_file, data, ckpt = trained
+    out = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert run(["train", "--config", cfg_file, "--data", str(data / "train.jsonl"),
+                "--epochs", "1", *flags, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+    report = tmp_path / "r.json"
+    assert run(["eval", "--config", cfg_file, "--checkpoint", str(ckpt),
+                "--data", str(data / "test.jsonl"), *flags, "--out", str(report)]) == 2
+    assert field in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_decode_keys_accept_their_edges(trained, tmp_path):
+    TrainConfig(nms_iou=0.0, min_score=0.0, min_proposal_side=0.0)
+    TrainConfig(nms_iou=1.0, min_score=1.0, min_proposal_side=1e308)
+    cfg_file, data, ckpt = trained
+    for flags in (["--nms-iou", "0", "--min-score", "0", "--min-proposal-side", "0"],
+                  ["--nms-iou", "1", "--min-score", "1", "--min-proposal-side", "1e308"]):
+        assert run(["eval", "--config", cfg_file, "--checkpoint", str(ckpt),
+                    "--data", str(data / "test.jsonl"), *flags,
+                    "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_train_outputs(trained):
     _, _, ckpt = trained
     assert ckpt.exists()

