@@ -16,7 +16,7 @@ import base64
 import json
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from math import inf, isfinite
 
 import numpy as np
@@ -44,6 +44,13 @@ class Box(namedtuple("Box", "x1 y1 x2 y2")):
     def _make(cls, iterable):  # so _replace validates too
         return cls(*iterable)
 
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> list[Box]:
+        """The rows of an (m, 4) float64 array as boxes, checked in one pass."""
+        if np.isfinite(rows).all() and (rows[:, 2:] > rows[:, :2]).all():
+            return list(map(tuple.__new__, repeat(cls), rows.tolist()))
+        return [cls(*row) for row in rows.tolist()]  # raises the first bad row's own error
+
     @property
     def width(self) -> float:
         return self.x2 - self.x1
@@ -51,9 +58,6 @@ class Box(namedtuple("Box", "x1 y1 x2 y2")):
     @property
     def height(self) -> float:
         return self.y2 - self.y1
-
-    def as_list(self) -> list[float]:
-        return list(self)
 
 
 def iou(a: Box, b: Box) -> float:
@@ -281,19 +285,19 @@ def _bag_record(bag: Bag, gt: GroundTruth | None) -> dict:
     return {
         "image_id": bag.image_id,
         "canvas": [bag.canvas[0], bag.canvas[1]],
-        "proposals": [b.as_list() for b in bag.proposals],
+        "proposals": base64.b64encode(np.asarray(bag.proposals, "<f8").tobytes()).decode(),
         "features": base64.b64encode(bag.features.astype("<f8", copy=False).tobytes()).decode(),
         "tags": bag.tags.tolist(),
-        "gt": [] if gt is None else [[*box.as_list(), int(k)] for box, k in gt.objects],
+        "gt": [] if gt is None else [[*box, int(k)] for box, k in gt.objects],
     }
 
 
 def save_jsonl(path, bags: list[Bag], gts: list[GroundTruth] | None = None) -> None:
     """Write one bag per line; ground truth rides along in the `gt` field.
 
-    `features` is written as one base64 string of the row-major
-    little-endian float64 matrix: exact, and far cheaper to read back than
-    decimal floats.
+    `proposals` (the m x 4 coordinate matrix) and `features` (m x D) are each
+    written as one base64 string of the row-major little-endian float64
+    matrix: exact, and far cheaper to read back than decimal floats.
     """
     by_id = {g.image_id: g for g in gts} if gts else {}
     with open(path, "w") as fh:
@@ -317,19 +321,23 @@ RECORD_KEYS = frozenset({"image_id", "canvas", "proposals", "features", "tags", 
 NUMBER = frozenset({int, float})  # what json gives a JSON number; a bool is neither
 
 
+def _b64_float64(value: str, field: str, unit: int) -> np.ndarray:
+    """The little-endian float64s of base64 ``value``, a positive multiple of ``unit`` bytes."""
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as e:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{field} are not valid base64 ({e})") from e
+    if not unit or not raw or len(raw) % unit:
+        raise ValueError(f"{field} hold {len(raw)} bytes, not a positive multiple of {unit}")
+    return np.frombuffer(raw, "<f8")
+
+
 def _feature_matrix(value, rows: int) -> np.ndarray:
     """A bag's features from their JSON value: a base64 string of row-major
     little-endian float64s, D = bytes / (8 * rows) wide, or a list of rows
     of JSON numbers."""
     if type(value) is str:
-        try:
-            raw = base64.b64decode(value, validate=True)
-        except ValueError as e:  # binascii.Error, or a non-ASCII character
-            raise ValueError(f"features are not valid base64 ({e})") from e
-        if not rows or not raw or len(raw) % (8 * rows):
-            raise ValueError(f"features hold {len(raw)} bytes, "
-                             f"not a positive multiple of 8 x {rows} proposals")
-        return np.frombuffer(raw, "<f8").reshape(rows, -1).astype(np.float64)
+        return _b64_float64(value, "features", 8 * rows).reshape(rows, -1).astype(np.float64)
     if not (type(value) is list and all(type(row) is list for row in value)
             and NUMBER.issuperset(map(type, chain.from_iterable(value)))):
         raise ValueError("features are neither a base64 string nor a list of rows of JSON numbers")
@@ -342,8 +350,11 @@ def _feature_matrix(value, rows: int) -> np.ndarray:
 def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
     """Read bags and ground truth; the `gt` field never enters the Bag.
 
-    Every bag of a file must have the first bag's tag count K and feature
-    width D.
+    `proposals` and `features` are each a base64 float64 string (what
+    `save_jsonl` writes; proposals are checked in one pass by `Box.from_rows`)
+    or a list of rows of JSON numbers, chosen by the JSON type, to the same
+    bits. Every bag of a file must have the first bag's tag count K and
+    feature width D.
     """
     bags: list[Bag] = []
     gts: list[GroundTruth] = []
@@ -355,7 +366,6 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
         try:
             rec = json.loads(line)
             extra, canvas, gt = rec.keys() - RECORD_KEYS, rec["canvas"], rec.get("gt", [])
-            proposals = rec["proposals"]
             if extra:
                 raise ParseError(f"unknown record keys {sorted(extra)}", lineno)
             if type(rec["image_id"]) is not str:  # evaluation sorts and compares the ids
@@ -363,17 +373,21 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
             if not (type(canvas) is list and len(canvas) == 2  # NaN fails 0 < c < inf
                     and all(type(c) in NUMBER and 0 < c < inf for c in canvas)):
                 raise ParseError(f"canvas {canvas!r} is not two finite positive numbers", lineno)
+            if type(proposals := rec["proposals"]) is str:  # 32 bytes a row: x1, y1, x2, y2
+                boxes = Box.from_rows(_b64_float64(proposals, "proposals", 32).reshape(-1, 4))
             # Box would cast a string such as "6.91" and a bool to float.
-            if not NUMBER.issuperset(map(type, chain.from_iterable(proposals))):
+            elif not NUMBER.issuperset(map(type, chain.from_iterable(proposals))):
                 raise ParseError("a proposal coordinate is not a JSON number", lineno)
+            else:
+                boxes = [Box(*b) for b in proposals]
             if not all(type(g) is list and len(g) == 5
                        and all(type(v) in NUMBER for v in g[:4]) for g in gt):
                 raise ParseError("a gt item is not [x1, y1, x2, y2, k] of JSON numbers", lineno)
             bag = Bag(
                 image_id=rec["image_id"],
                 canvas=(float(canvas[0]), float(canvas[1])),
-                proposals=[Box(*b) for b in proposals],
-                features=_feature_matrix(rec["features"], len(proposals)),
+                proposals=boxes,
+                features=_feature_matrix(rec["features"], len(boxes)),
                 tags=rec["tags"],
             )
             objects = [(Box(*g[:4]), g[4]) for g in gt]

@@ -91,30 +91,31 @@ class TrainConfig:
             raise ConfigError("M4 needs both branches (M1 and M2)")
         if "M3" in mods and not ({"M1", "M2"} & mods):
             raise ConfigError("M3 needs at least one branch")
-        for lam in (self.lambda_ins, self.lambda_sem, self.lambda_igcl):
-            if lam < 0:
-                raise ConfigError("loss weights must be nonnegative")
         steps = [s for s, _ in self.lr_schedule]
-        if steps != sorted(steps) or not self.lr_schedule:
-            raise ConfigError("lr_schedule breakpoints must increase")
+        if not (steps and steps == sorted(steps) and all(
+                math.isfinite(s) and 0.0 <= r < math.inf for s, r in self.lr_schedule)):
+            raise ConfigError("lr_schedule needs rising finite breakpoints and finite rates >= 0")
         if self.phase_mode not in ("fused", "sequential"):
             raise ConfigError(f"unknown phase_mode {self.phase_mode!r}")
         if self.semantic_init not in ("prototypes", "random"):
             raise ConfigError(f"unknown semantic_init {self.semantic_init!r}")
         if self.center_init not in ("prototypes", "random"):
             raise ConfigError(f"unknown center_init {self.center_init!r}")
-        if not 0.0 <= self.corr_sem_ema < 1.0:
-            raise ConfigError("corr_sem_ema must be in [0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        for name in ("hidden_dim", "embed_dim", "knn_k"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("graph_iou", "nms_iou", "min_score"):
-            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails both comparisons
-                raise ConfigError(f"{name} must be a number in [0, 1], got {getattr(self, name)}")
-        if not 0.0 <= (side := self.min_proposal_side) < math.inf:
-            raise ConfigError(f"min_proposal_side must be a finite number >= 0, got {side}")
+        for rule, ok, names in (  # NaN fails every comparison
+            (">= 1", lambda v: v >= 1, ("hidden_dim", "embed_dim", "knn_k")),
+            ("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0,
+             ("graph_iou", "nms_iou", "min_score", "center_rate")),
+            ("in [0, 1)", lambda v: 0.0 <= v < 1.0, ("corr_sem_ema", "momentum")),
+            ("in (0, 1]", lambda v: 0.0 < v <= 1.0, ("label_ratio",)),
+            ("a finite number > 0", lambda v: 0.0 < v < math.inf, ("tau",)),
+            ("a finite number >= 0", lambda v: 0.0 <= v < math.inf,
+             ("lambda_ins", "lambda_sem", "lambda_igcl", "weight_decay", "min_proposal_side")),
+        ):
+            for name in names:
+                if not ok(value := getattr(self, name)):
+                    raise ConfigError(f"{name} must be {rule}, got {value}")
 
     @property
     def m1(self) -> bool:

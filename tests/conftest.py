@@ -67,13 +67,17 @@ def reference_nms(boxes, scores, thr):
     return kept
 
 
-def save_jsonl_as_lists(path, bags, gts=None):
-    """Write ``bags`` as ``save_jsonl`` does, but with each bag's features as
-    a list of rows of JSON numbers, the encoding older versions wrote."""
+def save_jsonl_as_lists(path, bags, gts=None, fields=("proposals", "features")):
+    """Write ``bags`` as ``save_jsonl`` does, but with each bag's ``fields``
+    (by default its proposals and its features) as lists of rows of JSON
+    numbers, the encoding older versions wrote."""
     save_jsonl(path, bags, gts)
     records = [json.loads(line) for line in Path(path).read_text().splitlines()]
     for rec, bag in zip(records, bags):
-        rec["features"] = bag.features.tolist()
+        if "proposals" in fields:
+            rec["proposals"] = [list(box) for box in bag.proposals]
+        if "features" in fields:
+            rec["features"] = bag.features.tolist()
     Path(path).write_text("".join(json.dumps(rec) + "\n" for rec in records))
 
 

@@ -301,6 +301,67 @@ def test_decode_keys_accept_their_edges(trained, tmp_path):
                     "--out", str(tmp_path / "r.json")]) == 0
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--momentum", "-3"], "momentum"),
+        (["--momentum", "1"], "momentum"),
+        (["--momentum", "nan"], "momentum"),
+        (["--weight-decay", "-1"], "weight_decay"),
+        (["--weight-decay", "nan"], "weight_decay"),
+        (["--weight-decay", "inf"], "weight_decay"),
+        (["--lr-schedule", "0:-1"], "lr_schedule"),
+        (["--lr-schedule", "0:nan"], "lr_schedule"),
+        (["--lr-schedule", "0:inf"], "lr_schedule"),
+        (["--lr-schedule", "nan:1e-3"], "lr_schedule"),
+        (["--lr-schedule", "0:1e-3,inf:1e-4"], "lr_schedule"),
+        (["--tau", "0"], "tau"),
+        (["--tau", "-5"], "tau"),
+        (["--tau", "nan"], "tau"),
+        (["--tau", "inf"], "tau"),
+        (["--lambda-ins", "nan"], "lambda_ins"),
+        (["--lambda-ins", "-1"], "lambda_ins"),
+        (["--lambda-sem", "inf"], "lambda_sem"),
+        (["--lambda-igcl", "nan"], "lambda_igcl"),
+        (["--lambda-igcl=-inf"], "lambda_igcl"),
+        (["--label-ratio", "0"], "label_ratio"),
+        (["--label-ratio", "1.5"], "label_ratio"),
+        (["--label-ratio", "nan"], "label_ratio"),
+        (["--center-rate", "-0.1"], "center_rate"),
+        (["--center-rate", "1.5"], "center_rate"),
+        (["--center-rate", "nan"], "center_rate"),
+    ],
+)
+def test_train_and_eval_reject_out_of_range_optimizer_and_loss_keys(
+    trained, tmp_path, flags, field, capsys
+):
+    cfg_file, data, ckpt = trained
+    out = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert run(["train", "--config", cfg_file, "--data", str(data / "train.jsonl"),
+                "--epochs", "1", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and "bag" not in err
+    assert not out.exists()
+    report = tmp_path / "r.json"
+    assert run(["eval", "--config", cfg_file, "--checkpoint", str(ckpt),
+                "--data", str(data / "test.jsonl"), *flags, "--out", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} ")
+    assert not report.exists()
+
+
+def test_optimizer_and_loss_keys_accept_their_edges(trained, tmp_path):
+    TrainConfig(momentum=0.0, weight_decay=0.0, lr_schedule=((-1e308, 0.0),), tau=5e-324,
+                lambda_ins=0.0, lambda_sem=0.0, lambda_igcl=0.0, label_ratio=1.0, center_rate=0.0)
+    TrainConfig(momentum=0.999, weight_decay=1e308, lr_schedule=((0.0, 1e308), (1e308, 0.0)),
+                tau=1e308, lambda_ins=1e308, label_ratio=5e-324, center_rate=1.0)
+    cfg_file, data, ckpt = trained
+    assert run(["train", "--config", cfg_file, "--data", str(data / "train.jsonl"),
+                "--epochs", "1", "--momentum", "0", "--weight-decay", "0", "--lr-schedule",
+                "0:0", "--lambda-igcl", "0", "--label-ratio", "1", "--center-rate", "1",
+                "--out", str(tmp_path / "m.ckpt")]) == 0
+
+
 def test_train_outputs(trained):
     _, _, ckpt = trained
     assert ckpt.exists()

@@ -2,6 +2,8 @@ import base64
 import copy
 import json
 import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +48,7 @@ def test_box_validation():
 
 def test_box_coordinates_become_python_floats():
     b = Box(1, np.float64(2.5), np.int64(3), np.float32(4.5))
-    assert b == (1.0, 2.5, 3.0, 4.5) and b.as_list() == [1.0, 2.5, 3.0, 4.5]
+    assert b == (1.0, 2.5, 3.0, 4.5) and list(b) == [1.0, 2.5, 3.0, 4.5]
     assert all(type(v) is float for v in b)
     assert (b.x1, b.y1, b.x2, b.y2) == tuple(b)
     assert repr(b) == "Box(x1=1.0, y1=2.5, x2=3.0, y2=4.5)"
@@ -353,11 +355,12 @@ def _b64(raw: bytes) -> str:
     return base64.b64encode(raw).decode()
 
 
-def _write_with(path, change):
-    """Two bags as JSONL, features as lists so that ``change`` can edit one
-    value; ``change`` edits the second line's record."""
+def _write_with(path, change, save=save_jsonl_as_lists):
+    """Two bags as JSONL, by default with proposals and features as lists so
+    that ``change`` can edit one value; ``change`` edits the second line's
+    record."""
     bags, gts = generate_dataset(small_cfg(), 2)
-    save_jsonl_as_lists(path, bags, gts)
+    save(path, bags, gts)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
     change(rec)
@@ -439,6 +442,44 @@ def test_jsonl_writes_features_as_base64_little_endian_float64(tmp_path):
     assert loaded.dtype == np.float64 and loaded.flags.c_contiguous and loaded.flags.writeable
 
 
+def test_jsonl_writes_proposals_as_base64_little_endian_float64(tmp_path):
+    bags, gts = generate_dataset(small_cfg(), 2)
+    path = tmp_path / "b64.jsonl"
+    save_jsonl(path, bags, gts)
+    for line, bag in zip(path.read_text().splitlines(), bags):
+        raw = base64.b64decode(json.loads(line)["proposals"], validate=True)
+        assert len(raw) == 32 * bag.size
+        assert raw == np.array(bag.proposals, dtype="<f8").tobytes()
+    for got, bag in zip(load_jsonl(path)[0], bags, strict=True):
+        assert got.proposals == bag.proposals
+        assert _box_bytes(got.proposals) == _box_bytes(bag.proposals)
+        assert all(type(b) is Box and all(type(v) is float for v in b) for b in got.proposals)
+
+
+LEGACY = Path(__file__).parent / "golden" / "legacy_lists.jsonl"
+
+
+def test_a_file_in_the_older_list_encoding_loads_bit_for_bit():
+    """``golden/legacy_lists.jsonl`` holds the first 3 scenes of
+    ``SceneConfig(n_classes=3, feature_dim=8)`` with proposals and features
+    as JSON lists, the encoding older versions wrote. Its bytes are committed
+    so that the file stays as written whatever the writers become."""
+    bags, gts = generate_dataset(SceneConfig(n_classes=3, feature_dim=8), 3)
+    records = [json.loads(line) for line in LEGACY.read_text().splitlines()]
+    assert all(type(r["proposals"]) is list and type(r["features"]) is list for r in records)
+    got, got_gts = load_jsonl(LEGACY)
+    for a, b in zip(got, bags, strict=True):
+        assert (a.image_id, a.canvas, a.proposals) == (b.image_id, b.canvas, b.proposals)
+        assert _box_bytes(a.proposals) == _box_bytes(b.proposals)
+        assert all(type(box) is Box and all(type(v) is float for v in box) for box in a.proposals)
+        assert a.features.shape == b.features.shape
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.tags.tobytes() == b.tags.tobytes()
+    assert [g.objects for g in got_gts] == [g.objects for g in gts]
+    assert _box_bytes(box for g in got_gts for box, _ in g.objects) == _box_bytes(
+        box for g in gts for box, _ in g.objects)
+
+
 def test_jsonl_list_features_load_to_the_same_bits_as_base64(tmp_path):
     bags, gts = generate_dataset(SceneConfig(seed=0), 20)
     save_jsonl(tmp_path / "b64.jsonl", bags, gts)
@@ -491,8 +532,12 @@ def bags_with_gt(draw):
     return bag, GroundTruth(bag.image_id, objects)
 
 
+# Each of proposals and features as base64 (the default) or as lists.
+ENCODINGS = [(), ("proposals",), ("features",), ("proposals", "features")]
+
+
 def _box_bytes(boxes):
-    return np.array([b.as_list() for b in boxes], dtype=np.float64).tobytes()
+    return np.array(list(boxes), dtype=np.float64).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -503,11 +548,13 @@ def jsonl_dir(tmp_path_factory):
 @given(bags_with_gt())
 def test_random_bags_round_trip_bit_for_bit_in_both_encodings(jsonl_dir, bag_gt):
     bag, gt = bag_gt
-    for save in (save_jsonl, save_jsonl_as_lists):
+    for fields in ENCODINGS:
         path = jsonl_dir / "round_trip.jsonl"
-        save(path, [bag], [gt])
+        save_jsonl_as_lists(path, [bag], [gt], fields)
         (got,), (got_gt,) = load_jsonl(path)
         assert got.image_id == bag.image_id and got.canvas == bag.canvas
+        assert got.proposals == bag.proposals
+        assert all(type(b) is Box and all(type(v) is float for v in b) for b in got.proposals)
         assert got.features.shape == bag.features.shape
         assert got.features.tobytes() == bag.features.tobytes()
         assert _box_bytes(got.proposals) == _box_bytes(bag.proposals)
@@ -587,7 +634,7 @@ def bad_proposals(draw):
 @pytest.fixture(scope="module")
 def three_lines(jsonl_dir):
     bags, gts = generate_dataset(small_cfg(), 3)
-    save_jsonl(jsonl_dir / "three.jsonl", bags, gts)
+    save_jsonl_as_lists(jsonl_dir / "three.jsonl", bags, gts)
     return (jsonl_dir / "three.jsonl").read_text().splitlines()
 
 
@@ -607,6 +654,91 @@ def test_a_malformed_proposal_is_a_parse_error_naming_its_line(
     with pytest.raises(ParseError) as exc:
         load_jsonl(path)
     assert exc.value.line == 2 and str(exc.value).startswith("line 2: ")
+
+
+def _edit_rows(edit):
+    """A record change that decodes the base64 proposals to an (m, 4) array,
+    applies ``edit`` to it in place or by return, and encodes the result."""
+    def change(rec):
+        rows = np.frombuffer(base64.b64decode(rec["proposals"]), "<f8").reshape(-1, 4).copy()
+        out = edit(rows)
+        rec["proposals"] = _b64((rows if out is None else out).astype("<f8").tobytes())
+    return change
+
+
+def _set_coord(row, col, value):
+    return _edit_rows(lambda a: a.__setitem__((row, col), value))
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (lambda r: r.update(proposals="not base64!"), "^proposals are not valid base64"),
+        (lambda r: r.update(proposals="QUJ"), "^proposals are not valid base64"),
+        (lambda r: r.update(proposals="QUJD\n"), "^proposals are not valid base64"),
+        (lambda r: r.update(proposals=""), "^proposals hold 0 bytes, not a positive multiple of 32$"),
+        (lambda r: r.update(proposals=_b64(bytes(24))), "^proposals hold 24 bytes, not a positive"),
+        (_edit_rows(lambda a: a.ravel()[:-1]), "not a positive multiple of 32$"),
+        (_set_coord(3, 1, np.nan), "^box coordinates must be finite$"),
+        (_set_coord(0, 2, np.inf), "^box coordinates must be finite$"),
+        (_set_coord(5, 0, -np.inf), "^box coordinates must be finite$"),
+        (_edit_rows(lambda a: a.__setitem__((2, 2), a[2, 0])), "^degenerate box"),
+        (_edit_rows(lambda a: a.__setitem__((4, 3), a[4, 1] - 1.0)), "^degenerate box"),
+        (_edit_rows(lambda a: a[:-1]), "^features hold .* not a positive multiple"),
+        (_edit_rows(lambda a: np.vstack([a, a[:1]])), "^features hold .* not a positive multiple"),
+    ],
+    ids=["alphabet", "padding", "newline", "empty", "24_bytes", "partial_row", "nan", "inf",
+         "minus_inf", "x2_eq_x1", "y2_lt_y1", "one_row_fewer", "one_row_more"],
+)
+def test_a_damaged_base64_proposals_value_is_a_parse_error_naming_its_line(
+    tmp_path, change, match
+):
+    path = tmp_path / "b64_proposals.jsonl"
+    _write_with(path, lambda r: None, save_jsonl)
+    assert len(load_jsonl(path)[0]) == 2
+    _write_with(path, change, save_jsonl)
+    with pytest.raises(ParseError) as exc:
+        load_jsonl(path)
+    assert exc.value.line == 2
+    assert str(exc.value).startswith("line 2: ")
+    assert re.search(match, str(exc.value).removeprefix("line 2: "))
+
+
+@pytest.mark.parametrize("edit", [lambda a: a[:-1], lambda a: np.vstack([a, a[:1]])],
+                         ids=["one_row_fewer", "one_row_more"])
+def test_base64_proposals_and_list_features_of_other_row_counts_are_a_parse_error(
+    tmp_path, edit
+):
+    path = tmp_path / "mixed.jsonl"
+    save = lambda *a: save_jsonl_as_lists(*a, fields=("features",))  # noqa: E731
+    _write_with(path, _edit_rows(edit), save)
+    with pytest.raises(ParseError, match="^line 2: feature rows must align with proposals$"):
+        load_jsonl(path)
+
+
+def test_box_from_rows_gives_the_boxes_box_gives():
+    rows = np.array([[0, 1, 4, 5], [-0.0, 2.5, 1e300, 3.0], [5e-324, 0, 1e-300, 1e308]])
+    boxes = Box.from_rows(rows)
+    assert boxes == [Box(*row) for row in rows.tolist()]
+    assert all(type(b) is Box and all(type(v) is float for v in b) for b in boxes)
+    assert np.array(boxes).tobytes() == rows.tobytes()  # -0.0 keeps its sign
+    assert Box.from_rows(np.empty((0, 4))) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[(1, 0, np.nan)], [(0, 3, np.inf)], [(2, 2, 0.0)], [(1, 3, 1.0)],
+     [(1, 2, 0.0), (2, 0, np.nan)], [(1, 1, np.nan), (0, 2, -1.0)]],
+)
+def test_box_from_rows_raises_the_error_box_raises_for_the_first_bad_row(bad):
+    rows = np.array([[0.0, 1.0, 4.0, 5.0]] * 3)
+    for at in bad:
+        rows[at[:2]] = at[2]
+    with pytest.raises(ConfigError) as want:
+        [Box(*row) for row in rows.tolist()]
+    with pytest.raises(ConfigError) as got:
+        Box.from_rows(rows)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("bad", BAD_TAGS + [np.float64(1.0), np.bool_(True)])
