@@ -147,8 +147,9 @@ def _format_value(value) -> str:
 
 
 def read_config_file(path: str) -> dict:
-    """Parse a `key = value` file; unknown keys and bad values are errors."""
+    """Parse a `key = value` file; unknown keys, repeated keys and bad values are errors."""
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in numbered_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -158,6 +159,10 @@ def read_config_file(path: str) -> dict:
         name, raw = (part.strip() for part in stripped.split("=", 1))
         if name not in DEFAULTS:
             raise ConfigError(f"unknown config key {name!r} (line {lineno})")
+        if name in set_on:
+            raise ParseError(f"config key {name!r} is set twice, on lines {set_on[name]} and {lineno}",
+                             line=lineno)
+        set_on[name] = lineno
         values[name] = _parse_value(name, raw)
     return values
 

@@ -7,7 +7,8 @@ under IoU jitter plus random background distractors, and each proposal's
 feature row mixes its class prototype with the prototypes of co-present
 classes plus Gaussian noise, so both structures the detector exploits
 (spatial overlap among proposals of one object, category co-occurrence)
-survive the synthesis.
+survive the synthesis. The same config and seed give the same bytes, because
+the order of the generator's random draws is fixed (see `generate_dataset`).
 """
 
 from __future__ import annotations
@@ -50,14 +51,6 @@ class Box(namedtuple("Box", "x1 y1 x2 y2")):
         if np.isfinite(rows).all() and (rows[:, 2:] > rows[:, :2]).all():
             return list(map(tuple.__new__, repeat(cls), rows.tolist()))
         return [cls(*row) for row in rows.tolist()]  # raises the first bad row's own error
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
 
 
 def iou(a: Box, b: Box) -> float:
@@ -135,16 +128,28 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.feature_dim < self.n_classes:
-            raise ConfigError("feature_dim must be >= n_classes")
-        if self.objects_per_scene[0] < 1 or self.objects_per_scene[0] > self.objects_per_scene[1]:
-            raise ConfigError("objects_per_scene must be a nonempty 1-based range")
-        if self.min_gt_side <= 0 or self.max_gt_side < self.min_gt_side:
-            raise ConfigError("invalid ground-truth side range")
-        if self.max_gt_side > min(self.canvas):
-            raise ConfigError("canvas too small for the object size range")
-        if self.jitter < 0 or self.noise_sigma < 0:
-            raise ConfigError("jitter and noise_sigma must be nonnegative")
+        for rule, ok, names in (  # NaN fails every comparison; a rule may read the keys above it
+            ("in [1, 1000]", lambda v: 1 <= v <= 1000, ("n_classes",)),
+            ("in [n_classes, 4096]", lambda v: self.n_classes <= v <= 4096, ("feature_dim",)),
+            ("lo,hi with 1 <= lo <= hi <= 1000", lambda v: 1 <= v[0] <= v[1] <= 1000,
+             ("objects_per_scene",)),
+            (">= 0", lambda v: v >= 0, ("proposals_per_object", "background_proposals")),
+            ("two finite numbers > 0", lambda v: all(0.0 < c < inf for c in v), ("canvas",)),
+            ("a finite number > 0", lambda v: 0.0 < v < inf, ("min_gt_side",)),
+            ("in [min_gt_side, min(canvas)]", lambda v: self.min_gt_side <= v <= min(self.canvas),
+             ("max_gt_side",)),
+            ("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0, ("jitter",)),
+            ("a finite number >= 0", lambda v: 0.0 <= v < inf, ("noise_sigma",)),
+            ("a finite number", lambda v: -inf < v < inf, ("context_alpha",)),
+        ):
+            for name in names:
+                if not ok(value := getattr(self, name)):
+                    raise ConfigError(f"{name} must be {rule}, got {value}")
+        least, most = (n * self.proposals_per_object + self.background_proposals
+                       for n in self.objects_per_scene)
+        if not (least >= 1 and most <= 10_000):
+            raise ConfigError(f"proposals_per_object and background_proposals give bags of {least} "
+                              f"to {most} proposals; every bag needs 1 to 10000")
         cooc = self.cooccurrence
         if cooc is not None:
             cooc = np.asarray(cooc, dtype=np.float64)
@@ -188,25 +193,27 @@ def _sample_classes(cfg: SceneConfig, cooc: np.ndarray, rng: np.random.Generator
     return classes
 
 
-def _random_gt_box(cfg: SceneConfig, rng: np.random.Generator) -> Box:
-    w = float(rng.uniform(cfg.min_gt_side, cfg.max_gt_side))
-    h = float(rng.uniform(cfg.min_gt_side, cfg.max_gt_side))
-    x1 = float(rng.uniform(0.0, cfg.canvas[0] - w))
-    y1 = float(rng.uniform(0.0, cfg.canvas[1] - h))
-    return Box(x1, y1, x1 + w, y1 + h)
+def _random_gt_box(cfg: SceneConfig, rng: np.random.Generator) -> tuple:
+    # One draw of four uniforms, each mapped as rng.uniform maps it (low + (high - low) * u).
+    uw, uh, ux, uy = rng.random(4).tolist()
+    lo, span = cfg.min_gt_side, cfg.max_gt_side - cfg.min_gt_side
+    w, h = lo + span * uw, lo + span * uh
+    x1, y1 = (cfg.canvas[0] - w) * ux, (cfg.canvas[1] - h) * uy
+    return x1, y1, x1 + w, y1 + h
 
 
-def _jitter_box(box: Box, scale: float, cfg: SceneConfig, rng: np.random.Generator) -> Box:
+def _jitter_box(box: tuple, scale: float, cfg: SceneConfig, rng: np.random.Generator) -> tuple:
     """Perturb each edge by up to scale * side, clamped inside the canvas."""
-    dx = rng.uniform(-scale, scale, size=4)
-    w, h = box.width, box.height
-    x1 = box.x1 + dx[0] * w
-    y1 = box.y1 + dx[1] * h
-    x2 = box.x2 + dx[2] * w
-    y2 = box.y2 + dx[3] * h
+    # One draw of four uniforms, each mapped as rng.uniform(-scale, scale) maps it.
+    u1, u2, u3, u4 = rng.random(4).tolist()
+    lo, span = -scale, scale - -scale
+    bx1, by1, bx2, by2 = box
+    w, h = bx2 - bx1, by2 - by1
+    x1, y1 = bx1 + (lo + span * u1) * w, by1 + (lo + span * u2) * h
+    x2, y2 = bx2 + (lo + span * u3) * w, by2 + (lo + span * u4) * h
     x1, x2 = max(0.0, min(x1, x2 - 1.0)), min(cfg.canvas[0], max(x2, x1 + 1.0))
     y1, y2 = max(0.0, min(y1, y2 - 1.0)), min(cfg.canvas[1], max(y2, y1 + 1.0))
-    return Box(x1, y1, x2, y2)
+    return x1, y1, x2, y2
 
 
 # Edge shifts of at most 5% of a side keep IoU above 0.5, so the first
@@ -220,44 +227,49 @@ def generate_dataset(cfg: SceneConfig, n_scenes: int) -> tuple[list[Bag], list[G
     Every ground-truth object is guaranteed at least one proposal with
     IoU > 0.5 (exactly 1.0 when jitter is zero). Background proposals carry
     context-plus-noise features with no class prototype.
+
+    The same config and seed give the same bytes. Each scene draws its classes,
+    each object's ground-truth box (4 uniforms), per object `proposals_per_object`
+    times a jitter (4 uniforms) and a feature noise row (D normals), then per
+    background proposal a box (4 uniforms) and a noise row, in that order.
     """
     rng = np.random.default_rng(cfg.seed)
     cooc = cfg.cooccurrence if cfg.cooccurrence is not None else default_cooccurrence(cfg.n_classes)
     protos = class_prototypes(cfg.n_classes, cfg.feature_dim)
+    per_obj, d, first_scale = cfg.proposals_per_object, cfg.feature_dim, min(cfg.jitter, SAFE_JITTER)
 
     bags: list[Bag] = []
     gts: list[GroundTruth] = []
     for s in range(n_scenes):
         classes = _sample_classes(cfg, cooc, rng)
-        objects = [(_random_gt_box(cfg, rng), k) for k in classes]
+        gt_rows = [_random_gt_box(cfg, rng) for _ in classes]
         present = sorted(set(classes))
-
-        boxes: list[Box] = []
-        rows: list[np.ndarray] = []
-        for gt_box, k in objects:
+        m = len(classes) * per_obj + cfg.background_proposals
+        rows, bases, noise = [], np.empty((m, d)), np.empty((m, d))  # feature = base + sigma * noise
+        for i, (gt_box, k) in enumerate(zip(gt_rows, classes)):
             others = [c for c in present if c != k]
-            context = protos[others].mean(axis=0) if others else np.zeros(cfg.feature_dim)
-            base = protos[k] + cfg.context_alpha * context
-            for j in range(cfg.proposals_per_object):
-                if j == 0:
-                    prop = _jitter_box(gt_box, min(cfg.jitter, SAFE_JITTER), cfg, rng)
-                    if iou(prop, gt_box) <= 0.5:
-                        prop = gt_box
-                else:
-                    prop = _jitter_box(gt_box, cfg.jitter, cfg, rng)
-                boxes.append(prop)
-                rows.append(base + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim))
+            context = protos[others].mean(axis=0) if others else np.zeros(d)
+            bases[i * per_obj:(i + 1) * per_obj] = protos[k] + cfg.context_alpha * context
+            for j in range(per_obj):
+                prop = _jitter_box(gt_box, cfg.jitter if j else first_scale, cfg, rng)
+                if j == 0 and iou(prop, gt_box) <= 0.5:
+                    prop = gt_box
+                rng.standard_normal(out=noise[len(rows)])
+                rows.append(prop)
 
-        bg_context = cfg.context_alpha * protos[present].mean(axis=0)
-        for _ in range(cfg.background_proposals):
-            boxes.append(_random_gt_box(cfg, rng))
-            rows.append(bg_context + cfg.noise_sigma * rng.standard_normal(cfg.feature_dim))
+        bases[len(rows):] = cfg.context_alpha * protos[present].mean(axis=0)
+        for r in range(len(rows), m):
+            rows.append(_random_gt_box(cfg, rng))
+            rng.standard_normal(out=noise[r])
 
         tags = np.zeros(cfg.n_classes, dtype=np.int64)
         tags[present] = 1
         image_id = f"scene_{s:05d}"
-        bags.append(Bag(image_id, cfg.canvas, boxes, np.vstack(rows), tags))
-        gts.append(GroundTruth(image_id, objects))
+        # Ground truth first, in draw order, so the first bad box raises its own error.
+        boxes = Box.from_rows(np.fromiter(chain.from_iterable(gt_rows + rows), float).reshape(-1, 4))
+        features = bases + cfg.noise_sigma * noise
+        bags.append(Bag(image_id, cfg.canvas, boxes[len(classes):], features, tags))
+        gts.append(GroundTruth(image_id, list(zip(boxes, classes))))
     return bags, gts
 
 

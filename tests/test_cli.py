@@ -208,6 +208,47 @@ def test_gen_data_rejects_out_of_range_cli_keys(small_cfg_file, tmp_path, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--jitter", "nan"], "jitter"),
+        (["--jitter", "1e308"], "jitter"),
+        (["--jitter", "2"], "jitter"),
+        (["--min-gt-side", "nan"], "min_gt_side"),
+        (["--canvas", "nan,128"], "canvas"),
+        (["--proposals-per-object", "0", "--background-proposals", "0"], "proposals_per_object"),
+        (["--proposals-per-object", "-2", "--background-proposals", "-1"], "proposals_per_object"),
+        (["--n-classes", "0"], "n_classes"),
+        (["--objects-per-scene", "1,1000000000"], "objects_per_scene"),
+        (["--noise-sigma", "inf"], "noise_sigma"),
+        (["--context-alpha=-inf"], "context_alpha"),
+    ],
+)
+def test_gen_data_rejects_out_of_range_scene_keys(small_cfg_file, tmp_path, flags, field, capsys):
+    out = tmp_path / "d"
+    assert run(["gen-data", "--config", small_cfg_file, "--n-scenes", "1", *flags,
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_a_config_key_set_twice_is_a_parse_error_naming_both_lines(
+    small_cfg_file, tmp_path, command, capsys
+):
+    path = tmp_path / "twice.cfg"
+    path.write_text(Path(small_cfg_file).read_text() + "\n# again\nepochs = 3\n")
+    with pytest.raises(ParseError, match=r"^line 11: config key 'epochs' is set twice, on lines 6 "
+                                         r"and 11$") as exc:
+        read_config_file(str(path))
+    assert exc.value.line == 11
+    out = tmp_path / "out"
+    flags = ["--data", str(tmp_path / "unread.jsonl")] if command == "train" else []
+    assert run([command, "--config", str(path), *flags, "--out", str(out)]) == 2
+    assert "config key 'epochs' is set twice, on lines 6 and 11" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- train/eval
 
 

@@ -1,5 +1,6 @@
 import base64
 import copy
+import hashlib
 import json
 import pickle
 import re
@@ -42,8 +43,7 @@ def test_box_validation():
         Box(5, 0, 5, 10)
     with pytest.raises(ConfigError):
         Box(0, 0, np.inf, 10)
-    b = Box(0, 1, 4, 5)
-    assert b.width == 4 and b.height == 4 and b.width * b.height == 16
+    assert Box(0, 1, 4, 5) == (0.0, 1.0, 4.0, 5.0)
 
 
 def test_box_coordinates_become_python_floats():
@@ -108,6 +108,67 @@ def test_box_round_trips_through_pickle_and_deepcopy(copier):
 
 
 # ---------------------------------------------------------------- generator
+
+
+# SHA-256 over ids, proposal coordinates, tags, ground truth and feature
+# bytes of 40 scenes per config. The generator's draw order is part of its
+# contract: any change to it, or to the arithmetic on the draws, moves these.
+GENERATOR_DIGESTS = {
+    "default_seed0": (dict(seed=0),
+                      "941c841b2ddecf4015fae3b041b96502cc4ede5a9af62c0ceb2065cba1ed31b9"),
+    "default_seed7": (dict(seed=7),
+                      "06b0462d25c05dc6a5ce7fcb87eefd5c63749b37ddd5d68ca8a7ad4c0cf86439"),
+    "dense": (dict(seed=0, proposals_per_object=10, background_proposals=35),
+              "3103e8462fce9e0b48667fe2e1cd45b437de11d9d495cf6e868edc8523c726d0"),
+    "jitter_0": (dict(seed=1, jitter=0.0),
+                 "4037507107ebc4ebf4a4d11def82bdb9e2fa5907f2bacb54a778210ef74f3a00"),
+    "jitter_0.9_wide": (dict(seed=2, jitter=0.9, canvas=(200.0, 90.0), n_classes=3, feature_dim=8),
+                        "a57db54557f279f2da4e24292fbecd9e171515f1e59492d6c07eb0cbdd99555e"),
+    "no_background": (dict(seed=3, background_proposals=0),
+                      "24bc1b58ce827d022e6e2a3d7c513d038ed8f664f7d2b9934b652a2c92518c67"),
+    "one_per_object": (dict(seed=4, proposals_per_object=1),
+                       "1ba1f757749cb876f52afc2d32bc4bc05d204bcae614f6b8616638ec731410c7"),
+}
+
+
+def generator_digest(bags, gts):
+    h = hashlib.sha256()
+    for bag, gt in zip(bags, gts):
+        h.update(bag.image_id.encode())
+        h.update(np.asarray(bag.proposals, "<f8").tobytes())
+        h.update(bag.tags.astype("<i8").tobytes())
+        h.update(np.asarray([box for box, _ in gt.objects], "<f8").tobytes())
+        h.update(np.asarray([k for _, k in gt.objects], "<i8").tobytes())
+        h.update(bag.features.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", GENERATOR_DIGESTS)
+def test_generator_output_is_pinned_bit_for_bit(name):
+    kw, expected = GENERATOR_DIGESTS[name]
+    bags, gts = generate_dataset(SceneConfig(**kw), 40)
+    assert generator_digest(bags, gts) == expected
+    boxes = [p for bag in bags for p in bag.proposals] + [b for gt in gts for b, _ in gt.objects]
+    assert all(type(b) is Box and all(type(v) is float for v in b) for b in boxes)
+
+
+def _bypassing_checks(**kw):
+    """A default SceneConfig with fields set after its range checks ran."""
+    cfg = SceneConfig(seed=0)
+    for name, value in kw.items():
+        object.__setattr__(cfg, name, value)
+    return cfg
+
+
+@pytest.mark.parametrize("kw, message", [
+    # scene 0's third proposal is the first bad box
+    (dict(jitter=2.0), "degenerate box [159.89712002775477, 0.0, 128.0, 128.0]"),
+    (dict(min_gt_side=np.nan), "box coordinates must be finite"),
+])
+def test_a_bad_generated_box_raises_its_own_error(kw, message):
+    with pytest.raises(ConfigError) as exc:
+        generate_dataset(_bypassing_checks(**kw), 3)
+    assert str(exc.value) == message
 
 
 def test_generator_deterministic():
@@ -175,11 +236,55 @@ def test_prototypes_are_orthonormal_and_fixed():
     assert np.allclose(p1 @ p1.T, np.eye(6), atol=1e-12)
 
 
+@pytest.mark.parametrize("kw, key", [
+    (dict(n_classes=0), "n_classes"),
+    (dict(n_classes=1001, feature_dim=2000), "n_classes"),
+    (dict(n_classes=8, feature_dim=4), "feature_dim"),
+    (dict(feature_dim=4097), "feature_dim"),
+    (dict(objects_per_scene=(0, 2)), "objects_per_scene"),
+    (dict(objects_per_scene=(3, 2)), "objects_per_scene"),
+    (dict(objects_per_scene=(1, 1_000_000_000)), "objects_per_scene"),
+    (dict(proposals_per_object=-2), "proposals_per_object"),
+    (dict(background_proposals=-1), "background_proposals"),
+    (dict(proposals_per_object=0, background_proposals=0), "proposals_per_object"),
+    (dict(proposals_per_object=2500, background_proposals=1), "proposals_per_object"),
+    (dict(canvas=(np.nan, 128.0)), "canvas"),
+    (dict(canvas=(128.0, np.inf)), "canvas"),
+    (dict(min_gt_side=np.nan), "min_gt_side"),
+    (dict(min_gt_side=0.0), "min_gt_side"),
+    (dict(min_gt_side=np.inf), "min_gt_side"),
+    (dict(max_gt_side=np.nan), "max_gt_side"),
+    (dict(max_gt_side=20.0), "max_gt_side"),
+    (dict(canvas=(32.0, 32.0)), "max_gt_side"),
+    (dict(jitter=np.nan), "jitter"),
+    (dict(jitter=-0.1), "jitter"),
+    (dict(jitter=1.5), "jitter"),
+    (dict(jitter=1e308), "jitter"),
+    (dict(noise_sigma=-1.0), "noise_sigma"),
+    (dict(noise_sigma=np.inf), "noise_sigma"),
+    (dict(context_alpha=np.nan), "context_alpha"),
+    (dict(context_alpha=-np.inf), "context_alpha"),
+])
+def test_every_scene_key_is_range_checked_naming_it(kw, key):
+    with pytest.raises(ConfigError, match=f"^{key} "):
+        SceneConfig(**kw)
+
+
+def test_scene_keys_accept_their_edges():
+    for kw in (
+        dict(n_classes=1, feature_dim=1, objects_per_scene=(1, 1), proposals_per_object=0,
+             background_proposals=1, jitter=0.0, noise_sigma=0.0, context_alpha=-1e308,
+             min_gt_side=5e-324, max_gt_side=5e-324, canvas=(5e-324, 5e-324)),
+        dict(n_classes=1000, feature_dim=4096, objects_per_scene=(1000, 1000),
+             proposals_per_object=10, background_proposals=0, jitter=1.0, noise_sigma=1e308,
+             context_alpha=1e308, min_gt_side=1e308, max_gt_side=1e308, canvas=(1e308, 1e308)),
+    ):
+        SceneConfig(**kw)
+    bags, _ = generate_dataset(SceneConfig(jitter=1.0, proposals_per_object=20), 20)
+    assert all(x2 > x1 and y2 > y1 for bag in bags for x1, y1, x2, y2 in bag.proposals)
+
+
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        SceneConfig(n_classes=8, feature_dim=4)
-    with pytest.raises(ConfigError):
-        SceneConfig(canvas=(32.0, 32.0), min_gt_side=24.0, max_gt_side=64.0)
     with pytest.raises(ConfigError):
         SceneConfig(cooccurrence=np.ones((3, 3)))  # wrong size for K=6
     bad = default_cooccurrence(6)
@@ -211,7 +316,7 @@ def test_filter_removes_thin_box():
     bag = _bag_with_boxes([Box(0, 0, 20, 20), Box(0, 0, 10, 40), Box(30, 30, 50, 50)])
     out = filter_proposals(bag)
     assert out.size == 2
-    assert all(b.width >= 16 and b.height >= 16 for b in out.proposals)
+    assert all(x2 - x1 >= 16 and y2 - y1 >= 16 for x1, y1, x2, y2 in out.proposals)
     assert np.array_equal(out.features, bag.features[[0, 2]])
 
 
@@ -221,7 +326,7 @@ def test_filter_matches_brute_force_count(rng):
         for _ in range(int(rng.integers(1, 12))):
             x1, y1 = rng.uniform(0, 60, size=2)
             boxes.append(Box(x1, y1, x1 + rng.uniform(5, 40), y1 + rng.uniform(5, 40)))
-        expected = sum(1 for b in boxes if b.width >= 16 and b.height >= 16)
+        expected = sum(1 for x1, y1, x2, y2 in boxes if x2 - x1 >= 16 and y2 - y1 >= 16)
         bag = _bag_with_boxes(boxes)
         if expected == 0:
             with pytest.raises(EmptyBagError):
