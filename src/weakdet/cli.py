@@ -22,9 +22,9 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .datamodel import SceneConfig, generate_dataset, load_jsonl, numbered_lines, save_jsonl
-from .errors import CompatibilityError, ConfigError, ParseError, WeakdetError
+from .errors import CompatibilityError, ConfigError, ParseError, WeakdetError, check_keys
 from .evalmetrics import corloc, evaluation_report, mean_ap
-from .gradcheck import check_config, run_checks, summarize
+from .gradcheck import DEFAULT_SEEDS, DEFAULT_STEP, DEFAULT_TOLERANCE, check_config, run_checks, summarize
 from .trainer import (
     METRICS_HEADER,
     SUB_METHODS,
@@ -94,16 +94,11 @@ CONFIG_HELP = {
     "gc_tolerance": "max allowed relative gradient error",
 }
 
-# Config key -> SceneConfig field: the generator seed is exposed as
-# data_seed, and the cooccurrence matrix stays library-only.
-SCENE_FIELDS = {
-    "data_seed" if f.name == "seed" else f.name: f
-    for f in fields(SceneConfig)
-    if f.name != "cooccurrence"
-}
+# Config key -> SceneConfig field: the generator seed is exposed as data_seed.
+SCENE_FIELDS = {"data_seed" if f.name == "seed" else f.name: f for f in fields(SceneConfig)}
 
 CLI_DEFAULTS = {"n_scenes": 250, "train_fraction": 0.8, "ablate_seeds": 5,
-                "gc_seeds": 10, "gc_step": 1e-4, "gc_tolerance": 1e-4}
+                "gc_seeds": DEFAULT_SEEDS, "gc_step": DEFAULT_STEP, "gc_tolerance": DEFAULT_TOLERANCE}
 
 DEFAULTS = {
     **{key: f.default for key, f in SCENE_FIELDS.items()},
@@ -176,11 +171,11 @@ def effective_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = _parse_value(name, flag)
-    for name, low in (("n_scenes", 0), ("ablate_seeds", 1), ("gc_seeds", 1)):
-        if values[name] < low:
-            raise ConfigError(f"{name} must be >= {low}, got {values[name]}")
-    if not 0.0 <= values["train_fraction"] <= 1.0:
-        raise ConfigError(f"train_fraction must be in [0, 1], got {values['train_fraction']}")
+    check_keys(values, (  # the keys no config class checks, and the generator seed by its key
+        (">= 0", lambda v: v >= 0, ("n_scenes", "data_seed")),
+        (">= 1", lambda v: v >= 1, ("ablate_seeds", "gc_seeds")),
+        ("in [0, 1]", lambda v: 0.0 <= v <= 1.0, ("train_fraction",)),
+    ))
     return values
 
 

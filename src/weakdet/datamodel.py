@@ -22,7 +22,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .errors import ConfigError, EmptyBagError, ParseError
+from .errors import ConfigError, EmptyBagError, ParseError, check_keys
 
 PROTOTYPE_SEED = 0x5EED
 
@@ -124,16 +124,17 @@ class SceneConfig:
     context_alpha: float = 0.3
     min_gt_side: float = 24.0
     max_gt_side: float = 64.0
-    cooccurrence: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
-        for rule, ok, names in (  # NaN fails every comparison; a rule may read the keys above it
+        check_keys(vars(self), (  # NaN fails every comparison; a rule may read the keys above it
+            ("an int", lambda v: type(v) is int,
+             ("n_classes", "feature_dim", "proposals_per_object", "background_proposals", "seed")),
             ("in [1, 1000]", lambda v: 1 <= v <= 1000, ("n_classes",)),
             ("in [n_classes, 4096]", lambda v: self.n_classes <= v <= 4096, ("feature_dim",)),
-            ("lo,hi with 1 <= lo <= hi <= 1000", lambda v: 1 <= v[0] <= v[1] <= 1000,
-             ("objects_per_scene",)),
-            (">= 0", lambda v: v >= 0, ("proposals_per_object", "background_proposals")),
+            ("ints lo,hi with 1 <= lo <= hi <= 1000",
+             lambda v: all(type(n) is int for n in v) and 1 <= v[0] <= v[1] <= 1000, ("objects_per_scene",)),
+            (">= 0", lambda v: v >= 0, ("proposals_per_object", "background_proposals", "seed")),
             ("two finite numbers > 0", lambda v: all(0.0 < c < inf for c in v), ("canvas",)),
             ("a finite number > 0", lambda v: 0.0 < v < inf, ("min_gt_side",)),
             ("in [min_gt_side, min(canvas)]", lambda v: self.min_gt_side <= v <= min(self.canvas),
@@ -141,26 +142,12 @@ class SceneConfig:
             ("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0, ("jitter",)),
             ("a finite number >= 0", lambda v: 0.0 <= v < inf, ("noise_sigma",)),
             ("a finite number", lambda v: -inf < v < inf, ("context_alpha",)),
-        ):
-            for name in names:
-                if not ok(value := getattr(self, name)):
-                    raise ConfigError(f"{name} must be {rule}, got {value}")
+        ))
         least, most = (n * self.proposals_per_object + self.background_proposals
                        for n in self.objects_per_scene)
         if not (least >= 1 and most <= 10_000):
             raise ConfigError(f"proposals_per_object and background_proposals give bags of {least} "
                               f"to {most} proposals; every bag needs 1 to 10000")
-        cooc = self.cooccurrence
-        if cooc is not None:
-            cooc = np.asarray(cooc, dtype=np.float64)
-            k = self.n_classes
-            if cooc.shape != (k, k):
-                raise ConfigError(f"cooccurrence must be {k}x{k}")
-            if not np.allclose(cooc, cooc.T):
-                raise ConfigError("cooccurrence must be symmetric")
-            if cooc.min() < 0 or cooc.max() > 1:
-                raise ConfigError("cooccurrence entries must lie in [0, 1]")
-            object.__setattr__(self, "cooccurrence", cooc)
 
 
 def default_cooccurrence(k: int, decay: float = 0.5) -> np.ndarray:
@@ -234,7 +221,7 @@ def generate_dataset(cfg: SceneConfig, n_scenes: int) -> tuple[list[Bag], list[G
     background proposal a box (4 uniforms) and a noise row, in that order.
     """
     rng = np.random.default_rng(cfg.seed)
-    cooc = cfg.cooccurrence if cfg.cooccurrence is not None else default_cooccurrence(cfg.n_classes)
+    cooc = default_cooccurrence(cfg.n_classes)
     protos = class_prototypes(cfg.n_classes, cfg.feature_dim)
     per_obj, d, first_scale = cfg.proposals_per_object, cfg.feature_dim, min(cfg.jitter, SAFE_JITTER)
 

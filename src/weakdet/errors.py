@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one per-key config check."""
 
 
 class WeakdetError(Exception):
@@ -35,6 +35,16 @@ class ContractError(WeakdetError):
 
 class ConfigError(WeakdetError):
     """A configuration value or combination is invalid."""
+
+
+def check_keys(values, rules) -> None:
+    """Raise a ConfigError for the first key in ``values`` that fails its
+    ``(rule, ok, names)`` row: the rule as the message states it, a predicate
+    on one value, and the keys it covers. NaN fails every comparison."""
+    for rule, ok, names in rules:
+        for name in names:
+            if not ok(value := values[name]):
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 class ParseError(WeakdetError):

@@ -28,6 +28,8 @@ from .errors import ParameterError
 from .trainer import TrainConfig, TrainState, forward_losses, init_state
 
 REL_FLOOR = 1e-2
+# The defaults of the finite-difference step, the tolerance and the number of random bags.
+DEFAULT_STEP, DEFAULT_TOLERANCE, DEFAULT_SEEDS = 1e-4, 1e-4, 10
 
 # The losses audited under method F (M1, M2, M4), which `weakdet grad-check` runs.
 LOSS_NAMES = ("loss_ins", "loss_sem", "loss_con_sd", "loss_con_ds", "composite")
@@ -94,8 +96,8 @@ def check_bag(
     bag: Bag,
     state: TrainState,
     cfg: TrainConfig,
-    step: float = 1e-4,
-    tolerance: float = 1e-4,
+    step: float = DEFAULT_STEP,
+    tolerance: float = DEFAULT_TOLERANCE,
     corrupt: bool = False,
 ) -> list[GradCheckResult]:
     """Compare analytic and central-difference gradients on one bag.
@@ -145,12 +147,12 @@ def check_bag(
 
 
 def run_checks(
-    n_seeds: int = 10,
+    n_seeds: int = DEFAULT_SEEDS,
     cfg: TrainConfig | None = None,
     n_classes: int = 4,
     feature_dim: int = 12,
-    step: float = 1e-4,
-    tolerance: float = 1e-4,
+    step: float = DEFAULT_STEP,
+    tolerance: float = DEFAULT_TOLERANCE,
     corrupt: bool = False,
 ) -> list[GradCheckResult]:
     """Run all loss checks over `n_seeds` random bags; one result per

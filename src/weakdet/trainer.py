@@ -28,7 +28,8 @@ from . import instance_branch as ib
 from . import numerics as nm
 from . import semantic_branch as sb
 from .datamodel import Bag, class_prototypes, filter_proposals
-from .errors import CompatibilityError, ConfigError, EmptyBagError, NumericError, ParseError, WeakdetError
+from .errors import (CompatibilityError, ConfigError, EmptyBagError, NumericError, ParseError,
+                     WeakdetError, check_keys)
 # iou is unused here; perfbench checks that its tracer rebinds this name too.
 from .evalmetrics import Detection, iou  # noqa: F401
 from .numerics import Node
@@ -95,16 +96,13 @@ class TrainConfig:
         if not (steps and steps == sorted(steps) and all(
                 math.isfinite(s) and 0.0 <= r < math.inf for s, r in self.lr_schedule)):
             raise ConfigError("lr_schedule needs rising finite breakpoints and finite rates >= 0")
-        if self.phase_mode not in ("fused", "sequential"):
-            raise ConfigError(f"unknown phase_mode {self.phase_mode!r}")
-        if self.semantic_init not in ("prototypes", "random"):
-            raise ConfigError(f"unknown semantic_init {self.semantic_init!r}")
-        if self.center_init not in ("prototypes", "random"):
-            raise ConfigError(f"unknown center_init {self.center_init!r}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        for rule, ok, names in (  # NaN fails every comparison
-            (">= 1", lambda v: v >= 1, ("hidden_dim", "embed_dim", "knn_k")),
+        check_keys(vars(self), (  # NaN fails every comparison; a bool or numpy integer is no int
+            ("an int", lambda v: type(v) is int,
+             ("epochs", "batch_size", "seed", "hidden_dim", "embed_dim", "knn_k")),
+            (">= 0", lambda v: v >= 0, ("epochs", "seed")),
+            (">= 1", lambda v: v >= 1, ("batch_size",)),
+            ("in [1, 4096]", lambda v: 1 <= v <= 4096, ("hidden_dim", "embed_dim")),
+            ("in [1, 10000]", lambda v: 1 <= v <= 10_000, ("knn_k",)),
             ("a number in [0, 1]", lambda v: 0.0 <= v <= 1.0,
              ("graph_iou", "nms_iou", "min_score", "center_rate")),
             ("in [0, 1)", lambda v: 0.0 <= v < 1.0, ("corr_sem_ema", "momentum")),
@@ -112,10 +110,10 @@ class TrainConfig:
             ("a finite number > 0", lambda v: 0.0 < v < math.inf, ("tau",)),
             ("a finite number >= 0", lambda v: 0.0 <= v < math.inf,
              ("lambda_ins", "lambda_sem", "lambda_igcl", "weight_decay", "min_proposal_side")),
-        ):
-            for name in names:
-                if not ok(value := getattr(self, name)):
-                    raise ConfigError(f"{name} must be {rule}, got {value}")
+            ("fused or sequential", lambda v: v in ("fused", "sequential"), ("phase_mode",)),
+            ("prototypes or random", lambda v: v in ("prototypes", "random"),
+             ("semantic_init", "center_init")),
+        ))
 
     @property
     def m1(self) -> bool:

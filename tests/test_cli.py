@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import warnings
 from dataclasses import fields, replace
@@ -95,11 +96,7 @@ CLI_ONLY_KEYS = {"n_scenes", "train_fraction", "ablate_seeds", "gc_seeds", "gc_s
 
 def test_every_dataclass_field_has_exactly_one_config_key():
     train_keys = {f.name: f for f in fields(TrainConfig)}
-    scene_keys = {
-        "data_seed" if f.name == "seed" else f.name: f
-        for f in fields(SceneConfig)
-        if f.name != "cooccurrence"
-    }
+    scene_keys = {"data_seed" if f.name == "seed" else f.name: f for f in fields(SceneConfig)}
     owners = [train_keys, scene_keys, dict.fromkeys(CLI_ONLY_KEYS)]
     for key in CONFIG_HELP:
         assert sum(key in owner for owner in owners) == 1, key
@@ -113,7 +110,7 @@ def test_every_dataclass_field_has_exactly_one_config_key():
 def test_defaults_build_the_default_configs_and_round_trip():
     assert train_config(DEFAULTS) == TrainConfig()
     scene = scene_config(DEFAULTS)
-    assert scene == SceneConfig() and scene.cooccurrence is None
+    assert scene == SceneConfig()
     for key, default in DEFAULTS.items():
         assert _parse_value(key, _format_value(default)) == default, key
 
@@ -169,6 +166,44 @@ def test_unwritable_out_exits_2(small_cfg_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# Every config key, given each of these as a flag and as a config-file line,
+# must leave main returning 0 or 2. The last value is bytes that are not UTF-8:
+# a file holds them raw, and a flag holds what the OS decodes them to.
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e308", "", "banana", b"\x00\xff")
+FUZZ_BASE = {"n_classes": "3", "feature_dim": "8", "n_scenes": "2", "epochs": "1",
+             "hidden_dim": "8", "embed_dim": "4"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_split(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "train.jsonl"
+    save_jsonl(path, *generate_dataset(SceneConfig(n_classes=3, feature_dim=8), 2))
+    return str(path)
+
+
+@pytest.mark.parametrize("form", ["flag", "file"])
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+@pytest.mark.parametrize("key", sorted(DEFAULTS))
+def test_every_config_key_fuzzed_exits_0_or_2(key, command, form, fuzz_split, tmp_path):
+    path = tmp_path / "fuzz.cfg"
+    base = b"".join(f"{k} = {v}\n".encode() for k, v in FUZZ_BASE.items() if k != key)
+    data = ["--data", fuzz_split] if command == "train" else []
+    outcomes = {}
+    for value in FUZZ_VALUES:
+        raw = value if isinstance(value, bytes) else value.encode()
+        argv = [command, "--config", str(path), *data, "--out", str(tmp_path / "out")]
+        if form == "file":
+            path.write_bytes(base + key.encode() + b" = " + raw + b"\n")
+        else:
+            path.write_bytes(base)
+            argv.append(f"--{key.replace('_', '-')}={os.fsdecode(raw)}")
+        try:
+            outcomes[value] = main(argv)
+        except Exception as e:  # reported with every other value's outcome
+            outcomes[value] = repr(e)
+    assert set(outcomes.values()) <= {0, 2}, outcomes
+
+
 # ---------------------------------------------------------------- gen-data
 
 
@@ -222,6 +257,7 @@ def test_gen_data_rejects_out_of_range_cli_keys(small_cfg_file, tmp_path, flags,
         (["--objects-per-scene", "1,1000000000"], "objects_per_scene"),
         (["--noise-sigma", "inf"], "noise_sigma"),
         (["--context-alpha=-inf"], "context_alpha"),
+        (["--data-seed=-1"], "data_seed"),
     ],
 )
 def test_gen_data_rejects_out_of_range_scene_keys(small_cfg_file, tmp_path, flags, field, capsys):
@@ -282,6 +318,16 @@ def six_scene_split(small_cfg_file, tmp_path):
         (["--graph-iou", "2.0"], "graph_iou"),
         (["--graph-iou", "-0.1"], "graph_iou"),
         (["--graph-iou", "inf"], "graph_iou"),
+        (["--hidden-dim", "99999999999"], "hidden_dim"),
+        (["--hidden-dim", "4097"], "hidden_dim"),
+        (["--embed-dim", "4097"], "embed_dim"),
+        (["--knn-k", "10001"], "knn_k"),
+        (["--seed=-1"], "seed"),
+        (["--epochs=-1"], "epochs"),
+        (["--batch-size", "0"], "batch_size"),
+        (["--phase-mode", "mixed"], "phase_mode"),
+        (["--semantic-init", ""], "semantic_init"),
+        (["--center-init", "zeros"], "center_init"),
     ],
 )
 def test_train_rejects_out_of_range_projector_and_graph_keys(
@@ -300,6 +346,8 @@ def test_train_rejects_out_of_range_projector_and_graph_keys(
 def test_projector_and_graph_keys_accept_their_edges():
     TrainConfig(hidden_dim=1, embed_dim=1, knn_k=1, graph_iou=0.0)
     TrainConfig(graph_iou=1.0)
+    TrainConfig(hidden_dim=4096, embed_dim=4096, knn_k=10_000, epochs=0, seed=0)
+    TrainConfig(seed=2**70)
 
 
 @pytest.mark.parametrize(
@@ -640,6 +688,13 @@ def test_ablate_rejects_zero_seeds(small_cfg_file, tmp_path, capsys):
     )
     assert code == 2
     assert "ablate_seeds" in capsys.readouterr().err
+
+
+def test_ablate_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert run(["ablate", "--seed=-1", "--data", str(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_ablate_rejects_an_empty_train_split(small_cfg_file, tmp_path, capsys):

@@ -19,7 +19,6 @@ from weakdet.datamodel import (
     GroundTruth,
     SceneConfig,
     class_prototypes,
-    default_cooccurrence,
     filter_proposals,
     generate_dataset,
     load_jsonl,
@@ -264,6 +263,17 @@ def test_prototypes_are_orthonormal_and_fixed():
     (dict(noise_sigma=np.inf), "noise_sigma"),
     (dict(context_alpha=np.nan), "context_alpha"),
     (dict(context_alpha=-np.inf), "context_alpha"),
+    (dict(n_classes=2.5, feature_dim=8), "n_classes"),
+    (dict(n_classes=True), "n_classes"),
+    (dict(feature_dim=32.0), "feature_dim"),
+    (dict(objects_per_scene=(1.5, 2)), "objects_per_scene"),
+    (dict(objects_per_scene=(1, 2.0)), "objects_per_scene"),
+    (dict(proposals_per_object=2.5), "proposals_per_object"),
+    (dict(background_proposals=False), "background_proposals"),
+    (dict(seed=1.5), "seed"),
+    (dict(seed=-1), "seed"),
+    (dict(seed=np.int64(7)), "seed"),
+    (dict(objects_per_scene=(1, np.int64(4))), "objects_per_scene"),
 ])
 def test_every_scene_key_is_range_checked_naming_it(kw, key):
     with pytest.raises(ConfigError, match=f"^{key} "):
@@ -282,15 +292,6 @@ def test_scene_keys_accept_their_edges():
         SceneConfig(**kw)
     bags, _ = generate_dataset(SceneConfig(jitter=1.0, proposals_per_object=20), 20)
     assert all(x2 > x1 and y2 > y1 for bag in bags for x1, y1, x2, y2 in bag.proposals)
-
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        SceneConfig(cooccurrence=np.ones((3, 3)))  # wrong size for K=6
-    bad = default_cooccurrence(6)
-    bad[0, 1] = 0.9  # breaks symmetry
-    with pytest.raises(ConfigError):
-        SceneConfig(cooccurrence=bad)
 
 
 # ---------------------------------------------------------------- filtering

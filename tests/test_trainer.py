@@ -66,6 +66,30 @@ def test_mask_validation():
         TrainConfig(modules=mask)  # all sub-methods are valid
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(epochs=1.5), "epochs must be an int, got 1.5"),
+    (dict(hidden_dim=2.5), "hidden_dim must be an int, got 2.5"),
+    (dict(hidden_dim=True), "hidden_dim must be an int, got True"),
+    (dict(embed_dim=4.0), "embed_dim must be an int, got 4.0"),
+    (dict(batch_size=1.5), "batch_size must be an int, got 1.5"),
+    (dict(knn_k=2.5), "knn_k must be an int, got 2.5"),
+    (dict(seed=1.5), "seed must be an int, got 1.5"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(epochs=-1), "epochs must be >= 0, got -1"),
+    (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+    (dict(hidden_dim=4097), "hidden_dim must be in [1, 4096], got 4097"),
+    (dict(embed_dim=99_999_999_999), "embed_dim must be in [1, 4096], got 99999999999"),
+    (dict(knn_k=10_001), "knn_k must be in [1, 10000], got 10001"),
+    (dict(phase_mode="mixed"), "phase_mode must be fused or sequential, got 'mixed'"),
+    (dict(semantic_init="zeros"), "semantic_init must be prototypes or random, got 'zeros'"),
+    (dict(center_init=""), "center_init must be prototypes or random, got ''"),
+])
+def test_count_and_choice_keys_are_checked_naming_them(kw, message):
+    with pytest.raises(ConfigError) as exc:
+        TrainConfig(**kw)
+    assert str(exc.value) == message
+
+
 def test_schedule_validation_and_lookup():
     with pytest.raises(ConfigError):
         TrainConfig(lr_schedule=((0.8, 1e-4), (0.0, 1e-3)))
