@@ -175,7 +175,10 @@ def effective_config(args: argparse.Namespace) -> dict:
         (">= 0", lambda v: v >= 0, ("n_scenes", "data_seed")),
         (">= 1", lambda v: v >= 1, ("ablate_seeds", "gc_seeds")),
         ("in [0, 1]", lambda v: 0.0 <= v <= 1.0, ("train_fraction",)),
+        ("finite and > 0", lambda v: 0.0 < v < np.inf, ("gc_step", "gc_tolerance")),
     ))
+    scene_config(values)  # every command checks every key, whether it reads it or not
+    train_config(values)
     return values
 
 

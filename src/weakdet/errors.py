@@ -40,10 +40,14 @@ class ConfigError(WeakdetError):
 def check_keys(values, rules) -> None:
     """Raise a ConfigError for the first key in ``values`` that fails its
     ``(rule, ok, names)`` row: the rule as the message states it, a predicate
-    on one value, and the keys it covers. NaN fails every comparison."""
+    on one value, and the keys it covers. NaN and a wrong type (a TypeError) fail."""
     for rule, ok, names in rules:
         for name in names:
-            if not ok(value := values[name]):
+            try:
+                passed = ok(value := values[name])
+            except TypeError:
+                passed = False
+            if not passed:
                 raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 

@@ -18,15 +18,17 @@ value (a NaN or Inf raises :class:`~weakdet.errors.NumericError`); only the
 node's backward builds the rules, once, so a forward-only pass and a replay
 build none. What only the backward reads (a softmax, a mask, an index) the
 rules compute from arrays the kernel made, never from an operand array,
-which the gradient audit overwrites in place. Exponentials are max-shifted.
+which a caller may overwrite in place to replay. Exponentials are max-shifted.
 A reduction calls the ufunc numpy's wrapper calls (``np.add.reduce`` for
 ``sum`` and ``mean``, ``np.maximum.reduce`` for ``max``): same bits, faster.
 
 Every op records its kernel. :func:`replay` finds once which ops of a built
-graph lie downstream of a parameter array; each run of its plan, after the
-array was written in place, calls exactly those kernels again on arrays,
-with the same finite check and no node, so every check and data-dependent
-mask (a ReLU's) runs again and the values are bitwise a fresh build's. A run
+graph lie downstream of a parameter array; each run of its plan calls exactly
+those kernels again on arrays, with the same finite check and no node, so
+every check and data-dependent mask (a ReLU's) runs again and the values are
+bitwise a fresh build's. A run reads the array as it is now, or a stack of
+its values along a new leading axis: the kernels the forward builds index
+their core axes from the end, so each slice gets a 2-D run's bits. A run
 never writes into the base graph.
 
 The fused ops at the end each build one node for what would otherwise be a
@@ -161,6 +163,8 @@ def _op(kernel: Callable, a, b=None) -> Node:
     else:
         b = as_node(b)
         nodes, (value, rules) = (a, b), kernel(a.value, b.value)
+    if a.value.ndim > 2 or nodes[-1].value.ndim > 2:  # a stack is a replay's alone
+        raise ShapeError("an op's operands must be at most 2-D")
 
     def backward(g):
         for node, rule in zip(nodes, rules(g)):
@@ -207,8 +211,8 @@ def _leaf(x: np.ndarray):
 
 
 def replay(roots, changed: np.ndarray) -> ReplayPlan:
-    """Plan the re-evaluation of ``roots`` after the array ``changed`` is
-    written in place; each :meth:`ReplayPlan.run` then gives their values.
+    """Plan the re-evaluation of ``roots`` for new values of the array
+    ``changed``; each :meth:`ReplayPlan.run` then gives their values.
 
     A leaf or constant whose value *is* ``changed`` is dirty, and so is an op
     result with a dirty operand, whose kernel a run calls again. The graph
@@ -238,7 +242,8 @@ def replay(roots, changed: np.ndarray) -> ReplayPlan:
         if subs:
             slot[key] = len(steps)
             steps.append((node._record, [p.value for p in node.parents], subs))
-    return ReplayPlan(steps, [(slot.get(r._order), r.value) for r in roots])
+    shapes = [reached[key].value.shape for key in sorted(slot)]  # in step order
+    return ReplayPlan(steps, [(slot.get(r._order), r.value) for r in roots], shapes)
 
 
 class ReplayPlan:
@@ -247,22 +252,40 @@ class ReplayPlan:
     Each step is ``(kernel, args, subs)``: the recorded kernel (``_leaf``
     for a leaf holding the changed array), a list of the base operands'
     arrays, and the ``(position, step)`` pairs whose array an earlier step
-    recomputes, which a run writes into ``args`` in place. A run calls every
+    recomputes, which an in-place run writes into ``args``. A run calls every
     kernel, so its checks and data-dependent masks see the current values.
     """
 
-    def __init__(self, steps: list, picks: list):
+    def __init__(self, steps: list, picks: list, shapes: list):
         self.steps = steps
         self._picks = picks  # per root: its step, or None and its base value
+        self._shapes = shapes  # per step: the base graph's value shape
 
-    def run(self) -> list[np.ndarray]:
-        """The roots' values for what the changed array holds now."""
+    def run(self, stack: np.ndarray | None = None) -> list[np.ndarray]:
+        """The roots' values for the changed array as it is now; or, for a
+        ``stack`` of B values of it along a new leading axis, each root's B
+        values, with a step's constant operands as zero-stride views. A
+        kernel that takes no stack raises :class:`UsageError` in a stacked run."""
+        lead = () if stack is None else stack.shape[:1]
         fresh: list[np.ndarray] = []
-        for kernel, args, subs in self.steps:
+        for (kernel, args, subs), shape in zip(self.steps, self._shapes):
+            if lead:
+                args = [stack if kernel is _leaf else np.broadcast_to(a, lead + a.shape) for a in args]
             for i, s in subs:
                 args[i] = fresh[s]
-            fresh.append(_finite(kernel(*args)[0]))
-        return [value if s is None else fresh[s] for s, value in self._picks]
+            try:
+                value = _finite(kernel(*args)[0])
+            except ShapeError as e:  # a stack's operands have their base shapes under the lead
+                if not lead:
+                    raise
+                raise UsageError(f"replay: a kernel takes no stack: {e}") from e
+            if value.shape != lead + shape:
+                raise UsageError(f"replay: a kernel gave shape {value.shape}, not {lead + shape}")
+            fresh.append(value)
+        if not lead:
+            return [value if s is None else fresh[s] for s, value in self._picks]
+        return [np.broadcast_to(value, lead + value.shape) if s is None else fresh[s]
+                for s, value in self._picks]
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +301,8 @@ def _same_shape(a: np.ndarray, b: np.ndarray, opname: str) -> None:
         raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ")
 
 
-def _matrix(a: np.ndarray, opname: str) -> None:
-    if a.ndim != 2:
+def _matrix(a: np.ndarray, opname: str, stacks: bool = False) -> None:
+    if a.ndim < 2 or a.ndim > 2 and not stacks:  # a stack of 2-D arrays when ``stacks``
         raise ShapeError(f"{opname} expects a 2-D node")
 
 
@@ -328,9 +351,9 @@ def scale(a, c: float) -> Node:
 def matmul(a, b) -> Node:
     """Matrix product of two 2-D nodes."""
     def kernel(a, b):
-        if a.ndim != 2 or b.ndim != 2:
+        if a.ndim < 2 or b.ndim < 2:
             raise ShapeError("matmul expects 2-D operands")
-        if a.shape[1] != b.shape[0]:
+        if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul: inner dimensions {a.shape} x {b.shape} do not agree")
         return a @ b, lambda g: (lambda: g @ b.T, lambda: a.T @ g)
     return _op(kernel, a, b)
@@ -346,10 +369,10 @@ def transpose(a) -> Node:
 def hconcat(a, b) -> Node:
     """Concatenate two 2-D nodes along columns."""
     def kernel(a, b):
-        if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
+        if a.ndim < 2 or a.shape[:-1] != b.shape[:-1]:
             raise ShapeError("hconcat expects 2-D nodes with equal row counts")
-        na = a.shape[1]
-        return np.concatenate([a, b], axis=1), lambda g: (lambda: g[:, :na], lambda: g[:, na:])
+        na = a.shape[-1]
+        return np.concatenate([a, b], axis=-1), lambda g: (lambda: g[:, :na], lambda: g[:, na:])
     return _op(kernel, a, b)
 
 
@@ -416,8 +439,8 @@ def sum_rows(a) -> Node:
 def sum_cols(a) -> Node:
     """Column sums of a 2-D node -> 1-D node of length n."""
     def kernel(a):
-        _matrix(a, "sum_cols")
-        return np.add.reduce(a, axis=0), lambda g: (lambda: g[None, :],)
+        _matrix(a, "sum_cols", True)
+        return np.add.reduce(a, axis=-2), lambda g: (lambda: g[None, :],)
     return _op(kernel, a)
 
 
@@ -483,9 +506,9 @@ def softmax_cols(a) -> Node:
 
 def _log_softmax(a: np.ndarray, opname: str) -> np.ndarray:
     """The row-wise log-softmax of a 2-D array."""
-    _matrix(a, opname)
-    shifted = a - np.maximum.reduce(a, axis=1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    _matrix(a, opname, True)
+    shifted = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _log_softmax_grad(log_s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -539,9 +562,9 @@ def _unit_rows(x: np.ndarray, strict: bool, opname: str):
     the mask of (near-)zero rows, or None, that :func:`_unit_rows_grad` reads.
     A zero row raises :class:`DegenerateInputError` when ``strict``, else it
     stays zero and passes zero gradient."""
-    _matrix(x, opname)
-    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))  # np.linalg.norm's sum
-    bad = norms[:, 0] <= EPS_NORM
+    _matrix(x, opname, True)
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))  # np.linalg.norm's sum
+    bad = norms[..., 0] <= EPS_NORM
     if not bad.any():
         return x / norms, norms, None
     if strict:
@@ -577,11 +600,11 @@ def matmul_nt(a, b) -> Node:
     """``a @ b.T`` for two 2-D nodes: the chain ``matmul(a, transpose(b))``,
     whose transpose is a contiguous copy."""
     def kernel(a, b):
-        if a.ndim != 2 or b.ndim != 2:
+        if a.ndim < 2 or b.ndim < 2:
             raise ShapeError("matmul_nt expects 2-D operands")
-        if a.shape[1] != b.shape[1]:
+        if a.shape[-1] != b.shape[-1]:
             raise ShapeError(f"matmul_nt: column counts {a.shape} and {b.shape} do not agree")
-        bt = b.T.copy()
+        bt = b.swapaxes(-1, -2).copy()
         return a @ bt, lambda g: (lambda: g @ bt.T, lambda: (a.T @ g).T)
     return _op(kernel, a, b)
 
@@ -590,9 +613,9 @@ def _propagated(a_hat: np.ndarray, h: np.ndarray, w: np.ndarray, unit: bool):
     """The kernel of both GCN ops: ``a_hat @ (h @ w)``, with each row then
     scaled to unit L2 norm when ``unit`` (see :func:`_unit_rows`)."""
     opname = "propagate_unit" if unit else "propagate"
-    if a_hat.ndim != 2 or h.ndim != 2 or w.ndim != 2:
+    if a_hat.ndim != 2 or h.ndim < 2 or w.ndim < 2:
         raise ShapeError(f"{opname} expects 2-D operands")
-    if h.shape[1] != w.shape[0] or a_hat.shape[1] != h.shape[0]:
+    if h.shape[-1] != w.shape[-2] or a_hat.shape[1] != h.shape[-2]:
         raise ShapeError(f"{opname}: shapes {a_hat.shape}, {h.shape}, {w.shape} do not chain")
     out, norms, bad = a_hat @ (h @ w), None, None
     if unit:  # a non-finite product leaves a NaN in its unit rows
@@ -628,18 +651,18 @@ def info_nce(x, y, tau: float) -> Node:
     def kernel(x, y):
         if tau <= 0:
             raise ParameterError(f"info_nce needs tau > 0, got {tau}")
-        if x.ndim != 2 or x.shape != y.shape:
+        if x.ndim < 2 or x.shape != y.shape:
             raise ShapeError("info_nce operands must be 2-D and share a shape")
-        n = x.shape[0]
+        n = x.shape[-2]
         if n == 0:
             raise ShapeError("info_nce of empty operands")
-        yt = y.T.copy()
+        yt = y.swapaxes(-1, -2).copy()
         sim = x @ yt * tau
         if not all_finite(sim):
             raise NumericError("info_nce: similarities contain NaN or Inf")
-        mx = np.maximum.reduce(sim, axis=1, keepdims=True)
+        mx = np.maximum.reduce(sim, axis=-1, keepdims=True)
         e = np.exp(sim - mx)
-        e_sum = np.add.reduce(e, axis=1, keepdims=True)
+        e_sum = np.add.reduce(e, axis=-1, keepdims=True)
         lse = np.log(e_sum) + mx
 
         def rules(g):
@@ -650,7 +673,7 @@ def info_nce(x, y, tau: float) -> Node:
             g_xy = g_sim * tau
             return lambda: g_xy @ yt.T, lambda: (x.T @ g_xy).T
 
-        return np.add.reduce(lse[:, 0] - sim.diagonal()) / n, rules
+        return np.add.reduce(lse[..., 0] - sim.diagonal(0, -2, -1), axis=-1) / n, rules
     return _op(kernel, x, y)
 
 
@@ -664,29 +687,30 @@ def pearson_cols(a, var_eps: float) -> Node:
     are data-dependent constants, like a ReLU's.
     """
     def kernel(a):
-        _matrix(a, "pearson_cols")
-        m, d = a.shape
+        _matrix(a, "pearson_cols", True)
+        m, d = a.shape[-2:]
         if m == 0:
             raise ShapeError("pearson_cols of an empty matrix")
         inv_m = float(1.0 / m)
-        c = a - np.add.reduce(a, axis=0, keepdims=True) / m  # ndarray.mean
-        ct = c.T.copy()
+        c = a - np.add.reduce(a, axis=-2, keepdims=True) / m  # ndarray.mean
+        ct = c.swapaxes(-1, -2).copy()
         cov = ct @ c * inv_m
-        var = cov.diagonal()
+        var = cov.diagonal(0, -2, -1)
         ok = var > var_eps
         sd = np.sqrt(np.where(ok, var, 1.0))
-        den = sd[:, None] * sd[None, :]  # np.outer
+        den = sd[..., :, None] * sd[..., None, :]  # np.outer
         if not (all_finite(cov) and all_finite(den)):
             raise NumericError("pearson_cols: covariance contains NaN or Inf")
         if (np.abs(den) < EPS_NORM).any():
             raise DegenerateInputError("pearson_cols: standard deviation is (near) zero")
         corr = cov / den
         both = None
-        if not ok.all():
-            both = np.outer(ok, ok)
-            bad = np.flatnonzero(~ok)
-            corr = np.where(both, corr + 0.0, 0.0)
-            corr[bad, bad] = 1.0
+        if not ok.all():  # only where a slice has such a column: `+ 0.0` turns -0.0 into +0.0
+            both = ok[..., :, None] & ok[..., None, :]  # np.outer
+            low = ~ok.all(axis=-1)[..., None, None]
+            corr = np.where(low, np.where(both, corr + 0.0, 0.0), corr)
+            *lead, bad = np.nonzero(~ok)
+            corr[(*lead, bad, bad)] = 1.0
 
         def rules(g):
             def rule():
@@ -710,7 +734,7 @@ def pearson_cols(a, var_eps: float) -> Node:
                 return g_c - np.add.reduce(g_c, axis=0, keepdims=True) / m
             return (rule,)
 
-        return (corr + corr.T) * 0.5, rules
+        return (corr + corr.swapaxes(-1, -2)) * 0.5, rules
     return _op(kernel, a)
 
 
@@ -720,9 +744,9 @@ def dual_softmax(cls, det) -> Node:
     instance probability. ``det`` is the node's first operand because the
     chain's backward reaches it first."""
     def kernel(det, cls):
-        if cls.ndim != 2 or cls.shape != det.shape:
+        if cls.ndim < 2 or cls.shape != det.shape:
             raise ShapeError("dual_softmax expects two 2-D nodes of one shape")
-        s_rows, s_cols = _softmax(cls, 1), _softmax(det, 0)
+        s_rows, s_cols = _softmax(cls, -1), _softmax(det, -2)
         return s_rows * s_cols, lambda g: (lambda: _softmax_grad(s_cols, g * s_rows, 0),
                                            lambda: _softmax_grad(s_rows, g * s_cols, 1))
     return _op(kernel, det, cls)
@@ -741,8 +765,8 @@ def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> N
     eps = float(eps)
 
     def kernel(image_scores, s_logits):
-        if (image_scores.shape != tags.shape or tags.ndim != 1
-                or s_logits.shape != weights.shape or weights.ndim != 2):
+        if (tags.ndim != 1 or weights.ndim != 2 or s_logits.shape[-2:] != weights.shape
+                or image_scores.shape != s_logits.shape[:-2] + tags.shape):
             raise ShapeError("bce_plus_weighted_ce: scores and tags must be 1-D, logits and "
                              "weights 2-D, each pair of one shape")
         if not 0.0 < eps < 0.5:
@@ -750,7 +774,7 @@ def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> N
         clamped = np.minimum(np.maximum(image_scores, eps), 1.0 - eps)  # np.clip on finite input
         rest = 1.0 - clamped
         untagged = 1.0 - tags
-        image_term = -np.add.reduce(np.log(clamped) * tags + np.log(rest) * untagged, axis=None)
+        image_term = -np.add.reduce(np.log(clamped) * tags + np.log(rest) * untagged, axis=-1)
         log_s = _log_softmax(s_logits, "bce_plus_weighted_ce")
 
         def rules(g):
@@ -761,7 +785,7 @@ def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> N
                 return g_clamped * ((clamped > eps) & (clamped < 1.0 - eps))  # the scores' interior
             return scores_rule, lambda: _log_softmax_grad(log_s, -g * weights)
 
-        return image_term + -np.add.reduce(log_s * weights, axis=None), rules
+        return image_term + -np.add.reduce(log_s * weights, axis=(-2, -1)), rules
     return _op(kernel, image_scores, s_logits)
 
 
@@ -772,12 +796,12 @@ def cosine_center_loss(z, targets) -> Node:
     targets = np.asarray(targets, dtype=np.float64)
 
     def kernel(z):
-        if z.ndim != 2 or z.shape != targets.shape:
+        if z.ndim < 2 or z.shape[-2:] != targets.shape:
             raise ShapeError("cosine_center_loss expects two 2-D arrays of one shape")
-        m = z.shape[0]
+        m = z.shape[-2]
         if m == 0:
             raise ShapeError("cosine_center_loss of an empty matrix")
         unit, norms, _ = _unit_rows(z, True, "cosine_center_loss")  # strict: no zero row
-        value = 1.0 - np.add.reduce(np.add.reduce(unit * targets, axis=1)) / m
+        value = 1.0 - np.add.reduce(np.add.reduce(unit * targets, axis=-1), axis=-1) / m
         return value, lambda g: (lambda: _unit_rows_grad(-g / m * targets, unit, norms, None),)
     return _op(kernel, z)

@@ -234,6 +234,9 @@ def test_gen_data_zero_scenes(small_cfg_file, tmp_path):
         (["--n-scenes", "4", "--train-fraction", "2"], "train_fraction"),
         (["--train-fraction", "-0.5"], "train_fraction"),
         (["--train-fraction", "nan"], "train_fraction"),
+        (["--hidden-dim", "0"], "hidden_dim"),
+        (["--phase-mode", "x"], "phase_mode"),
+        (["--gc-step", "0"], "gc_step"),
     ],
 )
 def test_gen_data_rejects_out_of_range_cli_keys(small_cfg_file, tmp_path, flags, field, capsys):
@@ -362,6 +365,9 @@ def test_projector_and_graph_keys_accept_their_edges():
         (["--min-proposal-side", "nan"], "min_proposal_side"),
         (["--min-proposal-side", "inf"], "min_proposal_side"),
         (["--min-proposal-side", "-1"], "min_proposal_side"),
+        (["--jitter", "nan"], "jitter"),
+        (["--gc-step", "0"], "gc_step"),
+        (["--gc-tolerance", "inf"], "gc_tolerance"),
     ],
 )
 def test_train_and_eval_reject_out_of_range_decode_keys(trained, tmp_path, flags, field, capsys):

@@ -274,6 +274,8 @@ def test_prototypes_are_orthonormal_and_fixed():
     (dict(seed=-1), "seed"),
     (dict(seed=np.int64(7)), "seed"),
     (dict(objects_per_scene=(1, np.int64(4))), "objects_per_scene"),
+    (dict(jitter="0.1"), "jitter"),
+    (dict(canvas=("128", 128.0)), "canvas"),
 ])
 def test_every_scene_key_is_range_checked_naming_it(kw, key):
     with pytest.raises(ConfigError, match=f"^{key} "):

@@ -11,6 +11,7 @@ from weakdet.errors import NumericError, ParameterError, WeakdetError
 from weakdet.gradcheck import (
     LOSS_NAMES,
     REL_FLOOR,
+    STACK_CAP,
     GradCheckResult,
     analytic_gradients,
     check_bag,
@@ -207,11 +208,11 @@ def test_check_bag_restores_the_parameters_when_a_replay_raises(monkeypatch):
     calls = []
     original = nm.ReplayPlan.run
 
-    def failing(plan):
+    def failing(plan, *stack):
         calls.append(None)
         if len(calls) == 7:
             raise NumericError("injected")
-        return original(plan)
+        return original(plan, *stack)
 
     monkeypatch.setattr(nm.ReplayPlan, "run", failing)
     with pytest.raises(NumericError, match="injected"):
@@ -222,7 +223,8 @@ def test_check_bag_restores_the_parameters_when_a_replay_raises(monkeypatch):
 
 @pytest.mark.parametrize("method", ("A", "F"))
 def test_check_bag_plans_each_parameter_group_once(method, monkeypatch):
-    """The walk, sort and dirty test run once per group, not per perturbation."""
+    """The walk, sort and dirty test run once per group, not per perturbation,
+    and each group's perturbations run as one stack per chunk of STACK_CAP."""
     bag, state, cfg = small_case(1, modules=SUB_METHODS[method])
     planned, runs = [], []
     plan_for, run = nm.replay, nm.ReplayPlan.run
@@ -231,16 +233,45 @@ def test_check_bag_plans_each_parameter_group_once(method, monkeypatch):
         planned.append(next(p for p, v in state.params.items() if v is changed))
         return plan_for(roots, changed)
 
-    def counted_run(plan):
+    def counted_run(plan, *stack):
         runs.append(None)
-        return run(plan)
+        return run(plan, *stack)
 
     monkeypatch.setattr(nm, "replay", counted_plan)
     monkeypatch.setattr(nm.ReplayPlan, "run", counted_run)
     results = check_bag(bag, state, cfg)
     groups = sorted({r.param_name for r in results})
     assert planned == groups
-    assert len(runs) == 2 * sum(state.params[p].size for p in groups)
+    assert len(runs) == sum(-(-2 * state.params[p].size // STACK_CAP) for p in groups)
+
+
+@pytest.mark.parametrize("hidden_dim", (3, 40))
+def test_the_stack_cap_changes_no_bit(hidden_dim, monkeypatch):
+    """Every copy of a stack is computed apart from the others: capped at 1 or
+    5 copies, the replays give the same values and check_bag the same
+    results, also for groups of more than STACK_CAP copies (at width 40)."""
+    bag, _, cfg = small_case(3)
+    cfg = replace(cfg, hidden_dim=hidden_dim)
+    state = init_state(cfg, K, D)
+    assert (2 * state.params["gcn_ins_w1"].size > STACK_CAP) == (hidden_dim == 40)
+    run = nm.ReplayPlan.run
+
+    def audit(cap):
+        monkeypatch.setattr("weakdet.gradcheck.STACK_CAP", cap)
+        values = []
+
+        def recorded(plan, *stack):
+            values.append(run(plan, *stack))
+            return values[-1]
+
+        monkeypatch.setattr(nm.ReplayPlan, "run", recorded)
+        results = [(r.loss_name, r.param_name, r.max_rel_err.hex())
+                   for r in check_bag(bag, state, cfg)]
+        return results, [np.concatenate(root).tobytes() for root in zip(*values)]
+
+    want = audit(STACK_CAP)
+    for cap in (1, 5):
+        assert audit(cap) == want, cap
 
 
 # ------------------------------------------- replay of the base forward

@@ -947,10 +947,17 @@ def _nudge(arr, rng, delta):
     return undo
 
 
+# The ops whose kernels take no stack of operands; a stacked replay run through
+# one raises UsageError. Every op the training forward builds takes one.
+STACKLESS = {"transpose", "total", "mean", "sum_rows", "diag_part", "outer", "center_cols",
+             "softmax_rows", "softmax_cols", "logsumexp_rows", "smooth_max_lse", "cosine"}
+
+
 @pytest.mark.parametrize("case", sorted(FD_CASES))
 def test_every_op_records_itself_and_replays_like_a_rebuild(case):
     """Each op records the kernel it made, whose operands are the node's
-    parents; the kernel on their arrays gives the node's value."""
+    parents; the kernel on their arrays gives the node's value. A stacked run
+    gives each slice the bytes of an in-place run on that copy."""
     op = case.split("/")[0]
     make, build = FD_CASES[case]
     arrays = make(np.random.default_rng(900))
@@ -971,7 +978,45 @@ def test_every_op_records_itself_and_replays_like_a_rebuild(case):
             (got,) = plan.run()
             _assert_same_bytes(got, build(*[Node(a) for a in arrays]).value)
             undo()
+        stack = np.stack([arr] * 3)
+        for copy in stack:
+            _nudge(copy, rng, 0.05)
+        if op in STACKLESS:
+            with pytest.raises(UsageError, match="replay"):
+                plan.run(stack)
+            continue
+        (got,) = plan.run(stack)
+        orig = arr.copy()
+        for copy, value in zip(stack, got):
+            arr[...] = copy
+            _assert_same_bytes(value, plan.run()[0])
+        arr[...] = orig
     _assert_same_bytes(out.value, before)
+
+
+def test_a_stacked_pearson_run_masks_only_the_slices_with_a_low_variance_column():
+    z = np.hstack([np.random.default_rng(920).standard_normal((6, 3)), np.full((6, 1), 0.5)])
+    out = nm.pearson_cols(Node(z), 1e-6)
+    stack = np.stack([z, z, z])
+    stack[1, 0, 3] += 0.05  # slice 1 has no low-variance column
+    stack[2, 0, 0] += 0.05
+    (got,) = nm.replay([out], z).run(stack)
+    for copy, value in zip(stack, got):
+        _assert_same_bytes(value, nm.pearson_cols(Node(copy), 1e-6).value)
+
+
+def test_a_stacked_run_takes_only_a_stack_of_the_changed_shape():
+    a = np.ones((2, 3))
+    plan = nm.replay([nm.scale(Node(a), 2.0)], a)
+    with pytest.raises(UsageError, match="shape"):
+        plan.run(np.ones((4, 3, 2)))
+    _assert_same_bytes(plan.run(np.zeros((4, 2, 3)))[0], np.zeros((4, 2, 3)))
+
+
+def test_an_op_rejects_an_operand_of_more_than_two_dimensions():
+    for op in (nm.relu, nm.log_softmax_rows, lambda a: nm.matmul(a, np.ones((3, 1)))):
+        with pytest.raises(ShapeError, match="at most 2-D"):
+            op(Node(np.ones((2, 2, 3))))
 
 
 @pytest.mark.parametrize("name", sorted(FUSED))

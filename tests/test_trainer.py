@@ -83,6 +83,8 @@ def test_mask_validation():
     (dict(phase_mode="mixed"), "phase_mode must be fused or sequential, got 'mixed'"),
     (dict(semantic_init="zeros"), "semantic_init must be prototypes or random, got 'zeros'"),
     (dict(center_init=""), "center_init must be prototypes or random, got ''"),
+    (dict(tau="5"), "tau must be a finite number > 0, got '5'"),
+    (dict(momentum=None), "momentum must be in [0, 1), got None"),
 ])
 def test_count_and_choice_keys_are_checked_naming_them(kw, message):
     with pytest.raises(ConfigError) as exc:
