@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ConfigError, EmptyBagError, ParseError, check_keys
 
 PROTOTYPE_SEED = 0x5EED
+COOCCURRENCE_DECAY = 0.5
 
 
 class Box(namedtuple("Box", "x1 y1 x2 y2")):
@@ -133,9 +134,11 @@ class SceneConfig:
             ("in [1, 1000]", lambda v: 1 <= v <= 1000, ("n_classes",)),
             ("in [n_classes, 4096]", lambda v: self.n_classes <= v <= 4096, ("feature_dim",)),
             ("ints lo,hi with 1 <= lo <= hi <= 1000",
-             lambda v: all(type(n) is int for n in v) and 1 <= v[0] <= v[1] <= 1000, ("objects_per_scene",)),
+             lambda v: len(v) == 2 and all(type(n) is int for n in v) and 1 <= v[0] <= v[1] <= 1000,
+             ("objects_per_scene",)),
             (">= 0", lambda v: v >= 0, ("proposals_per_object", "background_proposals", "seed")),
-            ("two finite numbers > 0", lambda v: all(0.0 < c < inf for c in v), ("canvas",)),
+            ("two finite numbers > 0", lambda v: len(v) == 2 and all(0.0 < c < inf for c in v),
+             ("canvas",)),
             ("a finite number > 0", lambda v: 0.0 < v < inf, ("min_gt_side",)),
             ("in [min_gt_side, min(canvas)]", lambda v: self.min_gt_side <= v <= min(self.canvas),
              ("max_gt_side",)),
@@ -150,10 +153,11 @@ class SceneConfig:
                               f"to {most} proposals; every bag needs 1 to 10000")
 
 
-def default_cooccurrence(k: int, decay: float = 0.5) -> np.ndarray:
-    """Banded co-occurrence: nearby class indices appear together more often."""
+def default_cooccurrence(k: int) -> np.ndarray:
+    """Banded co-occurrence: nearby class indices appear together more often,
+    COOCCURRENCE_DECAY times as often per index apart."""
     idx = np.arange(k)
-    return decay ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+    return COOCCURRENCE_DECAY ** np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
 
 
 def class_prototypes(n_classes: int, feature_dim: int) -> np.ndarray:
@@ -260,7 +264,7 @@ def generate_dataset(cfg: SceneConfig, n_scenes: int) -> tuple[list[Bag], list[G
     return bags, gts
 
 
-def filter_proposals(bag: Bag, min_side: float = 16.0) -> Bag:
+def filter_proposals(bag: Bag, min_side: float) -> Bag:
     """Drop proposals whose width or height is below `min_side` pixels."""
     keep = [i for i, (x1, y1, x2, y2) in enumerate(bag.proposals)
             if x2 - x1 >= min_side and y2 - y1 >= min_side]

@@ -40,12 +40,13 @@ class ConfigError(WeakdetError):
 def check_keys(values, rules) -> None:
     """Raise a ConfigError for the first key in ``values`` that fails its
     ``(rule, ok, names)`` row: the rule as the message states it, a predicate
-    on one value, and the keys it covers. NaN and a wrong type (a TypeError) fail."""
+    on one value, and the keys it covers. NaN, a wrong type and a wrong form
+    (a TypeError or ValueError, such as a pair that does not unpack) fail."""
     for rule, ok, names in rules:
         for name in names:
             try:
                 passed = ok(value := values[name])
-            except TypeError:
+            except (TypeError, ValueError):
                 passed = False
             if not passed:
                 raise ConfigError(f"{name} must be {rule}, got {value!r}")

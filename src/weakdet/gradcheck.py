@@ -26,7 +26,7 @@ import numpy as np
 from . import numerics as nm
 from .datamodel import Bag, Box
 from .errors import ParameterError
-from .trainer import TrainConfig, TrainState, forward_losses, init_state
+from .trainer import BagForward, TrainConfig, TrainState, forward_losses, init_state
 
 REL_FLOOR = 1e-2
 # The defaults of the finite-difference step, the tolerance and the number of random bags.
@@ -73,11 +73,13 @@ def random_bag(
 
 def analytic_gradients(
     bag: Bag, state: TrainState, cfg: TrainConfig
-) -> dict[str, dict[str, np.ndarray]]:
+) -> tuple[BagForward, dict[str, dict[str, np.ndarray]]]:
     """Backward of every named term of the forward and of the composite,
-    each on its own graph, by loss and by the parameter groups it reaches."""
+    each on its own graph, by loss and by the parameter groups it reaches;
+    and the first graph, the one that named the terms, whose values its
+    backward left as they were."""
     grads: dict[str, dict[str, np.ndarray]] = {}
-    fwd = forward_losses(bag, state, cfg)
+    first = fwd = forward_losses(bag, state, cfg)
     for loss_name in (*fwd.terms, "composite"):
         if grads:  # the first term's graph is the one that named the terms
             fwd = forward_losses(bag, state, cfg)
@@ -85,7 +87,7 @@ def analytic_gradients(
         grads[loss_name] = {
             pname: node.grad for pname, node in fwd.leaves.items() if node.grad is not None
         }
-    return grads
+    return first, grads
 
 
 def _check_sweep(step: float, tolerance: float) -> None:
@@ -105,13 +107,13 @@ def check_bag(
     """Compare analytic and central-difference gradients on one bag.
 
     One sweep perturbs each entry of every parameter group that some loss
-    reaches. The forward is built once, and each group plans once which of
-    its ops lie downstream of the group (:func:`~weakdet.numerics.replay`);
-    its 2n perturbed copies run that plan for all losses, STACK_CAP at a time.
+    reaches. The first analytic graph is the base forward, and each group
+    plans once which of its ops lie downstream of the group
+    (:func:`~weakdet.numerics.replay`); its 2n perturbed copies run that plan
+    for all losses, STACK_CAP at a time.
     """
     _check_sweep(step, tolerance)
-    analytic = analytic_gradients(bag, state, cfg)
-    base = forward_losses(bag, state, cfg)
+    base, analytic = analytic_gradients(bag, state, cfg)
     roots = [*base.terms.values(), base.loss]  # in the order of `analytic`
     fd = {name: {} for name in analytic}
     for pname in sorted({p for g in analytic.values() for p in g}):

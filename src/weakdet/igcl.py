@@ -31,7 +31,7 @@ def _normalize(adj: np.ndarray) -> np.ndarray:
     return adj * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
 
 
-def build_instance_graph(boxes: list[Box], iou_threshold: float = 0.3) -> np.ndarray:
+def build_instance_graph(boxes: list[Box], iou_threshold: float) -> np.ndarray:
     """Connect proposals whose boxes overlap with IoU above the threshold.
 
     All pairwise IoUs come from :func:`~weakdet.evalmetrics.iou_matrix`, so
@@ -43,7 +43,7 @@ def build_instance_graph(boxes: list[Box], iou_threshold: float = 0.3) -> np.nda
     return _normalize(adj)
 
 
-def build_semantic_graph(z: np.ndarray, k: int = 5) -> np.ndarray:
+def build_semantic_graph(z: np.ndarray, k: int) -> np.ndarray:
     """Union-kNN graph by cosine similarity over embedding rows.
 
     An edge exists when either endpoint ranks the other among its k nearest

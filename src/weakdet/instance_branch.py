@@ -63,7 +63,7 @@ def instance_probs(features: Node, w_cls: Node, w_det: Node, w_bg: Node) -> Inst
     return InstanceScores(corr_ins=corr, s_logits=s_logits, image_scores=nm.sum_cols(corr))
 
 
-def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float = 0.9) -> ApproxLabels:
+def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float) -> ApproxLabels:
     """Induce per-instance labels from scores and image-level tags.
 
     For each tagged class k, instances scoring at least ``gamma`` times the

@@ -16,20 +16,19 @@ constants: it runs the op's shape and domain checks and returns the value
 with its backward rules unbuilt. The wrapper makes the node and checks the
 value (a NaN or Inf raises :class:`~weakdet.errors.NumericError`); only the
 node's backward builds the rules, once, so a forward-only pass and a replay
-build none. What only the backward reads (a softmax, a mask, an index) the
-rules compute from arrays the kernel made, never from an operand array,
-which a caller may overwrite in place to replay. Exponentials are max-shifted.
-A reduction calls the ufunc numpy's wrapper calls (``np.add.reduce`` for
-``sum`` and ``mean``, ``np.maximum.reduce`` for ``max``): same bits, faster.
+build none. Exponentials are max-shifted. A reduction calls the ufunc
+numpy's wrapper calls (``np.add.reduce`` for ``sum`` and ``mean``,
+``np.maximum.reduce`` for ``max``): same bits, faster.
 
 Every op records its kernel. :func:`replay` finds once which ops of a built
 graph lie downstream of a parameter array; each run of its plan calls exactly
 those kernels again on arrays, with the same finite check and no node, so
 every check and data-dependent mask (a ReLU's) runs again and the values are
-bitwise a fresh build's. A run reads the array as it is now, or a stack of
-its values along a new leading axis: the kernels the forward builds index
-their core axes from the end, so each slice gets a 2-D run's bits. A run
-never writes into the base graph.
+bitwise a fresh build's. A run takes a stack of new values of the array
+along a new leading axis: the kernels the forward builds index their core
+axes from the end, so each slice gets a fresh build's bits. A run never
+writes into the base graph, and a backward writes no node value, so a graph
+replays the same before and after its backward.
 
 The fused ops at the end each build one node for what would otherwise be a
 chain of elementary ops. Their kernels repeat the chain's numpy expressions
@@ -205,11 +204,6 @@ def backward(loss: Node) -> None:
             node._backward(node.grad)
 
 
-def _leaf(x: np.ndarray):
-    """The kernel of a replayed leaf that holds the changed array."""
-    return x, None
-
-
 def replay(roots, changed: np.ndarray) -> ReplayPlan:
     """Plan the re-evaluation of ``roots`` for new values of the array
     ``changed``; each :meth:`ReplayPlan.run` then gives their values.
@@ -227,7 +221,7 @@ def replay(roots, changed: np.ndarray) -> ReplayPlan:
             if p._order not in reached:
                 reached[p._order] = p
                 stack.append(p)
-    slot: dict[int, int] = {}  # a dirty node's creation stamp -> its step
+    slot: dict[int, int] = {}  # a dirty node's creation stamp -> its value's index in a run
     steps = []
     for key in sorted(reached):
         node = reached[key]
@@ -235,55 +229,51 @@ def replay(roots, changed: np.ndarray) -> ReplayPlan:
             if node.parents:
                 raise UsageError("replay: an op result carries no record")
             if node.value is changed:
-                slot[key] = len(steps)
-                steps.append((_leaf, [changed], ()))
+                slot[key] = 0
             continue
         subs = tuple((i, slot[p._order]) for i, p in enumerate(node.parents) if p._order in slot)
         if subs:
+            steps.append((node._record, [p.value for p in node.parents], subs, node.value.shape))
             slot[key] = len(steps)
-            steps.append((node._record, [p.value for p in node.parents], subs))
-    shapes = [reached[key].value.shape for key in sorted(slot)]  # in step order
-    return ReplayPlan(steps, [(slot.get(r._order), r.value) for r in roots], shapes)
+    return ReplayPlan(changed.shape, steps, [(slot.get(r._order), r.value) for r in roots])
 
 
 class ReplayPlan:
     """The dirty steps of a :func:`replay`, in creation order.
 
-    Each step is ``(kernel, args, subs)``: the recorded kernel (``_leaf``
-    for a leaf holding the changed array), a list of the base operands'
-    arrays, and the ``(position, step)`` pairs whose array an earlier step
-    recomputes, which an in-place run writes into ``args``. A run calls every
-    kernel, so its checks and data-dependent masks see the current values.
+    A run's value 0 is its stack of the changed array, and value ``i`` the
+    result of step ``i``. Each step is ``(kernel, args, subs, shape)``: the
+    recorded kernel, a list of the base operands' arrays, the ``(position,
+    value)`` pairs of the operands a run recomputes, and the shape of the
+    step's value in the base graph. A run calls every kernel, so its checks
+    and data-dependent masks see the new values.
     """
 
-    def __init__(self, steps: list, picks: list, shapes: list):
+    def __init__(self, shape: tuple, steps: list, picks: list):
+        self.shape = shape  # the changed array's
         self.steps = steps
-        self._picks = picks  # per root: its step, or None and its base value
-        self._shapes = shapes  # per step: the base graph's value shape
+        self._picks = picks  # per root: its value's index, or None and its base value
 
-    def run(self, stack: np.ndarray | None = None) -> list[np.ndarray]:
-        """The roots' values for the changed array as it is now; or, for a
-        ``stack`` of B values of it along a new leading axis, each root's B
-        values, with a step's constant operands as zero-stride views. A
-        kernel that takes no stack raises :class:`UsageError` in a stacked run."""
-        lead = () if stack is None else stack.shape[:1]
-        fresh: list[np.ndarray] = []
-        for (kernel, args, subs), shape in zip(self.steps, self._shapes):
-            if lead:
-                args = [stack if kernel is _leaf else np.broadcast_to(a, lead + a.shape) for a in args]
+    def run(self, stack: np.ndarray) -> list[np.ndarray]:
+        """Each root's B values for a ``stack`` of B values of the changed
+        array along a new leading axis; a root the array does not reach gets
+        its base value as a zero-stride view, as a step's constant operands
+        do. A kernel that takes no stack raises :class:`UsageError`."""
+        lead = stack.shape[:1]
+        if not lead or stack.shape[1:] != self.shape:
+            raise UsageError(f"replay: a stack of shape {stack.shape} holds no {self.shape} arrays")
+        fresh = [_finite(stack)]  # the check a leaf of these values would get
+        for kernel, args, subs, shape in self.steps:
+            args = [np.broadcast_to(a, lead + a.shape) for a in args]
             for i, s in subs:
                 args[i] = fresh[s]
             try:
                 value = _finite(kernel(*args)[0])
             except ShapeError as e:  # a stack's operands have their base shapes under the lead
-                if not lead:
-                    raise
                 raise UsageError(f"replay: a kernel takes no stack: {e}") from e
             if value.shape != lead + shape:
                 raise UsageError(f"replay: a kernel gave shape {value.shape}, not {lead + shape}")
             fresh.append(value)
-        if not lead:
-            return [value if s is None else fresh[s] for s, value in self._picks]
         return [np.broadcast_to(value, lead + value.shape) if s is None else fresh[s]
                 for s, value in self._picks]
 

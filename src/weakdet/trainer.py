@@ -79,24 +79,12 @@ class TrainConfig:
     phase_mode: str = "fused"  # or "sequential"
 
     def __post_init__(self):
-        mods = frozenset(self.modules)
-        object.__setattr__(self, "modules", mods)
-        if not mods:
-            raise ConfigError("module mask is empty")
-        unknown = mods - set(MODULE_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown modules {sorted(unknown)}")
-        if "M3" in mods and "M4" in mods:
-            raise ConfigError("M3 and M4 cannot be applied at the same time")
-        if "M4" in mods and not {"M1", "M2"} <= mods:
-            raise ConfigError("M4 needs both branches (M1 and M2)")
-        if "M3" in mods and not ({"M1", "M2"} & mods):
-            raise ConfigError("M3 needs at least one branch")
-        steps = [s for s, _ in self.lr_schedule]
-        if not (steps and steps == sorted(steps) and all(
-                math.isfinite(s) and 0.0 <= r < math.inf for s, r in self.lr_schedule)):
-            raise ConfigError("lr_schedule needs rising finite breakpoints and finite rates >= 0")
         check_keys(vars(self), (  # NaN fails every comparison; a bool or numpy integer is no int
+            ("a set of module names", lambda v: all(type(m) is str for m in frozenset(v)),
+             ("modules",)),
+            ("(breakpoint, rate) pairs with rising finite breakpoints and finite rates >= 0",
+             lambda v: [s for s, _ in v] == sorted(s for s, _ in v) != [] and all(
+                 math.isfinite(s) and 0.0 <= r < math.inf for s, r in v), ("lr_schedule",)),
             ("an int", lambda v: type(v) is int,
              ("epochs", "batch_size", "seed", "hidden_dim", "embed_dim", "knn_k")),
             (">= 0", lambda v: v >= 0, ("epochs", "seed")),
@@ -114,6 +102,19 @@ class TrainConfig:
             ("prototypes or random", lambda v: v in ("prototypes", "random"),
              ("semantic_init", "center_init")),
         ))
+        mods = frozenset(self.modules)
+        object.__setattr__(self, "modules", mods)
+        if not mods:
+            raise ConfigError("module mask is empty")
+        unknown = mods - set(MODULE_NAMES)
+        if unknown:
+            raise ConfigError(f"unknown modules {sorted(unknown)}")
+        if "M3" in mods and "M4" in mods:
+            raise ConfigError("M3 and M4 cannot be applied at the same time")
+        if "M4" in mods and not {"M1", "M2"} <= mods:
+            raise ConfigError("M4 needs both branches (M1 and M2)")
+        if "M3" in mods and not ({"M1", "M2"} & mods):
+            raise ConfigError("M3 needs at least one branch")
 
     @property
     def m1(self) -> bool:

@@ -276,6 +276,8 @@ def test_prototypes_are_orthonormal_and_fixed():
     (dict(objects_per_scene=(1, np.int64(4))), "objects_per_scene"),
     (dict(jitter="0.1"), "jitter"),
     (dict(canvas=("128", 128.0)), "canvas"),
+    (dict(objects_per_scene=(1,)), "objects_per_scene"),
+    (dict(canvas=(1.0,)), "canvas"),
 ])
 def test_every_scene_key_is_range_checked_naming_it(kw, key):
     with pytest.raises(ConfigError, match=f"^{key} "):
@@ -312,12 +314,12 @@ def _bag_with_boxes(boxes):
 
 def test_filter_keeps_large_boxes():
     bag = _bag_with_boxes([Box(0, 0, 20, 20), Box(5, 5, 25, 25)])
-    assert filter_proposals(bag) is bag
+    assert filter_proposals(bag, 16.0) is bag
 
 
 def test_filter_removes_thin_box():
     bag = _bag_with_boxes([Box(0, 0, 20, 20), Box(0, 0, 10, 40), Box(30, 30, 50, 50)])
-    out = filter_proposals(bag)
+    out = filter_proposals(bag, 16.0)
     assert out.size == 2
     assert all(x2 - x1 >= 16 and y2 - y1 >= 16 for x1, y1, x2, y2 in out.proposals)
     assert np.array_equal(out.features, bag.features[[0, 2]])
@@ -333,9 +335,9 @@ def test_filter_matches_brute_force_count(rng):
         bag = _bag_with_boxes(boxes)
         if expected == 0:
             with pytest.raises(EmptyBagError):
-                filter_proposals(bag)
+                filter_proposals(bag, 16.0)
         else:
-            assert filter_proposals(bag).size == expected
+            assert filter_proposals(bag, 16.0).size == expected
 
 
 # ---------------------------------------------------------------- JSONL

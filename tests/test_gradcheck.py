@@ -163,7 +163,8 @@ def test_audit_reads_the_trained_contrastive_forward_under_ema(monkeypatch):
     bag, state, cfg = small_case(1, corr_sem_ema=0.5)
     assert all(r.passed for r in check_bag(bag, state, cfg))
 
-    audited = analytic_gradients(bag, state, cfg)["loss_con_ds"]
+    _, grads = analytic_gradients(bag, state, cfg)
+    audited = grads["loss_con_ds"]
     fwd = forward_losses(bag, state, cfg)
     nm.backward(fwd.terms["loss_con_ds"])
     trained = {n: node.grad for n, node in fwd.leaves.items() if node.grad is not None}
@@ -245,6 +246,22 @@ def test_check_bag_plans_each_parameter_group_once(method, monkeypatch):
     assert len(runs) == sum(-(-2 * state.params[p].size // STACK_CAP) for p in groups)
 
 
+@pytest.mark.parametrize("method, losses", (("A", 2), ("F", 5)))
+def test_check_bag_builds_one_forward_per_audited_loss(method, losses, monkeypatch):
+    """The replays run on the graph of the first analytic gradient, not on a
+    forward of their own."""
+    bag, state, cfg = small_case(1, modules=SUB_METHODS[method])
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(None)
+        return forward_losses(*args, **kwargs)
+
+    monkeypatch.setattr("weakdet.gradcheck.forward_losses", counted)
+    results = check_bag(bag, state, cfg)
+    assert len(builds) == len({r.loss_name for r in results}) == losses
+
+
 @pytest.mark.parametrize("hidden_dim", (3, 40))
 def test_the_stack_cap_changes_no_bit(hidden_dim, monkeypatch):
     """Every copy of a stack is computed apart from the others: capped at 1 or
@@ -281,6 +298,13 @@ def _roots(fwd):
     return [*fwd.terms.values(), fwd.loss]
 
 
+def _nudged(target, idx, delta):
+    """A stack of one copy of ``target`` with the entry ``idx`` moved by ``delta``."""
+    stack = target[None].copy()
+    stack[(0, *idx)] += delta
+    return stack
+
+
 def _replay_case(method, m, ema):
     rng = np.random.default_rng(3100 + m)
     bag = make_bag(rng, m=m, n_classes=K, feature_dim=D, n_pos=1 if m == 1 else None)
@@ -310,15 +334,19 @@ def test_replay_equals_a_fresh_forward_byte_for_byte(method, phase_mode, ema, m,
             target = state.params[pname]
             orig = target.copy()
             plan = nm.replay(_roots(base), target)
-            for write in range(3):  # one plan, successive writes that accumulate
+            copies = []
+            for _ in range(3):  # successive writes that accumulate, a copy after each
                 idx = tuple(int(rng.integers(s)) for s in target.shape)
                 # Large enough to flip relu masks now and then.
                 target[idx] += rng.normal(0.0, 0.5)
-                got = plan.run()
+                copies.append(target.copy())
+            got = plan.run(np.stack(copies))
+            for write, copy in enumerate(copies):
+                target[...] = copy
                 want = _roots(forward_losses(bag, state, cfg, include=include))
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
-                    assert g.tobytes() == w.value.tobytes(), (include, pname, write)
+                    assert g[write].tobytes() == w.value.tobytes(), (include, pname, write)
             target[...] = orig
 
 
@@ -351,7 +379,7 @@ def test_replay_holds_a_selection_that_a_fresh_forward_flips(selection, pname, m
         pytest.fail(f"no write to {pname} flipped {selection}")
     pins.held = True
     want = [r.value.tobytes() for r in _roots(forward_losses(bag, state, cfg))]
-    got = [g.tobytes() for g in plan.run()]
+    got = [g[0].tobytes() for g in plan.run(target[None])]
     assert got == want
     assert got != unpinned
 
@@ -365,7 +393,7 @@ def test_replay_raises_what_a_fresh_forward_raises(monkeypatch):
         with pytest.raises(NumericError, match="pearson_cols") as fresh:
             forward_losses(bag, state, cfg)
         with pytest.raises(NumericError, match="pearson_cols") as replayed:
-            nm.replay(_roots(base), state.params["w_sem"]).run()
+            nm.replay(_roots(base), state.params["w_sem"]).run(state.params["w_sem"][None])
     assert str(replayed.value) == str(fresh.value)
 
 
@@ -386,10 +414,7 @@ def test_replay_builds_no_node_and_raises_what_a_rebuild_raises(monkeypatch):
     rng = np.random.default_rng(3500)
     for pname, plan in plans.items():
         target = state.params[pname]
-        orig = target.copy()
-        target[tuple(int(rng.integers(s)) for s in target.shape)] += 0.3
-        plan.run()
-        target[...] = orig
+        plan.run(_nudged(target, tuple(int(rng.integers(s)) for s in target.shape), 0.3))
     assert made == []
     forward_losses(bag, state, cfg)
     assert made  # the count sees the nodes a rebuild makes
@@ -405,12 +430,12 @@ def test_replay_builds_no_node_and_raises_what_a_rebuild_raises(monkeypatch):
             with pytest.raises(WeakdetError) as fresh:
                 forward_losses(bag, state, cfg)
             with pytest.raises(WeakdetError) as replayed:
-                plans[pname].run()
+                plans[pname].run(target[None])
         finally:
             target[...] = orig
         assert type(replayed.value) is type(fresh.value), pname
         assert str(replayed.value) == str(fresh.value), pname
-    assert [r.tobytes() for r in plans["w_sem"].run()] == [
+    assert [r[0].tobytes() for r in plans["w_sem"].run(state.params["w_sem"][None])] == [
         r.value.tobytes() for r in _roots(base)
     ]
 
@@ -421,17 +446,22 @@ def test_replay_leaves_the_base_graph_unchanged():
     nodes = graph_nodes(base.loss)
     snapshot = [(n.value, n.value.tobytes(), n.grad, n._record) for n in nodes]
     rng = np.random.default_rng(3300)
+    stacks = {}
     for pname, target in state.params.items():
-        idx = tuple(int(rng.integers(s)) for s in target.shape)
-        orig = target[idx]
-        target[idx] = orig + 0.3
-        nm.replay(_roots(base), target).run()
-        target[idx] = orig
+        stacks[pname] = _nudged(target, tuple(int(rng.integers(s)) for s in target.shape), 0.3)
+        nm.replay(_roots(base), target).run(stacks[pname])
     assert graph_nodes(base.loss) == nodes
     for n, (value, raw, grad, record) in zip(nodes, snapshot):
         assert n.value is value and n.value.tobytes() == raw
         assert n.grad is grad is None and n._record is record
-    nm.backward(base.loss)  # still a fresh graph
+    want = {p: [r.tobytes() for r in nm.replay(_roots(base), t).run(stacks[p])]
+            for p, t in state.params.items()}
+    nm.backward(base.loss)  # still a fresh graph, and a backward writes no value
+    for n, (value, raw, _, _) in zip(nodes, snapshot):
+        assert n.value is value and n.value.tobytes() == raw
+    for pname, target in state.params.items():
+        got = [r.tobytes() for r in nm.replay(_roots(base), target).run(stacks[pname])]
+        assert got == want[pname], pname
 
 
 def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
@@ -457,8 +487,7 @@ def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
     target = state.params["gcn_ins_w1"]
     plan = nm.replay(_roots(base), target)
     assert calls == {}  # planning calls no op
-    target[0, 0] += 0.1
-    plan.run()
+    plan.run(_nudged(target, (0, 0), 0.1))
     # propagate, relu, propagate_unit for u; info_nce; the l_gcl add, its
     # lambda scale and the last add of the composite.
     assert calls == {
@@ -491,10 +520,7 @@ def test_only_a_backward_builds_rules_and_once_per_node(monkeypatch):
     rng = np.random.default_rng(3600)
     for target in state.params.values():
         plan = nm.replay(_roots(base), target)
-        orig = target.copy()
-        target[tuple(int(rng.integers(s)) for s in target.shape)] += 0.1
-        plan.run()
-        target[...] = orig
+        plan.run(_nudged(target, tuple(int(rng.integers(s)) for s in target.shape), 0.1))
     assert infer(bag, state, cfg)
     assert built == []
     nm.backward(base.loss)

@@ -29,13 +29,13 @@ from conftest import PinnedSelections, finite_difference, make_bag, max_rel_err
 
 def test_instance_graph_disjoint_boxes_is_identity():
     boxes = [Box(0, 0, 10, 10), Box(50, 50, 60, 60), Box(100, 0, 110, 10)]
-    g = build_instance_graph(boxes)
+    g = build_instance_graph(boxes, 0.3)
     assert np.array_equal(g, np.eye(3))
 
 
 def test_instance_graph_identical_pair_normalization():
     boxes = [Box(0, 0, 10, 10), Box(0, 0, 10, 10)]
-    g = build_instance_graph(boxes)
+    g = build_instance_graph(boxes, 0.3)
     assert np.abs(g - 0.5).max() < 1e-12
 
 
@@ -45,14 +45,14 @@ def test_instance_graph_exactly_symmetric():
     for _ in range(8):
         x1, y1 = rng.uniform(0, 60, size=2)
         boxes.append(Box(x1, y1, x1 + rng.uniform(10, 50), y1 + rng.uniform(10, 50)))
-    g = build_instance_graph(boxes)
+    g = build_instance_graph(boxes, 0.3)
     assert np.array_equal(g, g.T)
 
 
 def test_regular_graph_rows_sum_to_one():
     # complete graph on 4 nodes: every degree equals 4 after self-loops
     boxes = [Box(0, 0, 10, 10)] * 4
-    g = build_instance_graph(boxes)
+    g = build_instance_graph(boxes, 0.3)
     assert np.abs(g.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -240,7 +240,7 @@ def test_semantic_graph_bytes_equal_the_argsort_reference():
 
 def test_gcn_identity_graph_identity_weights():
     h = np.array([[1.0, -2.0], [3.0, 0.5]])
-    g = build_instance_graph([Box(0, 0, 10, 10), Box(50, 50, 60, 60)])
+    g = build_instance_graph([Box(0, 0, 10, 10), Box(50, 50, 60, 60)], 0.3)
     proj = (Node(np.eye(2)), Node(np.eye(2)))
     out = gcn_forward(g, Node(h), *proj).value
     expected = np.maximum(h, 0)
@@ -249,14 +249,14 @@ def test_gcn_identity_graph_identity_weights():
 
 
 def test_gcn_zero_input_gives_flagged_zero_rows():
-    g = build_instance_graph([Box(0, 0, 10, 10), Box(0, 0, 10, 10)])
+    g = build_instance_graph([Box(0, 0, 10, 10), Box(0, 0, 10, 10)], 0.3)
     proj = (Node(np.ones((3, 4))), Node(np.ones((4, 2))))
     out = gcn_forward(g, Node(np.zeros((2, 3))), *proj).value
     assert np.array_equal(out, np.zeros((2, 2)))
 
 
 def test_gcn_rejects_features_that_do_not_match_the_graph():
-    g = build_instance_graph([Box(0, 0, 10, 10), Box(50, 50, 60, 60), Box(0, 0, 10, 12)])
+    g = build_instance_graph([Box(0, 0, 10, 10), Box(50, 50, 60, 60), Box(0, 0, 10, 12)], 0.3)
     with pytest.raises(ShapeError, match="propagate"):
         gcn_forward(g, Node(np.ones((2, 3))), Node(np.ones((3, 4))), Node(np.ones((4, 2))))
 
@@ -267,7 +267,7 @@ def test_gcn_two_node_fixture_matches_hand_propagation():
     w1 = rng.standard_normal((3, 4))
     w2 = rng.standard_normal((4, 2))
     a_hat = np.full((2, 2), 0.5)
-    g = build_instance_graph([Box(0, 0, 10, 10), Box(0, 0, 10, 10)])
+    g = build_instance_graph([Box(0, 0, 10, 10), Box(0, 0, 10, 10)], 0.3)
     assert np.abs(g - a_hat).max() < 1e-12
     out = gcn_forward(g, Node(h), Node(w1), Node(w2)).value
     manual = a_hat @ np.maximum(a_hat @ h @ w1, 0) @ w2
@@ -334,8 +334,8 @@ def test_compute_embeddings_rows_are_unit():
         Node(z),
         Node(scores),
         _projectors(rng, [d, k + 1, k, k]),
-        build_instance_graph(boxes),
-        build_semantic_graph(z),
+        build_instance_graph(boxes, 0.3),
+        build_semantic_graph(z, 5),
     )
     for rows in (emb.u, emb.u_prime, emb.v, emb.v_prime):
         assert np.abs(np.linalg.norm(rows.value, axis=1) - 1.0).max() < 1e-9
@@ -349,8 +349,8 @@ def test_compute_embeddings_singleton_bag():
         Node(rng.standard_normal((1, 2))),
         Node(rng.standard_normal((1, 2))),
         _projectors(rng, [4, 3, 2, 2]),
-        build_instance_graph([Box(0, 0, 10, 10)]),
-        build_semantic_graph(rng.standard_normal((1, 2))),
+        build_instance_graph([Box(0, 0, 10, 10)], 0.3),
+        build_semantic_graph(rng.standard_normal((1, 2)), 5),
     )
     for rows in (emb.u, emb.u_prime, emb.v, emb.v_prime):
         assert rows.value.shape[0] == 1
@@ -521,8 +521,8 @@ def test_igcl_gradients_through_projectors(seed):
     z_vals = rng.standard_normal((m, k))
     scores = rng.standard_normal((m, k))
     onehot = one_hot_labels(rng.integers(0, k + 1, size=m), k + 1)
-    ig = build_instance_graph(boxes)
-    sg = build_semantic_graph(z_vals)
+    ig = build_instance_graph(boxes, 0.3)
+    sg = build_semantic_graph(z_vals, 5)
     arrays = {
         "i1": rng.standard_normal((d, 4)),
         "i2": rng.standard_normal((4, 3)),

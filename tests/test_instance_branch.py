@@ -164,7 +164,7 @@ def test_fewer_instances_than_positive_tags_leave_the_surplus_classes_unlabelled
 
 def test_approx_labels_requires_positive_tag():
     with pytest.raises(ContractError):
-        approx_labels(np.ones((2, 2)) * 0.5, np.array([0, 0]))
+        approx_labels(np.ones((2, 2)) * 0.5, np.array([0, 0]), gamma=0.9)
     with pytest.raises(ParameterError):
         approx_labels(np.ones((2, 2)) * 0.5, np.array([1, 0]), gamma=0.0)
 
@@ -206,7 +206,7 @@ def test_instance_loss_matches_bruteforce_oracle():
         feats = rng.standard_normal((3, 4))
         head = make_head(rng, 4, 2)
         scores = instance_probs(Node(feats), **head)
-        labels = approx_labels(scores.corr_ins.value, tags)
+        labels = approx_labels(scores.corr_ins.value, tags, gamma=0.9)
         loss = float(instance_loss(scores, labels, tags).value)
 
         # independent summation with plain python
@@ -246,7 +246,7 @@ def test_instance_loss_nonnegative():
         head = make_head(rng, 5, 3)
         tags = np.array([1, 0, 1])
         scores = instance_probs(Node(rng.standard_normal((4, 5))), **head)
-        labels = approx_labels(scores.corr_ins.value, tags)
+        labels = approx_labels(scores.corr_ins.value, tags, gamma=0.9)
         assert float(instance_loss(scores, labels, tags).value) >= 0.0
 
 
@@ -266,7 +266,7 @@ def test_instance_loss_gradients_match_finite_differences(seed):
         head = {name: Node(arrays[name]) for name in ("w_cls", "w_det", "w_bg")}
         scores = instance_probs(Node(feats), **head)
         if "labels" not in frozen_labels:
-            frozen_labels["labels"] = approx_labels(scores.corr_ins.value, tags)
+            frozen_labels["labels"] = approx_labels(scores.corr_ins.value, tags, gamma=0.9)
         return instance_loss(scores, frozen_labels["labels"], tags), head
 
     loss, head = build()

@@ -610,10 +610,10 @@ def test_pearson_cols_degenerate_columns(seed):
 
 
 # A fused op computes what only its backward reads inside the backward rule,
-# from arrays its forward made: a leaf's value may be a view into the flat
-# parameter vector, which the gradient audit writes in place after building
-# the graph. name: (operands overwritten after the forward, operands whose
-# gradient must not change).
+# from arrays its forward made, so a write into an operand's array (a leaf's
+# value may be a view into the flat parameter vector) between the forward and
+# the backward changes no gradient. name: (operands overwritten after the
+# forward, operands whose gradient must not change).
 DEFERRED = {
     "bce_plus_weighted_ce": ((0, 1), (0, 1)),  # the clamp's mask, the softmax
     "pearson_cols": ((0,), (0,)),  # the centred columns, two_sd, the diagonal
@@ -947,17 +947,32 @@ def _nudge(arr, rng, delta):
     return undo
 
 
-# The ops whose kernels take no stack of operands; a stacked replay run through
-# one raises UsageError. Every op the training forward builds takes one.
+# The ops whose kernels take no stack of operands; a replay run through one
+# raises UsageError. Every op the training forward builds takes one.
 STACKLESS = {"transpose", "total", "mean", "sum_rows", "diag_part", "outer", "center_cols",
              "softmax_rows", "softmax_cols", "logsumexp_rows", "smooth_max_lse", "cosine"}
+
+
+def _stackless(plan):
+    """The ops among a plan's steps whose kernels take no stack."""
+    return {kernel.__qualname__.split(".")[0] for kernel, *_ in plan.steps} & STACKLESS
+
+
+def _assert_slices_rebuild(got, stack, arr, rebuild):
+    """Each slice of ``got`` has the bytes of ``rebuild()`` while ``arr``
+    holds the matching copy of ``stack``; ``arr`` is restored after."""
+    orig = arr.copy()
+    for copy, value in zip(stack, got):
+        arr[...] = copy
+        _assert_same_bytes(value, rebuild())
+    arr[...] = orig
 
 
 @pytest.mark.parametrize("case", sorted(FD_CASES))
 def test_every_op_records_itself_and_replays_like_a_rebuild(case):
     """Each op records the kernel it made, whose operands are the node's
-    parents; the kernel on their arrays gives the node's value. A stacked run
-    gives each slice the bytes of an in-place run on that copy."""
+    parents; the kernel on their arrays gives the node's value. A replay run
+    gives each slice of its stack the bytes of a rebuild on that copy."""
     op = case.split("/")[0]
     make, build = FD_CASES[case]
     arrays = make(np.random.default_rng(900))
@@ -973,24 +988,18 @@ def test_every_op_records_itself_and_replays_like_a_rebuild(case):
     rng = np.random.default_rng(901)
     for arr in arrays:
         plan = nm.replay([out], arr)
-        for _ in range(2):  # one plan serves successive writes
-            undo = _nudge(arr, rng, 0.05)
-            (got,) = plan.run()
-            _assert_same_bytes(got, build(*[Node(a) for a in arrays]).value)
-            undo()
         stack = np.stack([arr] * 3)
         for copy in stack:
             _nudge(copy, rng, 0.05)
+        assert _stackless(plan) == STACKLESS & {op}
         if op in STACKLESS:
             with pytest.raises(UsageError, match="replay"):
                 plan.run(stack)
             continue
-        (got,) = plan.run(stack)
-        orig = arr.copy()
-        for copy, value in zip(stack, got):
-            arr[...] = copy
-            _assert_same_bytes(value, plan.run()[0])
-        arr[...] = orig
+        for _ in range(2):  # one plan serves successive runs
+            (got,) = plan.run(stack)
+            _assert_slices_rebuild(got, stack, arr, lambda: build(*[Node(a) for a in arrays]).value)
+            stack = stack[::-1].copy()
     _assert_same_bytes(out.value, before)
 
 
@@ -1008,8 +1017,9 @@ def test_a_stacked_pearson_run_masks_only_the_slices_with_a_low_variance_column(
 def test_a_stacked_run_takes_only_a_stack_of_the_changed_shape():
     a = np.ones((2, 3))
     plan = nm.replay([nm.scale(Node(a), 2.0)], a)
-    with pytest.raises(UsageError, match="shape"):
-        plan.run(np.ones((4, 3, 2)))
+    for bad in (np.ones((4, 3, 2)), a, np.float64(2.0)):  # an unstacked array is no stack
+        with pytest.raises(UsageError, match="shape"):
+            plan.run(bad)
     _assert_same_bytes(plan.run(np.zeros((4, 2, 3)))[0], np.zeros((4, 2, 3)))
 
 
@@ -1022,8 +1032,9 @@ def test_an_op_rejects_an_operand_of_more_than_two_dimensions():
 @pytest.mark.parametrize("name", sorted(FUSED))
 @pytest.mark.parametrize("as_leaf", (True, False))
 def test_replay_through_each_chain_equals_a_rebuild(name, as_leaf):
-    """The elementary ops the oracles compose replay too, whether the changed
-    array is a leaf or a constant made by ``as_node``."""
+    """The fused ops replay, and so do the oracle chains that build only ops
+    that take a stack, whether the changed array is a leaf or a constant made
+    by ``as_node``; a chain through any other op raises UsageError."""
     fused, chain, make, grad_idx = FUSED[name]
     rng = np.random.default_rng(910)
     arrays = make(rng, 5)
@@ -1035,11 +1046,16 @@ def test_replay_through_each_chain_equals_a_rebuild(name, as_leaf):
         out = fn(*operands())
         for i in grad_idx:
             plan = nm.replay([out], arrays[i])
-            for _ in range(2):
-                undo = _nudge(arrays[i], rng, 0.01)
-                (got,) = plan.run()
-                _assert_same_bytes(got, fn(*operands()).value)
-                undo()
+            stack = np.stack([arrays[i]] * 2)
+            for copy in stack:
+                _nudge(copy, rng, 0.01)
+            if _stackless(plan):  # only an oracle chain builds such ops
+                assert fn is chain
+                with pytest.raises(UsageError, match="replay"):
+                    plan.run(stack)
+                continue
+            (got,) = plan.run(stack)
+            _assert_slices_rebuild(got, stack, arrays[i], lambda: fn(*operands()).value)
 
 
 def test_replay_reruns_only_what_the_change_reaches():
@@ -1051,19 +1067,18 @@ def test_replay_reruns_only_what_the_change_reaches():
 
     out, left = build(Node(a), Node(b))
     plan_b, plan_a = nm.replay([out, left], b), nm.replay([out, left], a)
-    # leaf b, matmul, matmul, scale, add: relu(a) does not read b
-    kernels = [kernel for kernel, _, _ in plan_b.steps]
-    assert kernels[0] is nm._leaf
-    assert [k.__qualname__.split(".")[0] for k in kernels[1:]] == ["matmul", "matmul", "scale", "add"]
+    # matmul, matmul, scale, add: relu(a) does not read b
+    kernels = [kernel for kernel, *_ in plan_b.steps]
+    assert [k.__qualname__.split(".")[0] for k in kernels] == ["matmul", "matmul", "scale", "add"]
     b[0, 0] = 3.0
-    got = plan_b.run()
-    assert got[1] is left.value
-    _assert_same_bytes(got[0], build(Node(a), Node(b))[0].value)
+    got = plan_b.run(b[None])
+    assert np.shares_memory(got[1], left.value) and got[1].strides[0] == 0
+    _assert_same_bytes(got[0][0], build(Node(a), Node(b))[0].value)
     a[0, 0] = 5.0  # flips relu's mask
-    got = plan_a.run()
+    got = plan_a.run(a[None])
     rebuilt = build(Node(a), Node(b))
-    _assert_same_bytes(got[0], rebuilt[0].value)
-    _assert_same_bytes(got[1], rebuilt[1].value)
+    _assert_same_bytes(got[0][0], rebuilt[0].value)
+    _assert_same_bytes(got[1][0], rebuilt[1].value)
 
 
 def test_a_plan_over_an_array_no_root_reaches_has_no_steps():
@@ -1071,25 +1086,27 @@ def test_a_plan_over_an_array_no_root_reaches_has_no_steps():
     out, other = nm.relu(Node(a)), np.ones(1)
     plan = nm.replay([out], other)  # an array no node holds
     assert plan.steps == []
-    other[0] = 7.0
-    (same,) = plan.run()
-    assert same is out.value
+    before = out.value.copy()
     a[0, 0] = -3.0  # a plan re-runs only its steps, even when other arrays change
-    assert plan.run()[0] is out.value
+    (same,) = plan.run(np.full((3, 1), 7.0))
+    assert np.shares_memory(same, out.value) and same.shape == (3, 2, 2)
+    _assert_same_bytes(same[2], before)
 
 
 def test_replay_raises_what_a_rebuild_raises():
     a = np.ones((2, 2))
     out = nm.sqrt(nm.scale(Node(a), 1.0))
     plan = nm.replay([out], a)  # the checks belong to the run, not the plan
-    a[0, 0] = -1.0
+    stack = np.ones((2, 2, 2))
+    stack[1, 0, 0] = -1.0  # one slice fails the run
     with pytest.raises(NumericError, match="sqrt"):
-        plan.run()
-    a[0, 0] = np.inf
+        plan.run(stack)
+    stack[1, 0, 0] = np.inf
     with pytest.raises(NumericError, match="NaN or Inf"):
-        plan.run()
-    a[0, 0] = 4.0
-    _assert_same_bytes(plan.run()[0], nm.sqrt(nm.scale(Node(a), 1.0)).value)
+        plan.run(stack)
+    stack[1, 0, 0] = 4.0
+    (got,) = plan.run(stack)
+    _assert_slices_rebuild(got, stack, a, lambda: nm.sqrt(nm.scale(Node(a), 1.0)).value)
 
 
 def test_replay_rejects_an_op_result_without_a_record():

@@ -66,6 +66,9 @@ def test_mask_validation():
         TrainConfig(modules=mask)  # all sub-methods are valid
 
 
+SCHEDULE_RULE = "(breakpoint, rate) pairs with rising finite breakpoints and finite rates >= 0"
+
+
 @pytest.mark.parametrize("kw, message", [
     (dict(epochs=1.5), "epochs must be an int, got 1.5"),
     (dict(hidden_dim=2.5), "hidden_dim must be an int, got 2.5"),
@@ -85,6 +88,10 @@ def test_mask_validation():
     (dict(center_init=""), "center_init must be prototypes or random, got ''"),
     (dict(tau="5"), "tau must be a finite number > 0, got '5'"),
     (dict(momentum=None), "momentum must be in [0, 1), got None"),
+    (dict(modules=5), "modules must be a set of module names, got 5"),
+    (dict(lr_schedule=None), f"lr_schedule must be {SCHEDULE_RULE}, got None"),
+    (dict(lr_schedule=(("a", 1.0),)), f"lr_schedule must be {SCHEDULE_RULE}, got (('a', 1.0),)"),
+    (dict(lr_schedule=((0.0,),)), f"lr_schedule must be {SCHEDULE_RULE}, got ((0.0,),)"),
 ])
 def test_count_and_choice_keys_are_checked_naming_them(kw, message):
     with pytest.raises(ConfigError) as exc:
