@@ -270,7 +270,10 @@ def cmd_ablate(args) -> int:
     test_bags, test_gts = load_jsonl(os.path.join(args.data, "test.jsonl"))
     if not train_bags:
         raise ConfigError(f"ablate needs a nonempty train split in {args.data}")
-    n_classes = train_bags[0].n_classes
+    dims = [(b[0].n_classes, b[0].features.shape[1]) for b in (train_bags, test_bags) if b]
+    if dims[-1] != dims[0]:
+        raise CompatibilityError(f"train split (K, D) = {dims[0]} does not match test split {dims[-1]}")
+    n_classes = dims[0][0]
     n_seeds = values["ablate_seeds"]
 
     lines = [f"# {k} = {v}" for k, v in sorted(config_echo(values).items())]

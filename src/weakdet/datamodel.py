@@ -172,15 +172,13 @@ def class_prototypes(n_classes: int, feature_dim: int) -> np.ndarray:
     return q.T[:n_classes].copy()
 
 
-def _sample_classes(cfg: SceneConfig, cooc: np.ndarray, rng: np.random.Generator) -> list[int]:
+def _sample_classes(cfg: SceneConfig, probs: np.ndarray, rng: np.random.Generator) -> list[int]:
     lo, hi = cfg.objects_per_scene
     n_obj = int(rng.integers(lo, hi + 1))
     classes = [int(rng.integers(0, cfg.n_classes))]
     for _ in range(n_obj - 1):
         anchor = classes[int(rng.integers(0, len(classes)))]
-        weights = cooc[anchor].copy()
-        weights /= weights.sum()
-        classes.append(int(rng.choice(cfg.n_classes, p=weights)))
+        classes.append(int(rng.choice(cfg.n_classes, p=probs[anchor])))
     return classes
 
 
@@ -226,13 +224,14 @@ def generate_dataset(cfg: SceneConfig, n_scenes: int) -> tuple[list[Bag], list[G
     """
     rng = np.random.default_rng(cfg.seed)
     cooc = default_cooccurrence(cfg.n_classes)
+    probs = cooc / cooc.sum(axis=1, keepdims=True)
     protos = class_prototypes(cfg.n_classes, cfg.feature_dim)
     per_obj, d, first_scale = cfg.proposals_per_object, cfg.feature_dim, min(cfg.jitter, SAFE_JITTER)
 
     bags: list[Bag] = []
     gts: list[GroundTruth] = []
     for s in range(n_scenes):
-        classes = _sample_classes(cfg, cooc, rng)
+        classes = _sample_classes(cfg, probs, rng)
         gt_rows = [_random_gt_box(cfg, rng) for _ in classes]
         present = sorted(set(classes))
         m = len(classes) * per_obj + cfg.background_proposals

@@ -63,4 +63,4 @@ class ParseError(WeakdetError):
 
 
 class CompatibilityError(WeakdetError):
-    """Checkpoint and dataset disagree on dimensions."""
+    """A checkpoint and a dataset, or two splits, disagree on dimensions."""

@@ -9,8 +9,8 @@ piecewise-smooth function. A parameter group's perturbed copies go as a
 stack through one replay of the base forward's recorded ops
 (:func:`~weakdet.numerics.replay`), whose constant operands carry the base
 point's selections; no parameter is written. Every loss is a named term of
-the training forward, :func:`~weakdet.trainer.forward_losses`, so the audit
-checks the graph that training differentiates.
+the training forward, :func:`~weakdet.trainer.forward_losses`, built once
+per bag, so the audit checks the graph that training differentiates.
 
 The relative error uses a floored denominator, max(|a|, |fd|, 0.01), so
 near-zero entries are judged by an absolute tolerance of step * floor
@@ -74,20 +74,19 @@ def random_bag(
 def analytic_gradients(
     bag: Bag, state: TrainState, cfg: TrainConfig
 ) -> tuple[BagForward, dict[str, dict[str, np.ndarray]]]:
-    """Backward of every named term of the forward and of the composite,
-    each on its own graph, by loss and by the parameter groups it reaches;
-    and the first graph, the one that named the terms, whose values its
-    backward left as they were."""
+    """One forward, and the backward of each of its named terms and of the
+    composite on that graph, by loss and by the parameter groups it reaches;
+    each pass starts from cleared leaves, and none writes a node value."""
+    fwd = forward_losses(bag, state, cfg)
     grads: dict[str, dict[str, np.ndarray]] = {}
-    first = fwd = forward_losses(bag, state, cfg)
-    for loss_name in (*fwd.terms, "composite"):
-        if grads:  # the first term's graph is the one that named the terms
-            fwd = forward_losses(bag, state, cfg)
-        nm.backward(fwd.loss if loss_name == "composite" else fwd.terms[loss_name])
+    for loss_name, root in (*fwd.terms.items(), ("composite", fwd.loss)):
+        for node in fwd.leaves.values():
+            node.grad = None
+        nm.backward(root)
         grads[loss_name] = {
             pname: node.grad for pname, node in fwd.leaves.items() if node.grad is not None
         }
-    return first, grads
+    return fwd, grads
 
 
 def _check_sweep(step: float, tolerance: float) -> None:
@@ -107,10 +106,10 @@ def check_bag(
     """Compare analytic and central-difference gradients on one bag.
 
     One sweep perturbs each entry of every parameter group that some loss
-    reaches. The first analytic graph is the base forward, and each group
-    plans once which of its ops lie downstream of the group
-    (:func:`~weakdet.numerics.replay`); its 2n perturbed copies run that plan
-    for all losses, STACK_CAP at a time.
+    reaches. The graph that the analytic gradients differentiated is the
+    base forward, the bag's only one, and each group plans once which of its
+    ops lie downstream of the group (:func:`~weakdet.numerics.replay`); its
+    2n perturbed copies run that plan for all losses, STACK_CAP at a time.
     """
     _check_sweep(step, tolerance)
     base, analytic = analytic_gradients(bag, state, cfg)

@@ -8,15 +8,16 @@ is a differentiable leaf; a raw array passed to an op is wrapped by
 its operands is. :func:`backward` visits the differentiable nodes that reach
 the loss once each, in reverse creation order (every node is created after
 its operands). A node's first gradient contribution becomes its ``grad``
-buffer; later ones add into it (see :func:`_accumulate`).
+buffer; later ones add into it (see :func:`_accumulate`). A backward clears
+the op results' buffers first, so a graph can be differentiated again.
 
 Every op is a value kernel under one node wrapper, :func:`_op`. The op
 makes its kernel, a function of its operands' arrays that holds the op's
 constants: it runs the op's shape and domain checks and returns the value
 with its backward rules unbuilt. The wrapper makes the node and checks the
 value (a NaN or Inf raises :class:`~weakdet.errors.NumericError`); only the
-node's backward builds the rules, once, so a forward-only pass and a replay
-build none. Exponentials are max-shifted. A reduction calls the ufunc
+node's backward builds the rules, once per pass, so a forward-only pass and
+a replay build none. Exponentials are max-shifted. A reduction calls the ufunc
 numpy's wrapper calls (``np.add.reduce`` for ``sum`` and ``mean``,
 ``np.maximum.reduce`` for ``max``): same bits, faster.
 
@@ -28,7 +29,7 @@ bitwise a fresh build's. A run takes a stack of new values of the array
 along a new leading axis: the kernels the forward builds index their core
 axes from the end, so each slice gets a fresh build's bits. A run never
 writes into the base graph, and a backward writes no node value, so a graph
-replays the same before and after its backward.
+replays the same before and after each backward.
 
 The fused ops at the end each build one node for what would otherwise be a
 chain of elementary ops. Their kernels repeat the chain's numpy expressions
@@ -90,12 +91,12 @@ class Node:
     :func:`as_node`, and for an op result true when any parent's is.
     ``grad`` is None until :func:`backward` reaches the node, unless a caller
     preset a leaf's to a zeroed buffer to add into; from then on it is a
-    C-contiguous array of the value's shape holding d(loss)/d(node).
-    Constants never get one. ``_record`` is an op result's kernel.
+    C-contiguous array of the value's shape holding d(loss)/d(node), a leaf's
+    summed over the passes since its caller cleared it. Constants never get
+    one. ``_record`` is an op result's kernel.
     """
 
-    __slots__ = ("value", "grad", "parents", "requires_grad", "_backward", "_consumed", "_order",
-                 "_record")
+    __slots__ = ("value", "grad", "parents", "requires_grad", "_backward", "_order", "_record")
 
     def __init__(self, value, parents: tuple = (), backward: Callable | None = None, record=None):
         self.value = _finite(value)
@@ -108,7 +109,6 @@ class Node:
                 break
         self.requires_grad = requires_grad
         self._backward = backward
-        self._consumed = False
         self._order = next(_creation)
         self._record = record
 
@@ -179,27 +179,25 @@ def backward(loss: Node) -> None:
 
     Nodes run their backward rules in decreasing creation order, so each
     node's gradient is complete before it passes it on. The root must be
-    scalar. A second call on the same graph raises :class:`UsageError`;
-    rebuild the graph between passes.
+    scalar. The walk clears the ``grad`` of every op result it reaches, so a
+    graph can be differentiated again, from any root; a leaf's ``grad`` is the
+    caller's: None starts a buffer, and one already there is added into.
     """
     if loss.value.shape not in ((), (1,), (1, 1)):
         raise UsageError(f"backward root must be scalar, got shape {loss.value.shape}")
-    if loss._consumed:
-        raise UsageError("backward already ran on this graph; rebuild it first")
-    loss._consumed = True
     loss.grad = np.ones_like(loss.value)
     if not loss.requires_grad:
         return
-    reached = {loss._order: loss}
-    stack = [loss]
+    reached, stack = {loss._order: loss}, [loss]
     while stack:
         for p in stack.pop().parents:
             if p.requires_grad and p._order not in reached:
                 reached[p._order] = p
                 stack.append(p)
+                if p._backward is not None:
+                    p.grad = None
     for key in sorted(reached, reverse=True):
         node = reached[key]
-        node._consumed = True
         if node._backward is not None:
             node._backward(node.grad)
 

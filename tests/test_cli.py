@@ -716,6 +716,31 @@ def test_ablate_rejects_an_empty_train_split(small_cfg_file, tmp_path, capsys):
     assert "train split" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, dims", [("--n-classes", "2", "(2, 8)"),
+                                               ("--n-classes", "5", "(5, 8)"),
+                                               ("--feature-dim", "10", "(3, 10)")])
+def test_ablate_rejects_a_test_split_of_another_k_or_d(
+    small_cfg_file, tmp_path, capsys, flag, value, dims
+):
+    """A test split with fewer or more classes, or another feature width,
+    than the train split is refused before any training."""
+    data, other = tmp_path / "data", tmp_path / "other"
+    run(["gen-data", "--config", small_cfg_file, "--out", str(data)])
+    run(["gen-data", "--config", small_cfg_file, flag, value, "--out", str(other)])
+    (data / "test.jsonl").write_bytes((other / "test.jsonl").read_bytes())
+    out = tmp_path / "a.csv"
+    code = run(
+        [
+            "ablate", "--config", small_cfg_file, "--epochs", "0",
+            "--ablate-seeds", "1", "--data", str(data), "--out", str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: train split (K, D) = (3, 8) does not match test split {dims}\n"
+    assert not out.exists()
+
+
 def test_ablate_csv_embeds_config_echo(small_cfg_file, tmp_path):
     data = tmp_path / "data"
     run(["gen-data", "--config", small_cfg_file, "--out", str(data)])

@@ -182,14 +182,6 @@ def test_backward_requires_scalar_root():
         nm.backward(Node(np.ones(3)))
 
 
-def test_backward_twice_is_an_error():
-    w = Node(np.ones(2))
-    loss = nm.total(w)
-    nm.backward(loss)
-    with pytest.raises(UsageError):
-        nm.backward(loss)
-
-
 def test_backward_visits_shared_nodes_once():
     # b feeds the loss twice; gradient must be 2, not 4 or re-accumulated.
     b = Node(np.array([1.0]))
@@ -451,8 +443,8 @@ def _probe(out):
     return nm.total(nm.mul(out, _probe_weights(out.value.shape)))
 
 
-def _run(name, arrays, grad_idx, fused, share=False, same_operand=False):
-    """Value of the op and gradients of its differentiable operands.
+def _build(name, arrays, grad_idx, fused, share=False, same_operand=False):
+    """The op's node, a scalar loss over it and its differentiable operands.
 
     Operands outside ``grad_idx`` stay raw arrays (constants). With
     ``share``, every leaf also feeds an op created before the op under test
@@ -473,6 +465,13 @@ def _run(name, arrays, grad_idx, fused, share=False, same_operand=False):
     loss = terms[0]
     for t in terms[1:]:
         loss = nm.add(loss, t)
+    return out, loss, leaves
+
+
+def _run(name, arrays, grad_idx, fused, **kw):
+    """Value of the op and gradients of its differentiable operands (see
+    :func:`_build`)."""
+    out, loss, leaves = _build(name, arrays, grad_idx, fused, **kw)
     if loss.requires_grad:
         nm.backward(loss)
     return out.value, [leaf.grad for leaf in leaves]
@@ -789,6 +788,67 @@ def test_lazy_buffers_accumulate_across_graphs():
         run(nm.total(nm.relu(leaf)))
         grads.append(leaf.grad)
     _assert_same_bytes(*grads)
+
+
+# ---------------------------------------------------------------- second pass
+#
+# backward clears the buffers of the op results it reaches, so one graph can
+# be differentiated again; a leaf's buffer is its caller's. Each fused op
+# runs with shared leaves (three contributions each, see _build); the
+# elementary ops include every kind of first contribution above.
+
+AGAIN_ELEMENTARY = ("add", "hconcat", "matmul", "normalize_rows", "relu", "softmax_rows",
+                    "sum_rows", "total", "transpose")
+
+
+def _again_graph(case):
+    """A function that builds ``case``'s graph on fresh leaves and returns
+    its loss and leaves."""
+    if case in FUSED:
+        arrays = FUSED[case][2](np.random.default_rng(920), 6)
+        return lambda: _build(case, arrays, FUSED[case][3], fused=True, share=True)[1:]
+    make, build = FD_CASES[case]
+    arrays = make(np.random.default_rng(920))
+
+    def graph():
+        leaves = [Node(a.copy()) for a in arrays]
+        return _probe(build(*leaves)), leaves
+
+    return graph
+
+
+@pytest.mark.parametrize("case", sorted(FUSED) + list(AGAIN_ELEMENTARY))
+def test_a_second_backward_on_one_graph_repeats_the_first(case):
+    """With its leaves cleared, a second pass on one graph gives every node
+    the bytes of the first pass, and each leaf those of a fresh graph, in a
+    buffer of its own; without the clearing, each leaf holds the sum of both
+    passes, as a fresh graph adds into a preset buffer of the first."""
+    graph = _again_graph(case)
+    fresh_loss, fresh = graph()
+    nm.backward(fresh_loss)
+    loss, leaves = graph()
+    nm.backward(loss)
+    first = {id(n): n.grad for n in graph_nodes(loss) if n.grad is not None}
+    assert all(id(leaf) in first for leaf in leaves)
+    for leaf in leaves:
+        leaf.grad = None
+    nm.backward(loss)
+    second = {id(n): n.grad for n in graph_nodes(loss) if n.grad is not None}
+    assert second.keys() == first.keys()
+    for key, grad in second.items():
+        _assert_same_bytes(grad, first[key])
+        assert not np.shares_memory(grad, first[key])
+    for leaf, ref in zip(leaves, fresh):
+        _assert_same_bytes(leaf.grad, ref.grad)
+
+    ref_loss, refs = graph()
+    for ref, leaf in zip(refs, leaves):
+        ref.grad = leaf.grad.copy()
+    nm.backward(ref_loss)
+    nm.backward(loss)  # the leaves keep the second pass's buffers
+    for leaf, ref in zip(leaves, refs):
+        _assert_same_bytes(leaf.grad, ref.grad)
+        assert not np.array_equal(leaf.grad, first[id(leaf)])
 
 
 # ---------------------------------------------------------------- audit
