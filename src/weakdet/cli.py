@@ -241,20 +241,28 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_split(path: str, label: str, expect: tuple | None = None) -> tuple[list, list, tuple]:
+    """The bags, ground truth and (K, D) of the split at ``path``, called
+    ``label`` in errors. A split with no bags is a ConfigError, and one whose
+    (K, D) is not that of ``expect``, a (name, (K, D)) pair, a CompatibilityError."""
+    bags, gts = load_jsonl(path)
+    if not bags:
+        raise ConfigError(f"{label} {path} has no bags")
+    dims = (bags[0].n_classes, bags[0].features.shape[1])
+    if expect is not None and expect[1] != dims:
+        raise CompatibilityError(f"{expect[0]} (K, D) = {expect[1]} does not match {label} {dims}")
+    return bags, gts, dims
+
+
 def cmd_eval(args) -> int:
     values = effective_config(args)
     state = load_checkpoint(args.checkpoint)
-    bags, gts = load_jsonl(args.data)
-    if bags and (bags[0].n_classes != state.n_classes or bags[0].features.shape[1] != state.feature_dim):
-        raise CompatibilityError(
-            f"checkpoint (K={state.n_classes}, D={state.feature_dim}) does not match "
-            f"dataset (K={bags[0].n_classes}, D={bags[0].features.shape[1]})"
-        )
+    dims = (state.n_classes, state.feature_dim)
+    bags, gts, _ = _load_split(args.data, f"{args.split} split", ("checkpoint", dims))
     cfg = train_config(values)
     dets = [d for bag in bags for d in infer(bag, state, cfg)]
-    report = evaluation_report(
-        dets, gts, state.n_classes, split=args.split, config_echo=config_echo(values)
-    )
+    echo = config_echo(values | {"n_classes": dims[0], "feature_dim": dims[1]})  # the checkpoint's
+    report = evaluation_report(dets, gts, state.n_classes, split=args.split, config_echo=echo)
     with open(args.out, "w") as fh:
         fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     keys = ("map50", "coco_map", "corloc")
@@ -266,14 +274,11 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     values = effective_config(args)
     base_cfg = train_config(values)
-    train_bags, train_gts = load_jsonl(os.path.join(args.data, "train.jsonl"))
-    test_bags, test_gts = load_jsonl(os.path.join(args.data, "test.jsonl"))
-    if not train_bags:
-        raise ConfigError(f"ablate needs a nonempty train split in {args.data}")
-    dims = [(b[0].n_classes, b[0].features.shape[1]) for b in (train_bags, test_bags) if b]
-    if dims[-1] != dims[0]:
-        raise CompatibilityError(f"train split (K, D) = {dims[0]} does not match test split {dims[-1]}")
-    n_classes = dims[0][0]
+    train_bags, train_gts, dims = _load_split(os.path.join(args.data, "train.jsonl"), "train split")
+    test_bags, test_gts, _ = _load_split(
+        os.path.join(args.data, "test.jsonl"), "test split", ("train split", dims)
+    )
+    n_classes = dims[0]
     n_seeds = values["ablate_seeds"]
 
     lines = [f"# {k} = {v}" for k, v in sorted(config_echo(values).items())]

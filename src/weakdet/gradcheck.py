@@ -56,7 +56,7 @@ def check_config(seed: int = 0) -> TrainConfig:
 
 
 def random_bag(
-    rng: np.random.Generator, n_classes: int = 4, feature_dim: int = 12, max_instances: int = 8
+    rng: np.random.Generator, n_classes: int, feature_dim: int, max_instances: int = 8
 ) -> Bag:
     """A generic bag: random boxes, Gaussian features, >= 1 positive tag."""
     m = int(rng.integers(3, max_instances + 1))
@@ -89,12 +89,6 @@ def analytic_gradients(
     return fwd, grads
 
 
-def _check_sweep(step: float, tolerance: float) -> None:
-    for name, value in (("step", step), ("tolerance", tolerance)):
-        if not 0.0 < value < np.inf:
-            raise ParameterError(f"gradient check {name} must be finite and > 0, got {value}")
-
-
 def check_bag(
     bag: Bag,
     state: TrainState,
@@ -111,7 +105,9 @@ def check_bag(
     ops lie downstream of the group (:func:`~weakdet.numerics.replay`); its
     2n perturbed copies run that plan for all losses, STACK_CAP at a time.
     """
-    _check_sweep(step, tolerance)
+    for name, value in (("step", step), ("tolerance", tolerance)):
+        if not 0.0 < value < np.inf:
+            raise ParameterError(f"gradient check {name} must be finite and > 0, got {value}")
     base, analytic = analytic_gradients(bag, state, cfg)
     roots = [*base.terms.values(), base.loss]  # in the order of `analytic`
     fd = {name: {} for name in analytic}
@@ -155,7 +151,6 @@ def run_checks(
 ) -> list[GradCheckResult]:
     """Run all loss checks over `n_seeds` random bags; one result per
     (seed, loss, parameter group)."""
-    _check_sweep(step, tolerance)
     results = []
     for seed in range(n_seeds):
         rng = np.random.default_rng(1000 + seed)

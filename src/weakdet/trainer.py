@@ -65,7 +65,7 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 1
     seed: int = 0
-    modules: frozenset = frozenset({"M1", "M2", "M4"})
+    modules: frozenset = SUB_METHODS["F"]
     hidden_dim: int = 32
     embed_dim: int = 16
     graph_iou: float = 0.3
@@ -115,22 +115,6 @@ class TrainConfig:
             raise ConfigError("M4 needs both branches (M1 and M2)")
         if "M3" in mods and not ({"M1", "M2"} & mods):
             raise ConfigError("M3 needs at least one branch")
-
-    @property
-    def m1(self) -> bool:
-        return "M1" in self.modules
-
-    @property
-    def m2(self) -> bool:
-        return "M2" in self.modules
-
-    @property
-    def m3(self) -> bool:
-        return "M3" in self.modules
-
-    @property
-    def m4(self) -> bool:
-        return "M4" in self.modules
 
 
 @dataclass
@@ -287,12 +271,8 @@ def forward_losses(
     """
     active = cfg.modules if include is None else (cfg.modules & include)
     need_gcl = bool({"M3", "M4"} & active)
-    need_ins_branch = "M1" in active or (need_gcl and cfg.m1)
-    need_sem_branch = "M2" in active or (need_gcl and cfg.m2)
-    # The contrastive loss reaches w_sem through z and the refined scores,
-    # but reaches the detection head only through detached labels.
-    wrap_head = "M1" in active
-    wrap_sem = "M2" in active or (need_gcl and cfg.m2)
+    need_ins_branch = "M1" in active or (need_gcl and "M1" in cfg.modules)
+    need_sem_branch = "M2" in active or (need_gcl and "M2" in cfg.modules)
 
     leaves: dict[str, Node] = {}
 
@@ -310,7 +290,9 @@ def forward_losses(
     weighted: list[Node] = []
 
     if need_ins_branch:
-        param = leaf if wrap_head else fixed
+        # The contrast reaches the head only through detached labels (and w_sem
+        # through z and the refined scores), so the head is a leaf only under M1.
+        param = leaf if "M1" in active else fixed
         scores = ib.instance_probs(feats, param("w_cls"), param("w_det"), param("w_bg"))
         approx = ib.approx_labels(scores.corr_ins.value, bag.tags, cfg.label_ratio)
     if "M1" in active:
@@ -321,9 +303,7 @@ def forward_losses(
 
     z = corr = pseudo = None
     if need_sem_branch:
-        z, corr, pseudo = _semantic_chain(
-            feats, (leaf if wrap_sem else fixed)("w_sem"), state, cfg
-        )
+        z, corr, pseudo = _semantic_chain(feats, leaf("w_sem"), state, cfg)
     if "M2" in active:
         l_sem = sb.semantic_loss(z, pseudo, state.centers)
         parts["loss_sem"] = float(l_sem.value)
@@ -332,14 +312,14 @@ def forward_losses(
 
     if need_gcl:
         u = u_p = v = v_p = None
-        if cfg.m1:
+        if "M1" in cfg.modules:
             igraph = instance_graph
             if igraph is None:
                 igraph = gc.build_instance_graph(bag.proposals, cfg.graph_iou)
             onehot = nm.as_node(gc.one_hot_labels(approx.labels, bag.n_classes + 1))
             u = gc.gcn_forward(igraph, feats, leaf("gcn_ins_w1"), leaf("gcn_ins_w2"))
             u_p = gc.gcn_forward(igraph, onehot, leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2"))
-        if cfg.m2:
+        if "M2" in cfg.modules:
             sgraph = gc.build_semantic_graph(z.value, cfg.knn_k)
             v = gc.gcn_forward(sgraph, z, leaf("gcn_sem_w1"), leaf("gcn_sem_w2"))
             v_p = gc.gcn_forward(sgraph, pseudo.scores, leaf("gcn_sem_p_w1"), leaf("gcn_sem_p_w2"))
@@ -435,7 +415,7 @@ def train(
     # An instance graph depends only on the bag's proposals: build each one
     # once per call, and only when the contrastive module reads it.
     graphs: list[np.ndarray | None] = [None] * n
-    if cfg.m1 and (cfg.m3 or cfg.m4):
+    if "M1" in cfg.modules and {"M3", "M4"} & cfg.modules:
         graphs = [gc.build_instance_graph(b.proposals, cfg.graph_iou) for b in bags]
     phases = _phase_masks(cfg)
     steps_per_epoch = -(-n // cfg.batch_size) * len(phases)
@@ -450,7 +430,6 @@ def train(
     for epoch in range(start_epoch, stop_epoch):
         order = state.rng.permutation(n)
         sums = {"loss_total": 0.0, "loss_ins": 0.0, "loss_sem": 0.0, "loss_igcl": 0.0}
-        last_lr = lr_at(schedule, state.step)
         for phase in phases:
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
@@ -464,7 +443,7 @@ def train(
                         for name, node in fwd.leaves.items():
                             node.grad = grad_views[name]
                         nm.backward(fwd.loss)
-                        if "M2" in phase and fwd.pseudo_hard is not None:
+                        if "M2" in phase:
                             state.centers = sb.update_centers(
                                 state.centers, fwd.z_values, fwd.pseudo_hard, cfg.center_rate
                             )
@@ -548,9 +527,9 @@ def infer(bag: Bag, state: TrainState, cfg: TrainConfig) -> list[Detection]:
         return nm.as_node(state.params[name])
 
     score_matrix: np.ndarray | None = None
-    if cfg.m1:
+    if "M1" in cfg.modules:
         score_matrix = ib.dual_scores(feats, param("w_cls"), param("w_det"))[1].value
-    if cfg.m2:
+    if "M2" in cfg.modules:
         _, _, pseudo = _semantic_chain(feats, param("w_sem"), state, cfg)
         sem_scores = nm.softmax_rows(pseudo.scores).value
         score_matrix = sem_scores if score_matrix is None else score_matrix * sem_scores

@@ -90,8 +90,8 @@ def reference_forward_losses(bag, state, cfg, include=None):
     include=include)``, from elementary ops only."""
     active = cfg.modules if include is None else (cfg.modules & include)
     need_gcl = bool({"M3", "M4"} & active)
-    need_ins_branch = "M1" in active or (need_gcl and cfg.m1)
-    need_sem_branch = "M2" in active or (need_gcl and cfg.m2)
+    need_ins_branch = "M1" in active or (need_gcl and "M1" in cfg.modules)
+    need_sem_branch = "M2" in active or (need_gcl and "M2" in cfg.modules)
     leaves: dict[str, Node] = {}
 
     def leaf(name):
@@ -124,7 +124,7 @@ def reference_forward_losses(bag, state, cfg, include=None):
         weighted.append(terms["loss_ins"])
 
     if need_sem_branch:
-        w_sem = (leaf if "M2" in active or (need_gcl and cfg.m2) else fixed)("w_sem")
+        w_sem = (leaf if "M2" in active or (need_gcl and "M2" in cfg.modules) else fixed)("w_sem")
         z = chain_matmul_nt(feats, w_sem)
         if z.value.shape[0] >= 2:
             corr = chain_pearson_cols(z, sb.VAR_EPS)
@@ -144,12 +144,12 @@ def reference_forward_losses(bag, state, cfg, include=None):
 
     if need_gcl:
         u = u_p = v = v_p = None
-        if cfg.m1:
+        if "M1" in cfg.modules:
             igraph = gc.build_instance_graph(bag.proposals, cfg.graph_iou)
             onehot = nm.as_node(gc.one_hot_labels(approx.labels, bag.n_classes + 1))
             u = _gcn(igraph, feats, leaf("gcn_ins_w1"), leaf("gcn_ins_w2"))
             u_p = _gcn(igraph, onehot, leaf("gcn_ins_p_w1"), leaf("gcn_ins_p_w2"))
-        if cfg.m2:
+        if "M2" in cfg.modules:
             sgraph = gc.build_semantic_graph(z.value, cfg.knn_k)
             v = _gcn(sgraph, z, leaf("gcn_sem_w1"), leaf("gcn_sem_w2"))
             v_p = _gcn(sgraph, scores, leaf("gcn_sem_p_w1"), leaf("gcn_sem_p_w2"))

@@ -502,7 +502,38 @@ def test_eval_report_schema_and_ranges(trained, tmp_path):
     assert 0.0 <= rep["corloc"] <= 1.0
 
 
-def test_eval_rejects_mismatched_checkpoint(trained, tmp_path):
+def test_eval_echoes_the_checkpoint_k_and_d(trained, tmp_path):
+    """Without a config the command's own K and D are the defaults, 6 and 32;
+    the report echoes the 3 and 8 the checkpoint was trained with."""
+    _, data, ckpt = trained
+    out = tmp_path / "r.json"
+    assert run(["eval", "--checkpoint", str(ckpt), "--data", str(data / "test.jsonl"),
+                "--out", str(out)]) == 0
+    echo = json.loads(out.read_text())["config_echo"]
+    assert (echo["n_classes"], echo["feature_dim"]) == ("3", "8")
+
+
+@pytest.mark.parametrize("fraction, empty", [("1", "test"), ("0", "train")])
+def test_eval_and_ablate_refuse_a_split_with_no_bags(trained, tmp_path, fraction, empty, capsys):
+    """A split with no ground truth has no mAP: both commands exit 2 naming
+    the empty file, and write nothing."""
+    cfg_file, _, ckpt = trained
+    data = tmp_path / "split"
+    assert run(["gen-data", "--config", cfg_file, "--train-fraction", fraction,
+                "--out", str(data)]) == 0
+    capsys.readouterr()
+    path = data / f"{empty}.jsonl"
+    report, table = tmp_path / "r.json", tmp_path / "a.csv"
+    assert run(["eval", "--config", cfg_file, "--checkpoint", str(ckpt), "--data", str(path),
+                "--split", empty, "--out", str(report)]) == 2
+    assert capsys.readouterr().err == f"error: {empty} split {path} has no bags\n"
+    assert run(["ablate", "--config", cfg_file, "--epochs", "0", "--ablate-seeds", "1",
+                "--data", str(data), "--out", str(table)]) == 2
+    assert capsys.readouterr().err == f"error: {empty} split {path} has no bags\n"
+    assert not report.exists() and not table.exists()
+
+
+def test_eval_rejects_mismatched_checkpoint(trained, tmp_path, capsys):
     cfg_file, data, _ = trained
     from weakdet.trainer import save_checkpoint
 
@@ -516,6 +547,8 @@ def test_eval_rejects_mismatched_checkpoint(trained, tmp_path):
         ]
     )
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint (K, D) = (5, 8) does not match test split (3, 8)\n"
 
 
 def test_eval_rejects_a_checkpoint_missing_a_group(trained, tmp_path, capsys):

@@ -536,7 +536,7 @@ def test_single_proposal_bag_trains(method, corr_sem_ema, rng):
     state, history = train(bags, cfg)
     assert len(history) == cfg.epochs
     assert all(np.all(np.isfinite(v)) for v in state.params.values())
-    if cfg.m2:
+    if "M2" in cfg.modules:
         fwd = forward_losses(lone, state, cfg)
         blend = (1.0 - corr_sem_ema) * np.eye(3) + corr_sem_ema * state.corr_buffer
         assert np.array_equal(fwd.corr_values, np.eye(3) if corr_sem_ema == 0.0 else blend)
@@ -548,6 +548,17 @@ def test_single_proposal_bag_trains(method, corr_sem_ema, rng):
         train([lone], cfg, state=state)
         assert state.step == cfg.epochs
         assert np.array_equal(state.corr_buffer, before)
+
+
+def test_only_the_instance_loss_moves_the_detection_head():
+    """The coupling is one-way: the contrast reaches the head only through
+    detached induced labels, so under C, E and F it trains to A's bits."""
+    bags, _ = tiny_dataset(6)
+    heads = {}
+    for method in ("A", "C", "E", "F"):
+        state, _ = train(bags, small_cfg(modules=SUB_METHODS[method]))
+        heads[method] = [state.params[k].tobytes() for k in ("w_cls", "w_det", "w_bg")]
+    assert heads["C"] == heads["E"] == heads["F"] == heads["A"]
 
 
 def test_sequential_phase_mode_runs_and_differs():
@@ -664,10 +675,10 @@ def reference_infer(bag, state, cfg):
     feats = nm.as_node(bag.features)
     params = {name: nm.as_node(v) for name, v in state.params.items()}
     score_matrix = None
-    if cfg.m1:
+    if "M1" in cfg.modules:
         head = (params["w_cls"], params["w_det"], params["w_bg"])
         score_matrix = ib.instance_probs(feats, *head).corr_ins.value
-    if cfg.m2:
+    if "M2" in cfg.modules:
         _, _, pseudo = _semantic_chain(feats, params["w_sem"], state, cfg)
         sem_scores = nm.softmax_rows(pseudo.scores).value
         score_matrix = sem_scores if score_matrix is None else score_matrix * sem_scores
