@@ -7,7 +7,20 @@ contrastive module coupling them (`igcl`), a deterministic trainer with
 checkpointing (`trainer`), detection metrics (`evalmetrics`), and a CLI
 (`weakdet ...`) wrapping generation, training, evaluation, the ablation
 harness, and a gradient audit.
+
+Importing the package pins BLAS to one thread when numpy is not loaded yet,
+so that results do not depend on the host's core count; a program that
+imported numpy first keeps its own thread count.
 """
+
+import os
+import sys
+
+# A BLAS reads its thread count once, when numpy loads it, and a matrix
+# product's rounding can depend on how it splits the work among threads.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 from .datamodel import (
     Bag,

@@ -281,7 +281,8 @@ def cmd_ablate(args) -> int:
     n_classes = dims[0]
     n_seeds = values["ablate_seeds"]
 
-    lines = [f"# {k} = {v}" for k, v in sorted(config_echo(values).items())]
+    echo = config_echo(values | {"n_classes": dims[0], "feature_dim": dims[1]})  # the split's
+    lines = [f"# {k} = {v}" for k, v in sorted(echo.items())]
     lines.append("submethod,modules,map50_median,corloc_median")
     for name in sorted(SUB_METHODS):
         mask = SUB_METHODS[name]

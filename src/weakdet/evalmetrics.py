@@ -10,6 +10,7 @@ convention). Classes with no ground truth are excluded from means.
 
 from __future__ import annotations
 
+from itertools import accumulate, compress, count
 from typing import NamedTuple
 
 import numpy as np
@@ -50,24 +51,40 @@ def _det_sort_key(d: Detection):
     return (-d.score, d.image_id, d.box)
 
 
-def _match_table(
-    dets: list[Detection], gts: list[GroundTruth], class_index: int, thresholds
-) -> tuple[list[list[bool]], int]:
-    """Greedy TP/FP flags of one class at each threshold, plus its GT count.
-
-    The class's detections are sorted once, and each (detection, ground-truth
-    box) IoU of an image is one scalar :func:`iou`, shared by all thresholds.
-    Ground-truth entries with the same image id pool their boxes. Within an
-    image, each detection in turn claims the first unmatched box of highest
-    IoU, if that IoU is strictly above the threshold; matching never crosses
-    images.
-    """
-    gt_boxes: dict[str, list[Box]] = {}
+def _buckets(
+    dets: list[Detection], gts: list[GroundTruth]
+) -> tuple[dict[int, list[Detection]], dict[int, dict[str, list[Box]]]]:
+    """Each class's detections, and each class's ground-truth boxes by image
+    id, in one pass over each input. Both keep their input order; entries
+    with the same image id pool their boxes in the order they list them."""
+    dets_of: dict[int, list[Detection]] = {}
+    for d in dets:
+        dets_of.setdefault(d.class_index, []).append(d)
+    boxes_of: dict[int, dict[str, list[Box]]] = {}
     for gt in gts:
-        gt_boxes.setdefault(gt.image_id, []).extend(b for b, k in gt.objects if k == class_index)
-    n_gt = sum(len(v) for v in gt_boxes.values())
+        for box, k in gt.objects:
+            boxes_of.setdefault(k, {}).setdefault(gt.image_id, []).append(box)
+    return dets_of, boxes_of
 
-    ordered = sorted((d for d in dets if d.class_index == class_index), key=_det_sort_key)
+
+def _match_table(
+    dets: list[Detection], gt_boxes: dict[str, list[Box]], thresholds
+) -> tuple[list[list[bool]], int]:
+    """Greedy TP/FP flags of one class's detections at each threshold, plus
+    the class's GT count; ``gt_boxes`` holds the class's boxes by image id.
+
+    The detections are sorted once, and each (detection, ground-truth box)
+    IoU of an image is one scalar :func:`iou`, shared by all thresholds.
+    Within an image, each detection in turn claims the first unmatched box
+    of highest IoU, if that IoU is strictly above 0.0 and the threshold;
+    matching never crosses images. A detection's best IoU over all the
+    image's boxes bounds what it can claim, so it is found once: at a
+    threshold it does not clear, the detection is skipped (it would change
+    no state), and while its first box of that IoU is unmatched it claims
+    that box without a search. Exact for any threshold, NaN included.
+    """
+    n_gt = sum(map(len, gt_boxes.values()))
+    ordered = sorted(dets, key=_det_sort_key)
     rows_of: dict[str, list[int]] = {}
     for i, det in enumerate(ordered):
         rows_of.setdefault(det.image_id, []).append(i)
@@ -77,38 +94,45 @@ def _match_table(
         boxes = gt_boxes.get(image_id)
         if not boxes:
             continue
-        ious = [[iou(ordered[i].box, b) for b in boxes] for i in rows]
+        # (row, its IoUs, its best IoU, the first box with that IoU) of each
+        # row that overlaps some box; max() keeps the first of equal values
+        # and, started from 0.0, passes over a NaN as the search does.
+        claimants = []
+        for i in rows:
+            ious = [iou(ordered[i].box, b) for b in boxes]
+            top = max(0.0, *ious)
+            if top > 0.0:
+                claimants.append((i, ious, top, ious.index(top)))
         for flags, thr in zip(table, thresholds):
             matched = [False] * len(boxes)
-            for i, row in zip(rows, ious):
-                best, best_j = 0.0, -1
-                for j, v in enumerate(row):
-                    if v > best and not matched[j]:
-                        best, best_j = v, j
-                if best_j >= 0 and best > thr:
-                    matched[best_j] = True
-                    flags[i] = True
+            for i, ious, top, j in claimants:
+                if not top > thr:
+                    continue
+                if matched[j]:  # search the unmatched boxes, as the greedy rule does
+                    best, j = 0.0, -1
+                    for jj, v in enumerate(ious):
+                        if v > best and not matched[jj]:
+                            best, j = v, jj
+                    if j < 0 or not best > thr:
+                        continue
+                matched[j] = flags[i] = True
     return table, n_gt
 
 
 def _ap_from_flags(flags: list[bool], n_gt: int) -> float | None:
-    """All-point interpolated AP of TP flags in score order."""
+    """All-point interpolated AP of TP flags in score order.
+
+    Recall rises only at true positives and precision falls at every false
+    positive, so the monotone envelope and the rectangle sum need the
+    true-positive points alone: the tp-th true positive, at 1-based rank n,
+    has recall tp / n_gt and precision tp / n.
+    """
     if n_gt == 0:
         return None
-    # Recall rises only at true positives and precision falls at every false
-    # positive, so the monotone envelope and the rectangle sum need the
-    # true-positive points alone.
-    recalls, precisions = [], []
-    tp = 0
-    for n, flag in enumerate(flags, start=1):
-        if flag:
-            tp += 1
-            recalls.append(tp / n_gt)
-            precisions.append(tp / n)
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
+    precisions = [tp / n for tp, n in enumerate(compress(count(1), flags), start=1)]
     ap = prev_r = 0.0
-    for r, p in zip(recalls, precisions):
+    for tp, p in enumerate(list(accumulate(reversed(precisions), max))[::-1], start=1):
+        r = tp / n_gt
         ap += (r - prev_r) * p
         prev_r = r
     return ap
@@ -118,9 +142,13 @@ def _class_aps(
     dets: list[Detection], gts: list[GroundTruth], n_classes: int, thresholds
 ) -> list[list[float | None]]:
     """AP of every class (rows) at every threshold (columns)."""
+    dets_of, boxes_of = _buckets(dets, gts)
     return [
         [_ap_from_flags(flags, n_gt) for flags in table]
-        for table, n_gt in (_match_table(dets, gts, k, thresholds) for k in range(n_classes))
+        for table, n_gt in (
+            _match_table(dets_of.get(k, []), boxes_of.get(k, {}), thresholds)
+            for k in range(n_classes)
+        )
     ]
 
 
@@ -141,7 +169,10 @@ def match_detections(
 
     Returns the TP flags in processing order plus the ground-truth count.
     """
-    (flags,), n_gt = _match_table(dets, gts, class_index, (thr,))
+    dets_of, boxes_of = _buckets(dets, gts)
+    (flags,), n_gt = _match_table(
+        dets_of.get(class_index, []), boxes_of.get(class_index, {}), (thr,)
+    )
     return flags, n_gt
 
 

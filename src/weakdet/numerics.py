@@ -156,11 +156,13 @@ def _op(kernel: Callable, a, b=None) -> Node:
     callable of no arguments giving that operand's contribution. The node's
     record is ``kernel``; its backward calls ``rules(g)`` once and adds
     ``rule()`` into each operand that needs a gradient, in operand order."""
-    a = as_node(a)
+    if not isinstance(a, Node):
+        a = as_node(a)
     if b is None:
         nodes, (value, rules) = (a,), kernel(a.value)
     else:
-        b = as_node(b)
+        if not isinstance(b, Node):
+            b = as_node(b)
         nodes, (value, rules) = (a, b), kernel(a.value, b.value)
     if a.value.ndim > 2 or nodes[-1].value.ndim > 2:  # a stack is a replay's alone
         raise ShapeError("an op's operands must be at most 2-D")

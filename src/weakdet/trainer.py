@@ -485,7 +485,9 @@ def nms(boxes: list, scores: list[float], threshold: float) -> list[int]:
     Processes by descending score (ties by index) and keeps a box iff its
     IoU with every kept box is at most the threshold, so a negative or NaN
     threshold keeps only the top box. Each box's coordinates and area are
-    read once, and the IoU repeats :func:`iou`'s operations in its order.
+    read once, and the IoU repeats :func:`iou`'s operations in its order;
+    each ``min``/``max`` is spelled as the conditional expression that picks
+    the operand the builtin would, so even a signed zero is the same.
     """
     order = sorted(range(len(boxes)), key=scores.__getitem__, reverse=True)  # stable
     if not threshold >= 0.0:
@@ -496,8 +498,8 @@ def nms(boxes: list, scores: list[float], threshold: float) -> list[int]:
         area = (ax2 - ax1) * (ay2 - ay1)
         for bx1, by1, bx2, by2, b_area in kept_coords:
             # An empty overlap has IoU 0.0, which is <= threshold.
-            ix = min(ax2, bx2) - max(ax1, bx1)
-            if ix > 0.0 and (iy := min(ay2, by2) - max(ay1, by1)) > 0.0:
+            ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+            if ix > 0.0 and (iy := (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)) > 0.0:
                 inter = ix * iy
                 if inter > 0.0 and inter / (area + b_area - inter) > threshold:
                     break

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -26,6 +29,7 @@ from weakdet.errors import ConfigError, ParseError
 from weakdet.evalmetrics import corloc, evaluation_report, mean_ap
 from weakdet.trainer import SUB_METHODS, TrainConfig, infer, init_state, load_checkpoint
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 
 SMALL_CFG = """
@@ -787,6 +791,39 @@ def test_ablate_csv_embeds_config_echo(small_cfg_file, tmp_path):
     text = out.read_text()
     assert "# n_classes = 3" in text
     assert "submethod,modules,map50_median,corloc_median" in text
+
+
+def test_ablate_csv_echoes_the_splits_k_and_d(small_cfg_file, tmp_path):
+    """With no K or D flag, the header gives the split's (3, 8), not the
+    command's defaults."""
+    data = tmp_path / "data"
+    run(["gen-data", "--config", small_cfg_file, "--out", str(data)])
+    out = tmp_path / "ablation.csv"
+    assert run(["ablate", "--epochs", "0", "--ablate-seeds", "1",
+                "--data", str(data), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "# n_classes = 3" in lines and "# feature_dim = 8" in lines
+
+
+def test_checkpoint_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The package pins BLAS to one thread before numpy loads: with 420
+    background proposals a bag's matrix products are large enough for
+    OpenBLAS to split among threads, and at two threads the trained bits
+    differed from one thread's."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+
+    def weakdet(*argv, **extra_env):
+        subprocess.run([sys.executable, "-m", "weakdet", *argv], cwd=tmp_path,
+                       env={**env, **extra_env}, check=True, capture_output=True, timeout=300)
+
+    weakdet("gen-data", "--n-scenes", "6", "--background-proposals", "420", "--out", "data")
+    digests = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {}):
+        weakdet("train", "--data", "data/train.jsonl", "--epochs", "1", "--out", "m.ckpt", **threads)
+        digests.append(hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest())
+    assert digests[1:] == digests[:1] * 2, digests
 
 
 # ---------------------------------------------------------------- grad-check

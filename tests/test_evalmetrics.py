@@ -10,6 +10,10 @@ from weakdet.datamodel import Box, GroundTruth
 from weakdet.evalmetrics import (
     COCO_THRESHOLDS,
     Detection,
+    _ap_from_flags,
+    _buckets,
+    _class_aps,
+    _match_table,
     average_precision,
     coco_map,
     corloc,
@@ -20,6 +24,7 @@ from weakdet.evalmetrics import (
 )
 from weakdet.trainer import nms
 
+import reference_evalmetrics as loops
 from conftest import reference_nms
 
 
@@ -616,7 +621,7 @@ def test_report_equals_scalar_oracle_bytes():
             assert average_precision(dets, gts, k, 0.6) == scalar_ap(dets, gts, k, 0.6)
 
 
-@pytest.mark.parametrize("thr", [-1.0, 0.0, 0.5])
+@pytest.mark.parametrize("thr", [-1.0, -0.1, 0.0, 0.5, float("nan")])
 def test_match_detections_equals_scalar_oracle(thr):
     from weakdet.evalmetrics import match_detections
 
@@ -717,3 +722,41 @@ def test_nms_matches_the_reference_under_negative_nan_and_infinite_thresholds(ca
     boxes, scores = candidates
     assert nms(boxes, scores, thr) == reference_nms(boxes, scores, thr)
     assert nms([], [], thr) == []
+
+
+# ---------------------------------------------------------------- the replaced loops
+
+# The COCO grid, 0, a negative value, a NaN in the middle of the tuple, and
+# IoUs that grid boxes reach exactly (1/4, 1/3, 1/2, 1).
+LOOP_THRESHOLDS = (*COCO_THRESHOLDS, 0.0, -0.1, float("nan"), 0.25, 1 / 3, 1.0)
+
+
+@st.composite
+def matching_inputs(draw):
+    """Several grid boxes an entry, repeated image ids among the entries,
+    classes on both sides of [0, K), tied scores, and detections in images
+    with no ground truth."""
+    n_classes = draw(st.integers(1, 3))
+    images = [f"img{i}" for i in range(draw(st.integers(1, 3)))]
+    cls = st.integers(-1, n_classes)
+    gts = [GroundTruth(img, draw(st.lists(st.tuples(GRID_BOX, cls), max_size=5)))
+           for img in draw(st.lists(st.sampled_from(images), max_size=4))]
+    det = st.builds(Detection, st.sampled_from([*images, "no_gt"]), GRID_BOX, cls,
+                    st.sampled_from([0.25, 0.5, 1.0]))
+    return draw(st.lists(det, max_size=20)), gts, n_classes
+
+
+@given(matching_inputs(), st.lists(st.booleans(), max_size=30), st.integers(0, 30),
+       nms_candidates(), st.sampled_from([0.0, 0.5, float("nan"), -0.1]) | st.floats(0.0, 1.0))
+def test_matching_ap_and_nms_equal_the_loops_they_replaced(inputs, flags, n_gt, candidates, thr):
+    dets, gts, n_classes = inputs
+    dets_of, boxes_of = _buckets(dets, gts)
+    aps = _class_aps(dets, gts, n_classes, LOOP_THRESHOLDS)
+    for k in range(-1, n_classes + 1):
+        table, n = loops.match_table(dets, gts, k, LOOP_THRESHOLDS)
+        assert _match_table(dets_of.get(k, []), boxes_of.get(k, {}), LOOP_THRESHOLDS) == (table, n)
+        if 0 <= k < n_classes:
+            assert aps[k] == [loops.ap_from_flags(f, n) for f in table]
+    assert _ap_from_flags(flags, n_gt) == loops.ap_from_flags(flags, n_gt)
+    boxes, scores = candidates
+    assert nms(boxes, scores, thr) == loops.nms(boxes, scores, thr)
