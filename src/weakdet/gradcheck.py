@@ -5,12 +5,12 @@ pass, on small random bags. Discrete structure that the losses select from
 data, i.e. induced labels, pseudo hard labels, and graph topology, stays
 at the base point: the analytic gradient describes the loss with those
 choices held fixed, so the finite differences must probe the same
-piecewise-smooth function. A parameter group's perturbed copies go as a
-stack through one replay of the base forward's recorded ops
-(:func:`~weakdet.numerics.replay`), whose constant operands carry the base
-point's selections; no parameter is written. Every loss is a named term of
-the training forward, :func:`~weakdet.trainer.forward_losses`, built once
-per bag, so the audit checks the graph that training differentiates.
+piecewise-smooth function. One replay of the base forward's recorded ops
+(:func:`~weakdet.numerics.replay`) plans every parameter group; a group's
+perturbed copies run its plan as a stack, whose constant operands carry
+the base point's selections, and no parameter is written. Every loss is a
+named term of the training forward, :func:`~weakdet.trainer.forward_losses`,
+built once per bag, so the audit checks the graph that training differentiates.
 
 The relative error uses a floored denominator, max(|a|, |fd|, 0.01), so
 near-zero entries are judged by an absolute tolerance of step * floor
@@ -100,31 +100,35 @@ def check_bag(
     """Compare analytic and central-difference gradients on one bag.
 
     One sweep perturbs each entry of every parameter group that some loss
-    reaches. The graph that the analytic gradients differentiated is the
-    base forward, the bag's only one, and each group plans once which of its
-    ops lie downstream of the group (:func:`~weakdet.numerics.replay`); its
-    2n perturbed copies run that plan for all losses, STACK_CAP at a time.
+    reaches, on the base forward that the analytic gradients differentiated.
+    One :func:`~weakdet.numerics.replay` plans every group; a group's 2n
+    copies, each entry moved by +-step (ParameterError if x + step == x or
+    x - step == x), run its plan STACK_CAP at a time, and are differenced for
+    the losses whose analytic pass reached the group.
     """
     for name, value in (("step", step), ("tolerance", tolerance)):
         if not 0.0 < value < np.inf:
             raise ParameterError(f"gradient check {name} must be finite and > 0, got {value}")
     base, analytic = analytic_gradients(bag, state, cfg)
     roots = [*base.terms.values(), base.loss]  # in the order of `analytic`
+    pnames = sorted({p for g in analytic.values() for p in g})
     fd = {name: {} for name in analytic}
-    for pname in sorted({p for g in analytic.values() for p in g}):
+    for pname, plan in zip(pnames, nm.replay(roots, [state.params[p] for p in pnames])):
         target = state.params[pname]
-        plan = nm.replay(roots, target)
-        n = target.size
-        chunks = []
+        if (stuck := np.argwhere((target + step == target) | (target - step == target))).size:
+            raise ParameterError(f"gradient check step {step} does not move entry "
+                                 f"{tuple(stuck[0].tolist())} of {pname}")
+        n, chunks = target.size, []
         for first in range(0, 2 * n, STACK_CAP):  # copy c < n moves entry c up, copy n + c down
             copies = np.arange(first, min(first + STACK_CAP, 2 * n))
-            stack = np.tile(target.reshape(-1), (copies.size, 1))
+            stack = np.empty((copies.size, n))
+            stack[...] = target.reshape(-1)
             stack[np.arange(copies.size), copies % n] += np.where(copies < n, step, -step)
             chunks.append(plan.run(stack.reshape(copies.size, *target.shape)))
-        for loss_name, values in zip(analytic, zip(*chunks)):
-            hi, lo = np.concatenate(values).reshape(2, *target.shape)
-            fd[loss_name][pname] = (hi - lo) / (2.0 * step)
-        del plan  # one plan at a time
+        for (loss_name, groups), values in zip(analytic.items(), zip(*chunks)):
+            if pname in groups:  # the pairs the results read
+                hi, lo = np.concatenate(values).reshape(2, *target.shape)
+                fd[loss_name][pname] = (hi - lo) / (2.0 * step)
 
     results: list[GradCheckResult] = []
     for loss_name, groups in analytic.items():

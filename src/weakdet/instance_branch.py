@@ -116,21 +116,26 @@ def instance_loss(scores: InstanceScores, labels: ApproxLabels, tags: np.ndarray
     The image term clamps scores to [eps, 1-eps] before the logs; the
     instance term selects each row's labelled log-probability through a
     constant one-hot weight mask, so labels and seed weights stay outside
-    the gradient. Every tagged class needs a labelled instance, unless the
-    bag has fewer instances than tagged classes.
+    the gradient. Each proposal needs an integer label in [0, K] and a
+    finite seed weight. Every tagged class needs a labelled instance, unless
+    the bag has fewer instances than tagged classes.
     """
     tags = np.asarray(tags, dtype=np.float64)
-    n_classes = scores.corr_ins.value.shape[1]
+    m, n_classes = scores.corr_ins.value.shape
     if tags.size != n_classes:
         raise ContractError("tags length must equal the class count")
-    labelled = (labels.labels[:, None] == np.arange(n_classes)).any(axis=0)
+    lab, weights = labels.labels, labels.seed_weights
+    if (lab.dtype.kind not in "iu" or lab.shape != (m,) or weights.shape != (m,)
+            or not nm.all_finite(weights) or m and not 0 <= lab.min() <= lab.max() <= n_classes):
+        raise ContractError(f"each of the {m} proposals needs an integer label in "
+                            f"[0, {n_classes}] and a finite seed weight")
+    labelled = (lab[:, None] == np.arange(n_classes)).any(axis=0)
     untagged = np.flatnonzero((tags == 0) & labelled)
     if untagged.size:
         raise ContractError(f"instance labelled with untagged class {untagged[0]}")
-    m = labels.labels.size
     missing = np.flatnonzero((tags == 1) & ~labelled)
     if missing.size and m >= np.count_nonzero(tags == 1):
         raise ContractError(f"tagged class {missing[0]} has no labelled instance")
     mask = np.zeros((m, n_classes + 1), dtype=np.float64)
-    mask[np.arange(m), labels.labels] = labels.seed_weights
+    mask[np.arange(m), lab] = weights
     return nm.bce_plus_weighted_ce(scores.image_scores, scores.s_logits, tags, mask, SCORE_EPS)

@@ -21,15 +21,15 @@ a replay build none. Exponentials are max-shifted. A reduction calls the ufunc
 numpy's wrapper calls (``np.add.reduce`` for ``sum`` and ``mean``,
 ``np.maximum.reduce`` for ``max``): same bits, faster.
 
-Every op records its kernel. :func:`replay` finds once which ops of a built
-graph lie downstream of a parameter array; each run of its plan calls exactly
-those kernels again on arrays, with the same finite check and no node, so
-every check and data-dependent mask (a ReLU's) runs again and the values are
-bitwise a fresh build's. A run takes a stack of new values of the array
-along a new leading axis: the kernels the forward builds index their core
-axes from the end, so each slice gets a fresh build's bits. A run never
-writes into the base graph, and a backward writes no node value, so a graph
-replays the same before and after each backward.
+Every op records its kernel. :func:`replay` finds in one pass which ops of a
+built graph lie downstream of each of some arrays; a run of an array's plan
+calls exactly those kernels again on arrays, with the same finite check and
+no node, so every check and data-dependent mask (a ReLU's) runs again and the
+values are bitwise a fresh build's. A run takes a stack of new values of the
+array along a new leading axis: the kernels the forward builds index their
+core axes from the end, so each slice gets a fresh build's bits. A run sees
+the base graph through read-only views, and a backward writes no node value,
+so a graph replays the same before and after each backward.
 
 The fused ops at the end each build one node for what would otherwise be a
 chain of elementary ops. Their kernels repeat the chain's numpy expressions
@@ -204,16 +204,17 @@ def backward(loss: Node) -> None:
             node._backward(node.grad)
 
 
-def replay(roots, changed: np.ndarray) -> ReplayPlan:
-    """Plan the re-evaluation of ``roots`` for new values of the array
-    ``changed``; each :meth:`ReplayPlan.run` then gives their values.
+def replay(roots, arrays) -> list[ReplayPlan]:
+    """One :class:`ReplayPlan` per array of ``arrays``, in their order, to
+    re-evaluate ``roots`` for new values of that array.
 
-    A leaf or constant whose value *is* ``changed`` is dirty, and so is an op
-    result with a dirty operand, whose kernel a run calls again. The graph
-    walk, the sort, the dirty test and the check that every op result has a
-    record (else :class:`UsageError`) happen here, once. Constants of an op
-    (an adjacency, tags) and what callers derive outside ops (induced labels,
-    graphs) stay at the values the base graph recorded.
+    A leaf or constant whose value *is* an array is dirty for it, and so is
+    an op result with an operand dirty for it. One walk, sort and pass in
+    creation order serve every array: the pass marks each node with a bitmask
+    of the arrays it is dirty for and checks that every op result has a
+    record (else :class:`UsageError`). Constants of an op (an adjacency, tags)
+    and what callers derive outside ops (induced labels, graphs) stay at the
+    values the base graph recorded.
     """
     reached, stack = {r._order: r for r in roots}, list(roots)
     while stack:
@@ -221,61 +222,71 @@ def replay(roots, changed: np.ndarray) -> ReplayPlan:
             if p._order not in reached:
                 reached[p._order] = p
                 stack.append(p)
-    slot: dict[int, int] = {}  # a dirty node's creation stamp -> its value's index in a run
-    steps = []
+    # stamp -> bits of the arrays the node is dirty for; per array: stamp -> index in a run, steps
+    dirty, slots, steps = {}, [{} for _ in arrays], [[] for _ in arrays]
+    def operands(nodes, i):  # the constants (a C-contiguous one as a read-only buffer), the rest
+        return ([(j, memoryview(p.value).toreadonly() if p.value.flags.c_contiguous else p.value)
+                 for j, p in enumerate(nodes) if not dirty[p._order] >> i & 1],
+                [(j, slots[i].get(p._order, 0)) for j, p in enumerate(nodes)
+                 if dirty[p._order] >> i & 1])  # a dirty leaf's value is the run's stack
     for key in sorted(reached):
         node = reached[key]
-        if node._record is None:
-            if node.parents:
-                raise UsageError("replay: an op result carries no record")
-            if node.value is changed:
-                slot[key] = 0
-            continue
-        subs = tuple((i, slot[p._order]) for i, p in enumerate(node.parents) if p._order in slot)
-        if subs:
-            steps.append((node._record, [p.value for p in node.parents], subs, node.value.shape))
-            slot[key] = len(steps)
-    return ReplayPlan(changed.shape, steps, [(slot.get(r._order), r.value) for r in roots])
+        if node._record is None and node.parents:
+            raise UsageError("replay: an op result carries no record")
+        mask = 0 if node.parents else sum(1 << i for i, a in enumerate(arrays) if a is node.value)
+        for p in node.parents:
+            mask |= dirty[p._order]
+        dirty[key] = mask
+        for i in range(mask.bit_length()):
+            if mask >> i & 1 and node.parents:
+                steps[i].append((node._record, *operands(node.parents, i), node.value.shape))
+                slots[i][key] = len(steps[i])
+    return [ReplayPlan(a.shape, plan, operands(roots, i))
+            for i, (a, plan) in enumerate(zip(arrays, steps))]
 
 
 class ReplayPlan:
-    """The dirty steps of a :func:`replay`, in creation order.
+    """The dirty steps of one array's :func:`replay`, in creation order.
 
     A run's value 0 is its stack of the changed array, and value ``i`` the
-    result of step ``i``. Each step is ``(kernel, args, subs, shape)``: the
-    recorded kernel, a list of the base operands' arrays, the ``(position,
-    value)`` pairs of the operands a run recomputes, and the shape of the
-    step's value in the base graph. A run calls every kernel, so its checks
-    and data-dependent masks see the new values.
+    result of step ``i``. Each step is ``(kernel, consts, subs, shape)``: the
+    recorded kernel, the ``(position, base value)`` of each constant operand,
+    the ``(position, value index)`` of each operand a run recomputes, and the
+    shape of the step's value in the base graph. A run calls every kernel, so
+    its checks and data-dependent masks see the new values.
     """
 
-    def __init__(self, shape: tuple, steps: list, picks: list):
+    def __init__(self, shape: tuple, steps: list, picks: tuple):
         self.shape = shape  # the changed array's
         self.steps = steps
-        self._picks = picks  # per root: its value's index, or None and its base value
+        self._picks = picks  # the roots, as a step's (consts, subs)
 
     def run(self, stack: np.ndarray) -> list[np.ndarray]:
         """Each root's B values for a ``stack`` of B values of the changed
         array along a new leading axis; a root the array does not reach gets
-        its base value as a zero-stride view, as a step's constant operands
-        do. A kernel that takes no stack raises :class:`UsageError`."""
+        its base value as a read-only zero-stride view, as a constant operand
+        does. A kernel that takes no stack raises :class:`UsageError`."""
         lead = stack.shape[:1]
         if not lead or stack.shape[1:] != self.shape:
             raise UsageError(f"replay: a stack of shape {stack.shape} holds no {self.shape} arrays")
         fresh = [_finite(stack)]  # the check a leaf of these values would get
-        for kernel, args, subs, shape in self.steps:
-            args = [np.broadcast_to(a, lead + a.shape) for a in args]
+        def operands(consts, subs):  # a view over a buffer costs a third of broadcast_to's
+            args = [None] * (len(consts) + len(subs))
+            for i, c in consts:  # broadcast_to keeps another layout, which bits can follow
+                args[i] = (np.ndarray(lead + c.shape, _FLOAT64, c, 0, (0,) + c.strides)
+                           if type(c) is memoryview else np.broadcast_to(c, lead + c.shape))
             for i, s in subs:
                 args[i] = fresh[s]
+            return args
+        for kernel, consts, subs, shape in self.steps:
             try:
-                value = _finite(kernel(*args)[0])
+                value = _finite(kernel(*operands(consts, subs))[0])
             except ShapeError as e:  # a stack's operands have their base shapes under the lead
                 raise UsageError(f"replay: a kernel takes no stack: {e}") from e
             if value.shape != lead + shape:
                 raise UsageError(f"replay: a kernel gave shape {value.shape}, not {lead + shape}")
             fresh.append(value)
-        return [np.broadcast_to(value, lead + value.shape) if s is None else fresh[s]
-                for s, value in self._picks]
+        return operands(*self._picks)
 
 
 # ---------------------------------------------------------------------------

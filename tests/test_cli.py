@@ -890,6 +890,16 @@ def test_grad_check_rejects_a_bad_step_or_tolerance(flag, capsys):
     assert flag.split("=")[0][len("--gc-"):] in err and "finite and > 0" in err
 
 
+@pytest.mark.parametrize("step", ["1e-300", "1e-17"])
+def test_grad_check_rejects_a_step_that_moves_no_parameter(step, capsys):
+    """x + h == x makes every difference 0 and the audit a false failure:
+    a config error (exit 2) naming the step and the entry, not exit 1."""
+    assert run(["grad-check", "--gc-seeds", "1", "--gc-step", step]) == 2
+    captured = capsys.readouterr()
+    assert f"step {float(step)} does not move entry" in captured.err
+    assert "max_rel_err" not in captured.out
+
+
 def test_grad_check_all_lambdas_zero_trivially_passes(capsys):
     code = run(
         [

@@ -234,6 +234,30 @@ def test_check_bag_and_run_checks_reject_a_bad_step_or_tolerance(bad):
             run_checks(1, **kw)
 
 
+@pytest.mark.parametrize("step", [1e-300, 1e-17])
+def test_check_bag_rejects_a_step_that_moves_no_entry(step):
+    """A step below an entry's spacing leaves x + h == x, whose differences
+    all read 0; the sweep names the first group and entry it cannot move."""
+    bag, state, cfg = small_case(0)
+    before = {name: value.tobytes() for name, value in state.params.items()}
+    pname = sorted(state.params)[0]
+    idx = next(i for i, x in np.ndenumerate(state.params[pname]) if x + step == x or x - step == x)
+    with pytest.raises(ParameterError, match=rf"step {step} does not move entry "
+                                             rf"\({idx[0]}, {idx[1]}\) of {pname}$"):
+        check_bag(bag, state, cfg, step=step)
+    with pytest.raises(ParameterError, match="does not move entry"):
+        run_checks(1, step=step)
+    assert {name: value.tobytes() for name, value in state.params.items()} == before
+
+
+def test_check_bag_accepts_a_tiny_step_that_moves_every_entry():
+    """Only an entry the step cannot move fails: one where x + h != x and
+    x - h != x passes the check (the audit may then fail on rounding)."""
+    bag, state, cfg = small_case(0)
+    step = max(np.spacing(np.abs(v)).max() for v in state.params.values())
+    assert len(check_bag(bag, state, cfg, step=step)) == len(check_bag(bag, state, cfg))
+
+
 def test_check_bag_restores_the_parameters_when_a_replay_raises(monkeypatch):
     bag, state, cfg = small_case(0)
     before = {name: value.copy() for name, value in state.params.items()}
@@ -255,26 +279,71 @@ def test_check_bag_restores_the_parameters_when_a_replay_raises(monkeypatch):
 
 @pytest.mark.parametrize("method", ("A", "F"))
 def test_check_bag_plans_each_parameter_group_once(method, monkeypatch):
-    """The walk, sort and dirty test run once per group, not per perturbation,
-    and each group's perturbations run as one stack per chunk of STACK_CAP."""
+    """One planning call per bag, not per group or perturbation, gives one
+    plan per group in sorted group order, and each group's perturbations run
+    through its plan as one stack per chunk of STACK_CAP."""
     bag, state, cfg = small_case(1, modules=SUB_METHODS[method])
-    planned, runs = [], []
+    planned, plans, runs = [], [], []
     plan_for, run = nm.replay, nm.ReplayPlan.run
 
-    def counted_plan(roots, changed):
-        planned.append(next(p for p, v in state.params.items() if v is changed))
-        return plan_for(roots, changed)
+    def counted_plan(roots, arrays):
+        planned.append([next(p for p, v in state.params.items() if v is a) for a in arrays])
+        plans.extend(plan_for(roots, arrays))
+        return plans
 
     def counted_run(plan, *stack):
-        runs.append(None)
+        runs.append(plan)
         return run(plan, *stack)
 
     monkeypatch.setattr(nm, "replay", counted_plan)
     monkeypatch.setattr(nm.ReplayPlan, "run", counted_run)
     results = check_bag(bag, state, cfg)
     groups = sorted({r.param_name for r in results})
-    assert planned == groups
-    assert len(runs) == sum(-(-2 * state.params[p].size // STACK_CAP) for p in groups)
+    assert planned == [groups]
+    assert runs == [plan for p, plan in zip(groups, plans)
+                    for _ in range(-(-2 * state.params[p].size // STACK_CAP))]
+
+
+@pytest.mark.parametrize("method", sorted(SUB_METHODS))
+def test_a_pair_the_analytic_pass_does_not_reach_replays_to_its_base_value(method):
+    """The sweep differences only the (loss, group) pairs the analytic pass
+    reached: for every other pair the replay gives each copy the loss's base
+    bytes, as a read-only view, so skipping it loses nothing."""
+    bag, state, cfg = small_case(1, modules=SUB_METHODS[method])
+    base, analytic = analytic_gradients(bag, state, cfg)
+    names = sorted(state.params)
+    rng = np.random.default_rng(3800)
+    skipped = 0
+    for pname, plan in zip(names, nm.replay(_roots(base), [state.params[p] for p in names])):
+        target = state.params[pname]
+        stack = np.concatenate([_nudged(target, (int(rng.integers(target.shape[0])), 0), d)
+                                for d in (0.3, -0.3)])
+        for (loss_name, groups), root, got in zip(analytic.items(), _roots(base), plan.run(stack)):
+            if pname not in groups:
+                skipped += 1
+                assert got.strides[0] == 0 and not got.flags.writeable, (loss_name, pname)
+                assert [g.tobytes() for g in got] == [root.value.tobytes()] * 2, (loss_name, pname)
+    assert skipped
+
+
+def test_a_plan_of_several_arrays_runs_to_the_bits_of_a_plan_of_each_alone():
+    bag, state, cfg = _replay_case("F", 8, 0.5)
+    base = forward_losses(bag, state, cfg)
+    names = sorted(state.params)
+    together = nm.replay(_roots(base), [state.params[p] for p in names])
+    assert len(together) == len(names)
+    rng = np.random.default_rng(3700)
+    for pname, plan in zip(names, together):
+        target = state.params[pname]
+        stack = np.concatenate([
+            _nudged(target, tuple(int(rng.integers(s)) for s in target.shape), 0.3)
+            for _ in range(3)
+        ])
+        (alone,) = nm.replay(_roots(base), [target])
+        assert plan.shape == alone.shape == target.shape
+        assert [k for k, *_ in plan.steps] == [k for k, *_ in alone.steps], pname
+        want = [r.tobytes() for r in alone.run(stack)]
+        assert [r.tobytes() for r in plan.run(stack)] == want, pname
 
 
 @pytest.mark.parametrize("method, losses", (("A", 2), ("B", 2), ("C", 3), ("D", 3), ("E", 5), ("F", 5)))
@@ -365,7 +434,7 @@ def test_replay_equals_a_fresh_forward_byte_for_byte(method, phase_mode, ema, m,
         for pname in sorted(state.params):
             target = state.params[pname]
             orig = target.copy()
-            plan = nm.replay(_roots(base), target)
+            plan = nm.replay(_roots(base), [target])[0]
             copies = []
             for _ in range(3):  # successive writes that accumulate, a copy after each
                 idx = tuple(int(rng.integers(s)) for s in target.shape)
@@ -398,7 +467,7 @@ def test_replay_holds_a_selection_that_a_fresh_forward_flips(selection, pname, m
     pins = PinnedSelections(monkeypatch, bag, state, cfg)
     base = forward_losses(bag, state, cfg)
     target = state.params[pname]
-    plan = nm.replay(_roots(base), target)
+    plan = nm.replay(_roots(base), [target])[0]
     rng = np.random.default_rng(3400)
     pins.held = False
     for _ in range(50):  # successive writes that accumulate
@@ -425,7 +494,7 @@ def test_replay_raises_what_a_fresh_forward_raises(monkeypatch):
         with pytest.raises(NumericError, match="pearson_cols") as fresh:
             forward_losses(bag, state, cfg)
         with pytest.raises(NumericError, match="pearson_cols") as replayed:
-            nm.replay(_roots(base), state.params["w_sem"]).run(state.params["w_sem"][None])
+            nm.replay(_roots(base), [state.params["w_sem"]])[0].run(state.params["w_sem"][None])
     assert str(replayed.value) == str(fresh.value)
 
 
@@ -434,7 +503,7 @@ def test_replay_builds_no_node_and_raises_what_a_rebuild_raises(monkeypatch):
     a domain error or a non-finite value raises the same error."""
     bag, state, cfg = _replay_case("F", 8, 0.5)
     base = forward_losses(bag, state, cfg)
-    plans = {pname: nm.replay(_roots(base), target) for pname, target in state.params.items()}
+    plans = {pname: nm.replay(_roots(base), [target])[0] for pname, target in state.params.items()}
     made = []
     init = Node.__init__
 
@@ -481,18 +550,18 @@ def test_replay_leaves_the_base_graph_unchanged():
     stacks = {}
     for pname, target in state.params.items():
         stacks[pname] = _nudged(target, tuple(int(rng.integers(s)) for s in target.shape), 0.3)
-        nm.replay(_roots(base), target).run(stacks[pname])
+        nm.replay(_roots(base), [target])[0].run(stacks[pname])
     assert graph_nodes(base.loss) == nodes
     for n, (value, raw, grad, record) in zip(nodes, snapshot):
         assert n.value is value and n.value.tobytes() == raw
         assert n.grad is grad is None and n._record is record
-    want = {p: [r.tobytes() for r in nm.replay(_roots(base), t).run(stacks[p])]
+    want = {p: [r.tobytes() for r in nm.replay(_roots(base), [t])[0].run(stacks[p])]
             for p, t in state.params.items()}
     nm.backward(base.loss)  # still a fresh graph, and a backward writes no value
     for n, (value, raw, _, _) in zip(nodes, snapshot):
         assert n.value is value and n.value.tobytes() == raw
     for pname, target in state.params.items():
-        got = [r.tobytes() for r in nm.replay(_roots(base), target).run(stacks[pname])]
+        got = [r.tobytes() for r in nm.replay(_roots(base), [target])[0].run(stacks[pname])]
         assert got == want[pname], pname
 
 
@@ -517,7 +586,7 @@ def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
     assert calls["matmul"] and calls["pearson_cols"]  # the branches were built
     calls.clear()
     target = state.params["gcn_ins_w1"]
-    plan = nm.replay(_roots(base), target)
+    plan = nm.replay(_roots(base), [target])[0]
     assert calls == {}  # planning calls no op
     plan.run(_nudged(target, (0, 0), 0.1))
     # propagate, relu, propagate_unit for u; info_nce; the l_gcl add, its
@@ -551,7 +620,7 @@ def test_only_a_backward_builds_rules_and_once_per_node(monkeypatch):
     base = forward_losses(bag, state, cfg)
     rng = np.random.default_rng(3600)
     for target in state.params.values():
-        plan = nm.replay(_roots(base), target)
+        plan = nm.replay(_roots(base), [target])[0]
         plan.run(_nudged(target, tuple(int(rng.integers(s)) for s in target.shape), 0.1))
     assert infer(bag, state, cfg)
     assert built == []

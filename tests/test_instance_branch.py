@@ -229,6 +229,50 @@ def test_instance_loss_rejects_inconsistent_labels():
         instance_loss(hand_scores(corr, np.zeros((2, 3))), bad, tags)
 
 
+def _loss_on(labels, seed_weights):
+    """instance_loss on three proposals, K = 3 and every class tagged."""
+    scores = hand_scores(np.full((3, 3), 0.2), np.zeros((3, 4)))
+    return instance_loss(scores, ApproxLabels(labels, seed_weights), np.array([1, 1, 1]))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([0, 1, -1]),  # numpy would read -1 as the background column
+        np.array([0, 1, 4]),  # K + 1
+        np.array([0.0, 1.0, 2.0]),  # floats, even integral ones
+        np.array([True, False, True]),
+        np.array([0, 1]),  # one short
+        np.array([[0, 1, 2]]),
+    ],
+    ids=["minus-one", "k-plus-one", "float", "bool", "short", "2-d"],
+)
+def test_instance_loss_rejects_labels_outside_the_contract(labels):
+    with pytest.raises(ContractError, match=r"each of the 3 proposals needs an integer label in \[0, 3\]"):
+        _loss_on(labels, np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [np.ones(1), np.ones(2), np.ones(4), np.ones((3, 1)), np.array([1.0, np.nan, 1.0]),
+     np.array([1.0, 1.0, np.inf])],
+    ids=["one", "short", "long", "2-d", "nan", "inf"],
+)
+def test_instance_loss_rejects_seed_weights_outside_the_contract(weights):
+    with pytest.raises(ContractError, match=r"in \[0, 3\] and a finite seed weight"):
+        _loss_on(np.array([0, 1, 2]), weights)
+
+
+def test_instance_loss_accepts_the_contract_edges():
+    """Labels 0 and K (background), unsigned labels and zero weights are in
+    the contract; they score as the explicit mask says."""
+    for labels in (np.array([0, 1, 2]), np.array([2, 1, 0], dtype=np.uint8)):
+        assert np.isfinite(float(_loss_on(labels, np.zeros(3)).value))
+    scores = hand_scores(np.full((3, 3), 0.2), np.zeros((3, 4)))
+    loss = instance_loss(scores, ApproxLabels(np.array([0, 3, 3]), np.ones(3)), np.array([1, 0, 0]))
+    assert np.isfinite(float(loss.value))
+
+
 def test_instance_loss_contract_errors_name_the_first_class():
     corr = np.full((3, 3), 0.2)
     s_logits = np.zeros((3, 4))

@@ -1047,7 +1047,7 @@ def test_every_op_records_itself_and_replays_like_a_rebuild(case):
     before = out.value.copy()
     rng = np.random.default_rng(901)
     for arr in arrays:
-        plan = nm.replay([out], arr)
+        plan = nm.replay([out], [arr])[0]
         stack = np.stack([arr] * 3)
         for copy in stack:
             _nudge(copy, rng, 0.05)
@@ -1069,14 +1069,14 @@ def test_a_stacked_pearson_run_masks_only_the_slices_with_a_low_variance_column(
     stack = np.stack([z, z, z])
     stack[1, 0, 3] += 0.05  # slice 1 has no low-variance column
     stack[2, 0, 0] += 0.05
-    (got,) = nm.replay([out], z).run(stack)
+    (got,) = nm.replay([out], [z])[0].run(stack)
     for copy, value in zip(stack, got):
         _assert_same_bytes(value, nm.pearson_cols(Node(copy), 1e-6).value)
 
 
 def test_a_stacked_run_takes_only_a_stack_of_the_changed_shape():
     a = np.ones((2, 3))
-    plan = nm.replay([nm.scale(Node(a), 2.0)], a)
+    plan = nm.replay([nm.scale(Node(a), 2.0)], [a])[0]
     for bad in (np.ones((4, 3, 2)), a, np.float64(2.0)):  # an unstacked array is no stack
         with pytest.raises(UsageError, match="shape"):
             plan.run(bad)
@@ -1105,7 +1105,7 @@ def test_replay_through_each_chain_equals_a_rebuild(name, as_leaf):
     for fn in (fused, chain):
         out = fn(*operands())
         for i in grad_idx:
-            plan = nm.replay([out], arrays[i])
+            plan = nm.replay([out], [arrays[i]])[0]
             stack = np.stack([arrays[i]] * 2)
             for copy in stack:
                 _nudge(copy, rng, 0.01)
@@ -1126,7 +1126,7 @@ def test_replay_reruns_only_what_the_change_reaches():
         return nm.add(nm.matmul(left, lb), nm.scale(nm.matmul(la, lb), 2.0)), left
 
     out, left = build(Node(a), Node(b))
-    plan_b, plan_a = nm.replay([out, left], b), nm.replay([out, left], a)
+    plan_b, plan_a = nm.replay([out, left], [b])[0], nm.replay([out, left], [a])[0]
     # matmul, matmul, scale, add: relu(a) does not read b
     kernels = [kernel for kernel, *_ in plan_b.steps]
     assert [k.__qualname__.split(".")[0] for k in kernels] == ["matmul", "matmul", "scale", "add"]
@@ -1144,7 +1144,7 @@ def test_replay_reruns_only_what_the_change_reaches():
 def test_a_plan_over_an_array_no_root_reaches_has_no_steps():
     a = np.arange(4.0).reshape(2, 2)
     out, other = nm.relu(Node(a)), np.ones(1)
-    plan = nm.replay([out], other)  # an array no node holds
+    plan = nm.replay([out], [other])[0]  # an array no node holds
     assert plan.steps == []
     before = out.value.copy()
     a[0, 0] = -3.0  # a plan re-runs only its steps, even when other arrays change
@@ -1153,10 +1153,56 @@ def test_a_plan_over_an_array_no_root_reaches_has_no_steps():
     _assert_same_bytes(same[2], before)
 
 
+def test_one_plan_per_array_in_their_order():
+    a, b = np.arange(6.0).reshape(2, 3) - 2.0, np.ones((3, 2))
+    out = nm.matmul(nm.relu(Node(a)), Node(b))
+    plan_a, plan_b, again = nm.replay([out], [a, b, a])  # an array given twice plans twice
+    assert [plan.shape for plan in (plan_a, plan_b, again)] == [(2, 3), (3, 2), (2, 3)]
+    assert [k.__qualname__.split(".")[0] for k, *_ in plan_a.steps] == ["relu", "matmul"]
+    assert [k.__qualname__.split(".")[0] for k, *_ in plan_b.steps] == ["matmul"]
+    assert [k for k, *_ in again.steps] == [k for k, *_ in plan_a.steps]
+    stack = np.stack([a, -a])
+    _assert_same_bytes(again.run(stack)[0], plan_a.run(stack)[0])
+    assert nm.replay([out], []) == []
+
+
+def _writes_into_its_constant(a, c):
+    """An add whose kernel, on a stack, writes into its second operand."""
+    if a.ndim == 3:
+        c[...] = 0.0
+    return a + c, lambda g: (lambda: g, lambda: g)
+
+
+@pytest.mark.parametrize("contiguous", (True, False))
+def test_a_kernel_that_writes_into_a_constant_raises_and_the_base_graph_keeps_its_bytes(
+    contiguous,
+):
+    """A run's constant operands and unreached roots are read-only views of
+    the base graph's values, of a C-contiguous value or of another layout."""
+    a = np.arange(6.0).reshape(2, 3)
+    c = np.arange(6.0).reshape(2, 3) if contiguous else np.arange(6.0).reshape(3, 2).T
+    assert c.flags.c_contiguous == contiguous
+    const = nm.as_node(c)
+    out = nm._op(_writes_into_its_constant, Node(a), const)
+    other = nm.scale(const, 2.0)
+    nodes = (out, other, const)
+    before = [n.value.tobytes() for n in nodes]
+    (plan,) = nm.replay([out, other], [a])
+    with pytest.raises(ValueError, match="read-only"):
+        plan.run(np.stack([a, a]))
+    assert [n.value.tobytes() for n in nodes] == before
+    (unreached,) = nm.replay([other, out], [np.ones(1)])[0].run(np.zeros((2, 1)))[:1]
+    assert not unreached.flags.writeable and unreached.strides[0] == 0
+    assert np.shares_memory(unreached, other.value)
+    with pytest.raises(ValueError, match="read-only"):
+        unreached[0, 0, 0] = 1.0
+    assert [n.value.tobytes() for n in nodes] == before
+
+
 def test_replay_raises_what_a_rebuild_raises():
     a = np.ones((2, 2))
     out = nm.sqrt(nm.scale(Node(a), 1.0))
-    plan = nm.replay([out], a)  # the checks belong to the run, not the plan
+    plan = nm.replay([out], [a])[0]  # the checks belong to the run, not the plan
     stack = np.ones((2, 2, 2))
     stack[1, 0, 0] = -1.0  # one slice fails the run
     with pytest.raises(NumericError, match="sqrt"):
@@ -1174,10 +1220,10 @@ def test_replay_rejects_an_op_result_without_a_record():
     leaf = Node(a)
     out = nm.total(Node(leaf.value * 2.0, (leaf,)))
     with pytest.raises(UsageError, match="record"):
-        nm.replay([out], a)
+        nm.replay([out], [a])[0]
     # also when the record-less node does not depend on the changed array
     with pytest.raises(UsageError, match="record"):
-        nm.replay([out], np.ones(1))
+        nm.replay([out], [np.ones(1)])[0]
 
 
 def _all_finite_cases():
