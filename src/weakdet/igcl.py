@@ -27,7 +27,7 @@ from .numerics import Node
 def _normalize(adj: np.ndarray) -> np.ndarray:
     """A_hat = D^{-1/2} (A + I) D^{-1/2} for a binary symmetric A."""
     adj.reshape(-1)[:: adj.shape[0] + 1] += 1.0  # A + I, in the caller's fresh array
-    inv_sqrt_deg = 1.0 / np.sqrt(adj.sum(axis=1))
+    inv_sqrt_deg = 1.0 / np.sqrt(np.add.reduce(adj, axis=1))
     return adj * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
 
 
@@ -60,7 +60,7 @@ def build_semantic_graph(z: np.ndarray, k: int) -> np.ndarray:
         sim = unit @ unit.T
         sim.reshape(-1)[:: n + 1] = -np.inf
         # Stable sort keeps neighbour choice deterministic under ties.
-        nbrs = np.argsort(-sim, axis=1, kind="stable")[:, :k_eff]
+        nbrs = (-sim).argsort(axis=1, kind="stable")[:, :k_eff]
         adj[np.arange(n)[:, None], nbrs] = 1.0
         adj = np.maximum(adj, adj.T)
     return _normalize(adj)

@@ -69,45 +69,46 @@ def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float) -> Appro
     For each tagged class k, instances scoring at least ``gamma`` times the
     class's top score are claimed by k; an instance claimed by several
     classes goes to the one where it scores highest (ties to the lowest
-    index). Everything unclaimed is background. A repair pass then ensures
-    every tagged class keeps at least one instance, which is always
-    possible when the bag has at least as many instances as tagged classes;
-    in a bag with fewer, the classes left when no instance can be spared
-    stay unlabelled.
+    index). Everything unclaimed is background. A repair pass runs only when
+    a tagged class has lost every claim: it gives that class an instance,
+    which is always possible when the bag has at least as many instances as
+    tagged classes; in a bag with fewer, the classes left when no instance
+    can be spared stay unlabelled. A bag with no positive tag is a negative
+    image: every instance is background, weighted 1 minus its top score.
     """
     corr_ins = np.asarray(corr_ins, dtype=np.float64)
     tags = np.asarray(tags)
     if not (0.0 < gamma <= 1.0):
         raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
-    positives = np.flatnonzero(tags == 1)
-    if positives.size == 0:
-        raise ContractError("approx_labels needs at least one positive tag")
-
+    positives = (tags == 1).ravel().nonzero()[0]  # np.flatnonzero
     m, n_classes = corr_ins.shape
     background = n_classes
-    scores = corr_ins[:, positives]
-    claimed = scores >= gamma * corr_ins.max(axis=0)[positives]
-    # First maximum over each row's claims: ties go to the lowest class.
-    best = np.argmax(np.where(claimed, scores, -np.inf), axis=1)
-    labels = np.where(claimed.any(axis=1), positives[best], background)
-
-    # Repair: a class whose every claimed instance was taken by a stronger
-    # class gets its own top instance back, among instances that are
-    # background or whose current class keeps another one.
-    for k in positives:
-        if np.any(labels == k):
-            continue
-        order = np.argsort(-corr_ins[:, k], kind="stable")
-        for i in order:
-            cur = labels[i]
-            if cur == background or np.sum(labels == cur) > 1:
-                labels[i] = k
-                break
+    if positives.size == 0:
+        labels = np.full(m, background)
+    else:
+        scores = corr_ins[:, positives]
+        claimed = scores >= gamma * np.maximum.reduce(scores, axis=0)
+        # First maximum over each row's claims: ties go to the lowest class.
+        best = np.where(claimed, scores, -np.inf).argmax(axis=1)
+        labels = np.where(claimed.any(axis=1), positives[best], background)
+        # Repair: a class whose every claimed instance was taken by a stronger
+        # class gets its own top instance back, among instances that are
+        # background or whose current class keeps another one. No class loses
+        # its last instance, so the classes to repair are known from the claims.
+        counts = np.bincount(labels, minlength=n_classes + 1)
+        for k in positives[counts[positives] == 0]:
+            for i in np.argsort(-corr_ins[:, k], kind="stable"):
+                cur = labels[i]
+                if cur == background or counts[cur] > 1:
+                    labels[i] = k
+                    counts[cur] -= 1
+                    counts[k] += 1
+                    break
 
     is_bg = labels == background
     fg_score = corr_ins[np.arange(m), np.where(is_bg, 0, labels)]
-    weights = np.where(is_bg, 1.0 - corr_ins.max(axis=1), fg_score)
-    return ApproxLabels(labels=labels, seed_weights=np.clip(weights, 0.0, 1.0))
+    weights = np.where(is_bg, 1.0 - np.maximum.reduce(corr_ins, axis=1), fg_score)
+    return ApproxLabels(labels=labels, seed_weights=weights.clip(0.0, 1.0))
 
 
 def instance_loss(scores: InstanceScores, labels: ApproxLabels, tags: np.ndarray) -> Node:
@@ -126,16 +127,18 @@ def instance_loss(scores: InstanceScores, labels: ApproxLabels, tags: np.ndarray
         raise ContractError("tags length must equal the class count")
     lab, weights = labels.labels, labels.seed_weights
     if (lab.dtype.kind not in "iu" or lab.shape != (m,) or weights.shape != (m,)
-            or not nm.all_finite(weights) or m and not 0 <= lab.min() <= lab.max() <= n_classes):
+            or not nm.all_finite(weights)
+            or m and not 0 <= np.minimum.reduce(lab) <= np.maximum.reduce(lab) <= n_classes):
         raise ContractError(f"each of the {m} proposals needs an integer label in "
                             f"[0, {n_classes}] and a finite seed weight")
-    labelled = (lab[:, None] == np.arange(n_classes)).any(axis=0)
-    untagged = np.flatnonzero((tags == 0) & labelled)
-    if untagged.size:
-        raise ContractError(f"instance labelled with untagged class {untagged[0]}")
-    missing = np.flatnonzero((tags == 1) & ~labelled)
-    if missing.size and m >= np.count_nonzero(tags == 1):
-        raise ContractError(f"tagged class {missing[0]} has no labelled instance")
+    labelled = np.bincount(lab.astype(np.intp, copy=False), minlength=n_classes + 1)[:n_classes] > 0
+    if labelled.tolist() != (tags == 1).tolist():  # else no class can break the rules below
+        untagged = np.flatnonzero((tags == 0) & labelled)
+        if untagged.size:
+            raise ContractError(f"instance labelled with untagged class {untagged[0]}")
+        missing = np.flatnonzero((tags == 1) & ~labelled)
+        if missing.size and m >= np.count_nonzero(tags == 1):
+            raise ContractError(f"tagged class {missing[0]} has no labelled instance")
     mask = np.zeros((m, n_classes + 1), dtype=np.float64)
     mask[np.arange(m), lab] = weights
     return nm.bce_plus_weighted_ce(scores.image_scores, scores.s_logits, tags, mask, SCORE_EPS)

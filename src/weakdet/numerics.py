@@ -17,9 +17,12 @@ constants: it runs the op's shape and domain checks and returns the value
 with its backward rules unbuilt. The wrapper makes the node and checks the
 value (a NaN or Inf raises :class:`~weakdet.errors.NumericError`); only the
 node's backward builds the rules, once per pass, so a forward-only pass and
-a replay build none. Exponentials are max-shifted. A reduction calls the ufunc
-numpy's wrapper calls (``np.add.reduce`` for ``sum`` and ``mean``,
-``np.maximum.reduce`` for ``max``): same bits, faster.
+a replay build none. Exponentials are max-shifted. Here and in the branches, a
+reduction calls the ufunc reduce that numpy's wrapper calls: ``np.add.reduce``
+for ``sum`` and ``mean``, ``np.maximum.reduce`` for ``max`` and
+``np.minimum.reduce`` for ``min``, the same bits in fewer calls. A row norm
+is ``np.linalg.norm``'s own arithmetic for a real vector norm,
+``np.sqrt(np.add.reduce(x * x, axis))``.
 
 Every op records its kernel. :func:`replay` finds in one pass which ops of a
 built graph lie downstream of each of some arrays; a run of an array's plan
@@ -99,7 +102,9 @@ class Node:
     __slots__ = ("value", "grad", "parents", "requires_grad", "_backward", "_order", "_record")
 
     def __init__(self, value, parents: tuple = (), backward: Callable | None = None, record=None):
-        self.value = _finite(value)
+        # _finite's test, inline for the common case of a float64 ndarray
+        self.value = value if (type(value) is np.ndarray and value.dtype is _FLOAT64
+                               and math.isfinite(np.vdot(value, value))) else _finite(value)
         self.grad = None
         self.parents = parents
         requires_grad = not parents
@@ -187,7 +192,7 @@ def backward(loss: Node) -> None:
     """
     if loss.value.shape not in ((), (1,), (1, 1)):
         raise UsageError(f"backward root must be scalar, got shape {loss.value.shape}")
-    loss.grad = np.ones_like(loss.value)
+    loss.grad = np.ones(loss.value.shape)
     if not loss.requires_grad:
         return
     reached, stack = {loss._order: loss}, [loss]
@@ -565,8 +570,8 @@ def _unit_rows(x: np.ndarray, strict: bool, opname: str):
     stays zero and passes zero gradient."""
     _matrix(x, opname, True)
     norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))  # np.linalg.norm's sum
-    bad = norms[..., 0] <= EPS_NORM
-    if not bad.any():
+    if (np.minimum.reduce(norms, None, initial=np.inf) > EPS_NORM  # a NaN norm fails this
+            or not (bad := norms[..., 0] <= EPS_NORM).any()):  # else the mask decides
         return x / norms, norms, None
     if strict:
         raise DegenerateInputError(f"{opname}: zero-norm row")

@@ -52,7 +52,7 @@ def pseudo_labels(corr_sem: Node, z: Node) -> PseudoLabels:
     Ties go to the lowest class index (numpy argmax convention).
     """
     scores = nm.matmul_nt(z, corr_sem)
-    labels = np.argmax(scores.value, axis=1).astype(np.int64)
+    labels = scores.value.argmax(axis=1).astype(np.int64, copy=False)
     return PseudoLabels(scores=scores, labels=labels)
 
 
@@ -64,8 +64,8 @@ def semantic_loss(z: Node, pseudo: PseudoLabels, centers: np.ndarray) -> Node:
     """
     centers = np.asarray(centers, dtype=np.float64)
     selected = centers[pseudo.labels]
-    norms = np.linalg.norm(selected, axis=1)
-    if np.any(norms <= nm.EPS_NORM):
+    norms = np.sqrt(np.add.reduce(selected * selected, axis=1))  # np.linalg.norm's sum
+    if np.fmin.reduce(norms, initial=np.inf) <= nm.EPS_NORM:  # fmin passes over a NaN
         raise DegenerateInputError("semantic_loss: zero-norm center")
     return nm.cosine_center_loss(z, selected / norms[:, None])
 
@@ -82,12 +82,12 @@ def update_centers(
     """
     if not (0.0 <= rate <= 1.0):
         raise ParameterError(f"center rate must be in [0, 1], got {rate}")
-    out = np.array(centers, dtype=np.float64, copy=True)
+    centers = np.asarray(centers, dtype=np.float64)  # read only: the rows are copies
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels)
-    if out.ndim != 2 or z.shape != (labels.size, out.shape[1]):
+    if centers.ndim != 2 or z.shape != (labels.size, centers.shape[1]):
         raise ShapeError("update_centers expects one embedding row per label")
-    rows = out.tolist()
+    rows = centers.tolist()
     for z_i, k in zip(z.tolist(), labels.tolist()):
         rows[k] = [c + rate * (v - c) for c, v in zip(rows[k], z_i)]
-    return np.array(rows, dtype=np.float64).reshape(out.shape)
+    return np.array(rows, dtype=np.float64).reshape(centers.shape)

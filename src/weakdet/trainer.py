@@ -265,11 +265,15 @@ def forward_losses(
     sequential phase mode passes one at a time). Parameters are wrapped as
     differentiable leaves only when the restricted loss actually reaches
     them, so masked-out modules see zero gradient and no optimizer update.
+    A bag with no positive tag is a negative image: only its instance loss
+    is built, so without M1 it has no loss and moves nothing.
     ``instance_graph`` is the bag's normalized instance adjacency, which a
     caller may build once: it depends on the proposals alone. Every other
     discrete selection is made anew from the current parameters.
     """
     active = cfg.modules if include is None else (cfg.modules & include)
+    if 1 not in bag.tags.tolist():  # a negative image trains on its instance loss alone
+        active &= {"M1"}
     need_gcl = bool({"M3", "M4"} & active)
     need_ins_branch = "M1" in active or (need_gcl and "M1" in cfg.modules)
     need_sem_branch = "M2" in active or (need_gcl and "M2" in cfg.modules)
@@ -443,7 +447,7 @@ def train(
                         for name, node in fwd.leaves.items():
                             node.grad = grad_views[name]
                         nm.backward(fwd.loss)
-                        if "M2" in phase:
+                        if "loss_sem" in fwd.terms:  # M2 ran on this bag
                             state.centers = sb.update_centers(
                                 state.centers, fwd.z_values, fwd.pseudo_hard, cfg.center_rate
                             )

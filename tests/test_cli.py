@@ -1003,6 +1003,31 @@ def test_a_bag_with_fewer_proposals_than_positive_tags_trains_and_evaluates(
         assert 0.0 <= json.loads(out.read_text())["map50"] <= 1.0
 
 
+@pytest.mark.parametrize("phase_mode", ["fused", "sequential"])
+def test_a_bag_with_no_positive_tag_trains_and_evaluates(six_scene_split, tmp_path, phase_mode):
+    """A three-bag file whose middle bag is a negative image (all-zero tags,
+    no ground truth): every sub-method trains on it, and eval scores it as a
+    test split and as a train split."""
+    cfg_file, train_jsonl = six_scene_split
+    bags, gts = load_jsonl(train_jsonl)
+    bags, gts = bags[:3], gts[:3]
+    bags[1] = replace(bags[1], tags=np.zeros(3, dtype=int))
+    gts[1] = replace(gts[1], objects=[])
+    path = tmp_path / "negative.jsonl"
+    save_jsonl(path, bags, gts)
+    for method, modules in sorted(SUB_METHODS.items()):
+        ckpt = tmp_path / f"{method}.ckpt"
+        flags = ["--config", cfg_file, "--modules", ",".join(sorted(modules)),
+                 "--phase-mode", phase_mode]
+        assert run(["train", *flags, "--data", str(path), "--out", str(ckpt)]) == 0, method
+        for split in ("test", "train"):
+            out = tmp_path / f"{method}-{split}.json"
+            assert run(["eval", *flags, "--checkpoint", str(ckpt), "--data", str(path),
+                        "--split", split, "--out", str(out)]) == 0, (method, split)
+            score = json.loads(out.read_text())["map50" if split == "test" else "corloc"]
+            assert 0.0 <= score <= 1.0
+
+
 def test_overflowing_features_exit_2_without_a_numpy_warning(six_scene_split, tmp_path, capsys):
     cfg_file, train_jsonl = six_scene_split
     bags, gts = load_jsonl(train_jsonl)

@@ -162,9 +162,15 @@ def test_fewer_instances_than_positive_tags_leave_the_surplus_classes_unlabelled
         instance_loss(hand_scores(corr, np.zeros((2, 4))), both_one, np.array([0, 1, 1]))
 
 
-def test_approx_labels_requires_positive_tag():
-    with pytest.raises(ContractError):
-        approx_labels(np.ones((2, 2)) * 0.5, np.array([0, 0]), gamma=0.9)
+def test_approx_labels_labels_a_negative_bag_background():
+    # A bag with no positive tag is a negative image: every proposal is
+    # background with weight 1 - its row maximum, and the loss accepts it.
+    corr = np.array([[0.2, 0.7], [0.5, 0.1], [0.3, 0.0]])
+    out = approx_labels(corr, np.array([0, 0]), gamma=0.9)
+    assert out.labels.tolist() == [2, 2, 2] and out.labels.dtype == np.int64
+    assert out.seed_weights.tolist() == [1.0 - 0.7, 1.0 - 0.5, 1.0 - 0.3]
+    loss = instance_loss(hand_scores(corr, np.zeros((3, 3))), out, np.array([0, 0]))
+    assert np.isfinite(float(loss.value))
     with pytest.raises(ParameterError):
         approx_labels(np.ones((2, 2)) * 0.5, np.array([1, 0]), gamma=0.0)
 

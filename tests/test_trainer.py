@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from weakdet import igcl
 from weakdet import instance_branch as ib
 from weakdet import numerics as nm
-from weakdet.datamodel import Bag, Box, SceneConfig, filter_proposals, generate_dataset
+from weakdet.datamodel import Box, SceneConfig, filter_proposals, generate_dataset
 from weakdet.errors import (
-    CompatibilityError, ConfigError, ContractError, EmptyBagError, NumericError, ParseError,
+    CompatibilityError, ConfigError, EmptyBagError, NumericError, ParseError,
 )
 from weakdet.evalmetrics import Detection, iou
 from weakdet.trainer import (
@@ -561,6 +561,27 @@ def test_only_the_instance_loss_moves_the_detection_head():
     assert heads["C"] == heads["E"] == heads["F"] == heads["A"]
 
 
+@pytest.mark.parametrize("phase_mode", ["fused", "sequential"])
+def test_a_negative_bag_trains_on_its_instance_loss_alone(phase_mode):
+    """A bag with no positive tag builds only the instance loss, moves no
+    center and no correlation buffer, and under B or D moves nothing."""
+    bags, _ = tiny_dataset(1)
+    neg = replace(bags[0], tags=np.zeros(3, dtype=np.int64))
+    for method in sorted(SUB_METHODS):
+        cfg = small_cfg(modules=SUB_METHODS[method], corr_sem_ema=0.5, phase_mode=phase_mode)
+        start = init_state(cfg, 3, 8)
+        fwd = forward_losses(neg, start, cfg)
+        has_m1 = "M1" in cfg.modules
+        assert list(fwd.terms) == (["loss_ins"] if has_m1 else [])
+        assert set(fwd.leaves) == ({"w_cls", "w_det", "w_bg"} if has_m1 else set())
+        state, history = train([neg], cfg)
+        assert state.centers.tobytes() == start.centers.tobytes()
+        assert state.corr_buffer.tobytes() == start.corr_buffer.tobytes()
+        moved = {k for k in state.params if state.params[k].tobytes() != start.params[k].tobytes()}
+        assert moved == ({"w_cls", "w_det", "w_bg"} if has_m1 else set()), method
+        assert all(row["loss_sem"] == row["loss_igcl"] == 0.0 for row in history)
+
+
 def test_sequential_phase_mode_runs_and_differs():
     bags, _ = tiny_dataset(4)
     fused, _ = train(bags, small_cfg(epochs=2))
@@ -592,14 +613,13 @@ def test_train_rejects_incompatible_state():
         train(bags, cfg, state)
 
 
-@pytest.mark.parametrize("n_pos, m", [(0, 4)], ids=["all_negative"])
-def test_bag_errors_name_the_bag_epoch_and_step(n_pos, m, rng):
+@pytest.mark.parametrize("fill", [1e308], ids=["overflowing_features"])
+def test_bag_errors_name_the_bag_epoch_and_step(fill, rng):
     good = [make_bag(rng, m=4, n_classes=4, feature_dim=8, image_id=f"ok{i}") for i in range(3)]
-    odd = make_bag(rng, m=m, n_classes=4, feature_dim=8, image_id="odd_bag")
-    tags = [1] * n_pos + [0] * (4 - n_pos)
-    odd = Bag(odd.image_id, odd.canvas, odd.proposals, odd.features, tags)
+    odd = make_bag(rng, m=4, n_classes=4, feature_dim=8, image_id="odd_bag")
+    odd = replace(odd, features=np.full(odd.features.shape, fill))  # finite, but its logits are not
     cfg = small_cfg(modules=SUB_METHODS["F"], epochs=2, seed=3)
-    with pytest.raises(ContractError) as exc:
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as exc:
         train([*good, odd], cfg)
     # The bag fails the first time it comes up: in epoch 0, after one step
     # for each bag ahead of it in that epoch's order.
