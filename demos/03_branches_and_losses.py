@@ -30,7 +30,7 @@ print("--- phase 1: instance-wise detection ---")
 head = [Node(state.params[name]) for name in ("w_cls", "w_det", "w_bg")]
 scores = instance_probs(feats, *head)
 print("corr_ins column sums (per-class image scores, in [0,1]):")
-print(" ", scores.image_scores.value)
+print(" ", scores.corr_ins.value.sum(axis=0))
 labels = approx_labels(scores.corr_ins.value, bag.tags, gamma=0.9)
 print(f"induced labels (class index, {4} = background): {labels.labels.tolist()}")
 l_ins = instance_loss(scores, labels, bag.tags)

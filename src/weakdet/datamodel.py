@@ -85,6 +85,8 @@ class Bag:
             for t in raw
         ):
             raise ConfigError(f"bag {self.image_id}: image tags must be a list of 0 and 1")
+        if not raw:  # K = 0: no class to score, and every softmax would be empty
+            raise ConfigError(f"bag {self.image_id}: image tags are empty (K = 0)")
         self.tags = np.asarray(self.tags, dtype=np.int64)
         if len(self.proposals) == 0:
             raise EmptyBagError(f"bag {self.image_id} has no proposals")

@@ -25,14 +25,20 @@ def iou_matrix(boxes_a: list[Box], boxes_b: list[Box]) -> np.ndarray:
 
     Repeats the operations of :func:`iou` in the same order, including its
     strict ``inter > 0`` guard, so each entry equals the scalar IoU exactly.
+    One list passed twice (the instance graph's) is converted, and its areas
+    computed, once.
     """
-    ax1, ay1, ax2, ay2 = np.array(boxes_a, np.float64).reshape(-1, 4).T[:, :, None]
-    bx1, by1, bx2, by2 = np.array(boxes_b, np.float64).reshape(-1, 4).T
+    a = np.array(boxes_a, np.float64).reshape(-1, 4)
+    same = boxes_b is boxes_a
+    b = a if same else np.array(boxes_b, np.float64).reshape(-1, 4)
+    ax1, ay1, ax2, ay2 = a.T[:, :, None]
+    bx1, by1, bx2, by2 = b.T
+    area_b = (bx2 - bx1) * (by2 - by1)
+    area_a = area_b[:, None] if same else (ax2 - ax1) * (ay2 - ay1)
     ix = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
     iy = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
     inter = ix * iy
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return np.where(inter > 0.0, inter / union, 0.0)
+    return np.where(inter > 0.0, inter / (area_a + area_b - inter), 0.0)
 
 
 class Detection(NamedTuple):

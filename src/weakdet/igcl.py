@@ -25,22 +25,23 @@ from .numerics import Node
 
 
 def _normalize(adj: np.ndarray) -> np.ndarray:
-    """A_hat = D^{-1/2} (A + I) D^{-1/2} for a binary symmetric A."""
-    adj.reshape(-1)[:: adj.shape[0] + 1] += 1.0  # A + I, in the caller's fresh array
+    """A_hat = D^{-1/2} (A + I) D^{-1/2} for a binary symmetric A with a zero
+    diagonal: the caller's fresh array becomes A + I in place (its diagonal
+    set to 1.0). A 0/1 entry times the outer product of the degree factors is
+    (a_ij * d_i) * d_j, bit for bit."""
+    adj.reshape(-1)[:: adj.shape[0] + 1] = 1.0
     inv_sqrt_deg = 1.0 / np.sqrt(np.add.reduce(adj, axis=1))
-    return adj * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+    return adj * np.multiply.outer(inv_sqrt_deg, inv_sqrt_deg)
 
 
 def build_instance_graph(boxes: list[Box], iou_threshold: float) -> np.ndarray:
     """Connect proposals whose boxes overlap with IoU above the threshold.
 
     All pairwise IoUs come from :func:`~weakdet.evalmetrics.iou_matrix`, so
-    each entry equals the scalar IoU exactly.
+    each entry equals the scalar IoU exactly. A box is no neighbour of its
+    own: the self-loop replaces its entry.
     """
-    overlap = iou_matrix(boxes, boxes)
-    adj = (overlap > iou_threshold).astype(np.float64)
-    np.fill_diagonal(adj, 0.0)
-    return _normalize(adj)
+    return _normalize((iou_matrix(boxes, boxes) > iou_threshold).astype(np.float64))
 
 
 def build_semantic_graph(z: np.ndarray, k: int) -> np.ndarray:
@@ -53,14 +54,15 @@ def build_semantic_graph(z: np.ndarray, k: int) -> np.ndarray:
     n = z.shape[0]
     adj = np.zeros((n, n))
     if n > 1:
-        k_eff = min(k, n - 1)
         norms = np.sqrt(np.add.reduce(z * z, axis=1))  # np.linalg.norm's sum
-        safe = np.where(norms > nm.EPS_NORM, norms, 1.0)
-        unit = z / safe[:, None]
-        sim = unit @ unit.T
-        sim.reshape(-1)[:: n + 1] = -np.inf
+        if not np.minimum.reduce(norms) > nm.EPS_NORM:  # a zero row stays zero
+            norms = np.where(norms > nm.EPS_NORM, norms, 1.0)
+        unit = z / norms[:, None]
+        far = unit @ unit.T  # negated in place: the nearest sort first
+        np.negative(far, out=far)
+        far.reshape(-1)[:: n + 1] = np.inf  # and no row is its own neighbour
         # Stable sort keeps neighbour choice deterministic under ties.
-        nbrs = (-sim).argsort(axis=1, kind="stable")[:, :k_eff]
+        nbrs = far.argsort(axis=1, kind="stable")[:, : min(k, n - 1)]
         adj[np.arange(n)[:, None], nbrs] = 1.0
         adj = np.maximum(adj, adj.T)
     return _normalize(adj)

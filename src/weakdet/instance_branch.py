@@ -9,8 +9,10 @@ image scores stay in [0, 1]. The per-class image score is that column sum
 maximum. Thresholding against each positive class's top score induces
 approximate instance labels; the branch loss combines per-class binary
 cross-entropy on image scores with a weighted (K+1)-way cross-entropy on
-per-instance distributions that include an explicit background column, as
-one fused node. The heads are passed in as graph nodes.
+per-instance distributions that include an explicit background column. It
+is one fused node over ``corr_ins`` and the class and background logits,
+which pools the image scores and joins the logits itself. The heads are
+passed in as graph nodes.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ SCORE_EPS = 1e-7
 class InstanceScores:
     """Forward outputs of the branch for one bag (graph nodes)."""
 
-    corr_ins: Node  # |B| x K, entries in [0, 1]
-    s_logits: Node  # |B| x (K+1), logits of the distribution; column K is background
-    image_scores: Node  # K, per-class sums of corr_ins
+    corr_ins: Node  # |B| x K, entries in [0, 1]; the image scores are its column sums
+    cls_logits: Node  # |B| x K, the class logits of the (K+1)-way distribution
+    bg_logits: Node  # |B| x 1, its background logit (column K)
 
 
 @dataclass
@@ -56,11 +58,11 @@ def dual_scores(features: Node, w_cls: Node, w_det: Node) -> tuple[Node, Node]:
 
 
 def instance_probs(features: Node, w_cls: Node, w_det: Node, w_bg: Node) -> InstanceScores:
-    """:func:`dual_scores`' probabilities plus the loss-only image scores and
-    (K+1)-way logits, whose last column is the background head ``w_bg`` (D x 1)."""
+    """:func:`dual_scores` plus the loss-only background logits from the
+    head ``w_bg`` (D x 1)."""
     cls_logits, corr = dual_scores(features, w_cls, w_det)
-    s_logits = nm.hconcat(cls_logits, nm.matmul(features, w_bg))
-    return InstanceScores(corr_ins=corr, s_logits=s_logits, image_scores=nm.sum_cols(corr))
+    return InstanceScores(corr_ins=corr, cls_logits=cls_logits,
+                          bg_logits=nm.matmul(features, w_bg))
 
 
 def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float) -> ApproxLabels:
@@ -74,7 +76,8 @@ def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float) -> Appro
     which is always possible when the bag has at least as many instances as
     tagged classes; in a bag with fewer, the classes left when no instance
     can be spared stay unlabelled. A bag with no positive tag is a negative
-    image: every instance is background, weighted 1 minus its top score.
+    image: every instance is background, weighted 1 minus its top score. A
+    score of -inf claims nothing.
     """
     corr_ins = np.asarray(corr_ins, dtype=np.float64)
     tags = np.asarray(tags)
@@ -83,32 +86,30 @@ def approx_labels(corr_ins: np.ndarray, tags: np.ndarray, gamma: float) -> Appro
     positives = (tags == 1).ravel().nonzero()[0]  # np.flatnonzero
     m, n_classes = corr_ins.shape
     background = n_classes
+    weights = 1.0 - np.maximum.reduce(corr_ins, axis=1)  # a background instance's
     if positives.size == 0:
-        labels = np.full(m, background)
-    else:
-        scores = corr_ins[:, positives]
-        claimed = scores >= gamma * np.maximum.reduce(scores, axis=0)
-        # First maximum over each row's claims: ties go to the lowest class.
-        best = np.where(claimed, scores, -np.inf).argmax(axis=1)
-        labels = np.where(claimed.any(axis=1), positives[best], background)
-        # Repair: a class whose every claimed instance was taken by a stronger
-        # class gets its own top instance back, among instances that are
-        # background or whose current class keeps another one. No class loses
-        # its last instance, so the classes to repair are known from the claims.
-        counts = np.bincount(labels, minlength=n_classes + 1)
-        for k in positives[counts[positives] == 0]:
-            for i in np.argsort(-corr_ins[:, k], kind="stable"):
-                cur = labels[i]
-                if cur == background or counts[cur] > 1:
-                    labels[i] = k
-                    counts[cur] -= 1
-                    counts[k] += 1
-                    break
-
-    is_bg = labels == background
-    fg_score = corr_ins[np.arange(m), np.where(is_bg, 0, labels)]
-    weights = np.where(is_bg, 1.0 - np.maximum.reduce(corr_ins, axis=1), fg_score)
-    return ApproxLabels(labels=labels, seed_weights=weights.clip(0.0, 1.0))
+        return ApproxLabels(labels=np.full(m, background), seed_weights=weights.clip(0.0, 1.0))
+    scores = corr_ins[:, positives]
+    claimed = np.where(scores >= gamma * np.maximum.reduce(scores, axis=0), scores, -np.inf)
+    # First maximum over each row's claims: ties go to the lowest class. Its
+    # value is the claiming class's score, a foreground instance's weight.
+    best, top = claimed.argmax(axis=1), np.maximum.reduce(claimed, axis=1)
+    is_fg = top > -np.inf
+    labels = np.where(is_fg, positives[best], background)
+    # Repair: a class whose every claimed instance was taken by a stronger
+    # class gets its own top instance back, among instances that are
+    # background or whose current class keeps another one. No class loses
+    # its last instance, so the classes to repair are known from the claims.
+    counts = np.bincount(labels, minlength=n_classes + 1)
+    for k in positives[counts[positives] == 0]:
+        for i in np.argsort(-corr_ins[:, k], kind="stable"):
+            cur = labels[i]
+            if cur == background or counts[cur] > 1:
+                labels[i], top[i], is_fg[i] = k, corr_ins[i, k], True
+                counts[cur] -= 1
+                counts[k] += 1
+                break
+    return ApproxLabels(labels=labels, seed_weights=np.where(is_fg, top, weights).clip(0.0, 1.0))
 
 
 def instance_loss(scores: InstanceScores, labels: ApproxLabels, tags: np.ndarray) -> Node:
@@ -141,4 +142,5 @@ def instance_loss(scores: InstanceScores, labels: ApproxLabels, tags: np.ndarray
             raise ContractError(f"tagged class {missing[0]} has no labelled instance")
     mask = np.zeros((m, n_classes + 1), dtype=np.float64)
     mask[np.arange(m), lab] = weights
-    return nm.bce_plus_weighted_ce(scores.image_scores, scores.s_logits, tags, mask, SCORE_EPS)
+    return nm.bce_plus_weighted_ce(scores.corr_ins, scores.cls_logits, scores.bg_logits, tags,
+                                   mask, SCORE_EPS)

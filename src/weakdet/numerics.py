@@ -11,15 +11,16 @@ its operands). A node's first gradient contribution becomes its ``grad``
 buffer; later ones add into it (see :func:`_accumulate`). A backward clears
 the op results' buffers first, so a graph can be differentiated again.
 
-Every op is a value kernel under one node wrapper, :func:`_op`. The op
-makes its kernel, a function of its operands' arrays that holds the op's
-constants: it runs the op's shape and domain checks and returns the value
-with its backward rules unbuilt. The wrapper makes the node and checks the
-value (a NaN or Inf raises :class:`~weakdet.errors.NumericError`); only the
-node's backward builds the rules, once per pass, so a forward-only pass and
-a replay build none. Exponentials are max-shifted. Here and in the branches, a
-reduction calls the ufunc reduce that numpy's wrapper calls: ``np.add.reduce``
-for ``sum`` and ``mean``, ``np.maximum.reduce`` for ``max`` and
+Every op is a value kernel under one node wrapper, :func:`_op`, of any
+number of operands. The op makes its kernel, a function of its operands'
+arrays that holds the op's constants: it runs the op's shape and domain
+checks and returns the value with its backward rules unbuilt. The wrapper
+makes the node and checks the value (a NaN or Inf raises
+:class:`~weakdet.errors.NumericError`); only the node's backward builds the
+rules, once per pass, so a forward-only pass and a replay build none.
+Exponentials are max-shifted. Here and in the branches, a reduction calls
+the ufunc reduce that numpy's wrapper calls: ``np.add.reduce`` for ``sum``
+and ``mean``, ``np.maximum.reduce`` for ``max`` and
 ``np.minimum.reduce`` for ``min``, the same bits in fewer calls. A row norm
 is ``np.linalg.norm``'s own arithmetic for a real vector norm,
 ``np.sqrt(np.add.reduce(x * x, axis))``.
@@ -153,22 +154,29 @@ def _accumulate(node: Node, contrib, upstream) -> None:
         node.grad = np.add(contrib, 0.0, out=np.empty(node.value.shape))
 
 
-def _op(kernel: Callable, a, b=None) -> Node:
-    """The node of an op on one operand ``a`` or two; every op result is
-    made here. ``kernel``, called on the operands' arrays, returns the value
+def _op(kernel: Callable, a, b=None, *more) -> Node:
+    """The node of an op on its operands ``a``, ``b``, ...; every op result
+    is made here. ``kernel``, called on the operands' arrays, returns the value
     and ``rules``: a function of the upstream gradient ``g`` that does the
     work the operands' rules share and returns one rule per operand, a
     callable of no arguments giving that operand's contribution. The node's
     record is ``kernel``; its backward calls ``rules(g)`` once and adds
-    ``rule()`` into each operand that needs a gradient, in operand order."""
+    ``rule()`` into each operand that needs a gradient, in operand order. One
+    and two operands take paths of their own, which build no argument list."""
     if not isinstance(a, Node):
         a = as_node(a)
     if b is None:
         nodes, (value, rules) = (a,), kernel(a.value)
-    else:
+    elif not more:
         if not isinstance(b, Node):
             b = as_node(b)
         nodes, (value, rules) = (a, b), kernel(a.value, b.value)
+    else:
+        nodes = (a, *[p if isinstance(p, Node) else as_node(p) for p in (b, *more)])
+        value, rules = kernel(*[p.value for p in nodes])
+        for p in nodes:
+            if p.value.ndim > 2:
+                raise ShapeError("an op's operands must be at most 2-D")
     if a.value.ndim > 2 or nodes[-1].value.ndim > 2:  # a stack is a replay's alone
         raise ShapeError("an op's operands must be at most 2-D")
 
@@ -758,23 +766,33 @@ def dual_softmax(cls, det) -> Node:
     return _op(kernel, det, cls)
 
 
-def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> Node:
-    """Image-level binary cross-entropy plus weighted instance cross-entropy:
-    ``-sum(tags * log(c) + (1 - tags) * log(1 - c)) - sum(weights *
-    log_softmax_rows(s_logits))`` with ``c`` the image scores clamped to
-    ``[eps, 1 - eps]``. It is the chain clip, log, mul, sub, log, mul, add,
-    total, neg for the first term, log_softmax_rows, mul, total, neg for the
-    second, and a final add; ``tags`` and ``weights`` are constants.
+def bce_plus_weighted_ce(corr_ins, cls_logits, bg_logits, tags, weights, eps: float) -> Node:
+    """The instance loss of the branch's three nodes: image-level binary
+    cross-entropy plus weighted instance cross-entropy, ``-sum(tags * log(c)
+    + (1 - tags) * log(1 - c)) - sum(weights * log_softmax_rows(s))``, with
+    ``c`` the sum-pooled image scores ``sum_cols(corr_ins)`` clamped to
+    ``[eps, 1 - eps]`` and ``s`` the (K+1)-way logits ``hconcat(cls_logits,
+    bg_logits)``. It is the chain sum_cols and hconcat; then clip, log, mul,
+    sub, log, mul, add, total, neg for the first term, log_softmax_rows, mul,
+    total, neg for the second, and a final add. ``tags`` and ``weights`` are
+    constants.
     """
     tags = np.asarray(tags, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     eps = float(eps)
 
-    def kernel(image_scores, s_logits):
+    def kernel(corr_ins, cls_logits, bg_logits):
+        if (corr_ins.ndim < 2 or cls_logits.ndim < 2
+                or cls_logits.shape[:-1] != bg_logits.shape[:-1]):
+            raise ShapeError("bce_plus_weighted_ce expects 2-D nodes, the logits with equal rows")
+        image_scores = np.add.reduce(corr_ins, axis=-2)  # sum_cols
+        # hconcat's value; in a replay whose logits are both zero-stride views
+        # concatenate lays the stack out in another order, whose sums round apart
+        s_logits = np.ascontiguousarray(np.concatenate([cls_logits, bg_logits], axis=-1))
         if (tags.ndim != 1 or weights.ndim != 2 or s_logits.shape[-2:] != weights.shape
                 or image_scores.shape != s_logits.shape[:-2] + tags.shape):
-            raise ShapeError("bce_plus_weighted_ce: scores and tags must be 1-D, logits and "
-                             "weights 2-D, each pair of one shape")
+            raise ShapeError("bce_plus_weighted_ce: image scores and tags must be 1-D, "
+                             "logits and weights 2-D, each pair of one shape")
         if not 0.0 < eps < 0.5:
             raise ParameterError(f"bce_plus_weighted_ce needs 0 < eps < 0.5, got {eps}")
         clamped = np.minimum(np.maximum(image_scores, eps), 1.0 - eps)  # np.clip on finite input
@@ -782,17 +800,20 @@ def bce_plus_weighted_ce(image_scores, s_logits, tags, weights, eps: float) -> N
         untagged = 1.0 - tags
         image_term = -np.add.reduce(np.log(clamped) * tags + np.log(rest) * untagged, axis=-1)
         log_s = _log_softmax(s_logits, "bce_plus_weighted_ce")
+        n_cls = cls_logits.shape[-1]
 
         def rules(g):
             def scores_rule():
                 g_total = -g  # the image total's gradient, through neg
                 # the chain's (0 - sub's term) + log's term, bit for bit
                 g_clamped = (g_total * tags) / clamped - (g_total * untagged) / rest
-                return g_clamped * ((clamped > eps) & (clamped < 1.0 - eps))  # the scores' interior
-            return scores_rule, lambda: _log_softmax_grad(log_s, -g * weights)
+                # the scores' interior, then sum_cols' broadcast over the rows
+                return (g_clamped * ((clamped > eps) & (clamped < 1.0 - eps)))[None, :]
+            g_logits = _log_softmax_grad(log_s, -g * weights)  # hconcat's columns share it
+            return scores_rule, lambda: g_logits[:, :n_cls], lambda: g_logits[:, n_cls:]
 
         return image_term + -np.add.reduce(log_s * weights, axis=(-2, -1)), rules
-    return _op(kernel, image_scores, s_logits)
+    return _op(kernel, corr_ins, cls_logits, bg_logits)
 
 
 def cosine_center_loss(z, targets) -> Node:
@@ -811,3 +832,38 @@ def cosine_center_loss(z, targets) -> Node:
         value = 1.0 - np.add.reduce(np.add.reduce(unit * targets, axis=-1), axis=-1) / m
         return value, lambda g: (lambda: _unit_rows_grad(-g / m * targets, unit, norms, None),)
     return _op(kernel, z)
+
+
+def composite_loss(weighted, contrast, lam: float) -> Node:
+    """The composite objective over its term nodes: ``reduce(add, [*weighted,
+    scale(reduce(add, contrast), lam)])``, the weighted terms in order and
+    then the contrast terms summed and scaled by ``lam``, the chain of add
+    and scale ops it replaces. With no contrast term it is ``reduce(add,
+    weighted)``, and a lone weighted term is returned itself: no node is
+    built. Every term must have one shape.
+    """
+    lam = float(lam)
+    terms, n_weighted, n_contrast = (*weighted, *contrast), len(weighted), len(contrast)
+    if not n_contrast and n_weighted == 1:
+        return as_node(weighted[0])
+    if not terms:
+        raise ShapeError("composite_loss of no terms")
+
+    def kernel(*values):
+        total = values[0]
+        for v in values:
+            if v.shape != total.shape:
+                raise ShapeError("composite_loss: the terms differ in shape")
+        for v in values[1:n_weighted]:
+            total = total + v
+        if n_contrast:
+            con = values[n_weighted]
+            for v in values[n_weighted + 1 :]:
+                con = con + v
+            total = con * lam if n_weighted == 0 else total + con * lam
+        return total, rules
+
+    def rules(g):  # a weighted term's g is copied; each contrast term gets a fresh g * lam
+        return (*(lambda: g,) * n_weighted, *(lambda: g * lam,) * n_contrast)
+
+    return _op(kernel, *terms)

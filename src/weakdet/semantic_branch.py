@@ -78,7 +78,8 @@ def update_centers(
     c <- c + rate * (z_i - c), one instance at a time; centers that receive
     no instance are untouched. Returns a new array. The rows are updated as
     Python floats, which round exactly as float64 arrays do, with the same
-    operations in the same order.
+    operations in the same order: each coordinate of a center folds in its
+    instances' values in bag order, and coordinates and centers never mix.
     """
     if not (0.0 <= rate <= 1.0):
         raise ParameterError(f"center rate must be in [0, 1], got {rate}")
@@ -88,6 +89,16 @@ def update_centers(
     if centers.ndim != 2 or z.shape != (labels.size, centers.shape[1]):
         raise ShapeError("update_centers expects one embedding row per label")
     rows = centers.tolist()
-    for z_i, k in zip(z.tolist(), labels.tolist()):
-        rows[k] = [c + rate * (v - c) for c, v in zip(rows[k], z_i)]
+    members = [[] for _ in rows]  # each center's instances in bag order; a label indexes as rows[k]
+    for i, k in enumerate(labels.tolist()):
+        members[k].append(i)
+    cols = z.T.tolist()
+    for k, mine in enumerate(members):
+        if mine:
+            new = []
+            for c, col in zip(rows[k], cols):
+                for i in mine:
+                    c = c + rate * (col[i] - c)
+                new.append(c)
+            rows[k] = new
     return np.array(rows, dtype=np.float64).reshape(centers.shape)

@@ -6,11 +6,12 @@ correlation, pseudo-labels, center loss), then the graph contrastive module
 over both. The default fused mode sums the phase losses into one objective
 per bag and takes a single SGD-with-momentum step plus one center update;
 the sequential mode instead loops over the bags once per phase, stepping
-after each phase-local loss. A module mask selects participating phases,
-giving the six ablation sub-methods. Parameters, velocities and each bag's
-gradient are flat vectors, so a step is one vector update when every group
-is touched. Runs are deterministic given (seed, config, dataset), and
-checkpoints restore the trajectory bit for bit.
+after each phase-local loss. The objective is one composite node over the
+named loss terms. A module mask selects participating phases, giving the
+six ablation sub-methods. Parameters, velocities and gradients are flat
+vectors, so a step is one vector update when every group is touched. Runs
+are deterministic given (seed, config, dataset), and checkpoints restore
+the trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -213,10 +213,11 @@ def init_state(cfg: TrainConfig, n_classes: int, feature_dim: int) -> TrainState
 class BagForward:
     """One bag's losses plus what the update step needs afterwards.
 
-    ``terms`` names the loss nodes that ``loss`` is built from: ``loss_ins``
-    and ``loss_sem`` carry their lambda weight, and the contrastive terms
-    (``loss_con_sd`` and ``loss_con_ds`` under M4, ``loss_con_ins`` and
-    ``loss_con_sem`` under M3) are summed and weighted by ``lambda_igcl``.
+    ``terms`` names the loss nodes that ``loss``, one ``composite_loss``
+    node, is built from: ``loss_ins`` and ``loss_sem`` carry their lambda
+    weight, and the contrastive terms (``loss_con_sd`` and ``loss_con_ds``
+    under M4, ``loss_con_ins`` and ``loss_con_sem`` under M3) are summed and
+    weighted by ``lambda_igcl``. A lone weighted term is the loss itself.
     ``parts`` holds the unweighted branch losses as floats. ``pseudo_hard``
     holds the semantic branch's hard pseudo-labels, None when the forward
     did not build that branch.
@@ -292,6 +293,7 @@ def forward_losses(
     parts = {"loss_ins": 0.0, "loss_sem": 0.0, "loss_igcl": 0.0}
     terms: dict[str, Node] = {}
     weighted: list[Node] = []
+    contrast: dict[str, Node] = {}
 
     if need_ins_branch:
         # The contrast reaches the head only through detached labels (and w_sem
@@ -330,12 +332,13 @@ def forward_losses(
         terms_of = gc.igcl_terms if "M4" in active else gc.independent_gcl_terms
         contrast = terms_of(u, u_p, v, v_p, cfg.tau)
         terms.update(contrast)
-        l_gcl = reduce(nm.add, contrast.values())
-        parts["loss_igcl"] = float(l_gcl.value)
-        weighted.append(nm.scale(l_gcl, cfg.lambda_igcl))
+        # the contrast sum in the order the composite adds it (a float adds as a 0-d array does)
+        parts["loss_igcl"] = sum(float(term.value) for term in contrast.values())
 
+    # a bag with no term (a negative image under B or D) has no loss to move anything
+    loss = nm.composite_loss(weighted, contrast.values(), cfg.lambda_igcl) if terms else Node(0.0)
     return BagForward(
-        loss=reduce(nm.add, weighted) if weighted else Node(0.0),
+        loss=loss,
         terms=terms,
         leaves=leaves,
         parts=parts,
@@ -425,9 +428,9 @@ def train(
     steps_per_epoch = -(-n // cfg.batch_size) * len(phases)
     schedule = resolve_schedule(cfg, cfg.epochs * steps_per_epoch)
 
-    bag_grad = np.empty_like(state.flat_params)  # one bag's gradient, zeroed per bag
-    grad = np.empty_like(bag_grad)  # the batch's, summed in batch order
-    grad_views = {name: state.view(bag_grad, name) for name in state.layout}
+    grad = np.empty_like(state.flat_params)  # the batch's: the first bag's, then the rest added
+    bag_grad = np.empty_like(grad)  # a later bag's in the batch, zeroed per bag
+    grad_views = [{name: state.view(v, name) for name in state.layout} for v in (grad, bag_grad)]
     history: list[dict] = []
     start_epoch = state.step // steps_per_epoch if steps_per_epoch else 0
     stop_epoch = cfg.epochs if until_epoch is None else min(cfg.epochs, until_epoch)
@@ -441,11 +444,13 @@ def train(
                 for j, i in enumerate(batch):
                     try:
                         fwd = forward_losses(bags[i], state, cfg, graphs[i], include=phase)
-                        # A leaf adds into its group of the zeroed vector:
+                        # The first bag's leaves add into their groups of the
+                        # zeroed batch vector, a later bag's into its own:
                         # 0.0 + contrib, the bits a lazy buffer would hold.
-                        bag_grad.fill(0.0)
+                        (bag_grad if j else grad).fill(0.0)
+                        views = grad_views[j > 0]
                         for name, node in fwd.leaves.items():
-                            node.grad = grad_views[name]
+                            node.grad = views[name]
                         nm.backward(fwd.loss)
                         if "loss_sem" in fwd.terms:  # M2 ran on this bag
                             state.centers = sb.update_centers(
@@ -464,8 +469,6 @@ def train(
                         raise
                     if j:
                         grad += bag_grad
-                    else:
-                        grad[...] = bag_grad
                     touched.update(fwd.leaves)
                     sums["loss_total"] += float(fwd.loss.value)
                     for key in ("loss_ins", "loss_sem", "loss_igcl"):

@@ -65,15 +65,26 @@ def chain_matmul_nt(a, b):
     return nm.matmul(a, nm.transpose(b))
 
 
-def chain_bce_plus_weighted_ce(image_scores, s_logits, tags, weights):
-    """The 14-op, 4-constant instance loss that ``bce_plus_weighted_ce``
-    replaces."""
+def chain_bce_plus_weighted_ce(corr_ins, cls_logits, bg_logits, tags, weights):
+    """The 16-op, 4-constant instance loss that ``bce_plus_weighted_ce``
+    replaces: the sum-pooled image scores and the joined (K+1)-way logits,
+    then the loss."""
+    image_scores = nm.sum_cols(corr_ins)
+    s_logits = nm.hconcat(cls_logits, bg_logits)
     clamped = nm.clip(image_scores, SCORE_EPS, 1.0 - SCORE_EPS)
     pos = nm.mul(nm.log(clamped), tags)
     negv = nm.mul(nm.log(nm.sub(np.ones_like(tags), clamped)), 1.0 - tags)
     image_term = nm.neg(nm.total(nm.add(pos, negv)))
     instance_term = nm.neg(nm.total(nm.mul(nm.log_softmax_rows(s_logits), weights)))
     return nm.add(image_term, instance_term)
+
+
+def chain_composite_loss(weighted, contrast, lam):
+    """The adds and the scale that ``composite_loss`` replaces; a lone
+    weighted term is the loss itself."""
+    if contrast:
+        weighted = [*weighted, nm.scale(reduce(nm.add, contrast), lam)]
+    return reduce(nm.add, weighted)
 
 
 def chain_cosine_center_loss(z, targets):
@@ -105,21 +116,21 @@ def reference_forward_losses(bag, state, cfg, include=None):
     feats = nm.as_node(bag.features)
     terms: dict[str, Node] = {}
     weighted: list[Node] = []
+    contrast: dict[str, Node] = {}
 
     if need_ins_branch:
         param = leaf if "M1" in active else fixed
         cls_logits = nm.matmul(feats, param("w_cls"))
         det_logits = nm.matmul(feats, param("w_det"))
         corr_ins = chain_dual_softmax(cls_logits, det_logits)
-        s_logits = nm.hconcat(cls_logits, nm.matmul(feats, param("w_bg")))
-        image_scores = nm.sum_cols(corr_ins)
+        bg_logits = nm.matmul(feats, param("w_bg"))
         approx = ib.approx_labels(corr_ins.value, bag.tags, cfg.label_ratio)
     if "M1" in active:
         m = approx.labels.size
         mask = np.zeros((m, bag.n_classes + 1))
         mask[np.arange(m), approx.labels] = approx.seed_weights
         tags = np.asarray(bag.tags, dtype=np.float64)
-        l_ins = chain_bce_plus_weighted_ce(image_scores, s_logits, tags, mask)
+        l_ins = chain_bce_plus_weighted_ce(corr_ins, cls_logits, bg_logits, tags, mask)
         terms["loss_ins"] = nm.scale(l_ins, cfg.lambda_ins)
         weighted.append(terms["loss_ins"])
 
@@ -163,6 +174,5 @@ def reference_forward_losses(bag, state, cfg, include=None):
             if v is not None:
                 contrast["loss_con_sem"] = chain_info_nce(v, v_p, cfg.tau)
         terms.update(contrast)
-        weighted.append(nm.scale(reduce(nm.add, contrast.values()), cfg.lambda_igcl))
 
-    return reduce(nm.add, weighted), terms, leaves
+    return chain_composite_loss(weighted, [*contrast.values()], cfg.lambda_igcl), terms, leaves

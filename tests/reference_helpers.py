@@ -8,8 +8,12 @@ Each function is the earlier body of a library function:
 (``normalize`` is ``igcl._normalize``); and ``finite`` (what ``Node`` stored
 for a value), ``backward`` and ``unit_rows`` (``_unit_rows``) of
 ``numerics``. The rewrites must give the same bytes, dtypes and error types
-for every input, except that ``approx_labels`` here still rejects a bag with
-no positive tag.
+for every input, with these exceptions. ``approx_labels`` here still rejects
+a bag with no positive tag, and lets a score of -inf claim an instance when
+its whole column is -inf. ``normalize`` here adds the identity, where the
+library sets the diagonal to 1: the same for the zero diagonal that both
+graph builders pass. ``instance_loss`` ends in the loss node of today's
+signature, which pools the image scores and joins the logits itself.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ def instance_loss(scores, labels, tags):
         raise ContractError(f"tagged class {missing[0]} has no labelled instance")
     mask = np.zeros((m, n_classes + 1), dtype=np.float64)
     mask[np.arange(m), lab] = weights
-    return nm.bce_plus_weighted_ce(scores.image_scores, scores.s_logits, tags, mask, SCORE_EPS)
+    return nm.bce_plus_weighted_ce(scores.corr_ins, scores.cls_logits, scores.bg_logits, tags,
+                                   mask, SCORE_EPS)
 
 
 def pseudo_labels(corr_sem, z):

@@ -1028,6 +1028,27 @@ def test_a_bag_with_no_positive_tag_trains_and_evaluates(six_scene_split, tmp_pa
             assert 0.0 <= score <= 1.0
 
 
+def test_a_file_of_bags_without_tags_exits_2(six_scene_split, tmp_path, capsys):
+    """K = 0: a two-bag file whose bags have "tags": [] is a parse error that
+    names the first line, for train and for eval, not a raw traceback."""
+    cfg_file, train_jsonl = six_scene_split
+    rec = {"canvas": [128.0, 128.0], "proposals": [[0, 0, 40, 40], [10, 10, 60, 60]],
+           "features": [[0.5] * 8, [0.25] * 8], "tags": [], "gt": []}
+    path = tmp_path / "no_tags.jsonl"
+    path.write_text("".join(json.dumps({"image_id": i, **rec}) + "\n" for i in ("a", "b")))
+    ckpt = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert run(["train", "--config", cfg_file, "--epochs", "1", "--data", str(path),
+                "--out", str(ckpt)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
+    assert run(["train", "--config", cfg_file, "--epochs", "1", "--data", str(train_jsonl),
+                "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--config", cfg_file, "--checkpoint", str(ckpt), "--data", str(path),
+                "--out", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
 def test_overflowing_features_exit_2_without_a_numpy_warning(six_scene_split, tmp_path, capsys):
     cfg_file, train_jsonl = six_scene_split
     bags, gts = load_jsonl(train_jsonl)

@@ -858,7 +858,27 @@ def test_bag_rejects_tags_outside_zero_one(bad):
 
 
 def test_bag_accepts_zero_one_tags_as_list_or_array():
-    for tags in ([1, 0], np.array([0, 1]), [np.int64(1), np.int32(0)], []):
+    for tags in ([1, 0], np.array([0, 1]), [np.int64(1), np.int32(0)], [0]):
         bag = Bag("t", (128.0, 128.0), [Box(0, 0, 20, 20)], np.zeros((1, 4)), tags)
         assert bag.tags.dtype == np.int64
         assert bag.tags.tolist() == [int(t) for t in tags]
+
+
+@pytest.mark.parametrize("tags", [[], np.array([], dtype=np.int64), ()])
+def test_bag_rejects_empty_tags(tags):
+    """K = 0 leaves no class to score: every softmax of the forward would be empty."""
+    with pytest.raises(ConfigError, match="empty"):
+        Bag("t", (128.0, 128.0), [Box(0, 0, 20, 20)], np.zeros((1, 4)), tags)
+
+
+def test_jsonl_bag_without_tags_reports_lineno(tmp_path):
+    path = tmp_path / "tags.jsonl"
+    _write_with_tag(path, 0)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["tags"], rec["gt"] = [], []
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="empty") as exc:
+        load_jsonl(path)
+    assert exc.value.line == 2

@@ -566,7 +566,7 @@ def test_replay_leaves_the_base_graph_unchanged():
 
 
 def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
-    """gcn_ins_w1 reaches u, loss_con_sd and the sums: nothing of either
+    """gcn_ins_w1 reaches u, loss_con_sd and the composite: nothing of either
     branch, nor the other three projectors, runs again."""
     calls = {}
     make_node = nm._op
@@ -589,10 +589,10 @@ def test_perturbing_an_instance_gcn_weight_reruns_no_branch_op(monkeypatch):
     plan = nm.replay(_roots(base), [target])[0]
     assert calls == {}  # planning calls no op
     plan.run(_nudged(target, (0, 0), 0.1))
-    # propagate, relu, propagate_unit for u; info_nce; the l_gcl add, its
-    # lambda scale and the last add of the composite.
+    # propagate, relu, propagate_unit for u; info_nce; the composite, one
+    # node where the contrast's add, its lambda scale and the last add were.
     assert calls == {
-        "propagate": 1, "relu": 1, "propagate_unit": 1, "info_nce": 1, "add": 2, "scale": 1
+        "propagate": 1, "relu": 1, "propagate_unit": 1, "info_nce": 1, "composite_loss": 1
     }
 
 

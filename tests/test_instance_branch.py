@@ -41,10 +41,10 @@ def test_instance_probs_contracts():
     assert corr.min() >= 0 and corr.max() <= 1
     colsums = corr.sum(axis=0)
     assert np.all(colsums >= 0) and np.all(colsums <= 1 + 1e-12)
-    s = nm.softmax_rows(scores.s_logits).value
+    assert scores.cls_logits.value.shape == (6, 3) and scores.bg_logits.value.shape == (6, 1)
+    s = nm.softmax_rows(nm.hconcat(scores.cls_logits, scores.bg_logits)).value
     assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-12
     assert s.shape == (6, 4)  # K+1 columns
-    assert np.allclose(scores.image_scores.value, colsums, atol=1e-15)
 
 
 def test_instance_probs_single_instance_single_class():
@@ -53,7 +53,7 @@ def test_instance_probs_single_instance_single_class():
     scores = instance_probs(Node(rng.standard_normal((1, 4))), **head)
     # row softmax over one class = 1; column softmax over one instance = 1
     assert np.allclose(scores.corr_ins.value, 1.0, atol=1e-15)
-    assert abs(float(scores.image_scores.value[0]) - 1.0) < 1e-15
+    assert abs(float(scores.corr_ins.value.sum(axis=0)[0]) - 1.0) < 1e-15  # its image score
 
 
 # ---------------------------------------------------------------- labels
@@ -179,10 +179,10 @@ def test_approx_labels_labels_a_negative_bag_background():
 
 
 def hand_scores(corr, s_logits):
-    """InstanceScores straight from given arrays (for loss fixtures)."""
-    corr_node = Node(corr)
-    logits = Node(s_logits)
-    return InstanceScores(corr_ins=corr_node, s_logits=logits, image_scores=nm.sum_cols(corr_node))
+    """InstanceScores straight from given arrays (for loss fixtures); the
+    last column of ``s_logits`` is the background logit."""
+    return InstanceScores(corr_ins=Node(corr), cls_logits=Node(s_logits[:, :-1]),
+                          bg_logits=Node(s_logits[:, -1:]))
 
 
 def test_instance_loss_perfect_prediction_is_zero():
@@ -221,7 +221,7 @@ def test_instance_loss_matches_bruteforce_oracle():
         expected = 0.0
         for k in range(2):
             expected -= tags[k] * np.log(img[k]) + (1 - tags[k]) * np.log(1 - img[k])
-        s = nm.softmax_rows(scores.s_logits).value
+        s = nm.softmax_rows(nm.hconcat(scores.cls_logits, scores.bg_logits)).value
         for i in range(3):
             expected -= labels.seed_weights[i] * np.log(s[i, labels.labels[i]])
         assert abs(loss - expected) < 1e-10

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import extra_ops as xo
 from conftest import finite_difference, graph_nodes, max_rel_err
 from reference_forward import (
     chain_bce_plus_weighted_ce,
+    chain_composite_loss,
     chain_cosine_center_loss,
     chain_dual_softmax,
     chain_info_nce,
@@ -362,15 +364,19 @@ def _adjacency(rng, m):
 
 
 def _loss_operands(rng, m, k=4):
-    """Image scores (one below eps and one above 1 - eps, so the clamp
-    bites), (K+1)-way logits, tags and a one-entry-per-row weight mask."""
-    scores = rng.uniform(0.0, 1.0, k)
-    scores[0], scores[-1] = 1e-9, 1.0
+    """Instance scores whose column sums, the image scores, fall below eps
+    in one column and above 1 - eps in another, so the clamp bites; class
+    and background logits, tags and a one-entry-per-row weight mask."""
+    corr = rng.uniform(0.0, 1.0 / m, (m, k))
+    corr[:, 0], corr[:, -1] = 1e-9 / m, 2.0 / m
     tags = (rng.random(k) < 0.5).astype(np.float64)
     tags[0] = 1.0
     weights = np.zeros((m, k + 1))
     weights[np.arange(m), rng.integers(0, k + 1, m)] = rng.uniform(0.0, 1.0, m)
-    return [scores, rng.standard_normal((m, k + 1)), tags, weights]
+    return [corr, rng.standard_normal((m, k)), rng.standard_normal((m, 1)), tags, weights]
+
+
+LAMBDA = 0.35  # the contrast weight of the composite cases
 
 
 def _unit_rows(rng, m, d):
@@ -419,10 +425,17 @@ FUSED = {
         (1, 2),
     ),
     "bce_plus_weighted_ce": (
-        lambda i, s, t, w: nm.bce_plus_weighted_ce(i, s, t, w, SCORE_EPS),
+        lambda c, s, b, t, w: nm.bce_plus_weighted_ce(c, s, b, t, w, SCORE_EPS),
         chain_bce_plus_weighted_ce,
         _loss_operands,
-        (0, 1),
+        (0, 1, 2),
+    ),
+    # method F's terms: loss_ins and loss_sem weighted, two contrast terms
+    "composite_loss": (
+        lambda a, b, c, d: nm.composite_loss([a, b], [c, d], LAMBDA),
+        lambda a, b, c, d: chain_composite_loss([a, b], [c, d], LAMBDA),
+        lambda rng, m: [rng.standard_normal(m) for _ in range(4)],
+        (0, 1, 2, 3),
     ),
     "cosine_center_loss": (
         lambda z, c: nm.cosine_center_loss(z, c),
@@ -516,6 +529,7 @@ TRAINING_SHAPES = {
     "propagate_unit": lambda rng, m: [_adjacency(rng, m), rng.standard_normal((m, 32)),
                                       rng.standard_normal((32, 16))],
     "bce_plus_weighted_ce": lambda rng, m: _loss_operands(rng, m, 6),
+    "composite_loss": lambda rng, m: [np.asarray(rng.standard_normal()) for _ in range(4)],
     "cosine_center_loss": lambda rng, m: [rng.standard_normal((m, 6)), _unit_rows(rng, m, 6)],
 }
 
@@ -527,7 +541,7 @@ def test_fused_op_is_bitwise_its_chain_at_training_shapes(name, m):
     _assert_fused_equals_chain(name, arrays, FUSED[name][3], share=True)
 
 
-@pytest.mark.parametrize("name", ["info_nce", "dual_softmax", "matmul_nt"])
+@pytest.mark.parametrize("name", ["info_nce", "dual_softmax", "matmul_nt", "composite_loss"])
 def test_fused_op_with_one_leaf_for_both_operands(name):
     rng = np.random.default_rng(41)
     arrays = FUSED[name][2](rng, 5)
@@ -608,13 +622,69 @@ def test_pearson_cols_degenerate_columns(seed):
     assert np.array_equal(nm.pearson_cols(flat, VAR_EPS).value, np.eye(3))
 
 
+# (weighted, contrast) term counts of the composite under every module mask:
+# A, B and a sequential M1 or M2 phase (1, 0), C and D (1, 1), E and F (2, 2),
+# a sequential M3 or M4 phase (0, 1) or (0, 2); and the rest up to two each.
+COMPOSITE_SHAPES = [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("n_weighted, n_contrast", COMPOSITE_SHAPES)
+def test_composite_loss_is_bitwise_its_chain_under_every_module_mask(n_weighted, n_contrast):
+    """Scalar terms, as the trainer's: the value, every term's gradient with
+    each term also read before and after the composite, and a stacked replay
+    run of each term. A lone weighted term is the loss itself, with no node."""
+    rng = np.random.default_rng(560 + 10 * n_weighted + n_contrast)
+    arrays = [np.asarray(rng.standard_normal()) for _ in range(n_weighted + n_contrast)]
+
+    def build(fn):
+        leaves = [Node(a.copy()) for a in arrays]
+        before = [nm.scale(leaf, 0.7) for leaf in leaves]
+        out = fn(leaves[:n_weighted], leaves[n_weighted:], LAMBDA)
+        loss = reduce(nm.add, [*before, nm.scale(out, -1.3), *map(nm.relu, leaves)])
+        return out, loss, leaves
+
+    (out, loss, leaves), (ref, ref_loss, ref_leaves) = (
+        build(nm.composite_loss), build(chain_composite_loss))
+    assert (out is leaves[0]) == ((n_weighted, n_contrast) == (1, 0))
+    _assert_same_bytes(out.value, ref.value)
+    nm.backward(loss)
+    nm.backward(ref_loss)
+    for leaf, ref_leaf in zip(leaves, ref_leaves):
+        _assert_same_bytes(leaf.grad, ref_leaf.grad)
+    for i, (leaf, ref_leaf) in enumerate(zip(leaves, ref_leaves)):
+        stack = leaf.value + np.array([0.5, -1.25, 3.0, 0.0])
+        (got,) = nm.replay([out], [leaf.value])[0].run(stack)
+        (want,) = nm.replay([ref], [ref_leaf.value])[0].run(stack)
+        _assert_same_bytes(got, want)
+        for copy, value in zip(stack, got):
+            operands = [Node(np.asarray(copy)) if j == i else Node(a) for j, a in enumerate(arrays)]
+            _assert_same_bytes(value, chain_composite_loss(
+                operands[:n_weighted], operands[n_weighted:], LAMBDA).value)
+
+
+@pytest.mark.parametrize("changed", (0, 1, 2))
+def test_a_stacked_instance_loss_run_is_a_rebuild_at_training_shapes(changed):
+    """A run that changes one of the three operands sees the other two as
+    zero-stride views; with both logits such views, the joined logits must
+    still be laid out as a fresh build's, or the sums over them round apart."""
+    arrays = _loss_operands(np.random.default_rng(570 + changed), 22, 6)
+    out = nm.bce_plus_weighted_ce(*[Node(a) for a in arrays[:3]], *arrays[3:], SCORE_EPS)
+    target = arrays[changed]
+    stack = np.stack([target] * 5)
+    for copy in stack:
+        _nudge(copy, np.random.default_rng(571), 0.01)
+    (got,) = nm.replay([out], [target])[0].run(stack)
+    _assert_slices_rebuild(got, stack, target, lambda: nm.bce_plus_weighted_ce(
+        *arrays, SCORE_EPS).value)
+
+
 # A fused op computes what only its backward reads inside the backward rule,
 # from arrays its forward made, so a write into an operand's array (a leaf's
 # value may be a view into the flat parameter vector) between the forward and
 # the backward changes no gradient. name: (operands overwritten after the
 # forward, operands whose gradient must not change).
 DEFERRED = {
-    "bce_plus_weighted_ce": ((0, 1), (0, 1)),  # the clamp's mask, the softmax
+    "bce_plus_weighted_ce": ((0, 1, 2), (0, 1, 2)),  # the clamp's mask, the softmax
     "pearson_cols": ((0,), (0,)),  # the centred columns, two_sd, the diagonal
     "info_nce": ((1,), (0,)),  # the row softmax, y's transposed copy
 }
@@ -692,14 +762,19 @@ def test_fused_op_argument_errors():
         nm.dual_softmax(Node(np.ones((2, 3))), Node(np.ones((3, 2))))
     with pytest.raises(ShapeError):
         nm.matmul_nt(Node(np.ones((2, 3))), Node(np.ones((3, 2))))
-    scores, logits, tags, weights = _loss_operands(np.random.default_rng(0), 3)
-    with pytest.raises(ShapeError):
-        nm.bce_plus_weighted_ce(scores, logits, tags[:-1], weights, SCORE_EPS)
-    with pytest.raises(ShapeError):
-        nm.bce_plus_weighted_ce(scores, logits, tags, weights[:, :-1], SCORE_EPS)
+    corr, cls, bg, tags, weights = _loss_operands(np.random.default_rng(0), 3)
+    for bad in ((corr, cls, bg, tags[:-1], weights), (corr, cls, bg, tags, weights[:, :-1]),
+                (corr, cls, bg[:-1], tags, weights), (corr[0], cls, bg, tags, weights),
+                (corr, cls[0], bg[:, 0], tags, weights)):
+        with pytest.raises(ShapeError):
+            nm.bce_plus_weighted_ce(*bad, SCORE_EPS)
     for eps in (0.0, 0.5):
         with pytest.raises(ParameterError):
-            nm.bce_plus_weighted_ce(scores, logits, tags, weights, eps)
+            nm.bce_plus_weighted_ce(corr, cls, bg, tags, weights, eps)
+    with pytest.raises(ShapeError, match="no terms"):
+        nm.composite_loss([], [], 1.0)
+    with pytest.raises(ShapeError, match="shape"):
+        nm.composite_loss([Node(1.0)], [Node(np.ones(2))], 1.0)
     with pytest.raises(ShapeError):
         nm.cosine_center_loss(Node(np.ones((2, 3))), np.ones((2, 2)))
     with pytest.raises(ShapeError):
@@ -752,6 +827,9 @@ FIRST_CONTRIBUTIONS = {
     "add_one_leaf_twice": lambda w: _probe(nm.add(w, w)),
     "add_two_ops": lambda w: _probe(nm.add(nm.relu(w), nm.scale(w, 3.0))),
     "matmul_nt_right": lambda w: _probe(nm.matmul_nt(_OTHER, w)),
+    # each contrast term takes over a fresh g * lambda of its own
+    "composite_loss": lambda w: _probe(
+        nm.composite_loss([nm.relu(w)], [nm.scale(w, 0.5), nm.scale(w, -2.0)], 1.5)),
     "info_nce_right": lambda w: nm.info_nce(_OTHER[:3], w, 2.0),
     # relu passes -1 * False = -0.0, which the leaf must store as +0.0
     "negative_zeros": lambda w: nm.total(nm.mul(nm.relu(w), -np.ones(w.value.shape))),
@@ -923,13 +1001,24 @@ FD_CASES = {
     ),
     "dual_softmax": (lambda r: [_normal(r, 4, 3), _normal(r, 4, 3)], lambda c, d: nm.dual_softmax(c, d)),
     "bce_plus_weighted_ce": (
-        lambda r: [r.uniform(0.1, 0.9, 4), _normal(r, 3, 5)],
-        lambda i, s: nm.bce_plus_weighted_ce(i, s, FD_TAGS, FD_WEIGHTS, SCORE_EPS),
+        lambda r: [r.uniform(0.03, 0.3, (3, 4)), _normal(r, 3, 4), _normal(r, 3, 1)],
+        lambda c, s, b: nm.bce_plus_weighted_ce(c, s, b, FD_TAGS, FD_WEIGHTS, SCORE_EPS),
     ),
-    # Scores clamped from either side stay clamped under a 1e-4 step.
+    # Image scores clamped from either side (column sums -0.5 and 1.5) stay
+    # clamped under a 1e-4 step.
     "bce_plus_weighted_ce/clamped": (
-        lambda r: [np.array([-0.5, r.uniform(0.1, 0.9), 1.5, r.uniform(0.1, 0.9)]), _normal(r, 3, 5)],
-        lambda i, s: nm.bce_plus_weighted_ce(i, s, FD_TAGS, FD_WEIGHTS, SCORE_EPS),
+        lambda r: [r.uniform(0.03, 0.3, (3, 4)) * [0.0, 1.0, 0.0, 1.0] + [-0.5 / 3, 0.0, 0.5, 0.0],
+                   _normal(r, 3, 4), _normal(r, 3, 1)],
+        lambda c, s, b: nm.bce_plus_weighted_ce(c, s, b, FD_TAGS, FD_WEIGHTS, SCORE_EPS),
+    ),
+    "composite_loss": (
+        lambda r: [_normal(r, 3), _normal(r, 3), _normal(r, 3)],
+        lambda a, b, c: nm.composite_loss([a], [b, c], -1.7),
+    ),
+    # one contrast term alone, as a sequential M3 phase builds it
+    "composite_loss/contrast": (
+        lambda r: [_normal(r, 3)],
+        lambda a: nm.composite_loss([], [a], 2.5),
     ),
     "cosine_center_loss": (
         lambda r: [_normal(r, 4, 3)],
@@ -986,6 +1075,7 @@ def test_every_op_joins_the_finite_difference_audit():
     ops = _public_ops(nm) | _public_ops(xo)
     assert {"matmul", "propagate", "info_nce", "pearson_cols", "dual_softmax"} <= ops
     assert {"matmul_nt", "propagate_unit", "bce_plus_weighted_ce", "cosine_center_loss"} <= ops
+    assert "composite_loss" in ops
     assert {"exp", "cosine"} == _public_ops(xo)
     audited = {case.split("/")[0] for case in FD_CASES}
     assert ops - audited == set(), "ops without a finite-difference case"

@@ -141,8 +141,8 @@ def test_a_negative_bag_gets_the_background_rule():
 
 
 def hand_scores(corr, logits):
-    return InstanceScores(corr_ins=Node(corr), s_logits=Node(logits),
-                          image_scores=Node(np.clip(corr.sum(axis=0), 0.0, 1.0)))
+    return InstanceScores(corr_ins=Node(corr), cls_logits=Node(logits[:, :-1]),
+                          bg_logits=Node(logits[:, -1:]))
 
 
 def loss_and_grads(loss_fn):
@@ -152,7 +152,7 @@ def loss_and_grads(loss_fn):
         scores = hand_scores(corr, logits)
         loss = loss_fn(scores, labels, tags)
         nm.backward(loss)
-        return loss, scores.image_scores.grad, scores.s_logits.grad
+        return loss, scores.corr_ins.grad, scores.cls_logits.grad, scores.bg_logits.grad
     return run
 
 

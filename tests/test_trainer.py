@@ -451,18 +451,53 @@ def test_trained_parameters_match_pinned_digests(case, default_scene_bags):
     assert _param_digest(state.params) == digest
 
 
-def test_method_f_bag_step_builds_45_nodes(default_scene_bags):
-    """One fused node per loss module: 31 ops, the 12 parameter leaves, and
-    2 constants (the features and the one-hot induced labels)."""
+# The op nodes of a seed-0 method-F bag-step, by kind: one fused node per
+# loss module, and one composite where the contrast's add, its lambda scale
+# and two adds over the weighted terms were, and one instance loss where
+# hconcat, sum_cols and the loss were.
+METHOD_F_OPS = {
+    "matmul": 3, "dual_softmax": 1, "bce_plus_weighted_ce": 1, "matmul_nt": 2, "pearson_cols": 1,
+    "cosine_center_loss": 1, "scale": 2, "propagate": 4, "relu": 4, "propagate_unit": 4,
+    "info_nce": 2, "composite_loss": 1,
+}
+
+# Each parameter group's replay plan, as check_bag makes it, before its one
+# tail step, the composite. The parent had two or three steps there (add,
+# scale, add; or add, add), and the head groups' plans also held hconcat
+# and sum_cols.
+METHOD_F_PLANS = {
+    **{f"gcn_{tag}_w1": ["propagate", "relu", "propagate_unit", "info_nce"]
+       for tag in ("ins", "ins_p", "sem", "sem_p")},
+    **{f"gcn_{tag}_w2": ["propagate_unit", "info_nce"] for tag in ("ins", "ins_p", "sem", "sem_p")},
+    "w_bg": ["matmul", "bce_plus_weighted_ce", "scale"],
+    "w_cls": ["matmul", "dual_softmax", "bce_plus_weighted_ce", "scale"],
+    "w_det": ["matmul", "dual_softmax", "bce_plus_weighted_ce", "scale"],
+    "w_sem": ["matmul_nt", "pearson_cols", "matmul_nt", "cosine_center_loss", "scale",
+              *["propagate", "relu", "propagate_unit"] * 2, "info_nce", "info_nce"],
+}
+
+
+def test_method_f_bag_step_builds_40_nodes(default_scene_bags):
+    """26 ops, counted by kind, the 12 parameter leaves, and 2 constants (the
+    features and the one-hot induced labels); each group's replay plan ends
+    in the composite alone."""
     cfg = TrainConfig()
     bag = filter_proposals(default_scene_bags[0], cfg.min_proposal_side)
-    fwd = forward_losses(bag, init_state(cfg, bag.n_classes, bag.features.shape[1]), cfg)
+    state = init_state(cfg, bag.n_classes, bag.features.shape[1])
+    fwd = forward_losses(bag, state, cfg)
     nodes = graph_nodes(fwd.loss)
     ops = [n for n in nodes if n.parents]
     leaves = [n for n in nodes if not n.parents and n.requires_grad]
     constants = [n for n in nodes if not n.parents and not n.requires_grad]
-    assert (len(ops), len(leaves), len(constants)) == (31, 12, 2)
+    assert (len(ops), len(leaves), len(constants)) == (26, 12, 2)
+    kinds = [n._record.__qualname__.split(".")[0] for n in ops]
+    assert {kind: kinds.count(kind) for kind in kinds} == METHOD_F_OPS
     assert {id(n) for n in leaves} == {id(n) for n in fwd.leaves.values()}
+    groups = sorted(fwd.leaves)
+    plans = nm.replay([*fwd.terms.values(), fwd.loss], [state.params[p] for p in groups])
+    got = {p: [k.__qualname__.split(".")[0] for k, *_ in plan.steps]
+           for p, plan in zip(groups, plans)}
+    assert got == {p: [*steps, "composite_loss"] for p, steps in METHOD_F_PLANS.items()}
 
 
 @pytest.mark.parametrize("method", sorted(SUB_METHODS))
