@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import json
 from collections import namedtuple
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from math import inf, isfinite
@@ -46,12 +47,68 @@ class Box(namedtuple("Box", "x1 y1 x2 y2")):
     def _make(cls, iterable):  # so _replace validates too
         return cls(*iterable)
 
+
+class BoxArray(Sequence):
+    """A bag's proposals: one read-only, C-contiguous (m, 4) float64 array
+    of x1, y1, x2, y2 rows, checked in one pass as :class:`Box` checks one
+    box. An item is a `Box` of Python floats, a slice or mask another
+    `BoxArray`, and ``np.asarray`` gives the rows without a copy."""
+
+    __slots__ = ("_rows",)
+
+    def __new__(cls, boxes=()):
+        if type(boxes) is cls:
+            return boxes
+        try:
+            rows = np.array(boxes, dtype=np.float64)  # a copy that nothing else can write
+        except (TypeError, ValueError, OverflowError):  # a ragged row, or a bad coordinate
+            rows = np.empty((0, 0))
+        if rows.shape == (0,):
+            rows = rows.reshape(0, 4)
+        if not (rows.ndim == 2 and rows.shape[1] == 4 and np.isfinite(rows).all()
+                and (rows[:, 2:] > rows[:, :2]).all()):
+            for row in boxes:  # the first bad row raises its own error
+                if not (isinstance(row, Sized) and len(row) == 4):
+                    raise ConfigError(f"box {row!r} is not 4 coordinates")
+                Box(*row)
+            raise ConfigError("boxes must be a sequence of rows of 4 coordinates")
+        return cls._of(rows)
+
     @classmethod
-    def from_rows(cls, rows: np.ndarray) -> list[Box]:
-        """The rows of an (m, 4) float64 array as boxes, checked in one pass."""
-        if np.isfinite(rows).all() and (rows[:, 2:] > rows[:, :2]).all():
-            return list(map(tuple.__new__, repeat(cls), rows.tolist()))
-        return [cls(*row) for row in rows.tolist()]  # raises the first bad row's own error
+    def _of(cls, rows: np.ndarray) -> BoxArray:
+        """Wrap checked (m, 4) float64 rows, made C-contiguous and read-only."""
+        self = object.__new__(cls)
+        self._rows = np.ascontiguousarray(rows)
+        self._rows.flags.writeable = False
+        return self
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        rows = self._rows[index]
+        if rows.ndim == 1:
+            return tuple.__new__(Box, rows.tolist())
+        if rows.ndim != 2:
+            raise TypeError(f"BoxArray index {index!r} does not select rows")
+        return self._of(rows)
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(Box), self._rows.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return self._rows.astype(np.float64 if dtype is None else dtype, copy=bool(copy))
+
+    def __eq__(self, other):  # as the lists of boxes compare
+        if isinstance(other, (BoxArray, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __reduce__(self):  # so a pickled or deep-copied one is checked and read-only again
+        return BoxArray, (self._rows,)
+
+    def __repr__(self) -> str:
+        return f"BoxArray({self._rows.tolist()})"
 
 
 def iou(a: Box, b: Box) -> float:
@@ -68,15 +125,17 @@ def iou(a: Box, b: Box) -> float:
 
 @dataclass
 class Bag:
-    """One image's proposal set: boxes, feature rows, and image-level tags."""
+    """One image's proposal set: boxes, feature rows, and image-level tags.
+    Any sequence of boxes becomes a :class:`BoxArray`."""
 
     image_id: str
     canvas: tuple[float, float]
-    proposals: list[Box]
+    proposals: BoxArray
     features: np.ndarray  # |B| x D
     tags: np.ndarray  # K, entries in {0, 1}
 
     def __post_init__(self):
+        self.proposals = BoxArray(self.proposals)
         self.features = np.asarray(self.features, dtype=np.float64)
         # Checked before the cast, which would truncate 0.7 to 0 and read true as 1.
         raw = self.tags.tolist() if isinstance(self.tags, np.ndarray) else self.tags
@@ -258,26 +317,24 @@ def generate_dataset(cfg: SceneConfig, n_scenes: int) -> tuple[list[Bag], list[G
         tags[present] = 1
         image_id = f"scene_{s:05d}"
         # Ground truth first, in draw order, so the first bad box raises its own error.
-        boxes = Box.from_rows(np.fromiter(chain.from_iterable(gt_rows + rows), float).reshape(-1, 4))
+        boxes = BoxArray(np.fromiter(chain.from_iterable(gt_rows + rows), float).reshape(-1, 4))
         features = bases + cfg.noise_sigma * noise
-        bags.append(Bag(image_id, cfg.canvas, boxes[len(classes):], features, tags))
-        gts.append(GroundTruth(image_id, list(zip(boxes, classes))))
+        n = len(classes)
+        bags.append(Bag(image_id, cfg.canvas, boxes[n:], features, tags))
+        gts.append(GroundTruth(image_id, list(zip(boxes[:n], classes))))
     return bags, gts
 
 
 def filter_proposals(bag: Bag, min_side: float) -> Bag:
-    """Drop proposals whose width or height is below `min_side` pixels."""
-    keep = [i for i, (x1, y1, x2, y2) in enumerate(bag.proposals)
-            if x2 - x1 >= min_side and y2 - y1 >= min_side]
-    if not keep:
+    """Drop proposals whose width or height is below `min_side` pixels; a
+    bag that loses none is returned as is."""
+    rows = np.asarray(bag.proposals)
+    keep = np.logical_and.reduce(rows[:, 2:] - rows[:, :2] >= min_side, axis=1)  # x2 - x1, y2 - y1
+    if not (kept := np.count_nonzero(keep)):
         raise EmptyBagError(f"bag {bag.image_id}: all proposals below {min_side}px")
-    if len(keep) == bag.size:
+    if kept == len(keep):
         return bag
-    return replace(
-        bag,
-        proposals=[bag.proposals[i] for i in keep],
-        features=bag.features[keep].copy(),
-    )
+    return replace(bag, proposals=bag.proposals[keep], features=bag.features[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +414,7 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
     """Read bags and ground truth; the `gt` field never enters the Bag.
 
     `proposals` and `features` are each a base64 float64 string (what
-    `save_jsonl` writes; proposals are checked in one pass by `Box.from_rows`)
+    `save_jsonl` writes; proposals are checked in one pass by `BoxArray`)
     or a list of rows of JSON numbers, chosen by the JSON type, to the same
     bits. Every bag of a file must have the first bag's tag count K and
     feature width D.
@@ -380,12 +437,11 @@ def load_jsonl(path) -> tuple[list[Bag], list[GroundTruth]]:
                     and all(type(c) in NUMBER and 0 < c < inf for c in canvas)):
                 raise ParseError(f"canvas {canvas!r} is not two finite positive numbers", lineno)
             if type(proposals := rec["proposals"]) is str:  # 32 bytes a row: x1, y1, x2, y2
-                boxes = Box.from_rows(_b64_float64(proposals, "proposals", 32).reshape(-1, 4))
-            # Box would cast a string such as "6.91" and a bool to float.
+                proposals = _b64_float64(proposals, "proposals", 32).reshape(-1, 4)
+            # BoxArray would cast a string such as "6.91" and a bool to float.
             elif not NUMBER.issuperset(map(type, chain.from_iterable(proposals))):
                 raise ParseError("a proposal coordinate is not a JSON number", lineno)
-            else:
-                boxes = [Box(*b) for b in proposals]
+            boxes = BoxArray(proposals)
             if not all(type(g) is list and len(g) == 5
                        and all(type(v) in NUMBER for v in g[:4]) for g in gt):
                 raise ParseError("a gt item is not [x1, y1, x2, y2, k] of JSON numbers", lineno)

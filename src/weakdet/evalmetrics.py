@@ -10,6 +10,7 @@ convention). Classes with no ground truth are excluded from means.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate, compress, count
 from typing import NamedTuple
 
@@ -20,17 +21,18 @@ from .datamodel import Box, GroundTruth, iou
 COCO_THRESHOLDS = tuple(0.50 + 0.05 * i for i in range(10))
 
 
-def iou_matrix(boxes_a: list[Box], boxes_b: list[Box]) -> np.ndarray:
+def iou_matrix(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:
     """All pairwise IoUs as a len(boxes_a) x len(boxes_b) array.
 
     Repeats the operations of :func:`iou` in the same order, including its
     strict ``inter > 0`` guard, so each entry equals the scalar IoU exactly.
-    One list passed twice (the instance graph's) is converted, and its areas
+    A :class:`~weakdet.datamodel.BoxArray` is read without a copy; one
+    sequence passed twice (the instance graph's) is read, and its areas
     computed, once.
     """
-    a = np.array(boxes_a, np.float64).reshape(-1, 4)
+    a = np.asarray(boxes_a, np.float64).reshape(-1, 4)
     same = boxes_b is boxes_a
-    b = a if same else np.array(boxes_b, np.float64).reshape(-1, 4)
+    b = a if same else np.asarray(boxes_b, np.float64).reshape(-1, 4)
     ax1, ay1, ax2, ay2 = a.T[:, :, None]
     bx1, by1, bx2, by2 = b.T
     area_b = (bx2 - bx1) * (by2 - by1)

@@ -14,6 +14,8 @@ and exists for the ablation lattice.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from . import numerics as nm
@@ -34,7 +36,7 @@ def _normalize(adj: np.ndarray) -> np.ndarray:
     return adj * np.multiply.outer(inv_sqrt_deg, inv_sqrt_deg)
 
 
-def build_instance_graph(boxes: list[Box], iou_threshold: float) -> np.ndarray:
+def build_instance_graph(boxes: Sequence[Box], iou_threshold: float) -> np.ndarray:
     """Connect proposals whose boxes overlap with IoU above the threshold.
 
     All pairwise IoUs come from :func:`~weakdet.evalmetrics.iou_matrix`, so

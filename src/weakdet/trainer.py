@@ -27,7 +27,7 @@ from . import igcl as gc
 from . import instance_branch as ib
 from . import numerics as nm
 from . import semantic_branch as sb
-from .datamodel import Bag, class_prototypes, filter_proposals
+from .datamodel import Bag, Box, class_prototypes, filter_proposals
 from .errors import (CompatibilityError, ConfigError, EmptyBagError, NumericError, ParseError,
                      WeakdetError, check_keys)
 # iou is unused here; perfbench checks that its tracer rebinds this name too.
@@ -545,12 +545,22 @@ def infer(bag: Bag, state: TrainState, cfg: TrainConfig) -> list[Detection]:
 
     by_class = score_matrix.T
     classes, rows = np.nonzero(by_class >= cfg.min_score)  # class-major, rows ascending
-    scores, rows = by_class[classes, rows].tolist(), rows.tolist()
-    ends = np.cumsum(np.bincount(classes, minlength=state.n_classes)).tolist()
+    scores = by_class[classes, rows].tolist()
+    coords = np.asarray(bag.proposals).take(rows, axis=0).tolist()  # each candidate's box
+    rows = rows.tolist()
+    # A kept row becomes one Box, shared by every class that keeps it. The bag
+    # checked its boxes, so Box and Detection are built by tuple.__new__, which
+    # their own __new__ end in.
+    shared: dict[int, Box] = {}
     detections: list[Detection] = []
-    for k, (start, end) in enumerate(zip([0, *ends], ends)):
-        boxes, class_scores = [bag.proposals[i] for i in rows[start:end]], scores[start:end]
-        detections += [Detection(bag.image_id, boxes[j], k, class_scores[j])
+    end = 0
+    for k, n in enumerate(np.bincount(classes, minlength=state.n_classes).tolist()):
+        if not n:  # no candidate of class k
+            continue
+        start, end = end, end + n
+        boxes, class_scores = coords[start:end], scores[start:end]
+        detections += [tuple.__new__(Detection, (bag.image_id, shared.setdefault(
+                           rows[start + j], tuple.__new__(Box, boxes[j])), k, class_scores[j]))
                        for j in nms(boxes, class_scores, cfg.nms_iou)]
     return detections
 

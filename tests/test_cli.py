@@ -1091,8 +1091,17 @@ def _edit_third_line(change):
          "proposal coordinate"),
         (_edit_third_line(lambda r: r["features"][0].__setitem__(0, True)), "JSON numbers"),
         (_edit_third_line(lambda r: r["features"][0].__setitem__(0, None)), "JSON numbers"),
+        (_edit_third_line(lambda r: r["features"][1].pop()), "inhomogeneous"),
+        (_edit_third_line(lambda r: r.update(features=[])), "feature rows must align"),
+        (_edit_third_line(lambda r: r.update(features=[[] for _ in r["features"]])),
+         "features have no columns"),
+        (_edit_third_line(lambda r: r["proposals"][1].pop()), r"box \[.*\] is not 4 coordinates$"),
+        (_edit_third_line(lambda r: r["proposals"][1].append(9.0)),
+         r"box \[.*\] is not 4 coordinates$"),
     ],
-    ids=["narrow_features", "string_coordinate", "bool_feature", "null_feature"],
+    ids=["narrow_features", "string_coordinate", "bool_feature", "null_feature",
+         "ragged_features", "empty_features", "empty_feature_rows", "short_proposal",
+         "long_proposal"],
 )
 def test_train_and_eval_reject_a_bag_naming_its_line(trained, tmp_path, write, match, capsys):
     cfg_file, data, ckpt = trained

@@ -16,6 +16,7 @@ from conftest import save_jsonl_as_lists
 from weakdet.datamodel import (
     Bag,
     Box,
+    BoxArray,
     GroundTruth,
     SceneConfig,
     class_prototypes,
@@ -104,6 +105,45 @@ def test_box_round_trips_through_pickle_and_deepcopy(copier):
     b = Box(0.1, 0.2, 4.75, 5e-300 + 1)
     got = copier(b)
     assert type(got) is Box and got == b and all(type(v) is float for v in got)
+
+
+# ---------------------------------------------------------------- BoxArray
+
+
+def test_a_bags_proposals_are_a_read_only_box_array():
+    bag = Bag("t", (128.0, 128.0), [Box(0, 0, 20, 20), Box(5, 5, 25, 30), Box(1, 2, 3, 4)],
+              np.zeros((3, 2)), [1, 0])
+    boxes = bag.proposals
+    assert type(boxes) is BoxArray and len(boxes) == bag.size == 3
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        boxes[1] = Box(0, 0, 9, 9)
+    rows = np.asarray(boxes)
+    assert rows is np.asarray(boxes) and rows.dtype == np.float64 and rows.shape == (3, 4)
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
+    assert boxes[1] == Box(5, 5, 25, 30) and type(boxes[-1]) is Box
+    assert type(boxes[1:]) is BoxArray and list(boxes[::2]) == [boxes[0], boxes[2]]
+    assert np.asarray(boxes[::2]).flags.c_contiguous
+    assert boxes[np.array([True, False, True])] == boxes[::2] == [boxes[0], boxes[2]]
+    assert Bag("u", bag.canvas, boxes, bag.features, bag.tags).proposals is boxes
+    copied = pickle.loads(pickle.dumps(boxes))
+    assert copied == boxes and not np.asarray(copied).flags.writeable
+    assert repr(boxes[:1]) == "BoxArray([[0.0, 0.0, 20.0, 20.0]])"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 0, 4, 4], [0, 0, 4]], "box [0, 0, 4] is not 4 coordinates"),
+    ([[0, 0, 4, 4], [0, 0, 4, 4, 4]], "box [0, 0, 4, 4, 4] is not 4 coordinates"),
+    ([[0, 0, 4, 4], []], "box [] is not 4 coordinates"),
+    ([[0, 0, 4, np.nan], [0, 0, 4]], "box coordinates must be finite"),  # the first bad row's
+    ([[0, 0, 4]] * 2, "box [0, 0, 4] is not 4 coordinates"),
+    ([(0, 0, 4, 4)] * 2 + [5.0], "box 5.0 is not 4 coordinates"),
+])
+def test_box_array_rejects_a_ragged_row_in_row_order(rows, message):
+    with pytest.raises(ConfigError) as exc:
+        BoxArray(rows)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------- generator
@@ -340,6 +380,59 @@ def test_filter_matches_brute_force_count(rng):
             assert filter_proposals(bag, 16.0).size == expected
 
 
+@st.composite
+def boxes_and_min_side(draw):
+    """1-12 valid boxes and a `min_side`: sides exactly at `min_side`, 1-pixel
+    and 1e308-pixel sides among random ones, at integer and random corners,
+    with `min_side` 0, 1e308 and values in between."""
+    min_side = draw(st.sampled_from([0.0, 1.0, 16.0, 1e308]) | st.floats(0.0, 64.0))
+    corner = st.integers(0, 100).map(float) | st.floats(0.0, 1e4)
+    side = st.sampled_from([v for v in (min_side, 1.0, 1e308) if v > 0]) | st.floats(1e-2, 64.0)
+
+    def far_edge(near):  # a side lost to rounding at this corner becomes 1 pixel
+        return far if (far := near + draw(side)) > near else near + 1.0
+
+    boxes = []
+    for _ in range(draw(st.integers(1, 12))):
+        x1, y1 = draw(corner), draw(corner)
+        boxes.append(Box(x1, y1, far_edge(x1), far_edge(y1)))
+    return boxes, min_side
+
+
+@given(boxes_and_min_side())
+def test_filter_keeps_what_the_scalar_comparisons_keep_in_order(drawn):
+    boxes, min_side = drawn
+    bag = _bag_with_boxes(boxes)
+    keep = [i for i, (x1, y1, x2, y2) in enumerate(boxes)
+            if x2 - x1 >= min_side and y2 - y1 >= min_side]
+    if not keep:
+        with pytest.raises(EmptyBagError):
+            filter_proposals(bag, min_side)
+        return
+    out = filter_proposals(bag, min_side)
+    assert (out is bag) == (len(keep) == len(boxes))
+    assert list(out.proposals) == [boxes[i] for i in keep]
+    assert out.features.tobytes() == bag.features[keep].tobytes()
+    assert type(out.proposals) is BoxArray and not np.asarray(out.proposals).flags.writeable
+
+
+@given(boxes_and_min_side())
+def test_a_bag_from_a_list_an_array_or_either_jsonl_encoding_has_the_same_boxes(
+    jsonl_dir, drawn
+):
+    boxes, _ = drawn
+    from_list = _bag_with_boxes(boxes)
+    bags = [from_list, _bag_with_boxes(BoxArray(np.array(boxes)))]
+    path = jsonl_dir / "encodings.jsonl"
+    for fields in ((), ("proposals",)):  # base64, then list-form proposals
+        save_jsonl_as_lists(path, [from_list], None, fields)
+        bags += load_jsonl(path)[0]
+    for bag in bags:
+        assert bag.proposals == from_list.proposals and list(bag.proposals) == boxes
+        assert all(type(b) is Box and all(type(v) is float for v in b) for b in bag.proposals)
+        assert _box_bytes(bag.proposals) == _box_bytes(boxes)
+
+
 # ---------------------------------------------------------------- JSONL
 
 
@@ -513,6 +606,10 @@ def _write_with(path, change, save=save_jsonl_as_lists):
         (lambda r: r["proposals"][0].__setitem__(2, "6.91"), "proposal coordinate"),
         (lambda r: r["proposals"][0].__setitem__(2, True), "proposal coordinate"),
         (lambda r: r["proposals"][0].__setitem__(2, None), "proposal coordinate"),
+        (_set_features([]), "feature rows must align with proposals"),
+        (lambda r: r["proposals"][1].pop(), r"^line 2: box \[.*\] is not 4 coordinates$"),
+        (lambda r: r["proposals"][1].append(9.0), r"^line 2: box \[.*\] is not 4 coordinates$"),
+        (lambda r: r["proposals"][1].clear(), r"^line 2: box \[\] is not 4 coordinates$"),
         (lambda r: r["gt"][0].__setitem__(0, "6.91"), "gt item"),
         (lambda r: r["gt"][0].__setitem__(3, False), "gt item"),
     ],
@@ -521,8 +618,8 @@ def _write_with(path, change, save=save_jsonl_as_lists):
          "image_id_int", "image_id_null", "image_id_list", "b64_alphabet", "b64_padding",
          "b64_newline", "b64_short", "b64_empty", "b64_one_row", "b64_inf", "features_int",
          "features_flat", "row_string", "value_string", "value_bool", "value_null", "ragged",
-         "no_columns", "coord_string", "coord_bool", "coord_null", "gt_coord_string",
-         "gt_coord_bool"],
+         "no_columns", "coord_string", "coord_bool", "coord_null", "features_empty",
+         "proposal_short", "proposal_long", "proposal_empty", "gt_coord_string", "gt_coord_bool"],
 )
 def test_jsonl_rejects_a_malformed_record_naming_the_line(tmp_path, change, match):
     path = tmp_path / "strict.jsonl"
@@ -827,12 +924,13 @@ def test_base64_proposals_and_list_features_of_other_row_counts_are_a_parse_erro
 
 
 def test_box_from_rows_gives_the_boxes_box_gives():
+    """A BoxArray of float64 rows gives, item by item, the boxes Box gives."""
     rows = np.array([[0, 1, 4, 5], [-0.0, 2.5, 1e300, 3.0], [5e-324, 0, 1e-300, 1e308]])
-    boxes = Box.from_rows(rows)
-    assert boxes == [Box(*row) for row in rows.tolist()]
+    boxes = BoxArray(rows)
+    assert list(boxes) == [Box(*row) for row in rows.tolist()]
     assert all(type(b) is Box and all(type(v) is float for v in b) for b in boxes)
-    assert np.array(boxes).tobytes() == rows.tobytes()  # -0.0 keeps its sign
-    assert Box.from_rows(np.empty((0, 4))) == []
+    assert np.asarray(boxes).tobytes() == rows.tobytes()  # -0.0 keeps its sign
+    assert list(BoxArray(np.empty((0, 4)))) == []
 
 
 @pytest.mark.parametrize(
@@ -847,7 +945,7 @@ def test_box_from_rows_raises_the_error_box_raises_for_the_first_bad_row(bad):
     with pytest.raises(ConfigError) as want:
         [Box(*row) for row in rows.tolist()]
     with pytest.raises(ConfigError) as got:
-        Box.from_rows(rows)
+        BoxArray(rows)
     assert str(got.value) == str(want.value)
 
 

@@ -13,7 +13,7 @@ from weakdet import instance_branch as ib
 from weakdet import numerics as nm
 from weakdet.datamodel import Box, SceneConfig, filter_proposals, generate_dataset
 from weakdet.errors import (
-    CompatibilityError, ConfigError, EmptyBagError, NumericError, ParseError,
+    CompatibilityError, ConfigError, EmptyBagError, NumericError, ParseError, WeakdetError,
 )
 from weakdet.evalmetrics import Detection, iou
 from weakdet.trainer import (
@@ -676,9 +676,10 @@ def test_infer_single_proposal_caps_detections(rng):
 
 def test_infer_duplicate_boxes_suppressed(rng):
     feats = rng.standard_normal(8)
-    bag = make_bag(rng, m=2, n_classes=3, feature_dim=8)
-    bag.proposals[1] = bag.proposals[0]
-    bag.features[1] = bag.features[0]
+    drawn = make_bag(rng, m=2, n_classes=3, feature_dim=8)
+    # Bag's proposals are read-only: the duplicate is built, not assigned.
+    first = drawn.proposals[0]
+    bag = replace(drawn, proposals=[first, first], features=drawn.features[[0, 0]])
     cfg = small_cfg()
     state = init_state(cfg, 3, 8)
     dets = infer(bag, state, cfg)
@@ -687,6 +688,19 @@ def test_infer_duplicate_boxes_suppressed(rng):
         per_class.setdefault(d.class_index, []).append(d)
     for ds in per_class.values():
         assert len(ds) == 1
+
+
+def test_infer_shares_one_box_per_kept_proposal():
+    """A proposal kept in several classes gives their detections one Box."""
+    bags, _ = tiny_dataset(6)
+    cfg = small_cfg(epochs=1)
+    state, _ = train(bags, cfg)
+    dets = [d for bag in bags for d in infer(bag, state, cfg)]
+    by_value = {}
+    for d in dets:
+        assert type(d.box) is Box and all(type(v) is float for v in d.box)
+        assert by_value.setdefault((d.image_id, d.box), d.box) is d.box
+    assert len(by_value) < len(dets)  # some proposal is kept in two classes
 
 
 def test_nms_matches_bruteforce_oracle(rng):
@@ -828,6 +842,19 @@ def test_checkpoint_resume_is_bitwise_identical(tmp_path):
         assert np.array_equal(straight.velocity[name], resumed.velocity[name])
     assert np.array_equal(straight.centers, resumed.centers)
     assert straight.step == resumed.step
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="a resumed run reads its epoch as step // steps_per_epoch, so a "
+                          "changed batch_size trains 0 epochs and raises nothing")
+def test_resume_at_another_batch_size_is_rejected():
+    """Six bags, one epoch at batch_size 1 (6 steps), then a resume at
+    batch_size 4 for 3 epochs: 2 steps an epoch make step 6 read as epoch 3,
+    so nothing trains. A checked resume must reject the changed batch size."""
+    bags, _ = tiny_dataset(6)
+    state, _ = train(bags, small_cfg(epochs=1, batch_size=1))
+    with pytest.raises(WeakdetError):
+        train(bags, small_cfg(epochs=3, batch_size=4), state=state)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
